@@ -111,23 +111,24 @@ def ideal_point(inst: MetricInstance, tol: float = 1e-10, max_iter: int = 10_000
     return IdealPoint(best, best_cost, "restricted-to-named-points")
 
 
-def actual_distortion(inst: MetricInstance, winner: str) -> tuple[float, bool]:
-    """delta = SC(winner)/min_c SC(c); a zero-cost best candidate is degenerate
-    (reported as 1 when the winner is also free, +inf otherwise, never raised)."""
-    sc_w = social_cost(inst, winner)
-    best = min(social_cost(inst, c) for c in inst.candidates)
+def cost_ratio(cost: float, best: float) -> float:
+    """cost/best; a zero best is degenerate: 1 when cost is also 0, +inf otherwise."""
     if best == 0.0:
-        return (1.0 if sc_w == 0.0 else math.inf), True
-    return sc_w / best, False
+        return 1.0 if cost == 0.0 else math.inf
+    return cost / best
+
+
+def actual_distortion(inst: MetricInstance, winner: str) -> tuple[float, bool]:
+    """delta = SC(winner)/min_c SC(c) by cost_ratio, and whether the best
+    candidate is free (the degenerate case, never raised)."""
+    best = min(social_cost(inst, c) for c in inst.candidates)
+    return cost_ratio(social_cost(inst, winner), best), best == 0.0
 
 
 def ideal_distortion(inst: MetricInstance, winner: str, ideal: IdealPoint | None = None) -> float:
     """rho = SC(winner)/SC(ideal point)."""
-    sc_w = social_cost(inst, winner)
     ip = ideal if ideal is not None else ideal_point(inst)
-    if ip.cost == 0.0:
-        return 1.0 if sc_w == 0.0 else math.inf
-    return sc_w / ip.cost
+    return cost_ratio(social_cost(inst, winner), ip.cost)
 
 
 def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:
@@ -142,11 +143,12 @@ def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:
         winner = decide_pair(inst, cands[0], cands[1], rule).winner
     else:
         winner = copeland_winner(majority_graph(inst, rule))
-    sc_w = social_cost(inst, winner)
-    sc_best = min(social_cost(inst, c) for c in inst.candidates)
-    delta, degenerate = actual_distortion(inst, winner)
+    costs = {c: social_cost(inst, c) for c in inst.candidates}
+    sc_w = costs[winner]
+    sc_best = min(costs.values())
+    delta = cost_ratio(sc_w, sc_best)
     ip = ideal_point(inst)
-    rho = ideal_distortion(inst, winner, ip)
+    rho = cost_ratio(sc_w, ip.cost)
     try:
         bound = bound_value(rule, len(cands))
     except ValueError:
@@ -156,7 +158,7 @@ def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:
     else:
         margin = bound - delta
     return DistortionReport(winner, sc_w, sc_best, ip.cost, delta, rho,
-                            bound, margin, ip.exactness, degenerate)
+                            bound, margin, ip.exactness, sc_best == 0.0)
 
 
 def cost_bound_holds(inst: MetricInstance, p: str, q: str, z: str,
@@ -191,7 +193,7 @@ def ideal_tradeoff_bound(rule: Rule, delta: float, num_candidates: int = 2) -> f
         return base if num_candidates == 2 else 2.0 * base
     if num_candidates != 2:
         raise ValueError(f"{kind} has an ideal-candidate bound only for two candidates")
-    pole = rule.tau if kind == "rule3" else rule.scheme.taus[-1]
+    pole = rule.scheme.taus[-1]
     if delta <= pole:
         return math.inf
     if math.isinf(delta):

@@ -61,12 +61,16 @@ class MetricInstance:
 
 def _as_coord(value, field: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),)
-    if isinstance(value, (list, tuple)) and value and all(
+        coord = (float(value),)
+    elif isinstance(value, (list, tuple)) and value and all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
     ):
-        return tuple(float(x) for x in value)
-    raise ValueError(f"{field}: expected a number or a list of numbers, got {value!r}")
+        coord = tuple(float(x) for x in value)
+    else:
+        raise ValueError(f"{field}: expected a number or a list of numbers, got {value!r}")
+    if not all(math.isfinite(x) for x in coord):
+        raise ValueError(f"{field}: coordinates must be finite, got {value!r}")
+    return coord
 
 
 def _check_membership(inst: MetricInstance) -> None:
@@ -98,6 +102,8 @@ def _check_matrix(ids: tuple[str, ...], rows: tuple[tuple[float, ...], ...]) -> 
         if abs(rows[i][i]) > TOL:
             raise MetricViolation(f"d({ids[i]},{ids[i]}) = {rows[i][i]}, expected 0")
         for j in range(n):
+            if not math.isfinite(rows[i][j]):
+                raise MetricViolation(f"d({ids[i]},{ids[j]}) = {rows[i][j]} is not finite")
             if rows[i][j] < -TOL:
                 raise MetricViolation(f"d({ids[i]},{ids[j]}) = {rows[i][j]} is negative")
             if abs(rows[i][j] - rows[j][i]) > TOL:

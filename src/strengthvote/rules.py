@@ -1,21 +1,24 @@
 """Pairwise decision rules over strength tallies, and their distortion bounds.
 
-Five rules are implemented. All of them decide an ordered pair (P, Q) by a
-weighted vote and break exact ties toward the lexicographically smaller
-candidate id.
+Every rule decides an ordered pair (P, Q) by a weighted vote and breaks exact
+ties toward the lexicographically smaller candidate id. The four threshold
+rules share one shape: ballots are bucketed by a threshold scheme under a
+cutoff convention (see tallies), and each bucket l >= 1 carries one weight;
+the hidden set C (bucket 0) always weighs 0.
 
-rule1 (single threshold tau >= 1): a voter is strong only when its strength
-    strictly exceeds tau; a report equal to tau stays weak. Strong voters
-    weigh (tau+1)/(tau-1) when tau >= 1+sqrt(2), else tau; weak voters weigh 1.
-rule2 (single threshold tau > 1): same strict comparison, but strong voters
-    always weigh (tau+1)/(tau-1). Coincides with rule1 for tau >= 1+sqrt(2).
-rule3 (single threshold tau >= 1): a voter counts (weight 1) iff its strength
-    is at least tau (inclusive); everyone else is ignored.
-rule4 (general scheme tau_1 < ... < tau_m): bucket weights derived from the
-    scheme's worst ratio term; see rule4_delta and rule4_weights.
-rule5 (exact strengths): per-voter weight (sqrt(2)*s - 1)/(s + 1) when
-    s > sqrt(2), else s - 1; the two branches agree at s = sqrt(2) and the
-    weight tends to sqrt(2) as s -> +inf.
+    rule   scheme                    boundary   bucket weights
+    rule1  (1, tau), or (1,) at 1    strict     (1, strong): strong = tau when
+                                                tau < 1+sqrt(2), else (tau+1)/(tau-1)
+    rule2  (1, tau), tau > 1         strict     (1, (tau+1)/(tau-1))
+    rule3  (tau,)                    inclusive  (1,)
+    rule4  any tau_1 < ... < tau_m   inclusive  rule4_weights(scheme), from the
+                                                scheme's worst ratio term rule4_delta
+
+Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
+coincides with rule1 for tau >= 1+sqrt(2). make_rule computes the table once
+per Rule. rule5 sees exact strengths and weighs each voter by the continuous
+rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the
+branches agree at s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
 """
 
 from __future__ import annotations
@@ -42,9 +45,14 @@ class SchemeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Rule:
+    """A pairwise rule; build it with make_rule, which fills in the threshold
+    rules' scheme, boundary mode and per-bucket weights."""
+
     kind: str
     tau: float | None = None
     scheme: ThresholdScheme | None = None
+    boundary: str = INCLUSIVE
+    weights: tuple[float, ...] = ()
 
     def label(self) -> str:
         if self.kind in ("rule1", "rule2", "rule3"):
@@ -52,6 +60,13 @@ class Rule:
         if self.kind == "rule4":
             return "rule4[taus=" + ";".join(f"{t:g}" for t in self.scheme.taus) + "]"
         return "rule5"
+
+    def weight(self, strength: float) -> float:
+        """Decision weight of one voter with the given strength (0 in C)."""
+        if self.kind == "rule5":
+            return rule5_weight(strength)
+        l = self.scheme.bucket(strength, self.boundary)
+        return self.weights[l - 1] if l else 0.0
 
 
 def make_rule(kind: str, tau: float | None = None, taus=None) -> Rule:
@@ -66,12 +81,18 @@ def make_rule(kind: str, tau: float | None = None, taus=None) -> Rule:
                 raise InvalidThreshold(f"rule2 needs tau > 1, got {tau}")
         elif not tau >= 1.0:
             raise InvalidThreshold(f"{kind} needs tau >= 1, got {tau}")
-        return Rule(kind, tau=tau)
+        if kind == "rule3":
+            return Rule(kind, tau, ThresholdScheme((tau,)), INCLUSIVE, (1.0,))
+        if tau == 1.0:
+            return Rule(kind, tau, ThresholdScheme((1.0,)), STRICT, (1.0,))
+        strong = (tau + 1.0) / (tau - 1.0) if kind == "rule2" or tau >= 1.0 + SQRT2 else tau
+        return Rule(kind, tau, ThresholdScheme((1.0, tau)), STRICT, (1.0, strong))
     if kind == "rule4":
         if taus is None:
             raise InvalidThreshold("rule4 needs a threshold scheme")
         scheme = taus if isinstance(taus, ThresholdScheme) else ThresholdScheme(tuple(taus))
-        return Rule(kind, scheme=scheme)
+        weights, _, _ = rule4_weights(scheme)
+        return Rule(kind, scheme=scheme, weights=tuple(weights))
     if tau is not None or taus is not None:
         raise InvalidThreshold("rule5 takes no thresholds")
     return Rule(kind)
@@ -91,49 +112,6 @@ def _resolve(pair: tuple[str, str], p_score: float, q_score: float) -> PairwiseD
     if q_score > p_score:
         return PairwiseDecision(pair[1], p_score, q_score, False)
     return PairwiseDecision(min(pair), p_score, q_score, True)
-
-
-def _single_threshold_scheme(tau: float) -> tuple[float, ...]:
-    return (1.0,) if tau == 1.0 else (1.0, tau)
-
-
-def _require(tally: PairwiseTally, taus: tuple[float, ...], boundary: str, rule: str) -> None:
-    if tally.scheme.taus != taus:
-        raise SchemeMismatch(f"{rule} expects scheme {taus}, tally has {tally.scheme.taus}")
-    if tally.boundary != boundary and tally.scheme.taus != (1.0,):
-        raise SchemeMismatch(f"{rule} expects {boundary} boundary, tally used {tally.boundary}")
-
-
-def rule1_decide(tally: PairwiseTally, tau: float) -> PairwiseDecision:
-    """Single-threshold rule with capped strong weight; 2-bounded for every tau."""
-    if not tau >= 1.0:
-        raise InvalidThreshold(f"rule1 needs tau >= 1, got {tau}")
-    _require(tally, _single_threshold_scheme(tau), STRICT, "rule1")
-    if tau == 1.0:
-        return _resolve(tally.pair, float(tally.a_counts[0]), float(tally.b_counts[0]))
-    strong = (tau + 1.0) / (tau - 1.0) if tau >= 1.0 + SQRT2 else tau
-    p = tally.a_counts[0] + strong * tally.a_counts[1]
-    q = tally.b_counts[0] + strong * tally.b_counts[1]
-    return _resolve(tally.pair, p, q)
-
-
-def rule2_decide(tally: PairwiseTally, tau: float) -> PairwiseDecision:
-    """Single-threshold rule with uncapped strong weight (tau+1)/(tau-1); not 2-bounded."""
-    if not tau > 1.0:
-        raise InvalidThreshold(f"rule2 needs tau > 1, got {tau}")
-    _require(tally, _single_threshold_scheme(tau), STRICT, "rule2")
-    strong = (tau + 1.0) / (tau - 1.0)
-    p = tally.a_counts[0] + strong * tally.a_counts[1]
-    q = tally.b_counts[0] + strong * tally.b_counts[1]
-    return _resolve(tally.pair, p, q)
-
-
-def rule3_decide(tally: PairwiseTally, tau: float) -> PairwiseDecision:
-    """Count only voters whose strength reaches tau (inclusive); plain majority of those."""
-    if not tau >= 1.0:
-        raise InvalidThreshold(f"rule3 needs tau >= 1, got {tau}")
-    _require(tally, (float(tau),), INCLUSIVE, "rule3")
-    return _resolve(tally.pair, float(tally.a_counts[0]), float(tally.b_counts[0]))
 
 
 def rule4_delta(scheme: ThresholdScheme) -> float:
@@ -175,18 +153,31 @@ def rule4_weights(scheme: ThresholdScheme) -> tuple[list[float], float, int]:
     return weights, ds, k
 
 
-def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecision:
-    """General-scheme weighted majority; equivalent to picking the side whose
-    feasibility inequality holds by the larger slack (see condition1_holds)."""
-    _require(tally, scheme.taus, INCLUSIVE, "rule4")
-    weights, _, _ = rule4_weights(scheme)
-    p = math.fsum(w * a for w, a in zip(weights, tally.a_counts))
-    q = math.fsum(w * b for w, b in zip(weights, tally.b_counts))
-    if __debug__:
+def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
+    """Weighted majority over a tally: each side scores sum_l w_l * count_l.
+
+    The tally must use the rule's scheme and boundary mode; a lone cutoff of 1
+    buckets the same either way. For rule4 the score gap equals the gap
+    between the two sides' feasibility slacks (see condition1_holds).
+    """
+    taus = rule.scheme.taus if rule.scheme is not None else None
+    if tally.scheme.taus != taus:
+        raise SchemeMismatch(f"{rule.kind} expects scheme {taus}, tally has {tally.scheme.taus}")
+    if tally.boundary != rule.boundary and tally.scheme.taus != (1.0,):
+        raise SchemeMismatch(
+            f"{rule.kind} expects {rule.boundary} boundary, tally used {tally.boundary}")
+    p = math.fsum(w * a for w, a in zip(rule.weights, tally.a_counts))
+    q = math.fsum(w * b for w, b in zip(rule.weights, tally.b_counts))
+    if __debug__ and rule.kind == "rule4":
         diff = _condition1_diff(tally, tally.pair[0]) - _condition1_diff(tally, tally.pair[1])
         scale = max(1.0, abs(p), abs(q))
         assert abs((p - q) - diff) <= 1e-9 * scale, (p, q, diff)
     return _resolve(tally.pair, p, q)
+
+
+def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecision:
+    """General-scheme weighted majority over a tally built under that scheme."""
+    return decide_tally(tally, make_rule("rule4", taus=scheme))
 
 
 def _condition1_diff(tally: PairwiseTally, side: str) -> float:
@@ -236,18 +227,7 @@ def decide_profile(profile: ExactProfile, rule: Rule) -> PairwiseDecision:
     """Decide a pair from its exact profile, revealing only what the rule may see."""
     if rule.kind == "rule5":
         return rule5_decide(profile)
-    if rule.kind == "rule1":
-        scheme = ThresholdScheme(_single_threshold_scheme(rule.tau))
-        return rule1_decide(bucket_profile(profile, scheme, STRICT), rule.tau)
-    if rule.kind == "rule2":
-        scheme = ThresholdScheme(_single_threshold_scheme(rule.tau))
-        return rule2_decide(bucket_profile(profile, scheme, STRICT), rule.tau)
-    if rule.kind == "rule3":
-        scheme = ThresholdScheme((rule.tau,))
-        return rule3_decide(bucket_profile(profile, scheme, INCLUSIVE), rule.tau)
-    if rule.kind == "rule4":
-        return rule4_decide(bucket_profile(profile, rule.scheme, INCLUSIVE), rule.scheme)
-    raise ValueError(f"unknown rule kind {rule.kind!r}")
+    return decide_tally(bucket_profile(profile, rule.scheme, rule.boundary), rule)
 
 
 def decide_pair(inst: MetricInstance, p: str, q: str, rule: Rule) -> PairwiseDecision:

@@ -17,12 +17,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .distortion_lab import (actual_distortion, generate_lower_bound, ideal_point,
-                             ideal_tradeoff_bound, lower_bound_target)
+from .distortion_lab import (actual_distortion, cost_ratio, generate_lower_bound,
+                             ideal_point, ideal_tradeoff_bound, lower_bound_target)
 from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
-from .rules import (SQRT2, Rule, _condition1_diff, bound_value, condition1_holds,
-                    decide_pair, decide_profile, make_rule, rule4_decide,
-                    rule4_delta, rule4_weights)
+from .rules import (SQRT2, Rule, _condition1_diff, bound_value, decide_pair,
+                    decide_profile, make_rule, rule4_decide, rule4_delta)
+# Unused here, but perfbench/tracer.py counts calls through this module attribute.
+from .rules import rule4_weights  # noqa: F401
 from .tallies import PairwiseTally, ThresholdScheme, exact_profile
 from .tournament import TournamentGraph, copeland_winner, majority_graph
 
@@ -132,26 +133,7 @@ def _signed_weights(rule: Rule, xs: np.ndarray) -> np.ndarray:
     far = np.maximum(d_p, d_q)
     s = np.full_like(xs, np.inf)
     np.divide(far, near, out=s, where=near > 0.0)
-    kind = rule.kind
-    if kind == "rule1":
-        if rule.tau == 1.0:
-            w = np.ones_like(s)
-        else:
-            strong = (rule.tau + 1.0) / (rule.tau - 1.0) if rule.tau >= 1.0 + SQRT2 else rule.tau
-            w = np.where(s > rule.tau, strong, 1.0)
-    elif kind == "rule2":
-        w = np.where(s > rule.tau, (rule.tau + 1.0) / (rule.tau - 1.0), 1.0)
-    elif kind == "rule3":
-        w = np.where(s >= rule.tau, 1.0, 0.0)
-    elif kind == "rule4":
-        weights, _, _ = rule4_weights(rule.scheme)
-        lut = np.array([0.0] + weights)
-        w = lut[np.searchsorted(np.array(rule.scheme.taus), s, side="right")]
-    else:
-        finite = np.isfinite(s)
-        sf = np.where(finite, s, 2.0)
-        w = np.where(sf > SQRT2, (SQRT2 * sf - 1.0) / (sf + 1.0), sf - 1.0)
-        w = np.where(finite, w, SQRT2)
+    w = np.array([rule.weight(x) for x in s.tolist()])
     return np.where(toward_p, w, -w)
 
 
@@ -281,21 +263,6 @@ def _two_candidate_rules() -> list[Rule]:
     return rules
 
 
-def _multi_candidate_rules() -> list[Rule]:
-    rules = [make_rule("rule1", tau=t) for t in _TAU_GRID]
-    rules += [make_rule("rule3", tau=t) for t in _TAU_GRID]
-    rules += [make_rule("rule4", taus=(t,)) for t in _TAU_GRID]
-    rules.append(make_rule("rule5"))
-    return rules
-
-
-def _delta_of(winner: str, costs: dict) -> float:
-    best = min(costs.values())
-    if best == 0.0:
-        return 1.0 if costs[winner] == 0.0 else math.inf
-    return costs[winner] / best
-
-
 def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000,
                  voters_max: int = 20) -> dict:
     """delta never exceeds bound_value, for every rule on every random instance."""
@@ -308,13 +275,13 @@ def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000,
         inst = random_instance(rng, "line" if i % 2 == 0 else "euclidean2d", voters_max)
         prof = exact_profile(inst, "P", "Q")
         costs = {c: social_cost(inst, c) for c in ("P", "Q")}
+        best = min(costs.values())
         for rule, bound in zip(rules2, bounds2):
-            delta = _delta_of(decide_profile(prof, rule).winner, costs)
-            margin = delta - bound
+            margin = cost_ratio(costs[decide_profile(prof, rule).winner], best) - bound
             cases += 1
             worst = max(worst, margin)
             failures += margin > 1e-9
-    rules4 = _multi_candidate_rules()
+    rules4 = [r for r in rules2 if r.kind != "rule2"]
     bounds4 = [bound_value(r, 4) for r in rules4]
     for i in range(n_multi):
         inst = random_instance(rng, "line" if i % 2 == 0 else "euclidean2d",
@@ -322,10 +289,11 @@ def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000,
         cands = tuple(sorted(inst.candidates))
         profs = {pq: exact_profile(inst, *pq) for pq in combinations(cands, 2)}
         costs = {c: social_cost(inst, c) for c in cands}
+        best = min(costs.values())
         for rule, bound in zip(rules4, bounds4):
             decisions = {pq: decide_profile(prof, rule) for pq, prof in profs.items()}
             winner = copeland_winner(TournamentGraph(cands, decisions))
-            margin = _delta_of(winner, costs) - bound
+            margin = cost_ratio(costs[winner], best) - bound
             cases += 1
             worst = max(worst, margin)
             failures += margin > 1e-9
@@ -409,17 +377,17 @@ def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000,
         nonlocal cases, failures, worst
         cands = tuple(sorted(inst.candidates))
         costs = {c: social_cost(inst, c) for c in cands}
+        best = min(costs.values())
         ideal = ideal_point(inst)
         for rule in rules:
             if num_candidates == 2:
                 winner = decide_pair(inst, cands[0], cands[1], rule).winner
             else:
                 winner = copeland_winner(majority_graph(inst, rule))
-            delta = _delta_of(winner, costs)
+            delta = cost_ratio(costs[winner], best)
             if rule.kind == "rule1" and not delta > 1.01:
                 continue
-            rho = (1.0 if costs[winner] == 0.0 else math.inf) if ideal.cost == 0.0 \
-                else costs[winner] / ideal.cost
+            rho = cost_ratio(costs[winner], ideal.cost)
             limit = ideal_tradeoff_bound(rule, delta, num_candidates)
             cases += 1
             if math.isfinite(limit) and math.isfinite(rho):

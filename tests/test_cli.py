@@ -155,3 +155,20 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["evaluate", "--instance", str(bad), "--rule", "rule5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space", [
+    {"type": "line", "positions": {"P": 0.0, "Q": 1.0, "v1": "NaN"}},
+    {"type": "line", "positions": {"P": 0.0, "Q": 1.0, "v1": "Infinity"}},
+    {"type": "euclidean", "positions": {"P": [0.0, 0.0], "Q": [1.0, 0.0], "v1": [0.5, "NaN"]}},
+    {"type": "matrix", "ids": ["P", "Q", "v1"],
+     "distances": [[0, 2, 1], [2, 0, "NaN"], [1, "NaN", 0]]},
+])
+def test_non_finite_instance_exits_2(space, tmp_path, capsys):
+    # json.dumps writes the bare NaN / Infinity tokens that json.load accepts
+    doc = json.dumps({"space": space, "voters": ["v1"], "candidates": ["P", "Q"]})
+    path = tmp_path / "nonfinite.json"
+    path.write_text(doc.replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err

@@ -52,6 +52,22 @@ def test_matrix_axiom_checks():
         matrix_instance(("a", "b"), [[0.5, 1], [1, 0]], ("a",), ("a", "b"))
 
 
+def test_non_finite_coordinates_are_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            line_instance({"P": 0.0, "Q": 1.0, "v1": bad}, ("v1",), ("P", "Q"))
+        with pytest.raises(ValueError, match="finite"):
+            euclidean_instance({"P": [0.0, 0.0], "Q": [1.0, 0.0], "v1": [0.5, bad]},
+                               ("v1",), ("P", "Q"))
+
+
+def test_non_finite_matrix_entry_is_rejected_by_name():
+    for bad in (math.nan, math.inf):
+        rows = [[0, 1, 1], [1, 0, bad], [1, bad, 0]]
+        with pytest.raises(MetricViolation, match=r"d\(b,z\) = (nan|inf) is not finite"):
+            matrix_instance(("a", "b", "z"), rows, ("z",), ("a", "b"))
+
+
 def test_duplicate_candidate_point():
     with pytest.raises(DuplicateCandidatePoint):
         line_instance({"P": 0.5, "Q": 0.5, "v1": 0.0}, ("v1",), ("P", "Q"))

@@ -6,10 +6,9 @@ import pytest
 from strengthvote.metric_core import line_instance
 from strengthvote.rules import (InvalidThreshold, SchemeMismatch, SQRT2,
                                 bound_value, condition1_holds, decide_pair,
-                                decide_profile, make_rule, rule1_decide,
-                                rule2_decide, rule3_decide, rule4_decide,
-                                rule4_delta, rule4_weights, rule5_decide,
-                                rule5_weight)
+                                decide_profile, decide_tally, make_rule,
+                                rule4_decide, rule4_delta, rule4_weights,
+                                rule5_decide, rule5_weight)
 from strengthvote.tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
                                   ThresholdScheme, pairwise_tally)
 
@@ -47,9 +46,9 @@ def test_rule_labels():
 def test_rule1_strong_weight_branches():
     # below 1+sqrt(2) the strong weight is tau itself, above it (tau+1)/(tau-1)
     low = tally((1.0, 2.0), (0, 2), (3, 0))
-    assert rule1_decide(low, 2.0).p_score == pytest.approx(4.0, abs=TOL)
+    assert decide_tally(low, make_rule("rule1", tau=2.0)).p_score == pytest.approx(4.0, abs=TOL)
     high = tally((1.0, 5.0), (0, 2), (3, 0))
-    assert rule1_decide(high, 5.0).p_score == pytest.approx(3.0, abs=TOL)
+    assert decide_tally(high, make_rule("rule1", tau=5.0)).p_score == pytest.approx(3.0, abs=TOL)
     # both formulas agree at the switch point
     t = 1.0 + SQRT2
     assert (t + 1.0) / (t - 1.0) == pytest.approx(t, abs=TOL)
@@ -57,17 +56,17 @@ def test_rule1_strong_weight_branches():
 
 def test_rule1_majority_at_tau_one():
     even = tally((1.0,), (2,), (2,))
-    decision = rule1_decide(even, 1.0)
+    decision = decide_tally(even, make_rule("rule1", tau=1.0))
     assert decision.tie and decision.winner == "P"
-    assert rule1_decide(tally((1.0,), (1,), (2,)), 1.0).winner == "Q"
+    assert decide_tally(tally((1.0,), (1,), (2,)), make_rule("rule1", tau=1.0)).winner == "Q"
 
 
 def test_rule2_outweighs_rule1():
     # two weak voters against one strong one: rule1 ties, rule2 lets the
     # strong voter carry the pair
     t = tally((1.0, 2.0), (2, 0), (0, 1))
-    r1 = rule1_decide(t, 2.0)
-    r2 = rule2_decide(t, 2.0)
+    r1 = decide_tally(t, make_rule("rule1", tau=2.0))
+    r2 = decide_tally(t, make_rule("rule2", tau=2.0))
     assert r1.tie and r1.winner == "P"
     assert not r2.tie and r2.winner == "Q"
     assert r2.q_score == pytest.approx(3.0, abs=TOL)
@@ -99,11 +98,12 @@ def test_rule3_ignores_weak_voters():
 
 def test_scheme_mismatch_is_rejected():
     with pytest.raises(SchemeMismatch):
-        rule1_decide(tally((1.0, 3.0), (1, 0), (0, 1)), 2.0)
+        decide_tally(tally((1.0, 3.0), (1, 0), (0, 1)), make_rule("rule1", tau=2.0))
     with pytest.raises(SchemeMismatch):
-        rule1_decide(tally((1.0, 2.0), (1, 0), (0, 1), boundary=INCLUSIVE), 2.0)
+        decide_tally(tally((1.0, 2.0), (1, 0), (0, 1), boundary=INCLUSIVE),
+                     make_rule("rule1", tau=2.0))
     with pytest.raises(SchemeMismatch):
-        rule3_decide(tally((2.0,), (1,), (1,), boundary=STRICT), 2.0)
+        decide_tally(tally((2.0,), (1,), (1,), boundary=STRICT), make_rule("rule3", tau=2.0))
     with pytest.raises(SchemeMismatch):
         rule4_decide(tally((2.0,), (1,), (1,), boundary=STRICT),
                      ThresholdScheme((2.0,)))

@@ -1,11 +1,13 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from strengthvote.metric_core import line_instance, social_cost
-from strengthvote.rules import SQRT2, bound_value, make_rule, rule4_delta
-from strengthvote.search_oracle import (SearchConfig, adversarial_search,
+from strengthvote.rules import SQRT2, bound_value, decide_pair, make_rule, rule4_delta
+from strengthvote.search_oracle import (SearchConfig, _grid_positions, _signed_weights,
+                                        _two_candidate_rules, adversarial_search,
                                         brute_force_best, check_condition1,
                                         check_lowerbounds, optimize_thresholds,
                                         random_instance, verify_suite)
@@ -54,6 +56,20 @@ def test_adversarial_search_is_sharp_for_plain_majority():
     inst, delta = adversarial_search(make_rule("rule1", tau=1.0),
                                      SearchConfig(seed=1, grid=200, n_instances=0))
     assert delta >= 0.95 * 3.0
+
+
+def test_grid_weights_agree_with_the_pipeline_on_every_cell():
+    # the cut-spot positions put voters on, and within 1e-9 of, every cutoff,
+    # so strict and inclusive hits and the strict cutoff of 1 are all covered
+    for rule in _two_candidate_rules() + [make_rule("rule4", taus=(1.5, 3.0))]:
+        xs = _grid_positions(rule, 2)
+        w = _signed_weights(rule, xs)
+        for i, j in product(range(len(xs)), repeat=2):
+            inst = line_instance({"P": 0.0, "Q": 1.0, "v1": float(xs[i]), "v2": float(xs[j])},
+                                 ("v1", "v2"), ("P", "Q"))
+            grid_winner = "P" if w[i] + w[j] >= 0.0 else "Q"
+            assert grid_winner == decide_pair(inst, "P", "Q", rule).winner, \
+                (rule.label(), xs[i], xs[j])
 
 
 def test_optimize_thresholds_known_optima():
