@@ -15,16 +15,17 @@ the hidden set C (bucket 0) always weighs 0.
                                                 scheme's worst ratio term rule4_delta
 
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
-coincides with rule1 for tau >= 1+sqrt(2). make_rule computes the table once
-per Rule. rule5 sees exact strengths and weighs each voter by the continuous
-rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the
-branches agree at s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
+coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
+table once, when it is built. rule5 sees exact strengths and weighs each voter
+by the continuous rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else
+s - 1; the branches agree at s = sqrt(2) and the weight tends to sqrt(2) as
+s -> +inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .metric_core import MetricInstance
 from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
@@ -45,14 +46,55 @@ class SchemeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Rule:
-    """A pairwise rule; build it with make_rule, which fills in the threshold
-    rules' scheme, boundary mode and per-bucket weights."""
+    """A pairwise rule. The constructor checks the thresholds and derives the
+    rest of the threshold rules' definition: scheme (rule1-3 from tau),
+    boundary mode and per-bucket weights. rule5 has no buckets."""
 
     kind: str
     tau: float | None = None
     scheme: ThresholdScheme | None = None
-    boundary: str = INCLUSIVE
-    weights: tuple[float, ...] = ()
+    boundary: str | None = field(init=False)
+    weights: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        kind, tau, scheme = self.kind, self.tau, self.scheme
+        if kind not in RULE_KINDS:
+            raise ValueError(f"unknown rule kind {kind!r}")
+        if kind == "rule5":
+            if tau is not None or scheme is not None:
+                raise InvalidThreshold("rule5 takes no thresholds")
+            boundary, weights = None, ()
+        elif kind == "rule4":
+            if tau is not None:
+                raise InvalidThreshold("rule4 takes a threshold scheme, not tau")
+            if scheme is None:
+                raise InvalidThreshold("rule4 needs a threshold scheme")
+            if not isinstance(scheme, ThresholdScheme):
+                scheme = ThresholdScheme(tuple(scheme))
+            boundary, weights = INCLUSIVE, tuple(rule4_weights(scheme)[0])
+        else:
+            if tau is None:
+                raise InvalidThreshold(f"{kind} needs a threshold")
+            tau = float(tau)
+            if kind == "rule2":
+                if not tau > 1.0:
+                    raise InvalidThreshold(f"rule2 needs tau > 1, got {tau}")
+            elif not tau >= 1.0:
+                raise InvalidThreshold(f"{kind} needs tau >= 1, got {tau}")
+            if kind == "rule3":
+                derived, boundary, weights = ThresholdScheme((tau,)), INCLUSIVE, (1.0,)
+            elif tau == 1.0:
+                derived, boundary, weights = ThresholdScheme((1.0,)), STRICT, (1.0,)
+            else:
+                strong = (tau + 1.0) / (tau - 1.0) if kind == "rule2" or tau >= 1.0 + SQRT2 else tau
+                derived, boundary, weights = ThresholdScheme((1.0, tau)), STRICT, (1.0, strong)
+            if scheme is not None and scheme != derived:
+                raise InvalidThreshold(f"{kind} derives its scheme {derived.taus} from tau")
+            scheme = derived
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "weights", weights)
 
     def label(self) -> str:
         if self.kind in ("rule1", "rule2", "rule3"):
@@ -70,32 +112,13 @@ class Rule:
 
 
 def make_rule(kind: str, tau: float | None = None, taus=None) -> Rule:
-    if kind not in RULE_KINDS:
-        raise ValueError(f"unknown rule kind {kind!r}")
-    if kind in ("rule1", "rule2", "rule3"):
-        if tau is None:
-            raise InvalidThreshold(f"{kind} needs a threshold")
-        tau = float(tau)
-        if kind == "rule2":
-            if not tau > 1.0:
-                raise InvalidThreshold(f"rule2 needs tau > 1, got {tau}")
-        elif not tau >= 1.0:
-            raise InvalidThreshold(f"{kind} needs tau >= 1, got {tau}")
-        if kind == "rule3":
-            return Rule(kind, tau, ThresholdScheme((tau,)), INCLUSIVE, (1.0,))
-        if tau == 1.0:
-            return Rule(kind, tau, ThresholdScheme((1.0,)), STRICT, (1.0,))
-        strong = (tau + 1.0) / (tau - 1.0) if kind == "rule2" or tau >= 1.0 + SQRT2 else tau
-        return Rule(kind, tau, ThresholdScheme((1.0, tau)), STRICT, (1.0, strong))
+    """Build a rule from command-line style arguments: rule1-3 read tau, rule4
+    reads taus, each ignoring the other; rule5 takes neither."""
     if kind == "rule4":
-        if taus is None:
-            raise InvalidThreshold("rule4 needs a threshold scheme")
-        scheme = taus if isinstance(taus, ThresholdScheme) else ThresholdScheme(tuple(taus))
-        weights, _, _ = rule4_weights(scheme)
-        return Rule(kind, scheme=scheme, weights=tuple(weights))
-    if tau is not None or taus is not None:
-        raise InvalidThreshold("rule5 takes no thresholds")
-    return Rule(kind)
+        return Rule(kind, scheme=taus)
+    if kind in ("rule1", "rule2", "rule3"):
+        return Rule(kind, tau)
+    return Rule(kind, tau, taus)
 
 
 @dataclass(frozen=True)
@@ -249,10 +272,6 @@ def bound_value(rule: Rule, num_candidates: int = 2) -> float:
     two = num_candidates == 2
     if rule.kind in ("rule1", "rule2"):
         tau = rule.tau
-        if rule.kind == "rule2" and not tau > 1.0:
-            raise InvalidThreshold(f"rule2 needs tau > 1, got {tau}")
-        if not tau >= 1.0:
-            raise InvalidThreshold(f"{rule.kind} needs tau >= 1, got {tau}")
         b = max((tau + 2.0) / tau, (3.0 * tau - 1.0) / (tau + 1.0))
         if two:
             return b
@@ -260,13 +279,9 @@ def bound_value(rule: Rule, num_candidates: int = 2) -> float:
             raise ValueError("rule2 has no distortion bound beyond two candidates")
         return min(b + 2.0, b * b)
     if rule.kind == "rule3":
-        if not rule.tau >= 1.0:
-            raise InvalidThreshold(f"rule3 needs tau >= 1, got {rule.tau}")
         b = max((rule.tau + 2.0) / rule.tau, rule.tau)
         return b if two else b * b
     if rule.kind == "rule4":
         b = rule4_delta(rule.scheme)
         return b if two else b * b
-    if rule.kind == "rule5":
-        return SQRT2 if two else 2.0
-    raise ValueError(f"unknown rule kind {rule.kind!r}")
+    return SQRT2 if two else 2.0

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from strengthvote.metric_core import line_instance
-from strengthvote.rules import (InvalidThreshold, SchemeMismatch, SQRT2,
+from strengthvote.rules import (InvalidThreshold, Rule, SchemeMismatch, SQRT2,
                                 bound_value, condition1_holds, decide_pair,
                                 decide_profile, decide_tally, make_rule,
                                 rule4_decide, rule4_delta, rule4_weights,
@@ -36,6 +36,34 @@ def test_make_rule_validation():
         make_rule("rule5", tau=2.0)
     with pytest.raises(ValueError):
         make_rule("rule9", tau=2.0)
+
+
+def test_rule_constructor_derives_the_whole_definition():
+    # building a Rule directly gives the same rule as make_rule, derived fields
+    # included, and refuses thresholds that contradict the kind
+    spots = [0.3, 0.5, 0.62, 0.75, 0.9, 1.4, -0.2]
+    voters = [f"v{i}" for i in range(len(spots))]
+    inst = line_instance({"P": 0.0, "Q": 1.0, **dict(zip(voters, spots))}, voters, ["P", "Q"])
+    direct = [Rule("rule1", tau=2.0), Rule("rule2", tau=3.0), Rule("rule3", tau=2.0),
+              Rule("rule4", scheme=ThresholdScheme((1.5, 3.0))),
+              Rule("rule4", scheme=(1.5, 3.0)), Rule("rule5")]
+    built = [make_rule("rule1", tau=2.0), make_rule("rule2", tau=3.0),
+             make_rule("rule3", tau=2.0), make_rule("rule4", taus=(1.5, 3.0)),
+             make_rule("rule4", taus=(1.5, 3.0)), make_rule("rule5")]
+    for d, b in zip(direct, built):
+        assert d == b
+        assert (d.scheme, d.boundary, d.weights) == (b.scheme, b.boundary, b.weights)
+        assert decide_pair(inst, "P", "Q", d) == decide_pair(inst, "P", "Q", b)
+    assert Rule("rule4", scheme=(1.5, 3.0)).weights == tuple(
+        rule4_weights(ThresholdScheme((1.5, 3.0)))[0])
+    with pytest.raises(TypeError):
+        Rule("rule1", tau=2.0, weights=(1.0, 1.0))
+    with pytest.raises(InvalidThreshold):
+        Rule("rule1", tau=2.0, scheme=ThresholdScheme((1.0, 3.0)))
+    with pytest.raises(InvalidThreshold):
+        Rule("rule4", tau=2.0, scheme=(2.0,))
+    with pytest.raises(InvalidThreshold):
+        Rule("rule5", scheme=(2.0,))
 
 
 def test_rule_labels():
