@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric_core import MetricInstance, line_instance, social_cost
+from .metric_core import EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost
 from .rules import SQRT2, Rule, bound_value, decide_pair
 from .tournament import copeland_winner, majority_graph
 
@@ -93,12 +93,12 @@ def ideal_point(inst: MetricInstance, tol: float = 1e-10, max_iter: int = 10_000
     median (iterative; on hitting max_iter the best iterate is returned with
     converged=False). Matrix: the cheapest named point.
     """
-    if inst.space == "line":
+    if inst.space == LINE:
         xs = sorted(inst.coords[v][0] for v in inst.voters)
         med = xs[(len(xs) - 1) // 2]
         cost = math.fsum(abs(x - med) for x in xs)
         return IdealPoint(med, cost, "exact")
-    if inst.space == "euclidean":
+    if inst.space == EUCLIDEAN:
         pts = np.array([inst.coords[v] for v in inst.voters], dtype=float)
         loc, converged, achieved = _geometric_median(pts, tol, max_iter)
         cost = math.fsum(math.dist(tuple(loc), tuple(p)) for p in pts)

@@ -2,8 +2,10 @@
 
 An instance pins every participant to a point and answers distance queries.
 Three space kinds: the real line, Euclidean R^d, and an explicit distance
-matrix over named points. Matrix instances may carry extra named points that
-are neither voters nor candidates (useful as witness points).
+matrix over named points. A line is 1-D coordinates: line and Euclidean
+points are coordinate tuples measured by math.dist, which is exactly |x - y|
+in 1-D. Matrix instances may carry extra named points that are neither voters
+nor candidates (useful as witness points).
 """
 
 from __future__ import annotations
@@ -73,7 +75,9 @@ def _as_coord(value, field: str) -> tuple[float, ...]:
     return coord
 
 
-def _check_membership(inst: MetricInstance) -> None:
+def _check_instance(inst: MetricInstance, spread: float) -> None:
+    """Every id is known, candidates sit at distinct points, and no social cost
+    overflows: spread bounds every distance, so voters * spread bounds the sums."""
     known = set(inst.named_points())
     if len(inst.candidates) < 2:
         raise ValueError("an instance needs at least two candidates")
@@ -84,9 +88,9 @@ def _check_membership(inst: MetricInstance) -> None:
             raise UnknownId(cid)
     if not inst.voters:
         raise ValueError("an instance needs at least one voter")
-
-
-def _check_candidate_points(inst: MetricInstance) -> None:
+    if not math.isfinite(len(inst.voters) * spread):
+        raise ValueError(f"social costs overflow: {len(inst.voters)} voters "
+                         f"times the point spread {spread:g}")
     cands = inst.candidates
     for i in range(len(cands)):
         for j in range(i + 1, len(cands)):
@@ -121,27 +125,31 @@ def _check_matrix(ids: tuple[str, ...], rows: tuple[tuple[float, ...], ...]) -> 
                     )
 
 
+def _coord_instance(space: str, coords: dict, voters, candidates) -> MetricInstance:
+    """Line or Euclidean instance from id -> coordinate tuple. Its spread is
+    the bounding box's diagonal: the diameter on a line, at most sqrt(d) times
+    it in R^d."""
+    dims = {len(c) for c in coords.values()}
+    if len(dims) > 1:
+        raise ValueError(f"inconsistent coordinate dimensions: {sorted(dims)}")
+    inst = MetricInstance(space, tuple(voters), tuple(candidates), coords=coords)
+    spans = (max(axis) - min(axis) for axis in zip(*coords.values()))
+    _check_instance(inst, math.hypot(*spans))
+    return inst
+
+
 def line_instance(positions: dict, voters, candidates) -> MetricInstance:
     """Build a 1D instance from id -> position."""
     coords = {str(k): _as_coord(v, f"positions[{k!r}]") for k, v in positions.items()}
     if any(len(c) != 1 for c in coords.values()):
         raise ValueError("line positions must be single numbers")
-    inst = MetricInstance(LINE, tuple(voters), tuple(candidates), coords=coords)
-    _check_membership(inst)
-    _check_candidate_points(inst)
-    return inst
+    return _coord_instance(LINE, coords, voters, candidates)
 
 
 def euclidean_instance(coordinates: dict, voters, candidates) -> MetricInstance:
     """Build an R^d instance from id -> coordinate vector."""
     coords = {str(k): _as_coord(v, f"coordinates[{k!r}]") for k, v in coordinates.items()}
-    dims = {len(c) for c in coords.values()}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent coordinate dimensions: {sorted(dims)}")
-    inst = MetricInstance(EUCLIDEAN, tuple(voters), tuple(candidates), coords=coords)
-    _check_membership(inst)
-    _check_candidate_points(inst)
-    return inst
+    return _coord_instance(EUCLIDEAN, coords, voters, candidates)
 
 
 def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
@@ -153,8 +161,7 @@ def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
     _check_matrix(ids, mat)
     inst = MetricInstance(MATRIX, tuple(voters), tuple(candidates),
                           point_ids=ids, matrix=mat)
-    _check_membership(inst)
-    _check_candidate_points(inst)
+    _check_instance(inst, max(map(max, mat), default=0.0))
     return inst
 
 
@@ -225,8 +232,6 @@ def distance(inst: MetricInstance, a: str, b: str) -> float:
         pa, pb = inst.coords[a], inst.coords[b]
     except KeyError as exc:
         raise UnknownId(exc.args[0]) from None
-    if inst.space == LINE:
-        return abs(pa[0] - pb[0])
     return math.dist(pa, pb)
 
 
@@ -265,6 +270,4 @@ def scale_instance(inst: MetricInstance, factor: float) -> MetricInstance:
         rows = tuple(tuple(factor * x for x in r) for r in inst.matrix)
         return matrix_instance(inst.point_ids, rows, inst.voters, inst.candidates)
     coords = {k: tuple(factor * x for x in v) for k, v in inst.coords.items()}
-    if inst.space == LINE:
-        return line_instance({k: v[0] for k, v in coords.items()}, inst.voters, inst.candidates)
-    return euclidean_instance(coords, inst.voters, inst.candidates)
+    return _coord_instance(inst.space, coords, inst.voters, inst.candidates)

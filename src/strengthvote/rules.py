@@ -20,6 +20,10 @@ table once, when it is built. rule5 sees exact strengths and weighs each voter
 by the continuous rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else
 s - 1; the branches agree at s = sqrt(2) and the weight tends to sqrt(2) as
 s -> +inf.
+
+A threshold rule's two-candidate bound is its scheme's worst ratio term,
+rule4_delta: (1, tau) gives max{(tau+2)/tau, (3*tau-1)/(tau+1)} (rule1, rule2)
+and (tau,) gives max{tau, (tau+2)/tau} (rule3).
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ def _resolve(pair: tuple[str, str], p_score: float, q_score: float) -> PairwiseD
 
 
 def rule4_delta(scheme: ThresholdScheme) -> float:
-    """Worst ratio term of a scheme: the rule4 two-candidate distortion bound.
+    """Worst ratio term of a scheme: the two-candidate bound of rule1-rule4.
 
     max over l in 0..m of (tau_l*tau_{l+1} + 2*tau_{l+1} - 1)/(tau_l*tau_{l+1} + 1),
     which collapses to tau_1 at l = 0 and to (tau_m + 2)/tau_m at l = m.
@@ -192,9 +196,9 @@ def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
     p = math.fsum(w * a for w, a in zip(rule.weights, tally.a_counts))
     q = math.fsum(w * b for w, b in zip(rule.weights, tally.b_counts))
     if __debug__ and rule.kind == "rule4":
-        diff = _condition1_diff(tally, tally.pair[0]) - _condition1_diff(tally, tally.pair[1])
+        slack_p, slack_q = _condition1_diff(tally)
         scale = max(1.0, abs(p), abs(q))
-        assert abs((p - q) - diff) <= 1e-9 * scale, (p, q, diff)
+        assert abs((p - q) - (slack_p - slack_q)) <= 1e-9 * scale, (p, q, slack_p - slack_q)
     return _resolve(tally.pair, p, q)
 
 
@@ -203,32 +207,31 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
     return decide_tally(tally, make_rule("rule4", taus=scheme))
 
 
-def _condition1_diff(tally: PairwiseTally, side: str) -> float:
-    """Slack (rhs - lhs) of the feasibility inequality for one side of the pair."""
-    if side == tally.pair[0]:
-        mine, theirs = tally.a_counts, tally.b_counts
-    elif side == tally.pair[1]:
-        mine, theirs = tally.b_counts, tally.a_counts
-    else:
-        raise ValueError(f"{side!r} is not in the pair {tally.pair}")
+def _condition1_diff(tally: PairwiseTally) -> tuple[float, float]:
+    """Slacks (rhs - lhs) of the feasibility inequality for the pair's two
+    sides, in pair order."""
     scheme = tally.scheme
     _, ds, k = rule4_weights(scheme)
-    terms = []
+    terms_a, terms_b = [], []
     for l in range(1, scheme.m + 1):
         tl, tnext = scheme.tau(l), scheme.tau(l + 1)
-        terms.append((ds * tl - 1.0) / (tl + 1.0) * mine[l - 1])
+        own = (ds * tl - 1.0) / (tl + 1.0)
         if l < k:
-            terms.append((ds - tnext) / (tnext + 1.0) * theirs[l - 1])
+            other = (ds - tnext) / (tnext + 1.0)
         else:
-            head = 1.0 if math.isinf(tnext) else (tnext - ds) / (tnext - 1.0)
-            terms.append(-head * theirs[l - 1])
-    return math.fsum(terms)
+            other = -(1.0 if math.isinf(tnext) else (tnext - ds) / (tnext - 1.0))
+        a, b = tally.a_counts[l - 1], tally.b_counts[l - 1]
+        terms_a += [own * a, other * b]
+        terms_b += [own * b, other * a]
+    return math.fsum(terms_a), math.fsum(terms_b)
 
 
 def condition1_holds(tally: PairwiseTally, side: str, tol: float = 1e-9) -> bool:
     """Whether a side's feasibility inequality holds (within tol); at least one
     side of any tally always does."""
-    return _condition1_diff(tally, side) >= -tol
+    if side not in tally.pair:
+        raise ValueError(f"{side!r} is not in the pair {tally.pair}")
+    return _condition1_diff(tally)[tally.pair.index(side)] >= -tol
 
 
 def rule5_weight(strength: float) -> float:
@@ -261,27 +264,19 @@ def decide_pair(inst: MetricInstance, p: str, q: str, rule: Rule) -> PairwiseDec
 def bound_value(rule: Rule, num_candidates: int = 2) -> float:
     """Worst-case distortion bound for a rule.
 
-    Two candidates: rule1/rule2 max{(tau+2)/tau, (3*tau-1)/(tau+1)}; rule3
-    max{(tau+2)/tau, tau}; rule4 the scheme's worst ratio term; rule5 sqrt(2).
+    Two candidates: the scheme's worst ratio term rule4_delta(rule.scheme) for
+    the threshold rules (see the module docstring), sqrt(2) for rule5.
     Three or more candidates (winner from the uncovered set): rule1 takes
     min{b+2, b^2} of its two-candidate bound b, rule3/rule4 square theirs,
     rule5 gives 2. rule2 admits no bound beyond two candidates.
     """
     if num_candidates < 2:
         raise ValueError("bounds are defined for two or more candidates")
-    two = num_candidates == 2
-    if rule.kind in ("rule1", "rule2"):
-        tau = rule.tau
-        b = max((tau + 2.0) / tau, (3.0 * tau - 1.0) / (tau + 1.0))
-        if two:
-            return b
-        if rule.kind == "rule2":
-            raise ValueError("rule2 has no distortion bound beyond two candidates")
-        return min(b + 2.0, b * b)
-    if rule.kind == "rule3":
-        b = max((rule.tau + 2.0) / rule.tau, rule.tau)
-        return b if two else b * b
-    if rule.kind == "rule4":
-        b = rule4_delta(rule.scheme)
-        return b if two else b * b
-    return SQRT2 if two else 2.0
+    if rule.kind == "rule5":
+        return SQRT2 if num_candidates == 2 else 2.0
+    b = rule4_delta(rule.scheme)
+    if num_candidates == 2:
+        return b
+    if rule.kind == "rule2":
+        raise ValueError("rule2 has no distortion bound beyond two candidates")
+    return min(b + 2.0, b * b) if rule.kind == "rule1" else b * b

@@ -31,6 +31,12 @@ SUITES = ("bounds", "lambda", "condition1", "tradeoff", "lowerbounds", "all")
 
 _TAU_GRID = (1.0, 2.0, 1.0 + SQRT2, 5.0)
 
+# How far the anchor instances sit from the cutoffs they aim at.
+_EPSILON = 1e-6
+
+# random_instance's spaces: name -> (low, high, dim) of the box [low, high)^dim
+_RANDOM_SPACES = {"line": (-1.0, 2.0, 1), "euclidean2d": (0.0, 1.0, 2)}
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -39,7 +45,6 @@ class SearchConfig:
     n_instances: int = 200
     voters_max: int = 8
     space: str = "line"
-    epsilon: float = 1e-6
 
 
 def brute_force_best(inst: MetricInstance) -> tuple[str, float]:
@@ -54,44 +59,34 @@ def brute_force_best(inst: MetricInstance) -> tuple[str, float]:
 
 def random_instance(rng: np.random.Generator, space: str = "line", voters_max: int = 8,
                     num_candidates: int = 2, extra_point: bool = False) -> MetricInstance:
-    """Seeded random instance.
-
-    Line: voters uniform on [-1, 2], candidates P/Q pinned to 0/1 (extra
-    candidates uniform). euclidean2d: voters uniform on the unit square,
-    candidates at (0,0)/(1,0). extra_point adds a non-candidate witness Z.
+    """Seeded random instance: voters uniform on the space's box (see
+    _RANDOM_SPACES), two candidates P/Q pinned to the origin and the first unit
+    vector, more candidates uniform on the box and redrawn until no two
+    coincide. extra_point adds a non-candidate witness Z.
     """
+    try:
+        lo, hi, dim = _RANDOM_SPACES[space]
+    except KeyError:
+        raise ValueError(f"unknown space kind {space!r}") from None
     n = int(rng.integers(1, voters_max + 1))
     voters = tuple(f"v{i + 1}" for i in range(n))
-    if space == "line":
-        pos = {v: float(x) for v, x in zip(voters, rng.uniform(-1.0, 2.0, n))}
-        if num_candidates == 2:
-            cands = ("P", "Q")
-            pos["P"], pos["Q"] = 0.0, 1.0
-        else:
-            cands = tuple(f"c{j + 1}" for j in range(num_candidates))
-            taken = []
-            for c in cands:
-                x = float(rng.uniform(-1.0, 2.0))
-                while x in taken:
-                    x = float(rng.uniform(-1.0, 2.0))
-                taken.append(x)
-                pos[c] = x
-        if extra_point:
-            pos["Z"] = float(rng.uniform(-1.0, 2.0))
-        return line_instance(pos, voters, cands)
-    if space == "euclidean2d":
-        pts = {v: [float(a) for a in xy] for v, xy in zip(voters, rng.uniform(0.0, 1.0, (n, 2)))}
-        if num_candidates == 2:
-            cands = ("P", "Q")
-            pts["P"], pts["Q"] = [0.0, 0.0], [1.0, 0.0]
-        else:
-            cands = tuple(f"c{j + 1}" for j in range(num_candidates))
-            for c in cands:
-                pts[c] = [float(a) for a in rng.uniform(0.0, 1.0, 2)]
-        if extra_point:
-            pts["Z"] = [float(a) for a in rng.uniform(0.0, 1.0, 2)]
-        return euclidean_instance(pts, voters, cands)
-    raise ValueError(f"unknown space kind {space!r}")
+    pts = dict(zip(voters, rng.uniform(lo, hi, (n, dim)).tolist()))
+    if num_candidates == 2:
+        cands = ("P", "Q")
+        pts["P"], pts["Q"] = [0.0] * dim, [1.0] + [0.0] * (dim - 1)
+    else:
+        cands = tuple(f"c{j + 1}" for j in range(num_candidates))
+        taken = []
+        for c in cands:
+            pt = rng.uniform(lo, hi, dim).tolist()
+            while pt in taken:
+                pt = rng.uniform(lo, hi, dim).tolist()
+            taken.append(pt)
+            pts[c] = pt
+    if extra_point:
+        pts["Z"] = rng.uniform(lo, hi, dim).tolist()
+    build = line_instance if dim == 1 else euclidean_instance
+    return build(pts, voters, cands)
 
 
 def _two_candidate_delta(inst: MetricInstance, rule: Rule) -> tuple[str, float]:
@@ -101,26 +96,19 @@ def _two_candidate_delta(inst: MetricInstance, rule: Rule) -> tuple[str, float]:
     return winner, delta
 
 
-def _anchor_instances(rule: Rule, epsilon: float) -> list[MetricInstance]:
-    """Deterministic hard instances aimed at each branch of the rule's bound."""
+def _anchor_instances(rule: Rule) -> list[MetricInstance]:
+    """Deterministic hard instances aimed at each ratio term of the rule's bound:
+    the top threshold, the first one when it leaves a hidden set, and each
+    pair of neighbouring thresholds at least 2*_EPSILON apart."""
     if rule.kind == "rule5":
-        return [generate_lower_bound("exact_sqrt2", epsilon=epsilon)]
-    out = []
-    if rule.kind in ("rule1", "rule2"):
-        out.append(generate_lower_bound("largest", (rule.tau,), epsilon))
-        if rule.tau > 1.0 + 2.0 * epsilon:
-            out.append(generate_lower_bound("pair", (1.0, rule.tau), epsilon))
-    elif rule.kind == "rule3":
-        out.append(generate_lower_bound("largest", (rule.tau,), epsilon))
-        if rule.tau > 1.0 + 2.0 * epsilon:
-            out.append(generate_lower_bound("smallest", (rule.tau,), epsilon))
-    else:
-        taus = rule.scheme.taus
-        out.append(generate_lower_bound("largest", (taus[-1],), epsilon))
-        if taus[0] > 1.0 + 2.0 * epsilon:
-            out.append(generate_lower_bound("smallest", (taus[0],), epsilon))
-        for lo, hi in zip(taus, taus[1:]):
-            out.append(generate_lower_bound("pair", (lo, hi), epsilon))
+        return [generate_lower_bound("exact_sqrt2", epsilon=_EPSILON)]
+    taus = rule.scheme.taus
+    out = [generate_lower_bound("largest", taus[-1:], _EPSILON)]
+    if taus[0] > 1.0 + 2.0 * _EPSILON:
+        out.append(generate_lower_bound("smallest", taus[:1], _EPSILON))
+    for lo, hi in zip(taus, taus[1:]):
+        if hi > lo + 2.0 * _EPSILON:
+            out.append(generate_lower_bound("pair", (lo, hi), _EPSILON))
     return out
 
 
@@ -190,7 +178,7 @@ def adversarial_search(rule: Rule, config: SearchConfig = SearchConfig()):
         if delta > best_delta:
             best_inst, best_delta = inst, delta
 
-    for inst in _anchor_instances(rule, config.epsilon):
+    for inst in _anchor_instances(rule):
         consider(inst)
     if config.grid >= 2:
         x, y, grid_delta = _grid_sweep(rule, config.grid)
@@ -353,8 +341,7 @@ def check_condition1(seed: int = 42, n: int = 100_000) -> dict:
     worst = math.inf
     for _ in range(n):
         tally = _random_tally(rng)
-        slack_p = _condition1_diff(tally, "P")
-        slack_q = _condition1_diff(tally, "Q")
+        slack_p, slack_q = _condition1_diff(tally)
         winner = rule4_decide(tally, tally.scheme).winner
         winner_slack = slack_p if winner == "P" else slack_q
         cases += 1

@@ -172,3 +172,18 @@ def test_non_finite_instance_exits_2(space, tmp_path, capsys):
     assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "finite" in captured.err
+
+
+@pytest.mark.parametrize("space, voters", [
+    ({"type": "line", "positions": {"P": 0, "Q": 1, "v1": 1e308, "v2": 1.5e308, "v3": -1e308}},
+     ["v1", "v2", "v3"]),
+    ({"type": "line", "positions": {"P": -1e308, "Q": -1.5e308, "v1": 1.7e308}}, ["v1"]),
+    ({"type": "matrix", "ids": ["P", "Q", "v1"],
+      "distances": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]}, ["v1", "v1"]),
+])
+def test_instance_whose_social_costs_overflow_exits_2(space, voters, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"space": space, "voters": voters, "candidates": ["P", "Q"]}))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflow" in captured.err

@@ -68,6 +68,23 @@ def test_non_finite_matrix_entry_is_rejected_by_name():
             matrix_instance(("a", "b", "z"), rows, ("z",), ("a", "b"))
 
 
+def test_coordinates_whose_social_costs_overflow_are_rejected():
+    with pytest.raises(ValueError, match="overflow"):
+        line_instance({"P": 0.0, "Q": 1.0, "v1": 1e308, "v2": 1.5e308, "v3": -1e308},
+                      ("v1", "v2", "v3"), ("P", "Q"))
+    with pytest.raises(ValueError, match="overflow"):
+        line_instance({"P": -1e308, "Q": -1.5e308, "v1": 1.7e308}, ("v1",), ("P", "Q"))
+    with pytest.raises(ValueError, match="overflow"):
+        euclidean_instance({"P": [0.0, 0.0], "Q": [1.0, 0.0], "v1": [1e308, 1e308]},
+                           ("v1", "v1"), ("P", "Q"))
+    with pytest.raises(ValueError, match="overflow"):
+        matrix_instance(("P", "Q", "v1"), [[0, 1e308, 1e308], [1e308, 0, 1e308],
+                                           [1e308, 1e308, 0]], ("v1", "v1"), ("P", "Q"))
+    # a large total that stays finite is accepted
+    inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 8e307}, ("v1", "v1"), ("P", "Q"))
+    assert social_cost(inst, "P") == 1.6e308
+
+
 def test_duplicate_candidate_point():
     with pytest.raises(DuplicateCandidatePoint):
         line_instance({"P": 0.5, "Q": 0.5, "v1": 0.0}, ("v1",), ("P", "Q"))

@@ -3,7 +3,7 @@
 import math
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from strengthvote.metric_core import (distance, line_instance,
                                       preference_strength, scale_instance)
@@ -57,6 +57,17 @@ def test_strength_is_at_least_one_and_points_at_the_closer_candidate(inst):
         assert s >= 1.0
         other = "Q" if preferred == "P" else "P"
         assert distance(inst, v, preferred) <= distance(inst, v, other)
+
+
+@settings(max_examples=500)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_line_distance_is_the_absolute_difference(x, y):
+    # a line is 1-D coordinates measured by math.dist, which must give |x - y| exactly
+    assume(x != y and math.isfinite(x - y))
+    inst = line_instance({"P": x, "Q": y, "v1": x}, ("v1",), ("P", "Q"))
+    assert distance(inst, "P", "Q").hex() == abs(x - y).hex()
+    assert distance(inst, "Q", "P").hex() == abs(y - x).hex()
 
 
 @given(st.sets(st.integers(8, 64), min_size=1, max_size=4),

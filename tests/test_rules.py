@@ -151,6 +151,15 @@ def test_rule4_delta_matches_single_threshold_bound():
         assert rule4_delta(scheme) == pytest.approx(want, abs=TOL)
 
 
+def test_two_candidate_bound_equals_the_closed_forms_exactly():
+    for tau in (1.0, 1.0 + 2.0 ** -52, 1.5, 2.0, 1.0 + SQRT2, 3.0, 5.0, 1e6):
+        closed = max((tau + 2.0) / tau, (3.0 * tau - 1.0) / (tau + 1.0))
+        assert bound_value(make_rule("rule1", tau=tau)) == closed
+        if tau > 1.0:
+            assert bound_value(make_rule("rule2", tau=tau)) == closed
+        assert bound_value(make_rule("rule3", tau=tau)) == max((tau + 2.0) / tau, tau)
+
+
 def test_rule4_weights_frozen_cases():
     weights, ds, k = rule4_weights(ThresholdScheme((2.0,)))
     assert (ds, k) == (2.0, 1)
@@ -167,7 +176,8 @@ def test_rule4_score_equals_feasibility_gap():
     from strengthvote.rules import _condition1_diff
     d = rule4_decide(t, t.scheme)
     assert d.winner == "P"
-    gap = _condition1_diff(t, "P") - _condition1_diff(t, "Q")
+    slack_p, slack_q = _condition1_diff(t)
+    gap = slack_p - slack_q
     assert d.p_score - d.q_score == pytest.approx(gap, abs=1e-9)
     assert condition1_holds(t, "P")
     assert not condition1_holds(t, "Q")

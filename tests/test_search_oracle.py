@@ -4,9 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from strengthvote.distortion_lab import generate_lower_bound
 from strengthvote.metric_core import line_instance, social_cost
 from strengthvote.rules import SQRT2, bound_value, decide_pair, make_rule, rule4_delta
-from strengthvote.search_oracle import (SearchConfig, _grid_positions, _signed_weights,
+from strengthvote.search_oracle import (SearchConfig, _anchor_instances, _grid_positions,
+                                        _signed_weights,
                                         _two_candidate_rules, adversarial_search,
                                         brute_force_best, check_condition1,
                                         check_lowerbounds, optimize_thresholds,
@@ -114,3 +116,32 @@ def test_verify_suite_shape():
     assert out["checks"][0]["name"] == "lowerbounds"
     with pytest.raises(ValueError):
         verify_suite("everything")
+
+
+def test_anchor_instances_aim_at_each_ratio_term_of_the_scheme():
+    def one(t):
+        return [("largest", (t,))]
+
+    def pair(t):
+        return [("largest", (t,)), ("pair", (1.0, t))]
+
+    def smallest(t):
+        return [("largest", (t,)), ("smallest", (t,))]
+
+    grid = (2.0, 1.0 + SQRT2, 5.0)
+    want = ([one(1.0)] + [pair(t) for t in grid]             # rule1
+            + [pair(t) for t in grid]                        # rule2
+            + [one(1.0)] + [smallest(t) for t in grid]       # rule3
+            + [one(1.0)] + [smallest(t) for t in grid]       # rule4 (tau,)
+            + [[("exact_sqrt2", ())]]                        # rule5
+            + [[("largest", (4.0,)), ("pair", (1.0, 2.0)), ("pair", (2.0, 4.0))]])
+    rules = _two_candidate_rules() + [make_rule("rule4", taus=(1.0, 2.0, 4.0))]
+    assert len(rules) == len(want)
+    for rule, anchors in zip(rules, want):
+        assert _anchor_instances(rule) == [generate_lower_bound(kind, taus, 1e-6)
+                                           for kind, taus in anchors], rule.label()
+    # thresholds closer than twice the anchors' epsilon leave their pair out
+    close = make_rule("rule4", taus=(2.0, 2.0 + 1e-6))
+    assert _anchor_instances(close) == [generate_lower_bound("largest", (2.0 + 1e-6,), 1e-6),
+                                        generate_lower_bound("smallest", (2.0,), 1e-6)]
+    adversarial_search(close, SearchConfig(grid=50, n_instances=10))
