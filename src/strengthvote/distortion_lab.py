@@ -57,8 +57,15 @@ def _geometric_median(pts: np.ndarray, tol: float, max_iter: int):
 
     When the iterate lands on eta >= 1 data points, the point is optimal iff
     the residual pull ||sum (x_j - y)/d_j|| of the remaining points is <= eta;
-    otherwise the step is damped by eta over that pull.
+    otherwise the step is damped by eta over that pull. The iteration runs on
+    coordinates centred on the first voter, and a step counts as converged when
+    it is within tol of the voters' spread (their bounding box's diagonal): both
+    are unchanged by translation, so voters far from the origin neither
+    overflow nor stop the iteration early.
     """
+    origin = pts[0]
+    pts = pts - origin
+    spread = math.hypot(*np.ptp(pts, axis=0))
     y = pts.mean(axis=0)
     achieved = math.inf
     for _ in range(max_iter):
@@ -66,7 +73,7 @@ def _geometric_median(pts: np.ndarray, tol: float, max_iter: int):
         d = np.linalg.norm(diff, axis=1)
         off = d > 0.0
         if not off.any():
-            return y, True, 0.0
+            return y + origin, True, 0.0
         inv = 1.0 / d[off]
         tilde = (pts[off] * inv[:, None]).sum(axis=0) / inv.sum()
         eta = int((~off).sum())
@@ -74,16 +81,16 @@ def _geometric_median(pts: np.ndarray, tol: float, max_iter: int):
             pull = (diff[off] * inv[:, None]).sum(axis=0)
             r = float(np.linalg.norm(pull))
             if r <= eta:
-                return y, True, 0.0
+                return y + origin, True, 0.0
             gamma = eta / r
             new = (1.0 - gamma) * tilde + gamma * y
         else:
             new = tilde
-        achieved = float(np.linalg.norm(new - y)) / max(1.0, float(np.linalg.norm(new)))
+        achieved = float(np.linalg.norm(new - y)) / spread
         y = new
         if achieved <= tol:
-            return y, True, achieved
-    return y, False, achieved
+            return y + origin, True, achieved
+    return y + origin, False, achieved
 
 
 def ideal_point(inst: MetricInstance, tol: float = 1e-10, max_iter: int = 10_000) -> IdealPoint:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -59,6 +60,20 @@ def test_euclidean_ideal_on_a_voter_pile():
     ip = ideal_point(inst)
     assert ip.location == pytest.approx((0.0, 0.0), abs=1e-7)
     assert ip.cost == pytest.approx(1.0, abs=1e-7)
+
+
+def test_euclidean_ideal_far_from_the_origin():
+    # the median is v3 at cost 0.7; a step measured against the location's
+    # norm (1e306, which overflows when squared) stopped after one step
+    inst = euclidean_instance(
+        {"P": [1e306, 0.0], "Q": [1e306, 1.0],
+         "v1": [1e306, 0.2], "v2": [1e306, 0.9], "v3": [1e306, 0.4]},
+        ("v1", "v2", "v3"), ("P", "Q"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ip = ideal_point(inst)
+    assert ip.converged
+    assert ip.cost <= 0.7 + 1e-12
 
 
 def test_single_voter_ideal_is_free():

@@ -1,9 +1,12 @@
 import math
+import random
+import warnings
 
 import pytest
 
-from strengthvote.metric_core import (DuplicateCandidatePoint, MetricViolation,
-                                      SameCandidate, UnknownId, build_instance,
+from strengthvote.metric_core import (TOL, DuplicateCandidatePoint, MetricViolation,
+                                      SameCandidate, UnknownId, _check_matrix,
+                                      build_instance,
                                       distance, euclidean_instance, line_instance,
                                       load_instance, matrix_instance,
                                       preference_strength, save_instance,
@@ -36,6 +39,17 @@ def test_matrix_lookup():
     assert distance(inst, "z", "a") == 2
 
 
+def test_matrix_distance_names_the_unknown_id():
+    rows = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    inst = matrix_instance(("a", "b", "z"), rows, ("z",), ("a", "b"))
+    with pytest.raises(UnknownId) as err:
+        distance(inst, "ghost", "a")
+    assert err.value.args == ("ghost",)
+    with pytest.raises(UnknownId) as err:
+        distance(inst, "a", "ghost")
+    assert err.value.args == ("ghost",)
+
+
 def test_matrix_triangle_violation_names_the_triple():
     rows = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
     with pytest.raises(MetricViolation) as err:
@@ -50,6 +64,102 @@ def test_matrix_axiom_checks():
         matrix_instance(("a", "b"), [[0, -1], [-1, 0]], ("a",), ("a", "b"))
     with pytest.raises(MetricViolation):
         matrix_instance(("a", "b"), [[0.5, 1], [1, 0]], ("a",), ("a", "b"))
+
+
+def _reference_check(ids, rows):
+    """The metric check as a scalar loop: the scan order that _check_matrix reports in."""
+    n = len(ids)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError(f"distance matrix must be {n}x{n}")
+    for i in range(n):
+        if abs(rows[i][i]) > TOL:
+            raise MetricViolation(f"d({ids[i]},{ids[i]}) = {rows[i][i]}, expected 0")
+        for j in range(n):
+            if not math.isfinite(rows[i][j]):
+                raise MetricViolation(f"d({ids[i]},{ids[j]}) = {rows[i][j]} is not finite")
+            if rows[i][j] < -TOL:
+                raise MetricViolation(f"d({ids[i]},{ids[j]}) = {rows[i][j]} is negative")
+            if abs(rows[i][j] - rows[j][i]) > TOL:
+                raise MetricViolation(
+                    f"asymmetry: d({ids[i]},{ids[j]}) = {rows[i][j]} "
+                    f"but d({ids[j]},{ids[i]}) = {rows[j][i]}"
+                )
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                if rows[i][j] > rows[i][k] + rows[k][j] + TOL:
+                    raise MetricViolation(
+                        f"triangle inequality fails on ({ids[i]}, {ids[k]}, {ids[j]}): "
+                        f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
+                    )
+
+
+def _check_message(check, ids, rows):
+    try:
+        check(ids, rows)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _matrix(rows):
+    return tuple(tuple(float(x) for x in r) for r in rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # (a, b, e) and (a, d, c) both fail; the scan takes pivots before endpoints
+    ([[0, 1, 3, 1, 3], [1, 0, 3, 2, 1], [3, 3, 0, 1, 3], [1, 2, 1, 0, 2], [3, 1, 3, 2, 0]],
+     "triangle inequality fails on (a, b, e): 3.0 > 1.0 + 1.0"),
+    # one entry both negative and asymmetric: negative comes first
+    ([[0, -1, 2], [-2, 0, 1], [2, 1, 0]], "d(a,b) = -1.0 is negative"),
+    # asymmetric at j = 1 before negative at j = 2
+    ([[0, 1, -1], [1.5, 0, 1], [-1, 1, 0]], "asymmetry: d(a,b) = 1.0 but d(b,a) = 1.5"),
+    # a NaN on the diagonal passes abs(nan) > TOL and fails as not finite
+    ([[0, 1, 1], [1, math.nan, 1], [1, 1, 0]], "d(b,b) = nan is not finite"),
+    # a bad diagonal precedes a bad entry left of it in its row (a NaN that
+    # row a's asymmetry check passes over, since abs(1 - nan) > TOL is False)
+    ([[0, 1, 1], [1, 0, 1], [math.nan, 1, 5]], "d(c,c) = 5.0, expected 0"),
+    # the sum rounds as (d(a,b) + d(b,c)) + TOL = 0.7750000009999999; adding
+    # TOL to either term first gives 0.775000001 and passes
+    ([[0, 0.295, 0.775000001], [0.295, 0, 0.48], [0.775000001, 0.48, 0]],
+     "triangle inequality fails on (a, b, c): 0.775000001 > 0.295 + 0.48"),
+    # sums overflow to inf but break no axiom: accepted, without a warning
+    ([[0, 1e308, 1.7e308], [1e308, 0, 1.7e308], [1.7e308, 1.7e308, 0]], None),
+])
+def test_check_matrix_reports_the_first_violation_in_scan_order(rows, message):
+    ids = ("a", "b", "c", "d", "e")[:len(rows)]
+    expected = message and ("MetricViolation", message)
+    assert _check_message(_reference_check, ids, _matrix(rows)) == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _check_message(_check_matrix, ids, _matrix(rows)) == expected
+
+
+_KINDS = ("is not finite", "is negative", "asymmetry", "expected 0", "triangle")
+
+
+def test_check_matrix_matches_the_scalar_loop_on_perturbed_matrices():
+    rng = random.Random(20261018)
+    specials = [math.nan, math.inf, -math.inf, -1.0, -1e-10, 0.0, 2e-9, 5.0, 1e308, 1.7e308]
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
+        rows = [[math.dist(p, q) for q in pts] for p in pts]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            roll = rng.random()
+            if roll < 0.4:
+                rows[i][j] = rng.choice(specials)
+            elif roll < 0.7:
+                rows[i][j] = rows[j][i] = rng.choice(specials + [rng.uniform(0, 3)])
+            else:
+                rows[i][j] += rng.choice([1e-10, 1e-8, 0.5, -0.5])
+        ids = tuple(f"p{k}" for k in range(n))
+        expected = _check_message(_reference_check, ids, _matrix(rows))
+        assert _check_message(_check_matrix, ids, _matrix(rows)) == expected, rows
+        kinds.add(expected and next(k for k in _KINDS if k in expected[1]))
+    assert kinds == {None, *_KINDS}
 
 
 def test_non_finite_coordinates_are_rejected():
