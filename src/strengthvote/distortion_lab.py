@@ -19,6 +19,8 @@ from .rules import SQRT2, Rule, bound_value, decide_pair
 from .tournament import copeland_winner, majority_graph
 
 LOWER_BOUND_KINDS = ("exact_sqrt2", "smallest", "largest", "pair")
+_WEISZFELD_TOL = 1e-10
+_WEISZFELD_MAX_ITER = 10_000
 
 
 class InvalidParams(ValueError):
@@ -52,23 +54,23 @@ class DistortionReport:
     degenerate: bool
 
 
-def _geometric_median(pts: np.ndarray, tol: float, max_iter: int):
+def _geometric_median(pts: np.ndarray):
     """Weiszfeld iteration with the voter-coincidence correction step.
 
     When the iterate lands on eta >= 1 data points, the point is optimal iff
     the residual pull ||sum (x_j - y)/d_j|| of the remaining points is <= eta;
     otherwise the step is damped by eta over that pull. The iteration runs on
     coordinates centred on the first voter, and a step counts as converged when
-    it is within tol of the voters' spread (their bounding box's diagonal): both
-    are unchanged by translation, so voters far from the origin neither
-    overflow nor stop the iteration early.
+    it is within _WEISZFELD_TOL of the voters' spread (their bounding box's
+    diagonal): both are unchanged by translation, so voters far from the
+    origin neither overflow nor stop the iteration early.
     """
     origin = pts[0]
     pts = pts - origin
     spread = math.hypot(*np.ptp(pts, axis=0))
     y = pts.mean(axis=0)
     achieved = math.inf
-    for _ in range(max_iter):
+    for _ in range(_WEISZFELD_MAX_ITER):
         diff = pts - y
         d = np.linalg.norm(diff, axis=1)
         off = d > 0.0
@@ -88,17 +90,17 @@ def _geometric_median(pts: np.ndarray, tol: float, max_iter: int):
             new = tilde
         achieved = float(np.linalg.norm(new - y)) / spread
         y = new
-        if achieved <= tol:
+        if achieved <= _WEISZFELD_TOL:
             return y + origin, True, achieved
     return y + origin, False, achieved
 
 
-def ideal_point(inst: MetricInstance, tol: float = 1e-10, max_iter: int = 10_000) -> IdealPoint:
+def ideal_point(inst: MetricInstance) -> IdealPoint:
     """Best achievable location for the voter population.
 
     Line: the lower median voter position (exact). Euclidean: the geometric
-    median (iterative; on hitting max_iter the best iterate is returned with
-    converged=False). Matrix: the cheapest named point.
+    median (iterative; after _WEISZFELD_MAX_ITER steps the best iterate is
+    returned with converged=False). Matrix: the cheapest named point.
     """
     if inst.space == LINE:
         xs = sorted(inst.coords[v][0] for v in inst.voters)
@@ -107,7 +109,7 @@ def ideal_point(inst: MetricInstance, tol: float = 1e-10, max_iter: int = 10_000
         return IdealPoint(med, cost, "exact")
     if inst.space == EUCLIDEAN:
         pts = np.array([inst.coords[v] for v in inst.voters], dtype=float)
-        loc, converged, achieved = _geometric_median(pts, tol, max_iter)
+        loc, converged, achieved = _geometric_median(pts)
         cost = math.fsum(math.dist(tuple(loc), tuple(p)) for p in pts)
         return IdealPoint(tuple(float(x) for x in loc), cost, "iterative", converged, achieved)
     best, best_cost = None, math.inf
@@ -132,10 +134,9 @@ def actual_distortion(inst: MetricInstance, winner: str) -> tuple[float, bool]:
     return cost_ratio(social_cost(inst, winner), best), best == 0.0
 
 
-def ideal_distortion(inst: MetricInstance, winner: str, ideal: IdealPoint | None = None) -> float:
+def ideal_distortion(inst: MetricInstance, winner: str) -> float:
     """rho = SC(winner)/SC(ideal point)."""
-    ip = ideal if ideal is not None else ideal_point(inst)
-    return cost_ratio(social_cost(inst, winner), ip.cost)
+    return cost_ratio(social_cost(inst, winner), ideal_point(inst).cost)
 
 
 def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:

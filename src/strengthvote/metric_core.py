@@ -189,6 +189,15 @@ def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
     return inst
 
 
+def _check_ids(value, field: str) -> None:
+    """A document's id list must be a JSON list of strings."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: expected a list of id strings, got {value!r}")
+    for i, x in enumerate(value):
+        if not isinstance(x, str):
+            raise ValueError(f"{field}[{i}]: expected an id string, got {x!r}")
+
+
 def build_instance(doc: dict) -> MetricInstance:
     """Build an instance from the JSON document format (see load_instance)."""
     try:
@@ -198,12 +207,15 @@ def build_instance(doc: dict) -> MetricInstance:
         candidates = doc["candidates"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"instance document is missing field {exc}") from exc
+    _check_ids(voters, "voters")
+    _check_ids(candidates, "candidates")
     if kind == LINE:
         return line_instance(space["positions"], voters, candidates)
     if kind == EUCLIDEAN:
         return euclidean_instance(space["positions"], voters, candidates)
     if kind == MATRIX:
         ids = space["ids"]
+        _check_ids(ids, "space.ids")
         flat = space["distances"]
         if flat and isinstance(flat[0], list):
             rows = flat
@@ -272,8 +284,11 @@ def preference_strength(inst: MetricInstance, voter: str, p: str, q: str):
     """
     if p == q:
         raise SameCandidate(p)
-    dp = distance(inst, voter, p)
-    dq = distance(inst, voter, q)
+    return _preference(p, distance(inst, voter, p), q, distance(inst, voter, q))
+
+
+def _preference(p: str, dp: float, q: str, dq: float) -> tuple[str, float]:
+    """preference_strength for a voter at distance dp from p and dq from q."""
     if dp == dq:
         return min(p, q), 1.0
     if dp < dq:

@@ -226,12 +226,12 @@ def _condition1_diff(tally: PairwiseTally) -> tuple[float, float]:
     return math.fsum(terms_a), math.fsum(terms_b)
 
 
-def condition1_holds(tally: PairwiseTally, side: str, tol: float = 1e-9) -> bool:
-    """Whether a side's feasibility inequality holds (within tol); at least one
-    side of any tally always does."""
+def condition1_holds(tally: PairwiseTally, side: str) -> bool:
+    """Whether a side's feasibility inequality holds (within 1e-9); at least
+    one side of any tally always does."""
     if side not in tally.pair:
         raise ValueError(f"{side!r} is not in the pair {tally.pair}")
-    return _condition1_diff(tally)[tally.pair.index(side)] >= -tol
+    return _condition1_diff(tally)[tally.pair.index(side)] >= -1e-9
 
 
 def rule5_weight(strength: float) -> float:

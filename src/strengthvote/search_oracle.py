@@ -11,6 +11,7 @@ generator targets) behind a machine-readable report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .distortion_lab import (actual_distortion, cost_ratio, generate_lower_bound,
                              ideal_point, ideal_tradeoff_bound, lower_bound_target)
-from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
+from .metric_core import (MetricInstance, _preference, euclidean_instance, line_instance,
+                          social_cost)
 from .rules import (SQRT2, Rule, _condition1_diff, bound_value, decide_pair,
                     decide_profile, make_rule, rule4_decide, rule4_delta)
 # Unused here, but perfbench/tracer.py counts calls through this module attribute.
@@ -113,16 +115,12 @@ def _anchor_instances(rule: Rule) -> list[MetricInstance]:
 
 
 def _signed_weights(rule: Rule, xs: np.ndarray) -> np.ndarray:
-    """Per-position decision weight, signed + toward the candidate at 0."""
-    d_p = np.abs(xs)
-    d_q = np.abs(xs - 1.0)
-    toward_p = d_p <= d_q  # equidistant voters side with the lexicographically smaller P
-    near = np.minimum(d_p, d_q)
-    far = np.maximum(d_p, d_q)
-    s = np.full_like(xs, np.inf)
-    np.divide(far, near, out=s, where=near > 0.0)
-    w = np.array([rule.weight(x) for x in s.tolist()])
-    return np.where(toward_p, w, -w)
+    """Per-position decision weight, signed + toward the candidate P at 0."""
+    w = []
+    for x in xs.tolist():
+        side, s = _preference("P", abs(x), "Q", abs(x - 1.0))
+        w.append(rule.weight(s) if side == "P" else -rule.weight(s))
+    return np.array(w)
 
 
 def _grid_positions(rule: Rule, n: int) -> np.ndarray:
@@ -197,7 +195,7 @@ def adversarial_search(rule: Rule, config: SearchConfig = SearchConfig()):
     return best_inst, best_delta
 
 
-def optimize_thresholds(m: int, tol: float = 1e-8) -> tuple[tuple[float, ...], float]:
+def optimize_thresholds(m: int) -> tuple[tuple[float, ...], float]:
     """Thresholds minimizing the rule4 bound, by bisection on the target bound.
 
     For a candidate bound t the thresholds are forced from the top down:
@@ -206,7 +204,8 @@ def optimize_thresholds(m: int, tol: float = 1e-8) -> tuple[tuple[float, ...], f
     tau_l, so this minimal chain is the most permissive choice. t is feasible
     iff the chain dips to 1 (fewer thresholds already suffice) or ends with
     tau_1 <= t. The optimum lies in (sqrt(2), 2] and falls toward sqrt(2) as
-    m grows, so bisection on that interval always converges.
+    m grows, so bisection on that interval always converges; it stops once
+    the interval is narrower than 1e-11.
     """
     if m < 1:
         raise ValueError("at least one threshold is needed")
@@ -225,8 +224,7 @@ def optimize_thresholds(m: int, tol: float = 1e-8) -> tuple[tuple[float, ...], f
         return taus is None or taus[-1] <= t
 
     lo, hi = SQRT2, 2.0
-    goal = min(tol, 1e-9) * 1e-2
-    while hi - lo > goal:
+    while hi - lo > 1e-11:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -242,6 +240,40 @@ def optimize_thresholds(m: int, tol: float = 1e-8) -> tuple[tuple[float, ...], f
 # statistical verification suites
 
 
+_VOTERS_MAX = 20  # most voters in a check's random instance
+
+
+def _check(worst):
+    """Make a check from a generator that yields (margin, failed) per case.
+
+    The check returns {name, cases, failures, worst_margin, passed}: worst is
+    max or min over the margins, a None margin is left out of it, and a worst
+    margin that is not finite is reported as None."""
+    def wrap(cases):
+        name = cases.__name__.removeprefix("check_")
+
+        @functools.wraps(cases)
+        def check(*args, **kwargs) -> dict:
+            count = failures = 0
+            worst_margin = -math.inf if worst is max else math.inf
+            for margin, failed in cases(*args, **kwargs):
+                count += 1
+                failures += failed
+                if margin is not None:
+                    worst_margin = worst(worst_margin, margin)
+            return {"name": name, "cases": count, "failures": failures,
+                    "worst_margin": worst_margin if math.isfinite(worst_margin) else None,
+                    "passed": failures == 0}
+        return check
+    return wrap
+
+
+def _alternating_instances(rng: np.random.Generator, count: int, **kwargs):
+    """count random instances drawn in turn on the line and in euclidean2d."""
+    for i in range(count):
+        yield random_instance(rng, ("line", "euclidean2d")[i % 2], _VOTERS_MAX, **kwargs)
+
+
 def _two_candidate_rules() -> list[Rule]:
     rules = [make_rule("rule1", tau=t) for t in _TAU_GRID]
     rules += [make_rule("rule2", tau=t) for t in _TAU_GRID if t > 1.0]
@@ -251,45 +283,31 @@ def _two_candidate_rules() -> list[Rule]:
     return rules
 
 
-def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000,
-                 voters_max: int = 20) -> dict:
+@_check(max)
+def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000):
     """delta never exceeds bound_value, for every rule on every random instance."""
     rng = np.random.default_rng(seed)
-    cases = failures = 0
-    worst = -math.inf
     rules2 = _two_candidate_rules()
-    bounds2 = [bound_value(r, 2) for r in rules2]
-    for i in range(n_two):
-        inst = random_instance(rng, "line" if i % 2 == 0 else "euclidean2d", voters_max)
-        prof = exact_profile(inst, "P", "Q")
-        costs = {c: social_cost(inst, c) for c in ("P", "Q")}
-        best = min(costs.values())
-        for rule, bound in zip(rules2, bounds2):
-            margin = cost_ratio(costs[decide_profile(prof, rule).winner], best) - bound
-            cases += 1
-            worst = max(worst, margin)
-            failures += margin > 1e-9
     rules4 = [r for r in rules2 if r.kind != "rule2"]
-    bounds4 = [bound_value(r, 4) for r in rules4]
-    for i in range(n_multi):
-        inst = random_instance(rng, "line" if i % 2 == 0 else "euclidean2d",
-                               voters_max, num_candidates=4)
-        cands = tuple(sorted(inst.candidates))
-        profs = {pq: exact_profile(inst, *pq) for pq in combinations(cands, 2)}
-        costs = {c: social_cost(inst, c) for c in cands}
-        best = min(costs.values())
-        for rule, bound in zip(rules4, bounds4):
-            decisions = {pq: decide_profile(prof, rule) for pq, prof in profs.items()}
-            winner = copeland_winner(TournamentGraph(cands, decisions))
-            margin = cost_ratio(costs[winner], best) - bound
-            cases += 1
-            worst = max(worst, margin)
-            failures += margin > 1e-9
-    return {"name": "bounds", "cases": cases, "failures": int(failures),
-            "worst_margin": worst, "passed": failures == 0}
+    for count, num_candidates, rules in ((n_two, 2, rules2), (n_multi, 4, rules4)):
+        bounds = [bound_value(r, num_candidates) for r in rules]
+        for inst in _alternating_instances(rng, count, num_candidates=num_candidates):
+            cands = tuple(sorted(inst.candidates))
+            profs = {pq: exact_profile(inst, *pq) for pq in combinations(cands, 2)}
+            costs = {c: social_cost(inst, c) for c in cands}
+            best = min(costs.values())
+            for rule, bound in zip(rules, bounds):
+                if num_candidates == 2:
+                    winner = decide_profile(profs[cands], rule).winner
+                else:
+                    decisions = {pq: decide_profile(prof, rule) for pq, prof in profs.items()}
+                    winner = copeland_winner(TournamentGraph(cands, decisions))
+                margin = cost_ratio(costs[winner], best) - bound
+                yield margin, margin > 1e-9
 
 
-def check_lambda(seed: int = 42, n: int = 5_000, voters_max: int = 20) -> dict:
+@_check(max)
+def check_lambda(seed: int = 42, n: int = 5_000):
     """Winners satisfy SC(P) <= q_coef*SC(Q) + z_coef*SC(Z) for a random witness Z."""
     rng = np.random.default_rng(seed)
     probes = [
@@ -300,22 +318,14 @@ def check_lambda(seed: int = 42, n: int = 5_000, voters_max: int = 20) -> dict:
         (make_rule("rule4", taus=(2.0,)), 2.0, 2.0),
         (make_rule("rule4", taus=(1.5, 3.0)), 3.0, 2.0),
     ]
-    cases = failures = 0
-    worst = -math.inf
-    for i in range(n):
-        inst = random_instance(rng, "line" if i % 2 == 0 else "euclidean2d",
-                               voters_max, extra_point=True)
+    for inst in _alternating_instances(rng, n, extra_point=True):
         prof = exact_profile(inst, "P", "Q")
         costs = {c: social_cost(inst, c) for c in ("P", "Q", "Z")}
         for rule, q_coef, z_coef in probes:
             winner = decide_profile(prof, rule).winner
             loser = "Q" if winner == "P" else "P"
             slack = costs[winner] - q_coef * costs[loser] - z_coef * costs["Z"]
-            cases += 1
-            worst = max(worst, slack)
-            failures += slack > 1e-9
-    return {"name": "lambda", "cases": cases, "failures": int(failures),
-            "worst_margin": worst, "passed": failures == 0}
+            yield slack, slack > 1e-9
 
 
 def _random_tally(rng: np.random.Generator) -> PairwiseTally:
@@ -334,63 +344,47 @@ def _random_tally(rng: np.random.Generator) -> PairwiseTally:
     return PairwiseTally(("P", "Q"), scheme, a, b, c)
 
 
-def check_condition1(seed: int = 42, n: int = 100_000) -> dict:
+@_check(min)
+def check_condition1(seed: int = 42, n: int = 100_000):
     """Some side of every tally is feasible, and rule4 always picks a feasible side."""
     rng = np.random.default_rng(seed)
-    cases = failures = 0
-    worst = math.inf
     for _ in range(n):
         tally = _random_tally(rng)
         slack_p, slack_q = _condition1_diff(tally)
         winner = rule4_decide(tally, tally.scheme).winner
         winner_slack = slack_p if winner == "P" else slack_q
-        cases += 1
-        worst = min(worst, max(slack_p, slack_q))
-        if max(slack_p, slack_q) < -1e-9 or winner_slack < -1e-9:
-            failures += 1
-    return {"name": "condition1", "cases": cases, "failures": int(failures),
-            "worst_margin": worst, "passed": failures == 0}
+        best_slack = max(slack_p, slack_q)
+        yield best_slack, best_slack < -1e-9 or winner_slack < -1e-9
 
 
-def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000,
-                   voters_max: int = 20) -> dict:
+@_check(max)
+def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
     """rho stays under the tradeoff curve implied by the measured delta."""
     rng = np.random.default_rng(seed)
     rules = [make_rule("rule1", tau=2.0), make_rule("rule5")]
-    cases = failures = 0
-    worst = -math.inf
-
-    def run(inst, num_candidates):
-        nonlocal cases, failures, worst
-        cands = tuple(sorted(inst.candidates))
-        costs = {c: social_cost(inst, c) for c in cands}
-        best = min(costs.values())
-        ideal = ideal_point(inst)
-        for rule in rules:
-            if num_candidates == 2:
-                winner = decide_pair(inst, cands[0], cands[1], rule).winner
-            else:
-                winner = copeland_winner(majority_graph(inst, rule))
-            delta = cost_ratio(costs[winner], best)
-            if rule.kind == "rule1" and not delta > 1.01:
-                continue
-            rho = cost_ratio(costs[winner], ideal.cost)
-            limit = ideal_tradeoff_bound(rule, delta, num_candidates)
-            cases += 1
-            if math.isfinite(limit) and math.isfinite(rho):
-                worst = max(worst, rho - limit)
-            if rho > limit + 1e-6:
-                failures += 1
-
-    for _ in range(n_two):
-        run(random_instance(rng, "line", voters_max), 2)
-    for _ in range(n_multi):
-        run(random_instance(rng, "line", voters_max, num_candidates=4), 4)
-    return {"name": "tradeoff", "cases": cases, "failures": int(failures),
-            "worst_margin": worst, "passed": failures == 0}
+    for count, num_candidates in ((n_two, 2), (n_multi, 4)):
+        for _ in range(count):
+            inst = random_instance(rng, "line", _VOTERS_MAX, num_candidates)
+            cands = tuple(sorted(inst.candidates))
+            costs = {c: social_cost(inst, c) for c in cands}
+            best = min(costs.values())
+            ideal = ideal_point(inst)
+            for rule in rules:
+                if num_candidates == 2:
+                    winner = decide_pair(inst, cands[0], cands[1], rule).winner
+                else:
+                    winner = copeland_winner(majority_graph(inst, rule))
+                delta = cost_ratio(costs[winner], best)
+                if rule.kind == "rule1" and not delta > 1.01:
+                    continue
+                rho = cost_ratio(costs[winner], ideal.cost)
+                limit = ideal_tradeoff_bound(rule, delta, num_candidates)
+                finite = math.isfinite(limit) and math.isfinite(rho)
+                yield (rho - limit if finite else None), rho > limit + 1e-6
 
 
-def check_lowerbounds(epsilon: float = 1e-6, tol: float = 1e-5) -> dict:
+@_check(max)
+def check_lowerbounds(epsilon: float = 1e-6, tol: float = 1e-5):
     """Each generator lands within tol of its target and hands the win to P."""
     grid = (1.5, 2.0, 1.0 + SQRT2, 4.0)
     probes = [("exact_sqrt2", (), make_rule("rule5"))]
@@ -399,18 +393,11 @@ def check_lowerbounds(epsilon: float = 1e-6, tol: float = 1e-5) -> dict:
         probes.append(("largest", (t,), make_rule("rule4", taus=(t,))))
     for lo, hi in combinations(grid, 2):
         probes.append(("pair", (lo, hi), make_rule("rule4", taus=(lo, hi))))
-    cases = failures = 0
-    worst = 0.0
     for kind, taus, rule in probes:
         inst = generate_lower_bound(kind, taus, epsilon)
         winner, delta = _two_candidate_delta(inst, rule)
         err = abs(delta - lower_bound_target(kind, taus))
-        cases += 1
-        worst = max(worst, err)
-        if winner != "P" or err > tol:
-            failures += 1
-    return {"name": "lowerbounds", "cases": cases, "failures": int(failures),
-            "worst_margin": worst, "passed": failures == 0}
+        yield err, winner != "P" or err > tol
 
 
 def verify_suite(suite: str, seed: int = 42) -> dict:
@@ -425,11 +412,6 @@ def verify_suite(suite: str, seed: int = 42) -> dict:
         "tradeoff": lambda: check_tradeoff(seed),
     }
     names = list(runners) if suite == "all" else [suite]
-    checks = []
-    for name in names:
-        result = runners[name]()
-        if not math.isfinite(result["worst_margin"]):
-            result["worst_margin"] = None
-        checks.append(result)
+    checks = [runners[name]() for name in names]
     return {"suite": suite, "seed": seed, "checks": checks,
             "passed": all(c["passed"] for c in checks)}

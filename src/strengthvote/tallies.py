@@ -17,6 +17,7 @@ modes, since strengths never fall below 1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .metric_core import MetricInstance, preference_strength
@@ -54,16 +55,14 @@ class ThresholdScheme:
         return self.taus[l - 1]
 
     def bucket(self, strength: float, boundary: str = INCLUSIVE) -> int:
-        """Bucket index for a strength: 0 for C, else the largest applicable l."""
+        """Bucket index for a strength: 0 for C, else the largest applicable l,
+        which is the number of cutoffs at or below it (strictly below under a
+        strict boundary, except a cutoff of 1)."""
         if not strength >= 1.0:
             raise ValueError(f"preference strengths are >= 1, got {strength}")
-        b = 0
-        for l, t in enumerate(self.taus, start=1):
-            if strength > t or (strength == t and (boundary == INCLUSIVE or t == 1.0)):
-                b = l
-            else:
-                break
-        return b
+        if boundary == INCLUSIVE or strength == 1.0:
+            return bisect_right(self.taus, strength)
+        return bisect_left(self.taus, strength)
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,29 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, voters, candidates, ids", [
+    ("voters", [["v1"]], ["P", "Q"], None),
+    ("voters", 5, ["P", "Q"], None),
+    ("voters", "v1", ["P", "Q"], None),
+    ("candidates", ["v1"], ["P", 2], None),
+    ("candidates", ["v1"], "PQ", None),
+    ("space.ids", ["v1"], ["P", "Q"], ["P", "Q", ["v1"]]),
+    ("space.ids", ["v1"], ["P", "Q"], "PQv"),
+])
+def test_id_lists_that_are_not_lists_of_strings_exit_2(field, voters, candidates, ids,
+                                                       tmp_path, capsys):
+    if ids is None:
+        space = {"type": "line", "positions": {"P": 0.0, "Q": 1.0, "v1": 0.3}}
+    else:
+        space = {"type": "matrix", "ids": ids,
+                 "distances": [[0, 2, 1], [2, 0, 1], [1, 1, 0]]}
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps({"space": space, "voters": voters, "candidates": candidates}))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {field}")
+
+
 @pytest.mark.parametrize("space", [
     {"type": "line", "positions": {"P": 0.0, "Q": 1.0, "v1": "NaN"}},
     {"type": "line", "positions": {"P": 0.0, "Q": 1.0, "v1": "Infinity"}},

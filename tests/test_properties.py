@@ -80,6 +80,31 @@ def test_bucket_is_monotone_in_strength(ks, s1, s2, boundary):
     assert 0 <= scheme.bucket(hi, boundary) <= scheme.m
 
 
+def _bucket_by_scan(scheme, s, boundary):
+    """Reference bucket rule: scan the cutoffs upward while s reaches them."""
+    b = 0
+    for l, t in enumerate(scheme.taus, start=1):
+        if s > t or (s == t and (boundary == INCLUSIVE or t == 1.0)):
+            b = l
+        else:
+            break
+    return b
+
+
+@given(st.lists(st.floats(1.0, 1e6), min_size=1, max_size=5, unique=True), st.booleans(),
+       st.floats(min_value=1.0))
+def test_bucket_matches_the_linear_scan(taus, unit, off_grid):
+    # an off-grid strength (up to +inf), and every cutoff hit exactly and one
+    # ulp either side; unit adds the cutoff 1, which is inclusive in both modes
+    scheme = ThresholdScheme(tuple(sorted(set(taus) | ({1.0} if unit else set()))))
+    hits = [s for t in scheme.taus
+            for s in (t, math.nextafter(t, math.inf), max(1.0, math.nextafter(t, 0.0)))]
+    for s in [off_grid, 1.0] + hits:
+        for boundary in (INCLUSIVE, STRICT):
+            assert scheme.bucket(s, boundary) == _bucket_by_scan(scheme, s, boundary), \
+                (scheme.taus, s, boundary)
+
+
 @given(grid_line_instances(), st.integers(-20, 20))
 def test_decisions_survive_exact_rescaling(inst, k):
     scaled = scale_instance(inst, 2.0 ** k)

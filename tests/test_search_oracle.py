@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 from itertools import product
 
@@ -7,10 +9,11 @@ import pytest
 from strengthvote.distortion_lab import generate_lower_bound
 from strengthvote.metric_core import line_instance, social_cost
 from strengthvote.rules import SQRT2, bound_value, decide_pair, make_rule, rule4_delta
+from strengthvote import search_oracle
 from strengthvote.search_oracle import (SearchConfig, _anchor_instances, _grid_positions,
                                         _signed_weights,
                                         _two_candidate_rules, adversarial_search,
-                                        brute_force_best, check_condition1,
+                                        brute_force_best, check_bounds, check_condition1,
                                         check_lowerbounds, optimize_thresholds,
                                         random_instance, verify_suite)
 from strengthvote.tallies import ThresholdScheme
@@ -106,6 +109,50 @@ def test_check_lowerbounds_passes():
 def test_check_condition1_small_run():
     result = check_condition1(seed=5, n=500)
     assert result["passed"] and result["cases"] == 500
+
+
+# Each check's result at seed 3 and reduced sizes, recorded before the checks
+# shared one case loop; lowerbounds runs at its fixed size.
+SMALL_SIZES = {"lowerbounds": {}, "bounds": {"n_two": 200, "n_multi": 40},
+               "lambda": {"n": 200}, "condition1": {"n": 500},
+               "tradeoff": {"n_two": 200, "n_multi": 40}}
+PINNED = {
+    "lowerbounds": {"name": "lowerbounds", "cases": 15, "failures": 0,
+                    "worst_margin": 1.0000000010279564e-06, "passed": True},
+    "bounds": {"name": "bounds", "cases": 3720, "failures": 0,
+               "worst_margin": -0.24063101962022504, "passed": True},
+    "lambda": {"name": "lambda", "cases": 1200, "failures": 0,
+               "worst_margin": -0.8380489435662156, "passed": True},
+    "condition1": {"name": "condition1", "cases": 500, "failures": 0,
+                   "worst_margin": 0.0, "passed": True},
+    "tradeoff": {"name": "tradeoff", "cases": 253, "failures": 0,
+                 "worst_margin": -10.565521181014537, "passed": True},
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_check_results_are_pinned(name):
+    check = getattr(search_oracle, f"check_{name}")
+    seeded = {} if name == "lowerbounds" else {"seed": 3}
+    assert check(**seeded, **SMALL_SIZES[name]) == pytest.approx(PINNED[name], rel=1e-12)
+
+
+def test_verify_suite_returns_the_checks_results_unchanged(monkeypatch):
+    for name, sizes in SMALL_SIZES.items():
+        check = getattr(search_oracle, f"check_{name}")
+        monkeypatch.setattr(search_oracle, f"check_{name}", functools.partial(check, **sizes))
+    report = verify_suite("all", seed=3)
+    assert report["checks"] == [pytest.approx(PINNED[c["name"]], rel=1e-12)
+                                for c in report["checks"]]
+    assert [c["name"] for c in report["checks"]] == list(PINNED)
+    assert report["passed"] is True
+
+
+def test_a_check_without_cases_reports_a_null_worst_margin():
+    result = check_bounds(seed=3, n_two=0, n_multi=0)
+    assert result == {"name": "bounds", "cases": 0, "failures": 0,
+                      "worst_margin": None, "passed": True}
+    json.dumps(result, allow_nan=False)
 
 
 def test_verify_suite_shape():
