@@ -16,15 +16,15 @@ from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdS
                       bucket_profile, exact_profile, pairwise_tally, tally_csv)
 from .rules import (InvalidThreshold, PairwiseDecision, Rule, SchemeMismatch,
                     bound_value, condition1_holds, decide_pair, decide_profile,
-                    decide_tally, make_rule, rule4_decide, rule4_delta, rule4_weights,
-                    rule5_decide, rule5_weight)
+                    decide_tally, make_rule, ratio_terms, rule4_decide, rule4_delta,
+                    rule4_weights, rule5_decide, rule5_weight)
 from .tournament import (TournamentGraph, copeland_winner, graph_csv, majority_graph,
                          uncovered_set)
 from .distortion_lab import (DistortionReport, IdealPoint, InvalidParams, PoleViolation,
                              actual_distortion, evaluate_instance, generate_lower_bound,
                              ideal_distortion, ideal_point, ideal_tradeoff_bound,
-                             lambda_check, lower_bound_target, report_csv, report_json,
-                             rule3_counterexample)
+                             lambda_check, lower_bound_target, natural_rule, report_csv,
+                             report_json, rule3_counterexample)
 from .search_oracle import (SearchConfig, adversarial_search, brute_force_best,
                             optimize_thresholds, random_instance, verify_suite)
 

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .distortion_lab import (LOWER_BOUND_KINDS, evaluate_instance, generate_lower_bound,
-                             lower_bound_target, report_csv, report_to_dict)
+                             lower_bound_target, natural_rule, report_csv, report_to_dict)
 from .metric_core import instance_to_doc, load_instance, save_instance
 from .rules import RULE_KINDS, bound_value, make_rule
 from .search_oracle import SUITES, SearchConfig, adversarial_search, verify_suite
@@ -47,6 +47,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_summary(summary: dict, inst, out: str | None) -> int:
+    """Print a command's JSON summary with the instance inline, or saved to out."""
+    if out:
+        save_instance(inst, out)
+        summary["instance_path"] = out
+    else:
+        summary["instance"] = instance_to_doc(inst)
+    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    return 0
+
+
 def _cmd_evaluate(args) -> int:
     inst = load_instance(args.instance)
     rule = _build_rule(args)
@@ -65,40 +76,18 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _natural_rule(kind: str, taus: tuple[float, ...]):
-    if kind == "exact_sqrt2":
-        return make_rule("rule5")
-    return make_rule("rule4", taus=taus)
-
-
 def _cmd_lowerbound(args) -> int:
     taus = _parse_taus(args.taus)
     inst = generate_lower_bound(args.kind, taus, args.epsilon, args.n)
-    rule = _natural_rule(args.kind, taus)
-    report = evaluate_instance(inst, rule)
-    summary = {
+    report = evaluate_instance(inst, natural_rule(args.kind, taus))
+    return _write_summary({
         "kind": args.kind,
         "taus": list(taus),
         "epsilon": args.epsilon,
         "target": _round10(lower_bound_target(args.kind, taus)),
         "achieved": _round10(report.delta),
         "winner": report.winner,
-    }
-    if args.out:
-        save_instance(inst, args.out)
-        summary["instance_path"] = args.out
-    else:
-        summary["instance"] = instance_to_doc(inst)
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return 0
-
-
-def _curve_rule(kind: str, tau: float):
-    if kind == "rule4":
-        return make_rule("rule4", taus=(tau,))
-    if kind == "rule5":
-        return make_rule("rule5")
-    return make_rule(kind, tau=tau)
+    }, inst, args.out)
 
 
 def _svg_curve(points: list[tuple[float, float]], label: str) -> str:
@@ -148,7 +137,7 @@ def _cmd_curve(args) -> int:
     points = []
     for i in range(args.steps):
         tau = args.tau_min + i * step
-        rule = _curve_rule(args.rule, tau)
+        rule = make_rule("rule5") if args.rule == "rule5" else make_rule(args.rule, tau, (tau,))
         points.append((tau, bound_value(rule, args.num_candidates)))
     if args.format == "csv":
         text = "tau,bound\n" + "\n".join(f"{_fmt(t)},{_fmt(b)}" for t, b in points) + "\n"
@@ -169,20 +158,13 @@ def _cmd_search(args) -> int:
                           voters_max=args.voters_max, space=args.space)
     inst, achieved = adversarial_search(rule, config)
     bound = bound_value(rule, 2)
-    summary = {
+    return _write_summary({
         "rule": rule.label(),
         "achieved": _round10(achieved),
         "bound": _round10(bound),
         "ratio": _round10(achieved / bound),
         "voters": len(inst.voters),
-    }
-    if args.out:
-        save_instance(inst, args.out)
-        summary["instance_path"] = args.out
-    else:
-        summary["instance"] = instance_to_doc(inst)
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return 0
+    }, inst, args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -194,9 +176,9 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _add_rule_flags(parser, tau_help="threshold for rule1/rule2/rule3"):
+def _add_rule_flags(parser):
     parser.add_argument("--rule", required=True, choices=RULE_KINDS)
-    parser.add_argument("--tau", type=float, default=None, help=tau_help)
+    parser.add_argument("--tau", type=float, default=None, help="threshold for rule1/rule2/rule3")
     parser.add_argument("--taus", default=None, help="comma-separated thresholds for rule4")
 
 

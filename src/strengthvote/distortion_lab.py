@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric_core import EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost
-from .rules import SQRT2, Rule, bound_value, decide_pair
+from .rules import SQRT2, Rule, bound_value, decide_pair, make_rule, ratio_terms
 from .tournament import copeland_winner, majority_graph
 
-LOWER_BOUND_KINDS = ("exact_sqrt2", "smallest", "largest", "pair")
+# family -> (number of thresholds, index into ratio_terms of the term it approaches)
+_FAMILIES = {"exact_sqrt2": (0, None), "smallest": (1, 0), "largest": (1, -1), "pair": (2, 1)}
+_ARITY_WORDS = ("no thresholds", "exactly one threshold", "exactly two thresholds")
+LOWER_BOUND_KINDS = tuple(_FAMILIES)
 _WEISZFELD_TOL = 1e-10
 _WEISZFELD_MAX_ITER = 10_000
 
@@ -209,20 +212,30 @@ def ideal_tradeoff_bound(rule: Rule, delta: float, num_candidates: int = 2) -> f
     return 2.0 * delta / (delta - pole)
 
 
+def _family_term(kind: str, taus) -> int | None:
+    """Index into ratio_terms of the term a family approaches (None for
+    exact_sqrt2), after checking the family's name and threshold count."""
+    if kind not in _FAMILIES:
+        raise InvalidParams(f"unknown generator kind {kind!r}")
+    arity, term = _FAMILIES[kind]
+    if len(taus) != arity:
+        raise InvalidParams(f"{kind} takes {_ARITY_WORDS[arity]}")
+    return term
+
+
 def lower_bound_target(kind: str, taus=()) -> float:
-    """Distortion each generator family approaches as epsilon -> 0."""
+    """Distortion each generator family approaches as epsilon -> 0: sqrt(2)
+    for exact_sqrt2, else the ratio term of its thresholds that it aims at."""
+    term = _family_term(kind, taus)
+    return SQRT2 if term is None else ratio_terms(taus)[term]
+
+
+def natural_rule(kind: str, taus=()) -> Rule:
+    """The rule a family's instances are aimed at: rule5 for exact_sqrt2,
+    else rule4 on the family's thresholds."""
     if kind == "exact_sqrt2":
-        return SQRT2
-    if kind == "smallest":
-        (t1,) = taus
-        return float(t1)
-    if kind == "largest":
-        (tm,) = taus
-        return (tm + 2.0) / tm
-    if kind == "pair":
-        tl, tnext = taus
-        return (tl * tnext + 2.0 * tnext - 1.0) / (tl * tnext + 1.0)
-    raise InvalidParams(f"unknown generator kind {kind!r}")
+        return make_rule("rule5")
+    return make_rule("rule4", taus=taus)
 
 
 def generate_lower_bound(kind: str, taus=(), epsilon: float = 1e-6,
@@ -247,33 +260,26 @@ def generate_lower_bound(kind: str, taus=(), epsilon: float = 1e-6,
         raise InvalidParams(f"epsilon must be positive, got {epsilon}")
     if n_per_group < 1:
         raise InvalidParams(f"n_per_group must be >= 1, got {n_per_group}")
+    _family_term(kind, taus)
 
     if kind == "exact_sqrt2":
-        if taus:
-            raise InvalidParams("exact_sqrt2 takes no thresholds")
         s = 1.0 + SQRT2
-        groups = [(1.0 / (s + 1.0), "toward_p"), (s / (s - 1.0), "toward_q")]
+        groups = [1.0 / (s + 1.0), s / (s - 1.0)]
     elif kind == "smallest":
-        if len(taus) != 1:
-            raise InvalidParams("smallest takes exactly one threshold")
         (t1,) = taus
         if not t1 > 1.0:
             raise InvalidParams(f"smallest needs tau_1 > 1, got {t1}")
         s = t1 - epsilon
         if not s > 1.0:
             raise InvalidParams(f"epsilon {epsilon} too large for tau_1 = {t1}")
-        groups = [(s / (s + 1.0), "toward_q")]
+        groups = [s / (s + 1.0)]
     elif kind == "largest":
-        if len(taus) != 1:
-            raise InvalidParams("largest takes exactly one threshold")
         (tm,) = taus
         if not tm >= 1.0:
             raise InvalidParams(f"largest needs tau_m >= 1, got {tm}")
         s = tm + epsilon
-        groups = [(1.0 / (s + 1.0), "toward_p"), (1.0, "toward_q")]
-    elif kind == "pair":
-        if len(taus) != 2:
-            raise InvalidParams("pair takes exactly two thresholds")
+        groups = [1.0 / (s + 1.0), 1.0]
+    else:  # pair
         tl, tnext = taus
         if not (1.0 <= tl < tnext):
             raise InvalidParams(f"pair needs 1 <= tau_l < tau_next, got {taus}")
@@ -281,20 +287,11 @@ def generate_lower_bound(kind: str, taus=(), epsilon: float = 1e-6,
         sb = tnext - epsilon
         if not (sa < tnext and sb >= tl and sb > 1.0):
             raise InvalidParams(f"epsilon {epsilon} too large for the gap {taus}")
-        groups = [(1.0 / (sa + 1.0), "toward_p"), (sb / (sb - 1.0), "toward_q")]
-    else:
-        raise InvalidParams(f"unknown generator kind {kind!r}")
+        groups = [1.0 / (sa + 1.0), sb / (sb - 1.0)]
 
-    positions = {"P": 0.0, "Q": 1.0}
-    voters = []
-    i = 0
-    for pos, _ in groups:
-        for _ in range(n_per_group):
-            i += 1
-            name = f"v{i}"
-            positions[name] = pos
-            voters.append(name)
-    return line_instance(positions, voters, ("P", "Q"))
+    spots = [pos for pos in groups for _ in range(n_per_group)]
+    voters = [f"v{i}" for i in range(1, len(spots) + 1)]
+    return line_instance({"P": 0.0, "Q": 1.0, **dict(zip(voters, spots))}, voters, ("P", "Q"))
 
 
 def rule3_counterexample(tau: float, epsilon: float = 1e-6) -> MetricInstance:

@@ -71,12 +71,14 @@ class MetricInstance:
         return tuple(sorted(self.coords))
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _as_coord(value, field: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         coord = (float(value),)
-    elif isinstance(value, (list, tuple)) and value and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-    ):
+    elif isinstance(value, (list, tuple)) and value and all(map(_is_number, value)):
         coord = tuple(float(x) for x in value)
     else:
         raise ValueError(f"{field}: expected a number or a list of numbers, got {value!r}")
@@ -198,28 +200,50 @@ def _check_ids(value, field: str) -> None:
             raise ValueError(f"{field}[{i}]: expected an id string, got {x!r}")
 
 
+def _check_numbers(value, field: str) -> None:
+    """A document's number list must be a JSON list of numbers, not bools.
+    Exact JSON numbers pass on a type-set test; any other entry is scanned."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: expected a list of numbers, got {value!r}")
+    if not {int, float}.issuperset(map(type, value)):
+        for i, x in enumerate(value):
+            if not _is_number(x):
+                raise ValueError(f"{field}[{i}]: expected a number, got {x!r}")
+
+
+def _check_object(value, field: str) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field}: expected an object, got {type(value).__name__}")
+
+
 def build_instance(doc: dict) -> MetricInstance:
     """Build an instance from the JSON document format (see load_instance)."""
+    _check_object(doc, "instance document")
     try:
         space = doc["space"]
+        _check_object(space, "space")
         kind = space["type"]
         voters = doc["voters"]
         candidates = doc["candidates"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"instance document is missing field {exc}") from exc
     _check_ids(voters, "voters")
     _check_ids(candidates, "candidates")
-    if kind == LINE:
-        return line_instance(space["positions"], voters, candidates)
-    if kind == EUCLIDEAN:
-        return euclidean_instance(space["positions"], voters, candidates)
+    if kind in (LINE, EUCLIDEAN):
+        positions = space["positions"]
+        _check_object(positions, "space.positions")
+        build = line_instance if kind == LINE else euclidean_instance
+        return build(positions, voters, candidates)
     if kind == MATRIX:
         ids = space["ids"]
         _check_ids(ids, "space.ids")
         flat = space["distances"]
-        if flat and isinstance(flat[0], list):
+        if isinstance(flat, list) and flat and isinstance(flat[0], list):
+            for i, row in enumerate(flat):
+                _check_numbers(row, f"space.distances[{i}]")
             rows = flat
         else:
+            _check_numbers(flat, "space.distances")
             n = len(ids)
             if len(flat) != n * n:
                 raise ValueError(f"space.distances: expected {n * n} entries, got {len(flat)}")

@@ -21,14 +21,18 @@ by the continuous rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else
 s - 1; the branches agree at s = sqrt(2) and the weight tends to sqrt(2) as
 s -> +inf.
 
-A threshold rule's two-candidate bound is its scheme's worst ratio term,
-rule4_delta: (1, tau) gives max{(tau+2)/tau, (3*tau-1)/(tau+1)} (rule1, rule2)
-and (tau,) gives max{tau, (tau+2)/tau} (rule3).
+A scheme's ratio terms (ratio_terms) are tau_1, one term per pair of
+neighbouring cutoffs and (tau_m + 2)/tau_m. A threshold rule's two-candidate
+bound is the largest of them, rule4_delta: (1, tau) gives
+max{(tau+2)/tau, (3*tau-1)/(tau+1)} (rule1, rule2) and (tau,) gives
+max{tau, (tau+2)/tau} (rule3). distortion_lab's hard-instance families each
+approach one ratio term.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .metric_core import MetricInstance
@@ -141,36 +145,27 @@ def _resolve(pair: tuple[str, str], p_score: float, q_score: float) -> PairwiseD
     return PairwiseDecision(min(pair), p_score, q_score, True)
 
 
+def ratio_terms(taus) -> tuple[float, ...]:
+    """The m+1 ratio terms of a scheme tau_1 < ... < tau_m: tau_1, then
+    (tau_l*tau_{l+1} + 2*tau_{l+1} - 1)/(tau_l*tau_{l+1} + 1) for each pair of
+    neighbouring cutoffs, then (tau_m + 2)/tau_m."""
+    pairs = ((lo * hi + 2.0 * hi - 1.0) / (lo * hi + 1.0) for lo, hi in zip(taus, taus[1:]))
+    return (float(taus[0]), *pairs, (taus[-1] + 2.0) / taus[-1])
+
+
 def rule4_delta(scheme: ThresholdScheme) -> float:
-    """Worst ratio term of a scheme: the two-candidate bound of rule1-rule4.
-
-    max over l in 0..m of (tau_l*tau_{l+1} + 2*tau_{l+1} - 1)/(tau_l*tau_{l+1} + 1),
-    which collapses to tau_1 at l = 0 and to (tau_m + 2)/tau_m at l = m.
-    """
-    taus = scheme.taus
-    best = taus[0]
-    for lo, hi in zip(taus, taus[1:]):
-        best = max(best, (lo * hi + 2.0 * hi - 1.0) / (lo * hi + 1.0))
-    return max(best, (taus[-1] + 2.0) / taus[-1])
-
-
-def _rule4_pivot(scheme: ThresholdScheme, ds: float) -> int:
-    """Largest k with tau_k <= ds (ties on equality resolve to the larger k)."""
-    k = 0
-    for l, t in enumerate(scheme.taus, start=1):
-        if t <= ds:
-            k = l
-    if k == 0:
-        raise InvalidThreshold(f"no pivot: bound {ds} below tau_1 = {scheme.taus[0]}")
-    return k
+    """Worst ratio term of a scheme: the two-candidate bound of rule1-rule4."""
+    return max(ratio_terms(scheme.taus))
 
 
 def rule4_weights(scheme: ThresholdScheme) -> tuple[list[float], float, int]:
+    """Bucket weights, the bound ds = rule4_delta(scheme) and the pivot k, the
+    number of cutoffs at or below ds (at least 1, since tau_1 <= ds)."""
+    taus = scheme.taus
     ds = rule4_delta(scheme)
-    k = _rule4_pivot(scheme, ds)
+    k = bisect_right(taus, ds)
     weights = []
-    for l in range(1, scheme.m + 1):
-        tl, tnext = scheme.tau(l), scheme.tau(l + 1)
+    for l, (tl, tnext) in enumerate(zip(taus, taus[1:] + (math.inf,)), start=1):
         if l < k:
             w = (ds + 1.0) * (tl * tnext - 1.0) / ((tl + 1.0) * (tnext + 1.0))
         else:
@@ -210,11 +205,10 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
 def _condition1_diff(tally: PairwiseTally) -> tuple[float, float]:
     """Slacks (rhs - lhs) of the feasibility inequality for the pair's two
     sides, in pair order."""
-    scheme = tally.scheme
-    _, ds, k = rule4_weights(scheme)
+    taus = tally.scheme.taus
+    _, ds, k = rule4_weights(tally.scheme)
     terms_a, terms_b = [], []
-    for l in range(1, scheme.m + 1):
-        tl, tnext = scheme.tau(l), scheme.tau(l + 1)
+    for l, (tl, tnext) in enumerate(zip(taus, taus[1:] + (math.inf,)), start=1):
         own = (ds * tl - 1.0) / (tl + 1.0)
         if l < k:
             other = (ds - tnext) / (tnext + 1.0)

@@ -18,8 +18,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .distortion_lab import (actual_distortion, cost_ratio, generate_lower_bound,
-                             ideal_point, ideal_tradeoff_bound, lower_bound_target)
+from .distortion_lab import (actual_distortion, cost_ratio, generate_lower_bound, ideal_point,
+                             ideal_tradeoff_bound, lower_bound_target, natural_rule)
 from .metric_core import (MetricInstance, _preference, euclidean_instance, line_instance,
                           social_cost)
 from .rules import (SQRT2, Rule, _condition1_diff, bound_value, decide_pair,
@@ -387,15 +387,13 @@ def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
 def check_lowerbounds(epsilon: float = 1e-6, tol: float = 1e-5):
     """Each generator lands within tol of its target and hands the win to P."""
     grid = (1.5, 2.0, 1.0 + SQRT2, 4.0)
-    probes = [("exact_sqrt2", (), make_rule("rule5"))]
+    probes = [("exact_sqrt2", ())]
     for t in grid:
-        probes.append(("smallest", (t,), make_rule("rule4", taus=(t,))))
-        probes.append(("largest", (t,), make_rule("rule4", taus=(t,))))
-    for lo, hi in combinations(grid, 2):
-        probes.append(("pair", (lo, hi), make_rule("rule4", taus=(lo, hi))))
-    for kind, taus, rule in probes:
+        probes += [("smallest", (t,)), ("largest", (t,))]
+    probes += [("pair", pair) for pair in combinations(grid, 2)]
+    for kind, taus in probes:
         inst = generate_lower_bound(kind, taus, epsilon)
-        winner, delta = _two_candidate_delta(inst, rule)
+        winner, delta = _two_candidate_delta(inst, natural_rule(kind, taus))
         err = abs(delta - lower_bound_target(kind, taus))
         yield err, winner != "P" or err > tol
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from strengthvote import search_oracle
 from strengthvote.cli import main
 from strengthvote.metric_core import line_instance, save_instance
 
@@ -130,6 +131,53 @@ def test_search_summary(capsys):
     assert doc["instance"]["space"]["type"] == "line"
 
 
+def test_curve_rule4_json(capsys):
+    code = main(["curve", "--rule", "rule4", "--format", "json", "--steps", "7"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"rule": "rule4", "num_candidates": 2,
+                   "points": [[1.0, 3.0], [1.5, 2.333333333], [2.0, 2.0], [2.5, 2.5],
+                              [3.0, 3.0], [3.5, 3.5], [4.0, 4.0]]}
+
+
+def test_search_writes_the_instance_to_out(tmp_path, capsys):
+    out = tmp_path / "found.json"
+    code = main(["search", "--rule", "rule4", "--taus", "1.5,3", "--seed", "9",
+                 "--grid", "60", "--n-instances", "20", "--out", str(out)])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"rule": "rule4[taus=1.5;3]", "achieved": 1.727272724,
+                   "bound": 1.727272727, "ratio": 0.9999999982, "voters": 2,
+                   "instance_path": str(out)}
+    saved = json.loads(out.read_text())
+    assert saved["space"]["positions"] == {"P": 0.0, "Q": 1.0,
+                                           "v1": 0.399999999, "v2": 1.500000001}
+    assert saved["voters"] == ["v1", "v2"] and saved["candidates"] == ["P", "Q"]
+
+
+def _bound_too_low(monkeypatch):
+    monkeypatch.setattr(search_oracle, "bound_value", lambda rule, num_candidates=2: 1.0)
+
+
+def _wrong_grid_delta(monkeypatch):
+    sweep = search_oracle._grid_sweep
+
+    def wrong(rule, n):
+        x, y, delta = sweep(rule, n)
+        return x, y, delta + 0.5
+    monkeypatch.setattr(search_oracle, "_grid_sweep", wrong)
+
+
+@pytest.mark.parametrize("patch", [_bound_too_low, _wrong_grid_delta])
+def test_search_exits_1_on_a_violated_guarantee(patch, monkeypatch, capsys):
+    patch(monkeypatch)
+    code = main(["search", "--rule", "rule1", "--tau", "2", "--seed", "9",
+                 "--grid", "60", "--n-instances", "20"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("violation: ")
+
+
 def test_verify_exit_code_and_file(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = main(["verify", "--suite", "lowerbounds", "--out", str(out)])
@@ -210,3 +258,34 @@ def test_instance_whose_social_costs_overflow_exits_2(space, voters, tmp_path, c
     assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "overflow" in captured.err
+
+
+
+def _doc(space):
+    return {"space": space, "voters": ["v1"], "candidates": ["P", "Q"]}
+
+
+def _matrix(distances):
+    return _doc({"type": "matrix", "ids": ["P", "Q", "v1"], "distances": distances})
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([1], "instance document"),
+    ("x", "instance document"),
+    (_doc(5), "space"),
+    (_doc({"type": "line", "positions": [0, 1]}), "space.positions"),
+    (_doc({"type": "euclidean", "positions": "P"}), "space.positions"),
+    (_matrix(5), "space.distances"),
+    (_matrix({"P": 0}), "space.distances"),
+    (_matrix([[0, 2, 1], [2, 0, 1], 5]), "space.distances[2]"),
+    (_matrix([[0, 2, 1], [2, 0, None], [1, None, 0]]), "space.distances[1][2]"),
+    (_matrix([[0, 2, 1], [2, 0, "1"], [1, "1", 0]]), "space.distances[1][2]"),
+    (_matrix([[0, 2, True], [2, 0, 1], [True, 1, 0]]), "space.distances[0][2]"),
+    (_matrix([0, 2, 1, 2, 0, 1, 1, 1, None]), "space.distances[8]"),
+])
+def test_malformed_document_fields_exit_2(doc, field, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {field}: expected ")

@@ -76,6 +76,31 @@ def test_euclidean_ideal_far_from_the_origin():
     assert ip.cost <= 0.7 + 1e-12
 
 
+def test_euclidean_ideal_stops_on_an_optimal_voter():
+    # the first iterate, the voters' mean, lands on v2, whose neighbours pull
+    # it with equal and opposite force: v2 is optimal
+    inst = euclidean_instance(
+        {"P": [0, 5], "Q": [1, 5], "v1": [-1, 0], "v2": [0, 0], "v3": [1, 0]},
+        ("v1", "v2", "v3"), ("P", "Q"))
+    ip = ideal_point(inst)
+    assert ip.location == (0.0, 0.0)
+    assert ip.cost == 2.0
+    assert ip.converged
+
+
+def test_euclidean_ideal_damps_the_step_off_a_voter():
+    # the mean lands on v1 at the origin, whose neighbours pull it toward the
+    # pile at (1, 0) harder than v1 holds it: the damped step leaves v1, and
+    # the iteration reaches the pile, the median, at cost 4 + 1
+    inst = euclidean_instance(
+        {"P": [0, 5], "Q": [1, 5], "v1": [0, 0], "v2": [1, 0], "v3": [1, 0], "v4": [1, 0],
+         "v5": [-3, 0]},
+        ("v1", "v2", "v3", "v4", "v5"), ("P", "Q"))
+    ip = ideal_point(inst)
+    assert ip.converged
+    assert ip.cost == pytest.approx(5.0, abs=1e-9)
+
+
 def test_single_voter_ideal_is_free():
     inst = euclidean_instance({"P": [0, 0], "Q": [1, 0], "v1": [0.3, 0.4]},
                               ("v1",), ("P", "Q"))
