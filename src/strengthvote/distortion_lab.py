@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric_core import EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost
-from .rules import SQRT2, Rule, bound_value, decide_pair, make_rule, ratio_terms
+from .rules import (SQRT2, Rule, bound_value, decide_pair, lambda_coefficients, make_rule,
+                    ratio_terms)
 from .tournament import copeland_winner, majority_graph
 
 # family -> (number of thresholds, index into ratio_terms of the term it approaches)
@@ -185,41 +186,36 @@ def lambda_check(inst: MetricInstance, p: str, q: str, z: str, lam: float,
 
 
 def ideal_tradeoff_bound(rule: Rule, delta: float, num_candidates: int = 2) -> float:
-    """Upper bound on rho as a function of the measured delta.
-
-    Below the rule's pole (delta <= 1, or delta <= the rule's top threshold
-    for rule3/rule4) no finite bound exists and +inf is returned; delta < 1
-    is impossible and raises PoleViolation. rule2 admits no such bound.
-    """
+    """Upper bound on rho from the rule's lambda_coefficients (q, z):
+    z*delta/(delta - q), z at delta = +inf and +inf at or below the pole q,
+    doubled beyond two candidates (rule1 and rule5 only). delta < 1 raises
+    PoleViolation; rule2 admits no such bound."""
     if delta < 1.0:
         raise PoleViolation(f"distortion {delta} < 1")
-    kind = rule.kind
-    if kind == "rule2":
-        raise ValueError("rule2 winners admit no ideal-candidate bound")
-    if kind in ("rule1", "rule5"):
-        lam = 2.0 if kind == "rule1" else 1.0 + SQRT2
-        if delta <= 1.0:
-            return math.inf
-        base = lam if math.isinf(delta) else lam * delta / (delta - 1.0)
-        return base if num_candidates == 2 else 2.0 * base
-    if num_candidates != 2:
-        raise ValueError(f"{kind} has an ideal-candidate bound only for two candidates")
-    pole = rule.scheme.taus[-1]
-    if delta <= pole:
+    q, z = lambda_coefficients(rule)
+    if num_candidates != 2 and rule.kind in ("rule3", "rule4"):
+        raise ValueError(f"{rule.kind} has an ideal-candidate bound only for two candidates")
+    if delta <= q:
         return math.inf
-    if math.isinf(delta):
-        return 2.0
-    return 2.0 * delta / (delta - pole)
+    base = z if math.isinf(delta) else z * delta / (delta - q)
+    return base if num_candidates == 2 else 2.0 * base
 
 
 def _family_term(kind: str, taus) -> int | None:
     """Index into ratio_terms of the term a family approaches (None for
-    exact_sqrt2), after checking the family's name and threshold count."""
+    exact_sqrt2), after checking the family's name, threshold count and
+    threshold domain."""
     if kind not in _FAMILIES:
         raise InvalidParams(f"unknown generator kind {kind!r}")
     arity, term = _FAMILIES[kind]
     if len(taus) != arity:
         raise InvalidParams(f"{kind} takes {_ARITY_WORDS[arity]}")
+    if kind == "smallest" and not taus[0] > 1.0:
+        raise InvalidParams(f"smallest needs tau_1 > 1, got {taus[0]}")
+    if kind == "largest" and not taus[0] >= 1.0:
+        raise InvalidParams(f"largest needs tau_m >= 1, got {taus[0]}")
+    if kind == "pair" and not 1.0 <= taus[0] < taus[1]:
+        raise InvalidParams(f"pair needs 1 <= tau_l < tau_next, got {taus}")
     return term
 
 
@@ -266,23 +262,15 @@ def generate_lower_bound(kind: str, taus=(), epsilon: float = 1e-6,
         s = 1.0 + SQRT2
         groups = [1.0 / (s + 1.0), s / (s - 1.0)]
     elif kind == "smallest":
-        (t1,) = taus
-        if not t1 > 1.0:
-            raise InvalidParams(f"smallest needs tau_1 > 1, got {t1}")
-        s = t1 - epsilon
+        s = taus[0] - epsilon
         if not s > 1.0:
-            raise InvalidParams(f"epsilon {epsilon} too large for tau_1 = {t1}")
+            raise InvalidParams(f"epsilon {epsilon} too large for tau_1 = {taus[0]}")
         groups = [s / (s + 1.0)]
     elif kind == "largest":
-        (tm,) = taus
-        if not tm >= 1.0:
-            raise InvalidParams(f"largest needs tau_m >= 1, got {tm}")
-        s = tm + epsilon
+        s = taus[0] + epsilon
         groups = [1.0 / (s + 1.0), 1.0]
     else:  # pair
         tl, tnext = taus
-        if not (1.0 <= tl < tnext):
-            raise InvalidParams(f"pair needs 1 <= tau_l < tau_next, got {taus}")
         sa = tl + epsilon
         sb = tnext - epsilon
         if not (sa < tnext and sb >= tl and sb > 1.0):

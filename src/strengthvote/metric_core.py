@@ -216,28 +216,31 @@ def _check_object(value, field: str) -> None:
         raise ValueError(f"{field}: expected an object, got {type(value).__name__}")
 
 
+def _field(obj: dict, path: str):
+    key = path.rpartition(".")[2]
+    if key not in obj:
+        raise ValueError(f"instance document is missing field {path!r}")
+    return obj[key]
+
+
 def build_instance(doc: dict) -> MetricInstance:
     """Build an instance from the JSON document format (see load_instance)."""
     _check_object(doc, "instance document")
-    try:
-        space = doc["space"]
-        _check_object(space, "space")
-        kind = space["type"]
-        voters = doc["voters"]
-        candidates = doc["candidates"]
-    except KeyError as exc:
-        raise ValueError(f"instance document is missing field {exc}") from exc
+    space = _field(doc, "space")
+    _check_object(space, "space")
+    kind = _field(space, "space.type")
+    voters, candidates = _field(doc, "voters"), _field(doc, "candidates")
     _check_ids(voters, "voters")
     _check_ids(candidates, "candidates")
     if kind in (LINE, EUCLIDEAN):
-        positions = space["positions"]
+        positions = _field(space, "space.positions")
         _check_object(positions, "space.positions")
         build = line_instance if kind == LINE else euclidean_instance
         return build(positions, voters, candidates)
     if kind == MATRIX:
-        ids = space["ids"]
+        ids = _field(space, "space.ids")
         _check_ids(ids, "space.ids")
-        flat = space["distances"]
+        flat = _field(space, "space.distances")
         if isinstance(flat, list) and flat and isinstance(flat[0], list):
             for i, row in enumerate(flat):
                 _check_numbers(row, f"space.distances[{i}]")

@@ -16,10 +16,10 @@ the hidden set C (bucket 0) always weighs 0.
 
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
 coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
-table once, when it is built. rule5 sees exact strengths and weighs each voter
-by the continuous rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else
-s - 1; the branches agree at s = sqrt(2) and the weight tends to sqrt(2) as
-s -> +inf.
+table once, when it is built, and rule4 its condition-1 coefficients with it.
+rule5 sees exact strengths and weighs each voter by the continuous
+rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the
+branches agree at s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
 
 A scheme's ratio terms (ratio_terms) are tau_1, one term per pair of
 neighbouring cutoffs and (tau_m + 2)/tau_m. A threshold rule's two-candidate
@@ -27,11 +27,14 @@ bound is the largest of them, rule4_delta: (1, tau) gives
 max{(tau+2)/tau, (3*tau-1)/(tau+1)} (rule1, rule2) and (tau,) gives
 max{tau, (tau+2)/tau} (rule3). distortion_lab's hard-instance families each
 approach one ratio term.
+The multiway and ideal-point guarantees rest on each rule's lambda-inequality
+SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -56,13 +59,15 @@ class SchemeMismatch(ValueError):
 class Rule:
     """A pairwise rule. The constructor checks the thresholds and derives the
     rest of the threshold rules' definition: scheme (rule1-3 from tau),
-    boundary mode and per-bucket weights. rule5 has no buckets."""
+    boundary mode, per-bucket weights and rule4's condition-1 coefficients
+    (see rule4_weights). rule5 has no buckets."""
 
     kind: str
     tau: float | None = None
     scheme: ThresholdScheme | None = None
     boundary: str | None = field(init=False)
     weights: tuple[float, ...] = field(init=False)
+    condition1: tuple[tuple[float, ...], ...] = field(init=False)
 
     def __post_init__(self):
         kind, tau, scheme = self.kind, self.tau, self.scheme
@@ -71,7 +76,7 @@ class Rule:
         if kind == "rule5":
             if tau is not None or scheme is not None:
                 raise InvalidThreshold("rule5 takes no thresholds")
-            boundary, weights = None, ()
+            boundary, weights, condition1 = None, (), ()
         elif kind == "rule4":
             if tau is not None:
                 raise InvalidThreshold("rule4 takes a threshold scheme, not tau")
@@ -79,7 +84,7 @@ class Rule:
                 raise InvalidThreshold("rule4 needs a threshold scheme")
             if not isinstance(scheme, ThresholdScheme):
                 scheme = ThresholdScheme(tuple(scheme))
-            boundary, weights = INCLUSIVE, tuple(rule4_weights(scheme)[0])
+            boundary, (weights, condition1, _, _) = INCLUSIVE, rule4_weights(scheme)
         else:
             if tau is None:
                 raise InvalidThreshold(f"{kind} needs a threshold")
@@ -98,11 +103,10 @@ class Rule:
                 derived, boundary, weights = ThresholdScheme((1.0, tau)), STRICT, (1.0, strong)
             if scheme is not None and scheme != derived:
                 raise InvalidThreshold(f"{kind} derives its scheme {derived.taus} from tau")
-            scheme = derived
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "weights", weights)
+            scheme, condition1 = derived, ()
+        for name, value in dict(tau=tau, scheme=scheme, boundary=boundary, weights=weights,
+                                condition1=condition1).items():
+            object.__setattr__(self, name, value)
 
     def label(self) -> str:
         if self.kind in ("rule1", "rule2", "rule3"):
@@ -158,21 +162,25 @@ def rule4_delta(scheme: ThresholdScheme) -> float:
     return max(ratio_terms(scheme.taus))
 
 
-def rule4_weights(scheme: ThresholdScheme) -> tuple[list[float], float, int]:
-    """Bucket weights, the bound ds = rule4_delta(scheme) and the pivot k, the
-    number of cutoffs at or below ds (at least 1, since tau_1 <= ds)."""
+def rule4_weights(scheme: ThresholdScheme) -> tuple[tuple, tuple, float, int]:
+    """Bucket weights, condition 1's per-bucket (own, other) coefficients, the
+    bound ds = rule4_delta(scheme) and the pivot k = #{l: tau_l <= ds} >= 1.
+    A side's slack is sum_l own_l*(its count) + other_l*(the other side's).
+    Weight l is own_l - other_l from the pivot on; below it, a closed form
+    that own_l - other_l can miss by an ulp."""
     taus = scheme.taus
     ds = rule4_delta(scheme)
     k = bisect_right(taus, ds)
-    weights = []
+    weights, own, other = [], [], []
     for l, (tl, tnext) in enumerate(zip(taus, taus[1:] + (math.inf,)), start=1):
+        own.append((ds * tl - 1.0) / (tl + 1.0))
         if l < k:
-            w = (ds + 1.0) * (tl * tnext - 1.0) / ((tl + 1.0) * (tnext + 1.0))
+            other.append((ds - tnext) / (tnext + 1.0))
+            weights.append((ds + 1.0) * (tl * tnext - 1.0) / ((tl + 1.0) * (tnext + 1.0)))
         else:
-            head = 1.0 if math.isinf(tnext) else (tnext - ds) / (tnext - 1.0)
-            w = head + (ds * tl - 1.0) / (tl + 1.0)
-        weights.append(w)
-    return weights, ds, k
+            other.append(-(1.0 if math.isinf(tnext) else (tnext - ds) / (tnext - 1.0)))
+            weights.append(own[-1] - other[-1])
+    return tuple(weights), (tuple(own), tuple(other)), ds, k
 
 
 def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
@@ -191,7 +199,7 @@ def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
     p = math.fsum(w * a for w, a in zip(rule.weights, tally.a_counts))
     q = math.fsum(w * b for w, b in zip(rule.weights, tally.b_counts))
     if __debug__ and rule.kind == "rule4":
-        slack_p, slack_q = _condition1_diff(tally)
+        slack_p, slack_q = _condition1_diff(tally, rule)
         scale = max(1.0, abs(p), abs(q))
         assert abs((p - q) - (slack_p - slack_q)) <= 1e-9 * scale, (p, q, slack_p - slack_q)
     return _resolve(tally.pair, p, q)
@@ -202,22 +210,12 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
     return decide_tally(tally, make_rule("rule4", taus=scheme))
 
 
-def _condition1_diff(tally: PairwiseTally) -> tuple[float, float]:
-    """Slacks (rhs - lhs) of the feasibility inequality for the pair's two
-    sides, in pair order."""
-    taus = tally.scheme.taus
-    _, ds, k = rule4_weights(tally.scheme)
-    terms_a, terms_b = [], []
-    for l, (tl, tnext) in enumerate(zip(taus, taus[1:] + (math.inf,)), start=1):
-        own = (ds * tl - 1.0) / (tl + 1.0)
-        if l < k:
-            other = (ds - tnext) / (tnext + 1.0)
-        else:
-            other = -(1.0 if math.isinf(tnext) else (tnext - ds) / (tnext - 1.0))
-        a, b = tally.a_counts[l - 1], tally.b_counts[l - 1]
-        terms_a += [own * a, other * b]
-        terms_b += [own * b, other * a]
-    return math.fsum(terms_a), math.fsum(terms_b)
+def _condition1_diff(tally: PairwiseTally, rule: Rule) -> tuple[float, float]:
+    """Slacks (rhs - lhs) of a rule4 rule's feasibility inequality for the
+    pair's two sides, in pair order."""
+    own, other = rule.condition1
+    coefs, a, b = own + other, tally.a_counts, tally.b_counts
+    return math.fsum(map(operator.mul, coefs, a + b)), math.fsum(map(operator.mul, coefs, b + a))
 
 
 def condition1_holds(tally: PairwiseTally, side: str) -> bool:
@@ -225,7 +223,8 @@ def condition1_holds(tally: PairwiseTally, side: str) -> bool:
     one side of any tally always does."""
     if side not in tally.pair:
         raise ValueError(f"{side!r} is not in the pair {tally.pair}")
-    return _condition1_diff(tally)[tally.pair.index(side)] >= -1e-9
+    rule = Rule("rule4", scheme=tally.scheme)
+    return _condition1_diff(tally, rule)[tally.pair.index(side)] >= -1e-9
 
 
 def rule5_weight(strength: float) -> float:
@@ -274,3 +273,14 @@ def bound_value(rule: Rule, num_candidates: int = 2) -> float:
     if rule.kind == "rule2":
         raise ValueError("rule2 has no distortion bound beyond two candidates")
     return min(b + 2.0, b * b) if rule.kind == "rule1" else b * b
+
+
+def lambda_coefficients(rule: Rule) -> tuple[float, float]:
+    """(q, z) of the rule's lambda-inequality: the winner W of a pair (W, Q)
+    has SC(W) <= q*SC(Q) + z*SC(Z) for every point Z. rule1 gives (1, 2),
+    rule5 (1, 1+sqrt(2)), rule3 and rule4 (tau_m, 2); rule2 admits none."""
+    if rule.kind == "rule2":
+        raise ValueError("rule2 winners satisfy no lambda-inequality")
+    if rule.kind in ("rule3", "rule4"):
+        return rule.scheme.taus[-1], 2.0
+    return 1.0, 2.0 if rule.kind == "rule1" else 1.0 + SQRT2

@@ -23,9 +23,9 @@ from .distortion_lab import (actual_distortion, cost_ratio, generate_lower_bound
 from .metric_core import (MetricInstance, _preference, euclidean_instance, line_instance,
                           social_cost)
 from .rules import (SQRT2, Rule, _condition1_diff, bound_value, decide_pair,
-                    decide_profile, make_rule, rule4_decide, rule4_delta)
-# Unused here, but perfbench/tracer.py counts calls through this module attribute.
-from .rules import rule4_weights  # noqa: F401
+                    decide_profile, decide_tally, lambda_coefficients, make_rule, rule4_delta)
+# Unused here, but perfbench/tracer.py counts calls through these module attributes.
+from .rules import rule4_decide, rule4_weights  # noqa: F401
 from .tallies import PairwiseTally, ThresholdScheme, exact_profile
 from .tournament import TournamentGraph, copeland_winner, majority_graph
 
@@ -308,16 +308,13 @@ def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000):
 
 @_check(max)
 def check_lambda(seed: int = 42, n: int = 5_000):
-    """Winners satisfy SC(P) <= q_coef*SC(Q) + z_coef*SC(Z) for a random witness Z."""
+    """Winners satisfy their lambda-inequality SC(W) <= q*SC(Q) + z*SC(Z) for a
+    random witness Z, with (q, z) = lambda_coefficients(rule)."""
     rng = np.random.default_rng(seed)
-    probes = [
-        (make_rule("rule1", tau=2.0), 1.0, 2.0),
-        (make_rule("rule1", tau=5.0), 1.0, 2.0),
-        (make_rule("rule5"), 1.0, 1.0 + SQRT2),
-        (make_rule("rule3", tau=2.0), 2.0, 2.0),
-        (make_rule("rule4", taus=(2.0,)), 2.0, 2.0),
-        (make_rule("rule4", taus=(1.5, 3.0)), 3.0, 2.0),
-    ]
+    rules = [make_rule("rule1", tau=2.0), make_rule("rule1", tau=5.0), make_rule("rule5"),
+             make_rule("rule3", tau=2.0), make_rule("rule4", taus=(2.0,)),
+             make_rule("rule4", taus=(1.5, 3.0))]
+    probes = [(rule, *lambda_coefficients(rule)) for rule in rules]
     for inst in _alternating_instances(rng, n, extra_point=True):
         prof = exact_profile(inst, "P", "Q")
         costs = {c: social_cost(inst, c) for c in ("P", "Q", "Z")}
@@ -350,8 +347,9 @@ def check_condition1(seed: int = 42, n: int = 100_000):
     rng = np.random.default_rng(seed)
     for _ in range(n):
         tally = _random_tally(rng)
-        slack_p, slack_q = _condition1_diff(tally)
-        winner = rule4_decide(tally, tally.scheme).winner
+        rule = Rule("rule4", scheme=tally.scheme)
+        slack_p, slack_q = _condition1_diff(tally, rule)
+        winner = decide_tally(tally, rule).winner
         winner_slack = slack_p if winner == "P" else slack_q
         best_slack = max(slack_p, slack_q)
         yield best_slack, best_slack < -1e-9 or winner_slack < -1e-9

@@ -289,3 +289,25 @@ def test_malformed_document_fields_exit_2(doc, field, tmp_path, capsys):
     assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {field}: expected ")
+
+
+_LINE = {"type": "line", "positions": {"P": 0.0, "Q": 1.0, "v1": 0.3}}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"voters": ["v1"], "candidates": ["P", "Q"]}, "space"),
+    ({"space": _LINE, "candidates": ["P", "Q"]}, "voters"),
+    ({"space": _LINE, "voters": ["v1"]}, "candidates"),
+    (_doc({"positions": _LINE["positions"]}), "space.type"),
+    (_doc({"type": "line"}), "space.positions"),
+    (_doc({"type": "euclidean"}), "space.positions"),
+    (_doc({"type": "matrix", "distances": [[0, 2, 1], [2, 0, 1], [1, 1, 0]]}), "space.ids"),
+    (_doc({"type": "matrix", "ids": ["P", "Q", "v1"]}), "space.distances"),
+])
+def test_missing_document_fields_exit_2(doc, field, tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: instance document is missing field {field!r}\n"

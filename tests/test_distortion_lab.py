@@ -193,6 +193,63 @@ def test_ideal_tradeoff_bound_errors():
         ideal_tradeoff_bound(make_rule("rule3", tau=2.0), 3.0, num_candidates=3)
 
 
+def _per_kind_tradeoff_bound(rule, delta, num_candidates):
+    """ideal_tradeoff_bound written out per rule kind, as a reference."""
+    if delta < 1.0:
+        raise PoleViolation(f"distortion {delta} < 1")
+    kind = rule.kind
+    if kind == "rule2":
+        raise ValueError("rule2 winners admit no ideal-candidate bound")
+    if kind in ("rule1", "rule5"):
+        lam = 2.0 if kind == "rule1" else 1.0 + SQRT2
+        if delta <= 1.0:
+            return math.inf
+        base = lam if math.isinf(delta) else lam * delta / (delta - 1.0)
+        return base if num_candidates == 2 else 2.0 * base
+    if num_candidates != 2:
+        raise ValueError(f"{kind} has an ideal-candidate bound only for two candidates")
+    pole = rule.scheme.taus[-1]
+    if delta <= pole:
+        return math.inf
+    if math.isinf(delta):
+        return 2.0
+    return 2.0 * delta / (delta - pole)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("rule", [
+    make_rule("rule1", tau=1.0), make_rule("rule1", tau=2.0), make_rule("rule2", tau=2.0),
+    make_rule("rule3", tau=1.0), make_rule("rule3", tau=2.5), make_rule("rule4", taus=(2.0,)),
+    make_rule("rule4", taus=(1.5, 3.0)), make_rule("rule4", taus=(1.0, 1.7, 4.25)),
+    make_rule("rule5"),
+], ids=lambda rule: rule.label())
+def test_ideal_tradeoff_bound_equals_the_per_kind_formulas(rule):
+    tau_m = rule.scheme.taus[-1] if rule.scheme is not None else 1.0
+    deltas = (1.0, math.nextafter(1.0, math.inf), tau_m, math.nextafter(tau_m, math.inf),
+              2.0, 3.0, 1e6, math.inf)
+    for delta in deltas:
+        for num_candidates in (2, 3):
+            want = _outcome(_per_kind_tradeoff_bound, rule, delta, num_candidates)
+            got = _outcome(ideal_tradeoff_bound, rule, delta, num_candidates)
+            assert got == want, (delta, num_candidates)
+
+
+@pytest.mark.parametrize("kind, taus", [("pair", (3.0, 1.5)), ("largest", (0.5,)),
+                                        ("smallest", (1.0,))])
+def test_lower_bound_target_rejects_what_its_generator_rejects(kind, taus):
+    with pytest.raises(InvalidParams) as target_error:
+        lower_bound_target(kind, taus)
+    with pytest.raises(InvalidParams) as generator_error:
+        generate_lower_bound(kind, taus)
+    assert str(target_error.value) == str(generator_error.value)
+
+
 def test_lower_bound_targets():
     assert lower_bound_target("exact_sqrt2") == pytest.approx(SQRT2)
     assert lower_bound_target("smallest", (2.0,)) == 2.0

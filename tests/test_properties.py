@@ -1,14 +1,16 @@
 """Property-based checks for the invariants the unit tests only spot-check."""
 
 import math
+from bisect import bisect_right
 from itertools import combinations
 
 from hypothesis import assume, given, settings, strategies as st
 
 from strengthvote.metric_core import (distance, line_instance,
                                       preference_strength, scale_instance)
-from strengthvote.rules import (condition1_holds, decide_pair, make_rule,
-                                rule4_decide, rule5_weight)
+from strengthvote.rules import (Rule, _condition1_diff, condition1_holds, decide_pair,
+                                make_rule, rule4_decide, rule4_delta, rule4_weights,
+                                rule5_weight)
 from strengthvote.tallies import (INCLUSIVE, STRICT, PairwiseTally,
                                   ThresholdScheme)
 from strengthvote.tournament import (PairwiseDecision, TournamentGraph,
@@ -150,3 +152,56 @@ def test_uncovered_set_is_exactly_the_two_step_kings(n, bits):
     assert us == kings
     assert us
     assert copeland_winner(g) in us
+
+
+def _two_walk_rule4(scheme, a_counts, b_counts):
+    """rule4's weights and both sides' condition-1 slacks, each from its own
+    walk over the buckets: the reference that the one-walk derivation in
+    rules must reproduce bit for bit."""
+    taus = scheme.taus
+    ds = rule4_delta(scheme)
+    k = bisect_right(taus, ds)
+    weights = []
+    for l, (tl, tnext) in enumerate(zip(taus, taus[1:] + (math.inf,)), start=1):
+        if l < k:
+            w = (ds + 1.0) * (tl * tnext - 1.0) / ((tl + 1.0) * (tnext + 1.0))
+        else:
+            head = 1.0 if math.isinf(tnext) else (tnext - ds) / (tnext - 1.0)
+            w = head + (ds * tl - 1.0) / (tl + 1.0)
+        weights.append(w)
+    terms_a, terms_b = [], []
+    for l, (tl, tnext) in enumerate(zip(taus, taus[1:] + (math.inf,)), start=1):
+        own = (ds * tl - 1.0) / (tl + 1.0)
+        if l < k:
+            other = (ds - tnext) / (tnext + 1.0)
+        else:
+            other = -(1.0 if math.isinf(tnext) else (tnext - ds) / (tnext - 1.0))
+        a, b = a_counts[l - 1], b_counts[l - 1]
+        terms_a += [own * a, other * b]
+        terms_b += [own * b, other * a]
+    return weights, (math.fsum(terms_a), math.fsum(terms_b))
+
+
+@st.composite
+def schemes_with_counts(draw):
+    """Schemes with 1 to 5 cutoffs, from arbitrary floats and from eighths (which
+    can land exactly on the scheme's bound), some starting at 1, with 0 to 50
+    ballots per side and bucket."""
+    m = draw(st.integers(1, 5))
+    cutoff = st.one_of(st.floats(1.0, 8.0, exclude_min=True),
+                       st.integers(9, 64).map(lambda k: k / 8.0))
+    taus = sorted(draw(st.lists(cutoff, min_size=m, max_size=m, unique=True)))
+    if draw(st.booleans()):
+        taus[0] = 1.0
+    a = tuple(draw(st.lists(st.integers(0, 50), min_size=m, max_size=m)))
+    b = tuple(draw(st.lists(st.integers(0, 50), min_size=m, max_size=m)))
+    return PairwiseTally(("P", "Q"), ThresholdScheme(tuple(taus)), a, b, 0, INCLUSIVE)
+
+
+@settings(max_examples=500)
+@given(schemes_with_counts())
+def test_rule4_weights_and_slacks_match_the_two_walk_reference_bit_for_bit(t):
+    weights, slacks = _two_walk_rule4(t.scheme, t.a_counts, t.b_counts)
+    assert [w.hex() for w in rule4_weights(t.scheme)[0]] == [w.hex() for w in weights]
+    got = _condition1_diff(t, Rule("rule4", scheme=t.scheme))
+    assert [x.hex() for x in got] == [x.hex() for x in slacks]

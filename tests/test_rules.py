@@ -161,11 +161,11 @@ def test_two_candidate_bound_equals_the_closed_forms_exactly():
 
 
 def test_rule4_weights_frozen_cases():
-    weights, ds, k = rule4_weights(ThresholdScheme((2.0,)))
+    weights, _, ds, k = rule4_weights(ThresholdScheme((2.0,)))
     assert (ds, k) == (2.0, 1)
     assert weights == pytest.approx([2.0], abs=TOL)
 
-    weights, ds, k = rule4_weights(ThresholdScheme((5.0 / 3.0, 3.0)))
+    weights, _, ds, k = rule4_weights(ThresholdScheme((5.0 / 3.0, 3.0)))
     assert ds == pytest.approx(5.0 / 3.0, abs=1e-9)
     assert k == 1
     assert weights == pytest.approx([4.0 / 3.0, 2.0], abs=1e-9)
@@ -176,7 +176,7 @@ def test_rule4_score_equals_feasibility_gap():
     from strengthvote.rules import _condition1_diff
     d = rule4_decide(t, t.scheme)
     assert d.winner == "P"
-    slack_p, slack_q = _condition1_diff(t)
+    slack_p, slack_q = _condition1_diff(t, make_rule("rule4", taus=t.scheme))
     gap = slack_p - slack_q
     assert d.p_score - d.q_score == pytest.approx(gap, abs=1e-9)
     assert condition1_holds(t, "P")

@@ -8,8 +8,9 @@ import pytest
 
 from strengthvote.distortion_lab import generate_lower_bound
 from strengthvote.metric_core import line_instance, social_cost
-from strengthvote.rules import SQRT2, bound_value, decide_pair, make_rule, rule4_delta
-from strengthvote import search_oracle
+from strengthvote.rules import (SQRT2, bound_value, decide_pair, make_rule, rule4_delta,
+                                rule4_weights)
+from strengthvote import rules, search_oracle
 from strengthvote.search_oracle import (SearchConfig, _anchor_instances, _grid_positions,
                                         _signed_weights,
                                         _two_candidate_rules, adversarial_search,
@@ -109,6 +110,18 @@ def test_check_lowerbounds_passes():
 def test_check_condition1_small_run():
     result = check_condition1(seed=5, n=500)
     assert result["passed"] and result["cases"] == 500
+
+
+def test_check_condition1_derives_each_tallys_weights_once(monkeypatch):
+    calls = []
+
+    def counted(scheme):
+        calls.append(scheme)
+        return rule4_weights(scheme)
+
+    monkeypatch.setattr(rules, "rule4_weights", counted)
+    check_condition1(seed=5, n=500)
+    assert len(calls) == 500
 
 
 # Each check's result at seed 3 and reduced sizes, recorded before the checks
