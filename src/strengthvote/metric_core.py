@@ -8,6 +8,10 @@ in 1-D. Matrix instances may carry extra named points that are neither voters
 nor candidates (useful as witness points). A distance matrix is checked against
 every metric axiom exactly, the triangle inequality over all n^3 triples, on
 numpy; the first violation in row-major order is reported.
+
+Each voter's distance to a point is measured once per instance: the voter
+column of a point (``voter_distances``) is built through ``distance`` on
+first use and kept, and social costs and strength profiles read it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ class MetricInstance:
     are distinct ids. For line/euclidean spaces ``coords`` maps every named id
     to a coordinate tuple; for matrix spaces ``point_ids`` orders the points
     and ``matrix`` holds row-major distances, and ``row_of`` finds an id's row.
+    ``voter_distances(point)`` is the column of voter distances to a point.
     """
 
     space: str
@@ -64,6 +69,18 @@ class MetricInstance:
     def row_of(self) -> dict[str, int]:
         """Matrix row of each point id, built on first use."""
         return {pid: i for i, pid in enumerate(self.point_ids)}
+
+    @cached_property
+    def _columns(self) -> dict[str, tuple[float, ...]]:
+        return {}
+
+    def voter_distances(self, point: str) -> tuple[float, ...]:
+        """d(v, point) for each voter v in voter order, measured on first use."""
+        column = self._columns.get(point)
+        if column is None:
+            column = self._columns[point] = tuple(distance(self, v, point)
+                                                  for v in self.voters)
+        return column
 
     def named_points(self) -> tuple[str, ...]:
         if self.space == MATRIX:
@@ -299,7 +316,7 @@ def distance(inst: MetricInstance, a: str, b: str) -> float:
 
 def social_cost(inst: MetricInstance, point: str) -> float:
     """Total distance from all voters to the named point."""
-    return math.fsum(distance(inst, v, point) for v in inst.voters)
+    return math.fsum(inst.voter_distances(point))
 
 
 def preference_strength(inst: MetricInstance, voter: str, p: str, q: str):

