@@ -17,15 +17,14 @@ from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdS
 from .rules import (InvalidThreshold, PairwiseDecision, Rule, SchemeMismatch,
                     bound_value, condition1_holds, decide_pair, decide_profile,
                     decide_tally, lambda_coefficients, make_rule, ratio_terms, rule4_decide,
-                    rule4_delta, rule4_weights, rule5_decide, rule5_weight)
+                    rule4_delta, rule4_weights, rule5_weight)
 from .tournament import (TournamentGraph, copeland_winner, graph_csv, majority_graph,
                          uncovered_set)
 from .distortion_lab import (DistortionReport, IdealPoint, InvalidParams, PoleViolation,
                              actual_distortion, evaluate_instance, generate_lower_bound,
-                             ideal_distortion, ideal_point, ideal_tradeoff_bound,
-                             lambda_check, lower_bound_target, natural_rule, report_csv,
-                             report_json, rule3_counterexample)
-from .search_oracle import (SearchConfig, adversarial_search, brute_force_best,
-                            optimize_thresholds, random_instance, verify_suite)
+                             ideal_point, ideal_tradeoff_bound, lower_bound_target,
+                             natural_rule, report_csv, rule3_counterexample)
+from .search_oracle import (SearchConfig, adversarial_search, optimize_thresholds,
+                            random_instance, verify_suite)
 
 __version__ = "0.1.0"

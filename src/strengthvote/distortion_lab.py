@@ -8,7 +8,8 @@ median, or the best named point for matrix spaces).
 
 from __future__ import annotations
 
-import json
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -138,11 +139,6 @@ def actual_distortion(inst: MetricInstance, winner: str) -> tuple[float, bool]:
     return cost_ratio(social_cost(inst, winner), best), best == 0.0
 
 
-def ideal_distortion(inst: MetricInstance, winner: str) -> float:
-    """rho = SC(winner)/SC(ideal point)."""
-    return cost_ratio(social_cost(inst, winner), ideal_point(inst).cost)
-
-
 def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:
     """Run a rule on an instance and measure its distortion against the bound.
 
@@ -171,18 +167,6 @@ def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:
         margin = bound - delta
     return DistortionReport(winner, sc_w, sc_best, ip.cost, delta, rho,
                             bound, margin, ip.exactness, sc_best == 0.0)
-
-
-def cost_bound_holds(inst: MetricInstance, p: str, q: str, z: str,
-                     q_coef: float, z_coef: float, tol: float = 1e-9) -> bool:
-    """SC(p) <= q_coef*SC(q) + z_coef*SC(z) within tol."""
-    return social_cost(inst, p) <= q_coef * social_cost(inst, q) + z_coef * social_cost(inst, z) + tol
-
-
-def lambda_check(inst: MetricInstance, p: str, q: str, z: str, lam: float,
-                 tol: float = 1e-9) -> bool:
-    """The lambda-bounded inequality SC(p) <= SC(q) + lam*SC(z) within tol."""
-    return cost_bound_holds(inst, p, q, z, 1.0, lam, tol)
 
 
 def ideal_tradeoff_bound(rule: Rule, delta: float, num_candidates: int = 2) -> float:
@@ -307,13 +291,12 @@ def report_to_dict(report: DistortionReport) -> dict:
     return out
 
 
-def report_json(report: DistortionReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
-
-
 def report_csv(report: DistortionReport, label: str = "") -> str:
-    """Single CSV line: label, winner, delta, rho, bound, margin."""
+    """Single CSV line: label, winner, delta, rho, bound, margin; a field with a
+    comma, a quote or a line break is quoted."""
     fields = [label, report.winner] + [
         f"{x:.10g}" for x in (report.delta, report.rho, report.bound, report.margin)
     ]
-    return ",".join(fields)
+    line = io.StringIO()
+    csv.writer(line).writerow(fields)
+    return line.getvalue().removesuffix("\r\n")

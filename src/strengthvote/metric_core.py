@@ -92,11 +92,19 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _float(x) -> float:
+    """float(x), with an integer too large for a float read as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _as_coord(value, field: str) -> tuple[float, ...]:
     if _is_number(value):
-        coord = (float(value),)
+        coord = (_float(value),)
     elif isinstance(value, (list, tuple)) and value and all(map(_is_number, value)):
-        coord = tuple(float(x) for x in value)
+        coord = tuple(map(_float, value))
     else:
         raise ValueError(f"{field}: expected a number or a list of numbers, got {value!r}")
     if not all(math.isfinite(x) for x in coord):
@@ -200,7 +208,7 @@ def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
     ids = tuple(str(p) for p in point_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("matrix point ids must be distinct")
-    mat = tuple(tuple(float(x) for x in r) for r in rows)
+    mat = tuple(tuple(map(_float, r)) for r in rows)
     _check_matrix(ids, mat)
     inst = MetricInstance(MATRIX, tuple(voters), tuple(candidates),
                           point_ids=ids, matrix=mat)

@@ -235,17 +235,12 @@ def rule5_weight(strength: float) -> float:
     return strength - 1.0
 
 
-def rule5_decide(profile: ExactProfile) -> PairwiseDecision:
-    """Exact-strength weighted majority; (1+sqrt(2))-bounded."""
-    p = math.fsum(rule5_weight(s) for s in profile.a_strengths)
-    q = math.fsum(rule5_weight(s) for s in profile.b_strengths)
-    return _resolve(profile.pair, p, q)
-
-
 def decide_profile(profile: ExactProfile, rule: Rule) -> PairwiseDecision:
     """Decide a pair from its exact profile, revealing only what the rule may see."""
     if rule.kind == "rule5":
-        return rule5_decide(profile)
+        p = math.fsum(rule5_weight(s) for s in profile.a_strengths)
+        q = math.fsum(rule5_weight(s) for s in profile.b_strengths)
+        return _resolve(profile.pair, p, q)
     return decide_tally(bucket_profile(profile, rule.scheme, rule.boundary), rule)
 
 

@@ -49,16 +49,6 @@ class SearchConfig:
     space: str = "line"
 
 
-def brute_force_best(inst: MetricInstance) -> tuple[str, float]:
-    """Cheapest candidate by social cost, lexicographically smallest on ties."""
-    best, cost = None, math.inf
-    for c in sorted(inst.candidates):
-        sc = social_cost(inst, c)
-        if sc < cost:
-            best, cost = c, sc
-    return best, cost
-
-
 def random_instance(rng: np.random.Generator, space: str = "line", voters_max: int = 8,
                     num_candidates: int = 2, extra_point: bool = False) -> MetricInstance:
     """Seeded random instance: voters uniform on the space's box (see

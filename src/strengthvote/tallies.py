@@ -96,10 +96,6 @@ class PairwiseTally:
         if self.boundary not in (INCLUSIVE, STRICT):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
 
-    @property
-    def total(self) -> int:
-        return sum(self.a_counts) + sum(self.b_counts) + self.c_count
-
 
 def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
     """Collect every voter's (preferred, strength) for the pair, unbucketed,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -46,6 +48,16 @@ def test_evaluate_csv_to_file(instance_path, tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "label,winner,delta,rho,bound,margin"
     assert lines[1].startswith(instance_path + ",")
+
+
+def test_evaluate_csv_quotes_a_label_with_a_comma_or_quote(tmp_path, capsys):
+    inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.3}, ("v1",), ("P", "Q"))
+    path = str(tmp_path / 'x,"y".json')
+    save_instance(inst, path)
+    assert main(["evaluate", "--instance", path, "--rule", "rule5", "--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["label", "winner", "delta", "rho", "bound", "margin"]
+    assert row[:2] == [path, "P"] and len(row) == 6
 
 
 def test_evaluate_multiway_reports_tournament(multi_path, capsys):
@@ -243,6 +255,21 @@ def test_non_finite_instance_exits_2(space, tmp_path, capsys):
     assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "finite" in captured.err
+
+
+@pytest.mark.parametrize("space, field", [
+    ({"type": "line", "positions": {"P": 0, "Q": 1, "v1": 10**400}}, "positions['v1']"),
+    ({"type": "euclidean", "positions": {"P": [0, 0], "Q": [1, 0], "v1": [0.5, -10**400]}},
+     "coordinates['v1']"),
+    ({"type": "matrix", "ids": ["P", "Q", "v1"],
+      "distances": [[0, 2, 1], [2, 0, 10**400], [1, 10**400, 0]]}, "d(Q,v1)"),
+])
+def test_integer_too_large_for_a_float_exits_2(space, field, tmp_path, capsys):
+    path = tmp_path / "huge_int.json"
+    path.write_text(json.dumps(_doc(space)))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {field}")
 
 
 @pytest.mark.parametrize("space, voters", [

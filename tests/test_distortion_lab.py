@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import random
@@ -6,20 +8,24 @@ import warnings
 import pytest
 
 from strengthvote.distortion_lab import (InvalidParams, PoleViolation,
-                                         actual_distortion, cost_bound_holds,
+                                         actual_distortion, cost_ratio,
                                          evaluate_instance, generate_lower_bound,
-                                         ideal_distortion, ideal_point,
-                                         ideal_tradeoff_bound, lambda_check,
+                                         ideal_point, ideal_tradeoff_bound,
                                          lower_bound_target, report_csv,
-                                         report_json, report_to_dict,
-                                         rule3_counterexample)
+                                         report_to_dict, rule3_counterexample)
 from strengthvote import metric_core
-from strengthvote.metric_core import (euclidean_instance, line_instance,
+from strengthvote.metric_core import (MetricInstance, euclidean_instance, line_instance,
                                       matrix_instance, social_cost)
 from strengthvote.rules import SQRT2, make_rule
 from strengthvote.tournament import copeland_winner, majority_graph
 
 TOL = 1e-9
+
+
+def cost_bound_holds(inst: MetricInstance, p: str, q: str, z: str,
+                     q_coef: float, z_coef: float, tol: float = 1e-9) -> bool:
+    """SC(p) <= q_coef*SC(q) + z_coef*SC(z) within tol."""
+    return social_cost(inst, p) <= q_coef * social_cost(inst, q) + z_coef * social_cost(inst, z) + tol
 
 
 def test_actual_distortion():
@@ -122,8 +128,8 @@ def test_matrix_ideal_restricted_to_named_points():
 def test_ideal_distortion():
     inst = line_instance({"P": -1.0, "Q": 2.0, "v1": 0.0, "v2": 1.0},
                          ("v1", "v2"), ("P", "Q"))
-    assert ideal_distortion(inst, "P") == pytest.approx(3.0)
-    assert ideal_distortion(inst, "Q") == pytest.approx(3.0)
+    assert cost_ratio(social_cost(inst, "P"), ideal_point(inst).cost) == pytest.approx(3.0)
+    assert cost_ratio(social_cost(inst, "Q"), ideal_point(inst).cost) == pytest.approx(3.0)
 
 
 def test_evaluate_instance_two_candidates():
@@ -161,8 +167,7 @@ def test_cost_bound_and_lambda_check():
                          ("v1",), ("P", "Q", "Z"))
     # SC(P) = 0.5, SC(Q) = 0.5, SC(Z) = 0
     assert cost_bound_holds(inst, "P", "Q", "Z", 1.0, 2.0)
-    assert lambda_check(inst, "P", "Q", "Z", 2.0)
-    assert not lambda_check(inst, "Q", "Z", "Z", 0.5)
+    assert not cost_bound_holds(inst, "Q", "Z", "Z", 1.0, 0.5)
 
 
 def test_ideal_tradeoff_bound_values():
@@ -314,7 +319,7 @@ def test_rule3_counterexample_breaks_the_cost_inequality():
 def test_report_serialization():
     inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.3}, ("v1",), ("P", "Q"))
     report = evaluate_instance(inst, make_rule("rule5"))
-    doc = json.loads(report_json(report))
+    doc = json.loads(json.dumps(report_to_dict(report), indent=2))
     assert doc["winner"] == "P"
     assert doc["delta"] == 1.0
     assert doc == report_to_dict(report)
@@ -322,6 +327,16 @@ def test_report_serialization():
     parts = line.split(",")
     assert parts[0] == "case-7" and parts[1] == "P"
     assert len(parts) == 6
+
+
+def test_report_csv_quotes_a_label_with_a_comma_quote_or_line_break():
+    inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.3}, ("v1",), ("P", "Q"))
+    report = evaluate_instance(inst, make_rule("rule5"))
+    for label in ('x,y', 'x"y', "x\ny", "x\ry", "x\r\ny"):
+        line = report_csv(report, label=label)
+        assert "\n" not in line.replace(label, "")
+        (row,) = csv.reader(io.StringIO(line))
+        assert row[:2] == [label, "P"] and len(row) == 6
 
 
 def test_evaluate_measures_each_voter_distance_to_each_candidate_once(monkeypatch):

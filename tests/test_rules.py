@@ -8,7 +8,7 @@ from strengthvote.rules import (InvalidThreshold, Rule, SchemeMismatch, SQRT2,
                                 bound_value, condition1_holds, decide_pair,
                                 decide_profile, decide_tally, make_rule,
                                 rule4_decide, rule4_delta, rule4_weights,
-                                rule5_decide, rule5_weight)
+                                rule5_weight)
 from strengthvote.tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
                                   ThresholdScheme, pairwise_tally)
 
@@ -208,7 +208,7 @@ def test_rule5_weight_profile():
 
 def test_rule5_strong_minority_prevails():
     prof = ExactProfile(("P", "Q"), (1.1, 1.1), (2.0,))
-    d = rule5_decide(prof)
+    d = decide_profile(prof, make_rule("rule5"))
     assert d.winner == "Q"
     assert d.p_score == pytest.approx(0.2, abs=1e-9)
 

@@ -6,18 +6,28 @@ from itertools import product
 import numpy as np
 import pytest
 
-from strengthvote.distortion_lab import generate_lower_bound
-from strengthvote.metric_core import line_instance, social_cost
+from strengthvote.distortion_lab import evaluate_instance, generate_lower_bound
+from strengthvote.metric_core import MetricInstance, line_instance, social_cost
 from strengthvote.rules import (SQRT2, bound_value, decide_pair, make_rule, rule4_delta,
                                 rule4_weights)
 from strengthvote import rules, search_oracle
 from strengthvote.search_oracle import (SearchConfig, _anchor_instances, _grid_positions,
                                         _signed_weights,
                                         _two_candidate_rules, adversarial_search,
-                                        brute_force_best, check_bounds, check_condition1,
+                                        check_bounds, check_condition1,
                                         check_lowerbounds, optimize_thresholds,
                                         random_instance, verify_suite)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
+
+
+def brute_force_best(inst: MetricInstance) -> tuple[str, float]:
+    """Cheapest candidate by social cost, lexicographically smallest on ties."""
+    best, cost = None, math.inf
+    for c in sorted(inst.candidates):
+        sc = social_cost(inst, c)
+        if sc < cost:
+            best, cost = c, sc
+    return best, cost
 
 
 def test_brute_force_best():
@@ -26,6 +36,16 @@ def test_brute_force_best():
     assert brute_force_best(inst) == ("b", pytest.approx(0.4))
     tied = line_instance({"a": 0.0, "b": 1.0, "v1": 0.5}, ("v1",), ("a", "b"))
     assert brute_force_best(tied)[0] == "a"
+
+
+def test_evaluate_instance_delta_matches_brute_force_best():
+    rng = np.random.default_rng(4)
+    rule = make_rule("rule4", taus=(1.5, 3.0))
+    for _ in range(30):
+        inst = random_instance(rng, "euclidean2d", num_candidates=4)
+        _, cost = brute_force_best(inst)
+        report = evaluate_instance(inst, rule)
+        assert report.delta == pytest.approx(social_cost(inst, report.winner) / cost)
 
 
 def test_random_instance_is_seeded():

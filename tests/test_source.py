@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -34,3 +35,34 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every name a module looks up, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_every_public_function_has_a_caller_or_is_documented():
+    """A public module-level def or class that no module uses must be named in
+    the README; otherwise nothing but the tests would reach it."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    used = set().union(*map(_referenced_names, trees.values()))
+    readme = (SRC.parent.parent / "README.md").read_text()
+    unreached = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+        and not re.search(rf"\b{re.escape(node.name)}\b", readme)
+    ]
+    assert unreached == []

@@ -76,7 +76,7 @@ def test_pairwise_tally_counts():
     assert tally.a_counts == (1,)
     assert tally.b_counts == (1,)
     assert tally.c_count == 1
-    assert tally.total == 3
+    assert sum(tally.a_counts) + sum(tally.b_counts) + tally.c_count == 3
 
 
 def test_strict_boundary_voter_drops_down():
