@@ -11,7 +11,10 @@ numpy; the first violation in row-major order is reported.
 
 Each voter's distance to a point is measured once per instance: the voter
 column of a point (``voter_distances``) is built through ``distance`` on
-first use and kept, and social costs and strength profiles read it.
+first use and kept, and social costs and strength profiles read it. The
+instance also keeps each ordered pair's strength profile once
+``tallies.exact_profile`` has built it; profiles and columns live as long as
+the instance, about C(C-1)/2 * V floats for C candidates and V voters.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ class MetricInstance:
 
     @cached_property
     def _columns(self) -> dict[str, tuple[float, ...]]:
+        return {}
+
+    @cached_property
+    def _profiles(self) -> dict[tuple[str, str], object]:
+        """tallies.exact_profile's result for each ordered pair it has built."""
         return {}
 
     def voter_distances(self, point: str) -> tuple[float, ...]:
@@ -299,6 +307,8 @@ def load_instance(path) -> MetricInstance:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply to read") from None
     return build_instance(doc)
 
 

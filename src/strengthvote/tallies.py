@@ -12,6 +12,10 @@ strict comparison: under ``strict`` a strength exactly equal to a cutoff
 tau_l > 1 stays below it (in bucket l-1, or in C), while ``inclusive`` is the
 default tau_l <= s convention. A cutoff of exactly 1 is inclusive in both
 modes, since strengths never fall below 1.
+
+Both steps are built once and kept: an instance holds each ordered pair's
+profile, and a profile holds its tally under each (scheme, boundary), for as
+long as the instance lives.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .metric_core import MetricInstance, SameCandidate, _preference
 # Unused here, but perfbench/tracer.py counts calls through this module attribute.
@@ -75,6 +80,11 @@ class ExactProfile:
     a_strengths: tuple[float, ...]
     b_strengths: tuple[float, ...]
 
+    @cached_property
+    def _tallies(self) -> dict[tuple[ThresholdScheme, str], PairwiseTally]:
+        """bucket_profile's result for each (scheme, boundary) it has built."""
+        return {}
+
 
 @dataclass(frozen=True)
 class PairwiseTally:
@@ -99,30 +109,38 @@ class PairwiseTally:
 
 def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
     """Collect every voter's (preferred, strength) for the pair, unbucketed,
-    from the voters' distance columns to p and q."""
+    from the voters' distance columns to p and q; built once per instance."""
     if p == q:
         raise SameCandidate(p)
-    a, b = [], []
-    for dp, dq in zip(inst.voter_distances(p), inst.voter_distances(q)):
-        preferred, s = _preference(p, dp, q, dq)
-        (a if preferred == p else b).append(s)
-    return ExactProfile((p, q), tuple(a), tuple(b))
+    profile = inst._profiles.get((p, q))
+    if profile is None:
+        a, b = [], []
+        for dp, dq in zip(inst.voter_distances(p), inst.voter_distances(q)):
+            preferred, s = _preference(p, dp, q, dq)
+            (a if preferred == p else b).append(s)
+        profile = inst._profiles[(p, q)] = ExactProfile((p, q), tuple(a), tuple(b))
+    return profile
 
 
 def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme,
                    boundary: str = INCLUSIVE) -> PairwiseTally:
-    """Reduce exact strengths to the bucket counts a scheme's ballots reveal."""
-    a = [0] * scheme.m
-    b = [0] * scheme.m
-    c = 0
-    for side, counts in ((profile.a_strengths, a), (profile.b_strengths, b)):
-        for s in side:
-            l = scheme.bucket(s, boundary)
-            if l == 0:
-                c += 1
-            else:
-                counts[l - 1] += 1
-    return PairwiseTally(profile.pair, scheme, tuple(a), tuple(b), c, boundary)
+    """Reduce exact strengths to the bucket counts a scheme's ballots reveal;
+    built once per profile and (scheme, boundary)."""
+    tally = profile._tallies.get((scheme, boundary))
+    if tally is None:
+        a = [0] * scheme.m
+        b = [0] * scheme.m
+        c = 0
+        for side, counts in ((profile.a_strengths, a), (profile.b_strengths, b)):
+            for s in side:
+                l = scheme.bucket(s, boundary)
+                if l == 0:
+                    c += 1
+                else:
+                    counts[l - 1] += 1
+        tally = PairwiseTally(profile.pair, scheme, tuple(a), tuple(b), c, boundary)
+        profile._tallies[(scheme, boundary)] = tally
+    return tally
 
 
 def pairwise_tally(inst: MetricInstance, p: str, q: str, scheme: ThresholdScheme,

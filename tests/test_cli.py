@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+import random
+from collections import Counter
 
 import pytest
 
-from strengthvote import search_oracle
+from strengthvote import search_oracle, tallies
 from strengthvote.cli import main
 from strengthvote.metric_core import line_instance, save_instance
+from strengthvote.tallies import ThresholdScheme
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,6 +77,33 @@ def test_evaluate_rule2_multiway_has_no_bound(multi_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["bound"] == "inf"
+
+
+def test_evaluate_builds_each_profile_and_tally_once(tmp_path, monkeypatch, capsys):
+    """Five candidates and 50 voters: 10 pairs, each with one profile of 50
+    strengths and one tally under the rule's scheme, though the multiway
+    report decides every pair twice."""
+    rng = random.Random(10)
+    voters = [f"v{i}" for i in range(50)]
+    cands = [f"c{j}" for j in range(5)]
+    pos = {c: float(j) for j, c in enumerate(cands)}
+    pos.update((v, rng.uniform(-1.0, 5.0)) for v in voters)
+    path = tmp_path / "five.json"
+    save_instance(line_instance(pos, voters, cands), path)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tallies, "_preference", counted("_preference", tallies._preference))
+    monkeypatch.setattr(ThresholdScheme, "bucket", counted("bucket", ThresholdScheme.bucket))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule4",
+                 "--taus", "1.5,3"]) == 0
+    assert "uncovered_set" in json.loads(capsys.readouterr().out)
+    assert calls == {"_preference": 500, "bucket": 500}
 
 
 def test_lowerbound_summary(tmp_path, capsys):
@@ -215,6 +245,15 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["evaluate", "--instance", str(bad), "--rule", "rule5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["evaluate", "--instance", str(deep), "--rule", "rule5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(deep) in captured.err
 
 
 @pytest.mark.parametrize("field, voters, candidates, ids", [

@@ -4,9 +4,11 @@ from itertools import permutations
 
 import pytest
 
+from strengthvote import search_oracle, tallies
 from strengthvote.metric_core import (SameCandidate, UnknownId, distance, euclidean_instance,
                                       line_instance, matrix_instance, preference_strength,
                                       social_cost)
+from strengthvote.rules import decide_pair, make_rule
 from strengthvote.tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
                                   ThresholdScheme, bucket_profile, exact_profile,
                                   pairwise_tally, tally_csv)
@@ -180,3 +182,69 @@ def test_exact_profile_rejects_one_candidate_and_unknown_ids():
         social_cost(inst, "ghost")
     # the instance still answers after a failed lookup
     assert exact_profile(inst, "P", "Q").a_strengths[:2] == (1.0, math.inf)
+
+
+def test_a_second_exact_profile_is_the_same_object_and_measures_nothing(monkeypatch):
+    inst = _column_cases("line", 1)
+    first = exact_profile(inst, "P", "Q")
+    calls = []
+    preference = tallies._preference
+    monkeypatch.setattr(tallies, "_preference",
+                        lambda *args: calls.append(args) or preference(*args))
+    assert exact_profile(inst, "P", "Q") is first
+    assert calls == []
+    assert exact_profile(inst, "Q", "P") is not first
+    assert len(calls) == len(inst.voters)
+
+
+def test_kept_tallies_are_told_apart_by_boundary():
+    # v1 at 1/(tau+1) has strength exactly tau = 3 toward P
+    def build():
+        return line_instance({"P": 0.0, "Q": 1.0, "v1": 0.25, "v2": 0.9},
+                             ("v1", "v2"), ("P", "Q"))
+    scheme = ThresholdScheme((3.0,))
+    prof = exact_profile(build(), "P", "Q")
+    strict = bucket_profile(prof, scheme, STRICT)
+    inclusive = bucket_profile(prof, scheme, INCLUSIVE)
+    assert strict != inclusive
+    assert (strict.a_counts, strict.c_count) == ((0,), 1)
+    assert strict == pairwise_tally(build(), "P", "Q", scheme, STRICT)
+    assert inclusive == pairwise_tally(build(), "P", "Q", scheme, INCLUSIVE)
+    assert bucket_profile(prof, scheme, STRICT) is strict
+
+
+def _memo_case(space: str, seed: int, num_candidates: int):
+    """A seeded instance, rebuilt anew on every call; one voter sits on c0."""
+    rng = random.Random(seed)
+    dim = 1 if space == "line" else 2
+    cands = tuple(f"c{j}" for j in range(num_candidates))
+    voters = tuple(f"v{i}" for i in range(rng.randint(1, 12))) + ("c0",)
+    pos = {x: tuple(rng.uniform(-1.0, 2.0) for _ in range(dim)) for x in cands + voters}
+    if space == "line":
+        return line_instance(pos, voters, cands)
+    if space == "euclidean2d":
+        return euclidean_instance(pos, voters, cands)
+    ids = sorted(pos)
+    rows = [[math.dist(pos[a], pos[b]) for b in ids] for a in ids]
+    return matrix_instance(ids, rows, voters, cands)
+
+
+def _decision_key(decision):
+    return decision.winner, decision.p_score.hex(), decision.q_score.hex(), decision.tie
+
+
+@pytest.mark.parametrize("num_candidates", [2, 3, 4, 5])
+@pytest.mark.parametrize("space", ["line", "euclidean2d", "matrix"])
+def test_decisions_on_a_warmed_instance_match_a_fresh_one(space, num_candidates):
+    rules = search_oracle._two_candidate_rules() + [
+        make_rule("rule4", taus=(1.5, 3.0)), make_rule("rule4", taus=(1.0, 2.0, 4.0))]
+    for seed in range(3):
+        warm = _memo_case(space, seed, num_candidates)
+        pairs = list(permutations(warm.candidates, 2))
+        for rule in rules:
+            for p, q in pairs:
+                decide_pair(warm, p, q, rule)
+        for rule in rules:
+            for p, q in pairs:
+                fresh = decide_pair(_memo_case(space, seed, num_candidates), p, q, rule)
+                assert _decision_key(decide_pair(warm, p, q, rule)) == _decision_key(fresh)
