@@ -10,6 +10,7 @@ or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -182,7 +183,9 @@ def _add_rule_flags(parser):
     parser.add_argument("--taus", default=None, help="comma-separated thresholds for rule4")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="strengthvote",
         description="Metric voting with coarse preference-strength reports.")

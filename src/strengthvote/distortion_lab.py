@@ -115,8 +115,9 @@ def ideal_point(inst: MetricInstance) -> IdealPoint:
     if inst.space == EUCLIDEAN:
         pts = np.array([inst.coords[v] for v in inst.voters], dtype=float)
         loc, converged, achieved = _geometric_median(pts)
-        cost = math.fsum(math.dist(tuple(loc), tuple(p)) for p in pts)
-        return IdealPoint(tuple(float(x) for x in loc), cost, "iterative", converged, achieved)
+        loc = tuple(loc.tolist())
+        cost = math.fsum(math.dist(loc, p) for p in pts.tolist())
+        return IdealPoint(loc, cost, "iterative", converged, achieved)
     best, best_cost = None, math.inf
     for pid in inst.point_ids:
         c = social_cost(inst, pid)

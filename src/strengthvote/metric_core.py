@@ -10,11 +10,12 @@ every metric axiom exactly, the triangle inequality over all n^3 triples, on
 numpy; the first violation in row-major order is reported.
 
 Each voter's distance to a point is measured once per instance: the voter
-column of a point (``voter_distances``) is built through ``distance`` on
-first use and kept, and social costs and strength profiles read it. The
-instance also keeps each ordered pair's strength profile once
-``tallies.exact_profile`` has built it; profiles and columns live as long as
-the instance, about C(C-1)/2 * V floats for C candidates and V voters.
+column of a point (``voter_distances``), a read-only float64 array, is built
+through ``distance`` on first use and kept, and social costs and the
+strength kernel in ``tallies`` read it. The instance also keeps each ordered
+pair's strength profile once ``tallies.exact_profiles`` has built it;
+profiles and columns live as long as the instance, at 8 bytes per strength:
+about C(C-1)/2 * V floats of profiles for C candidates and V voters.
 """
 
 from __future__ import annotations
@@ -74,20 +75,23 @@ class MetricInstance:
         return {pid: i for i, pid in enumerate(self.point_ids)}
 
     @cached_property
-    def _columns(self) -> dict[str, tuple[float, ...]]:
+    def _columns(self) -> dict[str, np.ndarray]:
         return {}
 
     @cached_property
     def _profiles(self) -> dict[tuple[str, str], object]:
-        """tallies.exact_profile's result for each ordered pair it has built."""
+        """tallies.exact_profiles' result for each ordered pair it has built."""
         return {}
 
-    def voter_distances(self, point: str) -> tuple[float, ...]:
-        """d(v, point) for each voter v in voter order, measured on first use."""
+    def voter_distances(self, point: str) -> np.ndarray:
+        """d(v, point) for each voter v in voter order, as a read-only float64
+        array, measured on first use."""
         column = self._columns.get(point)
         if column is None:
-            column = self._columns[point] = tuple(distance(self, v, point)
-                                                  for v in self.voters)
+            column = np.fromiter((distance(self, v, point) for v in self.voters),
+                                 float, len(self.voters))
+            column.flags.writeable = False
+            self._columns[point] = column
         return column
 
     def named_points(self) -> tuple[str, ...]:
@@ -334,7 +338,7 @@ def distance(inst: MetricInstance, a: str, b: str) -> float:
 
 def social_cost(inst: MetricInstance, point: str) -> float:
     """Total distance from all voters to the named point."""
-    return math.fsum(inst.voter_distances(point))
+    return math.fsum(inst.voter_distances(point).tolist())
 
 
 def preference_strength(inst: MetricInstance, voter: str, p: str, q: str):

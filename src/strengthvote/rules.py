@@ -37,10 +37,13 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+
+import numpy as np
 
 from .metric_core import MetricInstance
-from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
-                      ThresholdScheme, bucket_profile, exact_profile)
+from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdScheme,
+                      _joined_sides, bucket_profile, bucket_profiles, exact_profile)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -115,12 +118,12 @@ class Rule:
             return "rule4[taus=" + ";".join(f"{t:g}" for t in self.scheme.taus) + "]"
         return "rule5"
 
-    def weight(self, strength: float) -> float:
-        """Decision weight of one voter with the given strength (0 in C)."""
+    def weight(self, strength):
+        """Decision weight of a voter with the given strength (0 in C);
+        elementwise on an array."""
         if self.kind == "rule5":
             return rule5_weight(strength)
-        l = self.scheme.bucket(strength, self.boundary)
-        return self.weights[l - 1] if l else 0.0
+        return np.array((0.0,) + self.weights)[self.scheme.bucket(strength, self.boundary)]
 
 
 def make_rule(kind: str, tau: float | None = None, taus=None) -> Rule:
@@ -227,20 +230,45 @@ def condition1_holds(tally: PairwiseTally, side: str) -> bool:
     return _condition1_diff(tally, rule)[tally.pair.index(side)] >= -1e-9
 
 
-def rule5_weight(strength: float) -> float:
-    if math.isinf(strength):
-        return SQRT2
-    if strength > SQRT2:
-        return (SQRT2 * strength - 1.0) / (strength + 1.0)
-    return strength - 1.0
+def rule5_weight(strength):
+    """rule5's weight of a strength, elementwise on an array."""
+    s = np.asarray(strength, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.where(s > SQRT2, (SQRT2 * s - 1.0) / (s + 1.0), s - 1.0)
+    w = np.where(np.isinf(s), SQRT2, w)
+    return w if w.ndim else float(w)
+
+
+def _rule5_scores(profiles) -> list[tuple[float, float]]:
+    """Each profile's rule5 side scores, the fsum of its voters' weights,
+    kept on the profile; the profiles without them are weighed in one pass."""
+    todo = [prof for prof in profiles if "rule5" not in prof._scores]
+    if todo:
+        strengths, sizes = _joined_sides(todo)
+        weights = rule5_weight(strengths)
+        ends = list(accumulate(sizes))
+        sums = [math.fsum(weights[lo:hi].tolist()) for lo, hi in zip([0] + ends, ends)]
+        for prof, p, q in zip(todo, sums[0::2], sums[1::2]):
+            prof._scores["rule5"] = (p, q)
+    return [prof._scores["rule5"] for prof in profiles]
+
+
+def prepare_profiles(profiles, rules) -> None:
+    """Build in one batch what the rules read from these profiles: a tally
+    per distinct (scheme, boundary), and rule5's side scores. decide_profile
+    then reads the kept results."""
+    for scheme, boundary in dict.fromkeys((r.scheme, r.boundary) for r in rules
+                                          if r.kind != "rule5"):
+        bucket_profiles(profiles, scheme, boundary)
+    if any(r.kind == "rule5" for r in rules):
+        _rule5_scores(profiles)
 
 
 def decide_profile(profile: ExactProfile, rule: Rule) -> PairwiseDecision:
     """Decide a pair from its exact profile, revealing only what the rule may see."""
     if rule.kind == "rule5":
-        p = math.fsum(rule5_weight(s) for s in profile.a_strengths)
-        q = math.fsum(rule5_weight(s) for s in profile.b_strengths)
-        return _resolve(profile.pair, p, q)
+        scores = profile._scores.get("rule5") or _rule5_scores([profile])[0]
+        return _resolve(profile.pair, *scores)
     return decide_tally(bucket_profile(profile, rule.scheme, rule.boundary), rule)
 
 

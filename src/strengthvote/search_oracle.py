@@ -14,19 +14,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .distortion_lab import (actual_distortion, cost_ratio, generate_lower_bound, ideal_point,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
-from .metric_core import (MetricInstance, _preference, euclidean_instance, line_instance,
-                          social_cost)
-from .rules import (SQRT2, Rule, _condition1_diff, bound_value, decide_pair,
-                    decide_profile, decide_tally, lambda_coefficients, make_rule, rule4_delta)
+from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
+from .rules import (SQRT2, Rule, _condition1_diff, bound_value, decide_pair, decide_profile,
+                    decide_tally, lambda_coefficients, make_rule, prepare_profiles, rule4_delta)
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
 from .rules import rule4_decide, rule4_weights  # noqa: F401
-from .tallies import PairwiseTally, ThresholdScheme, exact_profile
+from .tallies import PairwiseTally, ThresholdScheme, _strengths, exact_profile, exact_profiles
 from .tournament import TournamentGraph, copeland_winner, majority_graph
 
 SUITES = ("bounds", "lambda", "condition1", "tradeoff", "lowerbounds", "all")
@@ -106,11 +105,9 @@ def _anchor_instances(rule: Rule) -> list[MetricInstance]:
 
 def _signed_weights(rule: Rule, xs: np.ndarray) -> np.ndarray:
     """Per-position decision weight, signed + toward the candidate P at 0."""
-    w = []
-    for x in xs.tolist():
-        side, s = _preference("P", abs(x), "Q", abs(x - 1.0))
-        w.append(rule.weight(s) if side == "P" else -rule.weight(s))
-    return np.array(w)
+    toward_p, s = _strengths(np.abs(xs), np.abs(xs - 1.0))
+    w = rule.weight(s)
+    return np.where(toward_p, w, -w)
 
 
 def _grid_positions(rule: Rule, n: int) -> np.ndarray:
@@ -177,8 +174,10 @@ def adversarial_search(rule: Rule, config: SearchConfig = SearchConfig()):
                 f"grid sweep disagrees with the pipeline: {grid_delta} vs {rechecked}")
         consider(inst)
     rng = np.random.default_rng(config.seed)
-    for _ in range(config.n_instances):
-        consider(random_instance(rng, config.space, config.voters_max))
+    randoms = (random_instance(rng, config.space, config.voters_max)
+               for _ in range(config.n_instances))
+    for inst in _prepared(randoms, [rule]):
+        consider(inst)
     bound = bound_value(rule, 2)
     if best_delta > bound + 1e-9:
         raise AssertionError(f"distortion {best_delta} exceeds the proven bound {bound}")
@@ -232,6 +231,24 @@ def optimize_thresholds(m: int) -> tuple[tuple[float, ...], float]:
 
 _VOTERS_MAX = 20  # most voters in a check's random instance
 
+# Instances whose profiles and tallies are built in one batch: enough to
+# spread numpy's per-call cost over instances of at most _VOTERS_MAX voters.
+# Every profile and tally of a chunk stays alive until the chunk is done, so
+# a larger chunk costs memory: 256 raised verify_all's peak RSS by 3 MB.
+_CHUNK = 64
+
+
+def _prepared(instances, rules):
+    """Yield the instances in order, a chunk of _CHUNK at a time: a chunk is
+    drawn first, then the profiles of every candidate pair of its instances
+    and what the rules read from them are built in one batch."""
+    instances = iter(instances)
+    while chunk := list(islice(instances, _CHUNK)):
+        prepare_profiles(exact_profiles([(inst, p, q) for inst in chunk
+                                         for p, q in combinations(sorted(inst.candidates), 2)]),
+                         rules)
+        yield from chunk
+
 
 def _check(worst):
     """Make a check from a generator that yields (margin, failed) per case.
@@ -281,7 +298,8 @@ def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000):
     rules4 = [r for r in rules2 if r.kind != "rule2"]
     for count, num_candidates, rules in ((n_two, 2, rules2), (n_multi, 4, rules4)):
         bounds = [bound_value(r, num_candidates) for r in rules]
-        for inst in _alternating_instances(rng, count, num_candidates=num_candidates):
+        instances = _alternating_instances(rng, count, num_candidates=num_candidates)
+        for inst in _prepared(instances, rules):
             cands = tuple(sorted(inst.candidates))
             profs = {pq: exact_profile(inst, *pq) for pq in combinations(cands, 2)}
             costs = {c: social_cost(inst, c) for c in cands}
@@ -305,7 +323,7 @@ def check_lambda(seed: int = 42, n: int = 5_000):
              make_rule("rule3", tau=2.0), make_rule("rule4", taus=(2.0,)),
              make_rule("rule4", taus=(1.5, 3.0))]
     probes = [(rule, *lambda_coefficients(rule)) for rule in rules]
-    for inst in _alternating_instances(rng, n, extra_point=True):
+    for inst in _prepared(_alternating_instances(rng, n, extra_point=True), rules):
         prof = exact_profile(inst, "P", "Q")
         costs = {c: social_cost(inst, c) for c in ("P", "Q", "Z")}
         for rule, q_coef, z_coef in probes:
@@ -351,8 +369,9 @@ def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
     rng = np.random.default_rng(seed)
     rules = [make_rule("rule1", tau=2.0), make_rule("rule5")]
     for count, num_candidates in ((n_two, 2), (n_multi, 4)):
-        for _ in range(count):
-            inst = random_instance(rng, "line", _VOTERS_MAX, num_candidates)
+        instances = (random_instance(rng, "line", _VOTERS_MAX, num_candidates)
+                     for _ in range(count))
+        for inst in _prepared(instances, rules):
             cands = tuple(sorted(inst.candidates))
             costs = {c: social_cost(inst, c) for c in cands}
             best = min(costs.values())

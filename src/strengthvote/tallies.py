@@ -13,19 +13,27 @@ tau_l > 1 stays below it (in bucket l-1, or in C), while ``inclusive`` is the
 default tau_l <= s convention. A cutoff of exactly 1 is inclusive in both
 modes, since strengths never fall below 1.
 
-Both steps are built once and kept: an instance holds each ordered pair's
-profile, and a profile holds its tally under each (scheme, boundary), for as
-long as the instance lives.
+One column kernel (``_strengths``) is the only path from distances to
+strengths: it turns two voter-distance columns into each voter's side and
+its strength far/near. ``exact_profiles`` runs it once over a batch of
+(instance, p, q) items, ``bucket_profiles`` buckets a batch of profiles with
+one searchsorted and counts them with one bincount, and the single-item
+forms are batches of one. Both steps are built once and kept: an instance
+holds each ordered pair's profile, each side a read-only float64 array (8
+bytes per strength), and a profile holds its tally under each (scheme,
+boundary), for as long as the instance lives.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
-from .metric_core import MetricInstance, SameCandidate, _preference
+import numpy as np
+
+from .metric_core import MetricInstance, SameCandidate
 # Unused here, but perfbench/tracer.py counts calls through this module attribute.
 from .metric_core import preference_strength  # noqa: F401
 
@@ -61,28 +69,60 @@ class ThresholdScheme:
             return math.inf
         return self.taus[l - 1]
 
-    def bucket(self, strength: float, boundary: str = INCLUSIVE) -> int:
+    def bucket(self, strength, boundary: str = INCLUSIVE):
         """Bucket index for a strength: 0 for C, else the largest applicable l,
         which is the number of cutoffs at or below it (strictly below under a
-        strict boundary, except a cutoff of 1)."""
-        if not strength >= 1.0:
-            raise ValueError(f"preference strengths are >= 1, got {strength}")
-        if boundary == INCLUSIVE or strength == 1.0:
-            return bisect_right(self.taus, strength)
-        return bisect_left(self.taus, strength)
+        strict boundary, except a cutoff of 1). Elementwise on an array."""
+        s = np.asarray(strength, dtype=float)
+        if np.count_nonzero(s >= 1.0) != s.size:
+            raise ValueError(f"preference strengths are >= 1, got {s[~(s >= 1.0)].flat[0]}")
+        if boundary == INCLUSIVE:
+            l = self._cuts.searchsorted(s, "right")
+        else:
+            l = self._cuts.searchsorted(s, "left")
+            if self.taus[0] == 1.0:
+                l = l + (s == 1.0)
+        return l if l.ndim else int(l)
+
+    @cached_property
+    def _cuts(self) -> np.ndarray:
+        return np.array(self.taus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactProfile:
-    """Raw strengths for an ordered pair: a_* toward pair[0], b_* toward pair[1]."""
+    """Raw strengths for an ordered pair, each side a read-only float64 array
+    in voter order: a toward pair[0], b toward pair[1]."""
 
     pair: tuple[str, str]
-    a_strengths: tuple[float, ...]
-    b_strengths: tuple[float, ...]
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        for name in ("a", "b"):
+            side = getattr(self, name)
+            if not isinstance(side, np.ndarray) or side.flags.writeable or side.dtype != np.float64:
+                side = np.array(side, dtype=float)
+                side.flags.writeable = False
+                object.__setattr__(self, name, side)
+
+    @property
+    def a_strengths(self) -> tuple[float, ...]:
+        return tuple(self.a.tolist())
+
+    @property
+    def b_strengths(self) -> tuple[float, ...]:
+        return tuple(self.b.tolist())
 
     @cached_property
     def _tallies(self) -> dict[tuple[ThresholdScheme, str], PairwiseTally]:
-        """bucket_profile's result for each (scheme, boundary) it has built."""
+        """bucket_profiles' result for each (scheme, boundary) it has built."""
+        return {}
+
+    @cached_property
+    def _scores(self) -> dict[str, tuple[float, float]]:
+        """The (a, b) side scores of the rules that weigh exact strengths
+        (rule5), once rules has summed them."""
         return {}
 
 
@@ -107,40 +147,87 @@ class PairwiseTally:
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
 
 
+def _strengths(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel: from voters' distances d1 to one candidate and d2 to the
+    other, whether each voter prefers the first and its strength far/near.
+    The caller puts the lexicographically smaller id first, so an equidistant
+    voter has strength 1 toward it; a voter on its nearer candidate has
+    strength +inf."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.maximum(d1, d2)
+        s /= np.minimum(d1, d2)
+    s[d1 == d2] = 1.0
+    return d1 <= d2, s
+
+
+def exact_profiles(items) -> list[ExactProfile]:
+    """Every voter's strength for each (instance, p, q) item, unbucketed, from
+    the voters' distance columns to p and q. A pair's profile is built once
+    per instance; the items not yet kept are measured in one kernel pass."""
+    todo = []
+    for inst, p, q in items:
+        if p == q:
+            raise SameCandidate(p)
+        if (p, q) not in inst._profiles:
+            todo.append((inst, p, q))
+    if todo:
+        sizes = [len(inst.voters) for inst, _, _ in todo]
+        toward_first, s = _strengths(
+            np.concatenate([inst.voter_distances(min(p, q)) for inst, p, q in todo]),
+            np.concatenate([inst.voter_distances(max(p, q)) for inst, p, q in todo]))
+        first_all, second_all = s[toward_first], s[~toward_first]
+        first_all.flags.writeable = second_all.flags.writeable = False
+        ends = list(accumulate(sizes))
+        ends_first = toward_first.cumsum()[np.array(ends) - 1].tolist()
+        lo = lo_first = 0
+        for (inst, p, q), hi, hi_first in zip(todo, ends, ends_first):
+            first = first_all[lo_first:hi_first]
+            second = second_all[lo - lo_first:hi - hi_first]
+            profile = ExactProfile((p, q), *((first, second) if p < q else (second, first)))
+            inst._profiles[(p, q)] = profile
+            lo, lo_first = hi, hi_first
+    return [inst._profiles[(p, q)] for inst, p, q in items]
+
+
 def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
-    """Collect every voter's (preferred, strength) for the pair, unbucketed,
-    from the voters' distance columns to p and q; built once per instance."""
-    if p == q:
-        raise SameCandidate(p)
+    """exact_profiles for one ordered pair."""
     profile = inst._profiles.get((p, q))
-    if profile is None:
-        a, b = [], []
-        for dp, dq in zip(inst.voter_distances(p), inst.voter_distances(q)):
-            preferred, s = _preference(p, dp, q, dq)
-            (a if preferred == p else b).append(s)
-        profile = inst._profiles[(p, q)] = ExactProfile((p, q), tuple(a), tuple(b))
-    return profile
+    return profile if profile is not None else exact_profiles([(inst, p, q)])[0]
+
+
+def _joined_sides(profiles) -> tuple[np.ndarray, list[int]]:
+    """The profiles' strengths in one array, side by side (a, b, a, b, ...),
+    and each side's size."""
+    sides = [side for prof in profiles for side in (prof.a, prof.b)]
+    return np.concatenate(sides), [len(side) for side in sides]
+
+
+def bucket_profiles(profiles, scheme: ThresholdScheme,
+                    boundary: str = INCLUSIVE) -> list[PairwiseTally]:
+    """Reduce each profile's exact strengths to the bucket counts a scheme's
+    ballots reveal. A tally is built once per profile and (scheme, boundary);
+    the profiles without one are bucketed in one pass and counted in one
+    bincount."""
+    key = (scheme, boundary)
+    todo = [prof for prof in profiles if key not in prof._tallies]
+    if todo:
+        strengths, sizes = _joined_sides(todo)
+        width = scheme.m + 1
+        buckets = scheme.bucket(strengths, boundary)
+        buckets += np.arange(0, len(sizes) * width, width).repeat(sizes)
+        counts = np.bincount(buckets, minlength=len(sizes) * width)
+        counts = counts.reshape(len(todo), 2, width).tolist()
+        for prof, (a, b) in zip(todo, counts):
+            prof._tallies[key] = PairwiseTally(prof.pair, scheme, tuple(a[1:]), tuple(b[1:]),
+                                               a[0] + b[0], boundary)
+    return [prof._tallies[key] for prof in profiles]
 
 
 def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme,
                    boundary: str = INCLUSIVE) -> PairwiseTally:
-    """Reduce exact strengths to the bucket counts a scheme's ballots reveal;
-    built once per profile and (scheme, boundary)."""
+    """bucket_profiles for one profile."""
     tally = profile._tallies.get((scheme, boundary))
-    if tally is None:
-        a = [0] * scheme.m
-        b = [0] * scheme.m
-        c = 0
-        for side, counts in ((profile.a_strengths, a), (profile.b_strengths, b)):
-            for s in side:
-                l = scheme.bucket(s, boundary)
-                if l == 0:
-                    c += 1
-                else:
-                    counts[l - 1] += 1
-        tally = PairwiseTally(profile.pair, scheme, tuple(a), tuple(b), c, boundary)
-        profile._tallies[(scheme, boundary)] = tally
-    return tally
+    return tally if tally is not None else bucket_profiles([profile], scheme, boundary)[0]
 
 
 def pairwise_tally(inst: MetricInstance, p: str, q: str, scheme: ThresholdScheme,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .metric_core import MetricInstance
-from .rules import PairwiseDecision, Rule, decide_pair
+from .rules import PairwiseDecision, Rule, decide_pair, prepare_profiles
+from .tallies import exact_profiles
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,10 @@ class TournamentGraph:
 
 
 def majority_graph(inst: MetricInstance, rule: Rule) -> TournamentGraph:
-    decisions = {}
-    for p, q in combinations(sorted(inst.candidates), 2):
-        decisions[(p, q)] = decide_pair(inst, p, q, rule)
+    """Decide every candidate pair, their profiles and tallies built in one batch."""
+    pairs = list(combinations(sorted(inst.candidates), 2))
+    prepare_profiles(exact_profiles([(inst, p, q) for p, q in pairs]), [rule])
+    decisions = {(p, q): decide_pair(inst, p, q, rule) for p, q in pairs}
     return TournamentGraph(tuple(inst.candidates), decisions)
 
 

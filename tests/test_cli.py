@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from strengthvote import search_oracle, tallies
@@ -93,17 +94,18 @@ def test_evaluate_builds_each_profile_and_tally_once(tmp_path, monkeypatch, caps
     calls = Counter()
 
     def counted(name, fn):
+        """fn, counting the strengths each call handles (its first array argument)."""
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += np.size(next(a for a in args if isinstance(a, np.ndarray)))
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(tallies, "_preference", counted("_preference", tallies._preference))
+    monkeypatch.setattr(tallies, "_strengths", counted("strengths", tallies._strengths))
     monkeypatch.setattr(ThresholdScheme, "bucket", counted("bucket", ThresholdScheme.bucket))
     assert main(["evaluate", "--instance", str(path), "--rule", "rule4",
                  "--taus", "1.5,3"]) == 0
     assert "uncovered_set" in json.loads(capsys.readouterr().out)
-    assert calls == {"_preference": 500, "bucket": 500}
+    assert calls == {"strengths": 500, "bucket": 500}
 
 
 def test_lowerbound_summary(tmp_path, capsys):
