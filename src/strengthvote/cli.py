@@ -40,6 +40,14 @@ def _build_rule(args) -> object:
     return make_rule(args.rule, tau=args.tau, taus=_parse_taus(args.taus) or None)
 
 
+def _check_at_least(args, **lows) -> None:
+    """Reject an integer flag below its least value, naming the flag."""
+    for name, low in lows.items():
+        value = getattr(args, name)
+        if value < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -154,6 +162,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _check_at_least(args, seed=0, grid=0, n_instances=0, voters_max=1)
     rule = _build_rule(args)
     config = SearchConfig(seed=args.seed, grid=args.grid, n_instances=args.n_instances,
                           voters_max=args.voters_max, space=args.space)
@@ -169,6 +178,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_at_least(args, seed=0)
     report = verify_suite(args.suite, seed=args.seed)
     text = json.dumps(report, indent=2) + "\n"
     _emit(text, args.out)

@@ -12,12 +12,14 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .metric_core import EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost
 from .rules import (SQRT2, Rule, bound_value, decide_pair, lambda_coefficients, make_rule,
-                    ratio_terms)
+                    prepare_profiles, ratio_terms)
+from .tallies import exact_profiles
 from .tournament import copeland_winner, majority_graph
 
 # family -> (number of thresholds, index into ratio_terms of the term it approaches)
@@ -151,6 +153,7 @@ def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:
     if len(cands) == 2:
         winner = decide_pair(inst, cands[0], cands[1], rule).winner
     else:
+        prepare_profiles(exact_profiles([(inst, p, q) for p, q in combinations(cands, 2)]), [rule])
         winner = copeland_winner(majority_graph(inst, rule))
     costs = {c: social_cost(inst, c) for c in inst.candidates}
     sc_w = costs[winner]
@@ -237,8 +240,8 @@ def generate_lower_bound(kind: str, taus=(), epsilon: float = 1e-6,
         tau_{l+1} - epsilon toward Q, both inside the same bucket.
     """
     taus = tuple(float(t) for t in taus)
-    if not epsilon > 0.0:
-        raise InvalidParams(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise InvalidParams(f"epsilon must be positive and finite, got {epsilon}")
     if n_per_group < 1:
         raise InvalidParams(f"n_per_group must be >= 1, got {n_per_group}")
     _family_term(kind, taus)

@@ -350,11 +350,7 @@ def preference_strength(inst: MetricInstance, voter: str, p: str, q: str):
     """
     if p == q:
         raise SameCandidate(p)
-    return _preference(p, distance(inst, voter, p), q, distance(inst, voter, q))
-
-
-def _preference(p: str, dp: float, q: str, dq: float) -> tuple[str, float]:
-    """preference_strength for a voter at distance dp from p and dq from q."""
+    dp, dq = distance(inst, voter, p), distance(inst, voter, q)
     if dp == dq:
         return min(p, q), 1.0
     if dp < dq:

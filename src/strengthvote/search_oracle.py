@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .rules import (SQRT2, Rule, _condition1_diff, bound_value, decide_pair, dec
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
 from .rules import rule4_decide, rule4_weights  # noqa: F401
 from .tallies import PairwiseTally, ThresholdScheme, _strengths, exact_profile, exact_profiles
-from .tournament import TournamentGraph, copeland_winner, majority_graph
+from .tournament import copeland_winner, majority_graph
 
 SUITES = ("bounds", "lambda", "condition1", "tradeoff", "lowerbounds", "all")
 
@@ -80,9 +80,16 @@ def random_instance(rng: np.random.Generator, space: str = "line", voters_max: i
     return build(pts, voters, cands)
 
 
+def _winner(inst: MetricInstance, rule: Rule) -> str:
+    """The rule's winner: the decision on the sorted pair for two candidates,
+    else the Copeland winner of the majority graph."""
+    if len(inst.candidates) == 2:
+        return decide_pair(inst, *sorted(inst.candidates), rule).winner
+    return copeland_winner(majority_graph(inst, rule))
+
+
 def _two_candidate_delta(inst: MetricInstance, rule: Rule) -> tuple[str, float]:
-    a, b = sorted(inst.candidates)
-    winner = decide_pair(inst, a, b, rule).winner
+    winner = _winner(inst, rule)
     delta, _ = actual_distortion(inst, winner)
     return winner, delta
 
@@ -174,9 +181,7 @@ def adversarial_search(rule: Rule, config: SearchConfig = SearchConfig()):
                 f"grid sweep disagrees with the pipeline: {grid_delta} vs {rechecked}")
         consider(inst)
     rng = np.random.default_rng(config.seed)
-    randoms = (random_instance(rng, config.space, config.voters_max)
-               for _ in range(config.n_instances))
-    for inst in _prepared(randoms, [rule]):
+    for inst in _drawn(rng, config.n_instances, [rule], (config.space,), config.voters_max):
         consider(inst)
     bound = bound_value(rule, 2)
     if best_delta > bound + 1e-9:
@@ -238,12 +243,15 @@ _VOTERS_MAX = 20  # most voters in a check's random instance
 _CHUNK = 64
 
 
-def _prepared(instances, rules):
-    """Yield the instances in order, a chunk of _CHUNK at a time: a chunk is
-    drawn first, then the profiles of every candidate pair of its instances
-    and what the rules read from them are built in one batch."""
-    instances = iter(instances)
-    while chunk := list(islice(instances, _CHUNK)):
+def _drawn(rng: np.random.Generator, count: int, rules, spaces=("line", "euclidean2d"),
+           voters_max: int = _VOTERS_MAX, **kwargs):
+    """count random instances, instance i drawn by random_instance in
+    spaces[i % len(spaces)], yielded in order a chunk of _CHUNK at a time: a
+    chunk is drawn first, then the profiles of every candidate pair of its
+    instances and what the rules read from them are built in one batch."""
+    for start in range(0, count, _CHUNK):
+        chunk = [random_instance(rng, spaces[i % len(spaces)], voters_max, **kwargs)
+                 for i in range(start, min(start + _CHUNK, count))]
         prepare_profiles(exact_profiles([(inst, p, q) for inst in chunk
                                          for p, q in combinations(sorted(inst.candidates), 2)]),
                          rules)
@@ -275,12 +283,6 @@ def _check(worst):
     return wrap
 
 
-def _alternating_instances(rng: np.random.Generator, count: int, **kwargs):
-    """count random instances drawn in turn on the line and in euclidean2d."""
-    for i in range(count):
-        yield random_instance(rng, ("line", "euclidean2d")[i % 2], _VOTERS_MAX, **kwargs)
-
-
 def _two_candidate_rules() -> list[Rule]:
     rules = [make_rule("rule1", tau=t) for t in _TAU_GRID]
     rules += [make_rule("rule2", tau=t) for t in _TAU_GRID if t > 1.0]
@@ -298,19 +300,11 @@ def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000):
     rules4 = [r for r in rules2 if r.kind != "rule2"]
     for count, num_candidates, rules in ((n_two, 2, rules2), (n_multi, 4, rules4)):
         bounds = [bound_value(r, num_candidates) for r in rules]
-        instances = _alternating_instances(rng, count, num_candidates=num_candidates)
-        for inst in _prepared(instances, rules):
-            cands = tuple(sorted(inst.candidates))
-            profs = {pq: exact_profile(inst, *pq) for pq in combinations(cands, 2)}
-            costs = {c: social_cost(inst, c) for c in cands}
+        for inst in _drawn(rng, count, rules, num_candidates=num_candidates):
+            costs = {c: social_cost(inst, c) for c in inst.candidates}
             best = min(costs.values())
             for rule, bound in zip(rules, bounds):
-                if num_candidates == 2:
-                    winner = decide_profile(profs[cands], rule).winner
-                else:
-                    decisions = {pq: decide_profile(prof, rule) for pq, prof in profs.items()}
-                    winner = copeland_winner(TournamentGraph(cands, decisions))
-                margin = cost_ratio(costs[winner], best) - bound
+                margin = cost_ratio(costs[_winner(inst, rule)], best) - bound
                 yield margin, margin > 1e-9
 
 
@@ -323,7 +317,7 @@ def check_lambda(seed: int = 42, n: int = 5_000):
              make_rule("rule3", tau=2.0), make_rule("rule4", taus=(2.0,)),
              make_rule("rule4", taus=(1.5, 3.0))]
     probes = [(rule, *lambda_coefficients(rule)) for rule in rules]
-    for inst in _prepared(_alternating_instances(rng, n, extra_point=True), rules):
+    for inst in _drawn(rng, n, rules, extra_point=True):
         prof = exact_profile(inst, "P", "Q")
         costs = {c: social_cost(inst, c) for c in ("P", "Q", "Z")}
         for rule, q_coef, z_coef in probes:
@@ -369,18 +363,12 @@ def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
     rng = np.random.default_rng(seed)
     rules = [make_rule("rule1", tau=2.0), make_rule("rule5")]
     for count, num_candidates in ((n_two, 2), (n_multi, 4)):
-        instances = (random_instance(rng, "line", _VOTERS_MAX, num_candidates)
-                     for _ in range(count))
-        for inst in _prepared(instances, rules):
-            cands = tuple(sorted(inst.candidates))
-            costs = {c: social_cost(inst, c) for c in cands}
+        for inst in _drawn(rng, count, rules, ("line",), num_candidates=num_candidates):
+            costs = {c: social_cost(inst, c) for c in inst.candidates}
             best = min(costs.values())
             ideal = ideal_point(inst)
             for rule in rules:
-                if num_candidates == 2:
-                    winner = decide_pair(inst, cands[0], cands[1], rule).winner
-                else:
-                    winner = copeland_winner(majority_graph(inst, rule))
+                winner = _winner(inst, rule)
                 delta = cost_ratio(costs[winner], best)
                 if rule.kind == "rule1" and not delta > 1.01:
                     continue

@@ -115,8 +115,10 @@ class ExactProfile:
         return tuple(self.b.tolist())
 
     @cached_property
-    def _tallies(self) -> dict[tuple[ThresholdScheme, str], PairwiseTally]:
-        """bucket_profiles' result for each (scheme, boundary) it has built."""
+    def _tallies(self) -> dict[tuple[tuple[float, ...], str], PairwiseTally]:
+        """bucket_profiles' result for each (scheme, boundary) it has built,
+        keyed by (scheme.taus, boundary): schemes are equal when their taus
+        are, and a tuple of floats hashes without the dataclass's __hash__."""
         return {}
 
     @cached_property
@@ -208,7 +210,7 @@ def bucket_profiles(profiles, scheme: ThresholdScheme,
     ballots reveal. A tally is built once per profile and (scheme, boundary);
     the profiles without one are bucketed in one pass and counted in one
     bincount."""
-    key = (scheme, boundary)
+    key = (scheme.taus, boundary)
     todo = [prof for prof in profiles if key not in prof._tallies]
     if todo:
         strengths, sizes = _joined_sides(todo)
@@ -226,7 +228,7 @@ def bucket_profiles(profiles, scheme: ThresholdScheme,
 def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme,
                    boundary: str = INCLUSIVE) -> PairwiseTally:
     """bucket_profiles for one profile."""
-    tally = profile._tallies.get((scheme, boundary))
+    tally = profile._tallies.get((scheme.taus, boundary))
     return tally if tally is not None else bucket_profiles([profile], scheme, boundary)[0]
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .metric_core import MetricInstance
-from .rules import PairwiseDecision, Rule, decide_pair, prepare_profiles
-from .tallies import exact_profiles
+from .rules import PairwiseDecision, Rule, decide_pair
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,10 @@ class TournamentGraph:
 
 
 def majority_graph(inst: MetricInstance, rule: Rule) -> TournamentGraph:
-    """Decide every candidate pair, their profiles and tallies built in one batch."""
-    pairs = list(combinations(sorted(inst.candidates), 2))
-    prepare_profiles(exact_profiles([(inst, p, q) for p, q in pairs]), [rule])
-    decisions = {(p, q): decide_pair(inst, p, q, rule) for p, q in pairs}
+    """Decide every candidate pair, from the kept profiles and tallies where
+    they were built in a batch (prepare_profiles), else one pair at a time."""
+    decisions = {(p, q): decide_pair(inst, p, q, rule)
+                 for p, q in combinations(sorted(inst.candidates), 2)}
     return TournamentGraph(tuple(inst.candidates), decisions)
 
 

@@ -379,3 +379,67 @@ def test_missing_document_fields_exit_2(doc, field, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: instance document is missing field {field!r}\n"
+
+
+def test_evaluate_measures_and_buckets_once_across_both_graph_builds(tmp_path, monkeypatch,
+                                                                    capsys):
+    """Five candidates under rule4 (1.5, 3): one kernel call for all ten pairs
+    and one bucket call, though the multiway report builds the majority graph
+    twice."""
+    rng = random.Random(11)
+    voters = [f"v{i}" for i in range(30)]
+    cands = [f"c{j}" for j in range(5)]
+    pos = {c: float(j) for j, c in enumerate(cands)}
+    pos.update((v, rng.uniform(-1.0, 5.0)) for v in voters)
+    path = tmp_path / "five.json"
+    save_instance(line_instance(pos, voters, cands), path)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tallies, "_strengths", counted("kernel", tallies._strengths))
+    monkeypatch.setattr(ThresholdScheme, "bucket", counted("bucket", ThresholdScheme.bucket))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule4",
+                 "--taus", "1.5,3"]) == 0
+    assert "uncovered_set" in json.loads(capsys.readouterr().out)
+    assert calls == {"kernel": 1, "bucket": 1}
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_lowerbound_rejects_a_non_finite_epsilon(epsilon, capsys):
+    assert main(["lowerbound", "--kind", "largest", "--taus", "2", "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "epsilon" in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["search", "--rule", "rule5", "--voters-max", "0"], "--voters-max"),
+    (["search", "--rule", "rule5", "--n-instances", "-1"], "--n-instances"),
+    (["search", "--rule", "rule5", "--grid", "-5"], "--grid"),
+    (["search", "--rule", "rule5", "--seed", "-1"], "--seed"),
+    (["verify", "--suite", "lowerbounds", "--seed", "-1"], "--seed"),
+    (["verify", "--suite", "bounds", "--seed", "-1"], "--seed"),
+], ids=["search-voters-max", "search-n-instances", "search-grid", "search-seed",
+        "verify-lowerbounds-seed", "verify-bounds-seed"])
+def test_out_of_range_integers_exit_2_naming_the_flag(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and flag in captured.err
+
+
+def test_search_grid_0_and_1_both_skip_the_grid_sweep(monkeypatch, capsys):
+    def no_sweep(rule, n):
+        raise AssertionError("the grid sweep ran")
+    monkeypatch.setattr(search_oracle, "_grid_sweep", no_sweep)
+    outputs = []
+    for grid in ("0", "1"):
+        assert main(["search", "--rule", "rule1", "--tau", "2", "--seed", "9",
+                     "--grid", grid, "--n-instances", "20"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

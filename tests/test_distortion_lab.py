@@ -356,3 +356,9 @@ def test_evaluate_measures_each_voter_distance_to_each_candidate_once(monkeypatc
     monkeypatch.setattr(metric_core, "distance", counted)
     evaluate_instance(inst, make_rule("rule4", taus=(1.5, 3.0)))
     assert len(calls) == len(voters) * len(cands)
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan])
+def test_generator_rejects_a_non_finite_epsilon(epsilon):
+    with pytest.raises(InvalidParams, match="epsilon"):
+        generate_lower_bound("largest", (2.0,), epsilon)

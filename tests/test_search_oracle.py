@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -10,7 +11,7 @@ from strengthvote.distortion_lab import evaluate_instance, generate_lower_bound
 from strengthvote.metric_core import MetricInstance, line_instance, social_cost
 from strengthvote.rules import (SQRT2, bound_value, decide_pair, make_rule, rule4_delta,
                                 rule4_weights)
-from strengthvote import rules, search_oracle
+from strengthvote import rules, search_oracle, tallies
 from strengthvote.search_oracle import (SearchConfig, _anchor_instances, _grid_positions,
                                         _signed_weights,
                                         _two_candidate_rules, adversarial_search,
@@ -253,3 +254,35 @@ def test_anchor_instances_aim_at_each_ratio_term_of_the_scheme():
     assert _anchor_instances(close) == [generate_lower_bound("largest", (2.0 + 1e-6,), 1e-6),
                                         generate_lower_bound("smallest", (2.0,), 1e-6)]
     adversarial_search(close, SearchConfig(grid=50, n_instances=10))
+
+
+def _count_kernel_and_bucket_calls(monkeypatch) -> Counter:
+    """Count calls, not strengths, of the strength kernel and of bucketing."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tallies, "_strengths", counted("kernel", tallies._strengths))
+    monkeypatch.setattr(ThresholdScheme, "bucket", counted("bucket", ThresholdScheme.bucket))
+    return calls
+
+
+@pytest.mark.parametrize("check, sizes, buckets", [
+    ("bounds", {"n_two": 64, "n_multi": 0}, 8),
+    ("bounds", {"n_two": 0, "n_multi": 64}, 8),
+    ("tradeoff", {"n_two": 0, "n_multi": 64}, 1),
+], ids=["bounds-two", "bounds-multi", "tradeoff-multi"])
+def test_a_chunk_is_measured_once_and_bucketed_once_per_scheme(check, sizes, buckets,
+                                                               monkeypatch):
+    """One chunk of 64 instances: one kernel call for all their pairs, and one
+    bucket call per distinct (scheme, boundary) of the check's rules (bounds:
+    four strict and four inclusive schemes; tradeoff: rule1's, beside rule5).
+    Deciding the cases, through the majority graph beyond two candidates,
+    reads only kept results."""
+    calls = _count_kernel_and_bucket_calls(monkeypatch)
+    assert getattr(search_oracle, f"check_{check}")(seed=3, **sizes)["cases"] > 0
+    assert calls == {"kernel": 1, "bucket": buckets}
