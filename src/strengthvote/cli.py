@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .distortion_lab import (LOWER_BOUND_KINDS, evaluate_instance, generate_lower_bound,
@@ -46,6 +47,14 @@ def _check_at_least(args, **lows) -> None:
         value = getattr(args, name)
         if value < low:
             raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
+def _check_finite(args, *names) -> None:
+    """Reject a float flag that is infinite or NaN, naming the flag."""
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -138,6 +147,7 @@ def _svg_curve(points: list[tuple[float, float]], label: str) -> str:
 
 
 def _cmd_curve(args) -> int:
+    _check_finite(args, "tau_min", "tau_max")
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
     if not args.tau_max > args.tau_min:
@@ -179,12 +189,17 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_at_least(args, seed=0)
-    report = verify_suite(args.suite, seed=args.seed)
+    report = verify_suite(args.suite, seed=args.seed,
+                          on_check=_print_timing if args.timings else None)
     text = json.dumps(report, indent=2) + "\n"
     _emit(text, args.out)
     if args.out:
         sys.stdout.write(("PASS" if report["passed"] else "FAIL") + f" -> {args.out}\n")
     return 0 if report["passed"] else 1
+
+
+def _print_timing(check: dict, seconds: float) -> None:
+    print(f"{check['name']}: {check['cases']} cases in {seconds:.3f} s", file=sys.stderr)
 
 
 def _add_rule_flags(parser):
@@ -240,6 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--suite", required=True, choices=SUITES)
     vf.add_argument("--seed", type=int, default=42)
     vf.add_argument("--out", default=None)
+    vf.add_argument("--timings", action="store_true",
+                    help="write each check's case count and wall time to stderr")
     vf.set_defaults(func=_cmd_verify)
     return parser
 

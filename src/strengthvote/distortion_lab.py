@@ -128,11 +128,13 @@ def ideal_point(inst: MetricInstance) -> IdealPoint:
     return IdealPoint(best, best_cost, "restricted-to-named-points")
 
 
-def cost_ratio(cost: float, best: float) -> float:
-    """cost/best; a zero best is degenerate: 1 when cost is also 0, +inf otherwise."""
-    if best == 0.0:
-        return 1.0 if cost == 0.0 else math.inf
-    return cost / best
+def cost_ratio(cost, best):
+    """cost/best; a zero best is degenerate: 1 when cost is also 0, +inf
+    otherwise. Elementwise on arrays, which broadcast."""
+    cost, best = np.broadcast_arrays(np.asarray(cost, dtype=float), np.asarray(best, dtype=float))
+    ratio = np.where(cost == 0.0, 1.0, np.inf)
+    np.divide(cost, best, out=ratio, where=best != 0.0)
+    return ratio if ratio.ndim else float(ratio)
 
 
 def actual_distortion(inst: MetricInstance, winner: str) -> tuple[float, bool]:

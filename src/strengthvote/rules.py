@@ -34,7 +34,6 @@ SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -186,12 +185,54 @@ def rule4_weights(scheme: ThresholdScheme) -> tuple[tuple, tuple, float, int]:
     return tuple(weights), (tuple(own), tuple(other)), ds, k
 
 
+def _row_fsums(terms: np.ndarray) -> list[float]:
+    """math.fsum of each row (along the last axis) of an array, rows in C
+    order. fsum is correctly rounded, so the order of a row's terms does not
+    matter."""
+    return list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
+
+
+def _slack_sums(condition1, counts: np.ndarray) -> list[float]:
+    """Condition 1's slacks from (2, n, m) counts, side a's rows then side
+    b's: the fsum of own_l*(its count) and other_l*(the other side's)."""
+    return _row_fsums(np.concatenate(condition1, axis=-1)
+                      * np.concatenate((counts, counts[::-1]), axis=-1))
+
+
+def condition1_slacks(condition1, a, b) -> tuple[list[float], list[float]]:
+    """Slacks (rhs - lhs) of condition 1 for both sides of each row of bucket
+    counts a (pair[0]'s side) and b, with condition1 = (own, other) per
+    bucket, one row for every row of counts or one for all."""
+    sums = _slack_sums(condition1, np.array([a, b]))
+    return sums[:len(a)], sums[len(a):]
+
+
+def side_scores(weights, a, b, condition1=()) -> tuple[list[float], list[float]]:
+    """Both sides' scores sum_l w_l * count_l for each row of bucket counts a
+    (pair[0]'s side) and b, with one row of weights for every row of counts
+    or one for all: the one place a threshold rule's scores are summed.
+    Given rule4's condition1 coefficients, each row's score gap is checked
+    against the gap between its two sides' condition-1 slacks (see
+    condition1_holds)."""
+    n, counts = len(a), np.array([a, b])
+    sums = _row_fsums(np.multiply(weights, counts))
+    if __debug__ and condition1:
+        scores = np.array(sums).reshape(2, n)
+        slacks = np.array(_slack_sums(condition1, counts)).reshape(2, n)
+        scale = np.maximum(1.0, np.abs(scores).max(axis=0))
+        close = np.abs((scores[0] - scores[1]) - (slacks[0] - slacks[1])) <= 1e-9 * scale
+        if not close.all():
+            i = int(np.argmin(close))
+            raise AssertionError((sums[i], sums[n + i], slacks[0, i] - slacks[1, i]))
+    return sums[:n], sums[n:]
+
+
 def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
     """Weighted majority over a tally: each side scores sum_l w_l * count_l.
 
     The tally must use the rule's scheme and boundary mode; a lone cutoff of 1
     buckets the same either way. For rule4 the score gap equals the gap
-    between the two sides' feasibility slacks (see condition1_holds).
+    between the two sides' feasibility slacks (see side_scores).
     """
     taus = rule.scheme.taus if rule.scheme is not None else None
     if tally.scheme.taus != taus:
@@ -199,12 +240,7 @@ def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
     if tally.boundary != rule.boundary and tally.scheme.taus != (1.0,):
         raise SchemeMismatch(
             f"{rule.kind} expects {rule.boundary} boundary, tally used {tally.boundary}")
-    p = math.fsum(w * a for w, a in zip(rule.weights, tally.a_counts))
-    q = math.fsum(w * b for w, b in zip(rule.weights, tally.b_counts))
-    if __debug__ and rule.kind == "rule4":
-        slack_p, slack_q = _condition1_diff(tally, rule)
-        scale = max(1.0, abs(p), abs(q))
-        assert abs((p - q) - (slack_p - slack_q)) <= 1e-9 * scale, (p, q, slack_p - slack_q)
+    (p,), (q,) = side_scores(rule.weights, [tally.a_counts], [tally.b_counts], rule.condition1)
     return _resolve(tally.pair, p, q)
 
 
@@ -213,12 +249,35 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
     return decide_tally(tally, make_rule("rule4", taus=scheme))
 
 
+def rule4_tally_columns(tallies) -> np.ndarray:
+    """rule4 under each tally's own scheme, as a (4, n) array of columns: the
+    pair[0] and pair[1] side scores (side_scores, with its condition-1
+    check), then the two sides' condition-1 slacks. rule4_weights is derived
+    once per tally, and the tallies of one scheme length are summed together."""
+    out = np.empty((4, len(tallies)))
+    by_length = {}
+    for i, tally in enumerate(tallies):
+        by_length.setdefault(tally.scheme.m, []).append(i)
+    for rows in by_length.values():
+        weights, own, other = [], [], []
+        for i in rows:
+            w, (o, x), _, _ = rule4_weights(tallies[i].scheme)
+            weights.append(w)
+            own.append(o)
+            other.append(x)
+        a = np.array([tallies[i].a_counts for i in rows])
+        b = np.array([tallies[i].b_counts for i in rows])
+        condition1 = (np.array(own), np.array(other))
+        out[0, rows], out[1, rows] = side_scores(np.array(weights), a, b, condition1)
+        out[2, rows], out[3, rows] = condition1_slacks(condition1, a, b)
+    return out
+
+
 def _condition1_diff(tally: PairwiseTally, rule: Rule) -> tuple[float, float]:
     """Slacks (rhs - lhs) of a rule4 rule's feasibility inequality for the
     pair's two sides, in pair order."""
-    own, other = rule.condition1
-    coefs, a, b = own + other, tally.a_counts, tally.b_counts
-    return math.fsum(map(operator.mul, coefs, a + b)), math.fsum(map(operator.mul, coefs, b + a))
+    (p,), (q,) = condition1_slacks(rule.condition1, [tally.a_counts], [tally.b_counts])
+    return p, q
 
 
 def condition1_holds(tally: PairwiseTally, side: str) -> bool:
@@ -253,22 +312,40 @@ def _rule5_scores(profiles) -> list[tuple[float, float]]:
     return [prof._scores["rule5"] for prof in profiles]
 
 
+def _score_key(rule: Rule):
+    """What a rule's side scores on a profile depend on: the exact strengths
+    for rule5; a threshold rule's scheme, boundary and weights."""
+    return "rule5" if rule.kind == "rule5" else (rule.scheme.taus, rule.boundary, rule.weights)
+
+
 def prepare_profiles(profiles, rules) -> None:
     """Build in one batch what the rules read from these profiles: a tally
-    per distinct (scheme, boundary), and rule5's side scores. decide_profile
-    then reads the kept results."""
-    for scheme, boundary in dict.fromkeys((r.scheme, r.boundary) for r in rules
-                                          if r.kind != "rule5"):
-        bucket_profiles(profiles, scheme, boundary)
-    if any(r.kind == "rule5" for r in rules):
-        _rule5_scores(profiles)
+    per distinct (scheme, boundary), and each rule's side scores, summed by
+    one side_scores call per rule and kept on the profiles. decide_profile
+    then reads the kept scores."""
+    for rule in rules:
+        if rule.kind == "rule5":
+            _rule5_scores(profiles)
+            continue
+        key = _score_key(rule)
+        todo = [prof for prof in profiles if key not in prof._scores]
+        if todo:
+            tallies = bucket_profiles(todo, rule.scheme, rule.boundary)
+            p, q = side_scores(rule.weights, [t.a_counts for t in tallies],
+                               [t.b_counts for t in tallies], rule.condition1)
+            for prof, scores in zip(todo, zip(p, q)):
+                prof._scores[key] = scores
 
 
 def decide_profile(profile: ExactProfile, rule: Rule) -> PairwiseDecision:
-    """Decide a pair from its exact profile, revealing only what the rule may see."""
-    if rule.kind == "rule5":
-        scores = profile._scores.get("rule5") or _rule5_scores([profile])[0]
+    """Decide a pair from its exact profile, revealing only what the rule may
+    see: from the side scores prepare_profiles kept, else from the profile's
+    tally (rule5: from its strengths)."""
+    scores = profile._scores.get(_score_key(rule))
+    if scores is not None:
         return _resolve(profile.pair, *scores)
+    if rule.kind == "rule5":
+        return _resolve(profile.pair, *_rule5_scores([profile])[0])
     return decide_tally(bucket_profile(profile, rule.scheme, rule.boundary), rule)
 
 

@@ -3,16 +3,23 @@
 adversarial_search hunts for high-distortion two-candidate instances three
 ways: the deterministic hard-instance families aimed at each branch of the
 rule's bound, a vectorized sweep over all two-voter line placements on a
-grid (re-checked one instance at a time through the object pipeline), and
-seeded random instances. verify_suite packages the statistical invariants
-(bounds never violated, lambda inequalities, feasibility, tradeoffs,
-generator targets) behind a machine-readable report.
+grid (its best cell re-decided as a real instance), and seeded random
+instances. verify_suite packages the statistical invariants (bounds never
+violated, lambda inequalities, feasibility, tradeoffs, generator targets)
+behind a machine-readable report.
+
+The checks and the random stage decide a chunk of instances at a time
+(_winners): one kernel pass over every candidate pair, one bucket count per
+distinct (scheme, boundary), each rule's side scores from rules.side_scores,
+and winners, costs and margins as arrays. A lone instance (_winner) is a
+chunk of one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,12 +28,14 @@ import numpy as np
 from .distortion_lab import (actual_distortion, cost_ratio, generate_lower_bound, ideal_point,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
 from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
-from .rules import (SQRT2, Rule, _condition1_diff, bound_value, decide_pair, decide_profile,
-                    decide_tally, lambda_coefficients, make_rule, prepare_profiles, rule4_delta)
+from .rules import (SQRT2, Rule, _rule5_scores, bound_value, lambda_coefficients, make_rule,
+                    rule4_delta, rule4_tally_columns, side_scores)
+from .tallies import PairwiseTally, ThresholdScheme, _strengths, bucket_counts, exact_profiles
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
-from .rules import rule4_decide, rule4_weights  # noqa: F401
-from .tallies import PairwiseTally, ThresholdScheme, _strengths, exact_profile, exact_profiles
-from .tournament import copeland_winner, majority_graph
+from .rules import (_condition1_diff, decide_pair, decide_profile,  # noqa: F401
+                    rule4_decide, rule4_weights)
+from .tallies import exact_profile  # noqa: F401
+from .tournament import copeland_winner, majority_graph  # noqa: F401
 
 SUITES = ("bounds", "lambda", "condition1", "tradeoff", "lowerbounds", "all")
 
@@ -80,12 +89,48 @@ def random_instance(rng: np.random.Generator, space: str = "line", voters_max: i
     return build(pts, voters, cands)
 
 
+def _winners(chunk, rules) -> np.ndarray:
+    """Each rule's winner on each instance of a chunk, as an index into the
+    instance's sorted candidates: an (len(rules), len(chunk)) array. The
+    instances have equally many candidates. Every candidate pair's profile is
+    measured in one kernel pass and bucketed once per distinct (scheme,
+    boundary) of the rules. A pair goes to its first (smaller) id unless the
+    second scores more, and the winner is the first candidate in sorted order
+    with the most pairs won: for two candidates the pair's winner, beyond
+    two the Copeland winner, as copeland_winner(majority_graph(...)) names it."""
+    names = [sorted(inst.candidates) for inst in chunk]
+    pairs = list(combinations(range(len(names[0])), 2))
+    profiles = exact_profiles([(inst, ids[i], ids[j]) for inst, ids in zip(chunk, names)
+                               for i, j in pairs])
+    counts, first = {}, []
+    for rule in rules:
+        if rule.kind == "rule5":
+            p, q = np.array(_rule5_scores(profiles)).T
+        else:
+            key = (rule.scheme.taus, rule.boundary)
+            if key not in counts:
+                counts[key] = bucket_counts(profiles, rule.scheme, rule.boundary)[:, :, 1:]
+            p, q = side_scores(rule.weights, counts[key][:, 0], counts[key][:, 1],
+                               rule.condition1)
+        first.append(np.greater_equal(p, q))
+    first = np.array(first).reshape(len(rules), len(chunk), len(pairs), 1)
+    ends = np.eye(len(names[0]), dtype=int)[np.array(pairs)]  # (pair, end, one-hot id)
+    return np.where(first, ends[:, 0], ends[:, 1]).sum(axis=-2).argmax(axis=-1)
+
+
 def _winner(inst: MetricInstance, rule: Rule) -> str:
-    """The rule's winner: the decision on the sorted pair for two candidates,
-    else the Copeland winner of the majority graph."""
-    if len(inst.candidates) == 2:
-        return decide_pair(inst, *sorted(inst.candidates), rule).winner
-    return copeland_winner(majority_graph(inst, rule))
+    """The rule's winner on one instance: _winners on a chunk of one."""
+    return sorted(inst.candidates)[_winners([inst], [rule])[0, 0]]
+
+
+def _scored(chunk, rules) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The social costs of each instance's sorted candidates, (len(chunk), k),
+    then each rule's winners (_winners) and their costs, (len(rules),
+    len(chunk)) each."""
+    costs = np.array([[social_cost(inst, c) for c in sorted(inst.candidates)]
+                      for inst in chunk])
+    winners = _winners(chunk, rules)
+    return costs, winners, costs[np.arange(len(chunk)), winners]
 
 
 def _two_candidate_delta(inst: MetricInstance, rule: Rule) -> tuple[str, float]:
@@ -159,8 +204,8 @@ def adversarial_search(rule: Rule, config: SearchConfig = SearchConfig()):
     """Highest-distortion two-candidate instance found; returns (instance, delta).
 
     The winner of the vectorized grid sweep is rebuilt as a real instance and
-    re-decided through the object pipeline; any disagreement is an error, as
-    is any distortion above the proven bound.
+    re-decided by _winner; any disagreement is an error, as is any
+    distortion above the proven bound.
     """
     best_inst, best_delta = None, -math.inf
 
@@ -181,8 +226,12 @@ def adversarial_search(rule: Rule, config: SearchConfig = SearchConfig()):
                 f"grid sweep disagrees with the pipeline: {grid_delta} vs {rechecked}")
         consider(inst)
     rng = np.random.default_rng(config.seed)
-    for inst in _drawn(rng, config.n_instances, [rule], (config.space,), config.voters_max):
-        consider(inst)
+    for chunk in _drawn(rng, config.n_instances, (config.space,), config.voters_max):
+        costs, _, won = _scored(chunk, [rule])
+        deltas = cost_ratio(won[0], costs.min(axis=1))
+        i = int(np.argmax(deltas))
+        if deltas[i] > best_delta:
+            best_inst, best_delta = chunk[i], float(deltas[i])
     bound = bound_value(rule, 2)
     if best_delta > bound + 1e-9:
         raise AssertionError(f"distortion {best_delta} exceeds the proven bound {bound}")
@@ -236,34 +285,37 @@ def optimize_thresholds(m: int) -> tuple[tuple[float, ...], float]:
 
 _VOTERS_MAX = 20  # most voters in a check's random instance
 
-# Instances whose profiles and tallies are built in one batch: enough to
-# spread numpy's per-call cost over instances of at most _VOTERS_MAX voters.
-# Every profile and tally of a chunk stays alive until the chunk is done, so
-# a larger chunk costs memory: 256 raised verify_all's peak RSS by 3 MB.
+# Instances decided together (_winners): enough to spread numpy's per-call
+# cost over instances of at most _VOTERS_MAX voters. Every profile of a chunk
+# stays alive until the chunk is done, so a larger chunk costs memory: 256
+# raised verify_all's peak RSS by 3 MB.
 _CHUNK = 64
 
+# Tallies check_condition1 draws and scores together.
+_TALLY_CHUNK = 512
 
-def _drawn(rng: np.random.Generator, count: int, rules, spaces=("line", "euclidean2d"),
+
+def _drawn(rng: np.random.Generator, count: int, spaces=("line", "euclidean2d"),
            voters_max: int = _VOTERS_MAX, **kwargs):
     """count random instances, instance i drawn by random_instance in
-    spaces[i % len(spaces)], yielded in order a chunk of _CHUNK at a time: a
-    chunk is drawn first, then the profiles of every candidate pair of its
-    instances and what the rules read from them are built in one batch."""
+    spaces[i % len(spaces)], yielded in order as lists of _CHUNK (the last
+    one may be shorter)."""
     for start in range(0, count, _CHUNK):
-        chunk = [random_instance(rng, spaces[i % len(spaces)], voters_max, **kwargs)
-                 for i in range(start, min(start + _CHUNK, count))]
-        prepare_profiles(exact_profiles([(inst, p, q) for inst in chunk
-                                         for p, q in combinations(sorted(inst.candidates), 2)]),
-                         rules)
-        yield from chunk
+        yield [random_instance(rng, spaces[i % len(spaces)], voters_max, **kwargs)
+               for i in range(start, min(start + _CHUNK, count))]
 
 
 def _check(worst):
-    """Make a check from a generator that yields (margin, failed) per case.
+    """Make a check from a generator that yields (margins, failed) arrays
+    with one entry per case, a chunk of cases at a time.
 
     The check returns {name, cases, failures, worst_margin, passed}: worst is
-    max or min over the margins, a None margin is left out of it, and a worst
-    margin that is not finite is reported as None."""
+    max or min over the margins, a NaN margin (a case without one) is left
+    out of it, and a worst margin that is not finite is reported as None.
+    Of equal margins the first case's is kept, as a case-by-case max or min
+    would keep it (0.0 and -0.0 compare equal)."""
+    first = np.argmax if worst is max else np.argmin
+
     def wrap(cases):
         name = cases.__name__.removeprefix("check_")
 
@@ -271,11 +323,12 @@ def _check(worst):
         def check(*args, **kwargs) -> dict:
             count = failures = 0
             worst_margin = -math.inf if worst is max else math.inf
-            for margin, failed in cases(*args, **kwargs):
-                count += 1
-                failures += failed
-                if margin is not None:
-                    worst_margin = worst(worst_margin, margin)
+            for margins, failed in cases(*args, **kwargs):
+                count += len(margins)
+                failures += int(np.count_nonzero(failed))
+                known = margins[~np.isnan(margins)]
+                if known.size:
+                    worst_margin = worst(worst_margin, float(known[first(known)]))
             return {"name": name, "cases": count, "failures": failures,
                     "worst_margin": worst_margin if math.isfinite(worst_margin) else None,
                     "passed": failures == 0}
@@ -299,13 +352,11 @@ def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000):
     rules2 = _two_candidate_rules()
     rules4 = [r for r in rules2 if r.kind != "rule2"]
     for count, num_candidates, rules in ((n_two, 2, rules2), (n_multi, 4, rules4)):
-        bounds = [bound_value(r, num_candidates) for r in rules]
-        for inst in _drawn(rng, count, rules, num_candidates=num_candidates):
-            costs = {c: social_cost(inst, c) for c in inst.candidates}
-            best = min(costs.values())
-            for rule, bound in zip(rules, bounds):
-                margin = cost_ratio(costs[_winner(inst, rule)], best) - bound
-                yield margin, margin > 1e-9
+        bounds = np.array([bound_value(r, num_candidates) for r in rules])
+        for chunk in _drawn(rng, count, num_candidates=num_candidates):
+            costs, _, won = _scored(chunk, rules)
+            margins = (cost_ratio(won, costs.min(axis=1)).T - bounds).ravel()
+            yield margins, margins > 1e-9
 
 
 @_check(max)
@@ -316,15 +367,13 @@ def check_lambda(seed: int = 42, n: int = 5_000):
     rules = [make_rule("rule1", tau=2.0), make_rule("rule1", tau=5.0), make_rule("rule5"),
              make_rule("rule3", tau=2.0), make_rule("rule4", taus=(2.0,)),
              make_rule("rule4", taus=(1.5, 3.0))]
-    probes = [(rule, *lambda_coefficients(rule)) for rule in rules]
-    for inst in _drawn(rng, n, rules, extra_point=True):
-        prof = exact_profile(inst, "P", "Q")
-        costs = {c: social_cost(inst, c) for c in ("P", "Q", "Z")}
-        for rule, q_coef, z_coef in probes:
-            winner = decide_profile(prof, rule).winner
-            loser = "Q" if winner == "P" else "P"
-            slack = costs[winner] - q_coef * costs[loser] - z_coef * costs["Z"]
-            yield slack, slack > 1e-9
+    q_coef, z_coef = np.array([lambda_coefficients(rule) for rule in rules]).T[:, :, None]
+    for chunk in _drawn(rng, n, extra_point=True):
+        costs, winners, won = _scored(chunk, rules)
+        lost = costs[np.arange(len(chunk)), 1 - winners]
+        z_costs = np.array([social_cost(inst, "Z") for inst in chunk])
+        slacks = (won - q_coef * lost - z_coef * z_costs).T.ravel()
+        yield slacks, slacks > 1e-9
 
 
 def _random_tally(rng: np.random.Generator) -> PairwiseTally:
@@ -337,24 +386,22 @@ def _random_tally(rng: np.random.Generator) -> PairwiseTally:
     if rng.random() < 0.25:
         taus[0] = 1.0
     scheme = ThresholdScheme(tuple(taus))
-    a = tuple(rng.integers(0, 51, m).tolist())
-    b = tuple(rng.integers(0, 51, m).tolist())
-    c = 0 if scheme.taus[0] == 1.0 else int(rng.integers(0, 51))
-    return PairwiseTally(("P", "Q"), scheme, a, b, c)
+    hidden = scheme.taus[0] > 1.0  # whether the set C can hold voters
+    counts = rng.integers(0, 51, 2 * m + hidden).tolist()
+    return PairwiseTally(("P", "Q"), scheme, tuple(counts[:m]), tuple(counts[m:2 * m]),
+                         counts[2 * m] if hidden else 0)
 
 
 @_check(min)
 def check_condition1(seed: int = 42, n: int = 100_000):
     """Some side of every tally is feasible, and rule4 always picks a feasible side."""
     rng = np.random.default_rng(seed)
-    for _ in range(n):
-        tally = _random_tally(rng)
-        rule = Rule("rule4", scheme=tally.scheme)
-        slack_p, slack_q = _condition1_diff(tally, rule)
-        winner = decide_tally(tally, rule).winner
-        winner_slack = slack_p if winner == "P" else slack_q
-        best_slack = max(slack_p, slack_q)
-        yield best_slack, best_slack < -1e-9 or winner_slack < -1e-9
+    for start in range(0, n, _TALLY_CHUNK):
+        tallies = [_random_tally(rng) for _ in range(min(_TALLY_CHUNK, n - start))]
+        p, q, slack_p, slack_q = rule4_tally_columns(tallies)
+        winner_slack = np.where(p >= q, slack_p, slack_q)  # a tie goes to P
+        best_slack = np.where(slack_q > slack_p, slack_q, slack_p)
+        yield best_slack, (best_slack < -1e-9) | (winner_slack < -1e-9)
 
 
 @_check(max)
@@ -362,20 +409,18 @@ def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
     """rho stays under the tradeoff curve implied by the measured delta."""
     rng = np.random.default_rng(seed)
     rules = [make_rule("rule1", tau=2.0), make_rule("rule5")]
+    skip_low = np.array([rule.kind == "rule1" for rule in rules])[:, None]
     for count, num_candidates in ((n_two, 2), (n_multi, 4)):
-        for inst in _drawn(rng, count, rules, ("line",), num_candidates=num_candidates):
-            costs = {c: social_cost(inst, c) for c in inst.candidates}
-            best = min(costs.values())
-            ideal = ideal_point(inst)
-            for rule in rules:
-                winner = _winner(inst, rule)
-                delta = cost_ratio(costs[winner], best)
-                if rule.kind == "rule1" and not delta > 1.01:
-                    continue
-                rho = cost_ratio(costs[winner], ideal.cost)
-                limit = ideal_tradeoff_bound(rule, delta, num_candidates)
-                finite = math.isfinite(limit) and math.isfinite(rho)
-                yield (rho - limit if finite else None), rho > limit + 1e-6
+        for chunk in _drawn(rng, count, ("line",), num_candidates=num_candidates):
+            costs, _, won = _scored(chunk, rules)
+            deltas = cost_ratio(won, costs.min(axis=1))
+            rhos = cost_ratio(won, np.array([ideal_point(inst).cost for inst in chunk]))
+            limits = np.array([[ideal_tradeoff_bound(rule, delta, num_candidates)
+                                for delta in row] for rule, row in zip(rules, deltas.tolist())])
+            finite = np.isfinite(limits) & np.isfinite(rhos)
+            margins = np.subtract(rhos, limits, out=np.full_like(rhos, np.nan), where=finite)
+            kept = (~skip_low | (deltas > 1.01)).T  # rule1 counts only delta > 1.01
+            yield margins.T[kept], (rhos > limits + 1e-6).T[kept]
 
 
 @_check(max)
@@ -386,15 +431,19 @@ def check_lowerbounds(epsilon: float = 1e-6, tol: float = 1e-5):
     for t in grid:
         probes += [("smallest", (t,)), ("largest", (t,))]
     probes += [("pair", pair) for pair in combinations(grid, 2)]
+    errs, failed = [], []
     for kind, taus in probes:
         inst = generate_lower_bound(kind, taus, epsilon)
         winner, delta = _two_candidate_delta(inst, natural_rule(kind, taus))
-        err = abs(delta - lower_bound_target(kind, taus))
-        yield err, winner != "P" or err > tol
+        errs.append(abs(delta - lower_bound_target(kind, taus)))
+        failed.append(winner != "P" or errs[-1] > tol)
+    yield np.array(errs), np.array(failed)
 
 
-def verify_suite(suite: str, seed: int = 42) -> dict:
-    """Run one named suite (or all) and report per-check statistics."""
+def verify_suite(suite: str, seed: int = 42, on_check=None) -> dict:
+    """Run one named suite (or all) and report per-check statistics.
+    on_check, if given, is called after each check with its result and its
+    wall time in seconds."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     runners = {
@@ -405,6 +454,11 @@ def verify_suite(suite: str, seed: int = 42) -> dict:
         "tradeoff": lambda: check_tradeoff(seed),
     }
     names = list(runners) if suite == "all" else [suite]
-    checks = [runners[name]() for name in names]
+    checks = []
+    for name in names:
+        start = time.perf_counter()
+        checks.append(runners[name]())
+        if on_check is not None:
+            on_check(checks[-1], time.perf_counter() - start)
     return {"suite": suite, "seed": seed, "checks": checks,
             "passed": all(c["passed"] for c in checks)}

@@ -16,12 +16,13 @@ modes, since strengths never fall below 1.
 One column kernel (``_strengths``) is the only path from distances to
 strengths: it turns two voter-distance columns into each voter's side and
 its strength far/near. ``exact_profiles`` runs it once over a batch of
-(instance, p, q) items, ``bucket_profiles`` buckets a batch of profiles with
-one searchsorted and counts them with one bincount, and the single-item
-forms are batches of one. Both steps are built once and kept: an instance
-holds each ordered pair's profile, each side a read-only float64 array (8
-bytes per strength), and a profile holds its tally under each (scheme,
-boundary), for as long as the instance lives.
+(instance, p, q) items, ``bucket_counts`` buckets a batch of profiles with
+one searchsorted and counts them with one bincount, ``bucket_profiles``
+keeps those counts as tallies, and the single-item forms are batches of
+one. Profiles and tallies are built once and kept: an instance holds each
+ordered pair's profile, each side a read-only float64 array (8 bytes per
+strength), and a profile holds its tally under each (scheme, boundary), for
+as long as the instance lives.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ class ExactProfile:
         return {}
 
     @cached_property
-    def _scores(self) -> dict[str, tuple[float, float]]:
-        """The (a, b) side scores of the rules that weigh exact strengths
-        (rule5), once rules has summed them."""
+    def _scores(self) -> dict[object, tuple[float, float]]:
+        """The (a, b) side scores rules has summed and kept: rule5's, and
+        each threshold rule's that rules.prepare_profiles summed in a batch."""
         return {}
 
 
@@ -204,22 +205,28 @@ def _joined_sides(profiles) -> tuple[np.ndarray, list[int]]:
     return np.concatenate(sides), [len(side) for side in sides]
 
 
+def bucket_counts(profiles, scheme: ThresholdScheme, boundary: str = INCLUSIVE) -> np.ndarray:
+    """Each profile's bucket counts under a scheme, as an (n, 2, m+1) array:
+    [i, 0] counts profile i's a side and [i, 1] its b side, bucket 0 being
+    the hidden set C. The profiles are bucketed in one pass and counted in
+    one bincount; nothing is kept."""
+    strengths, sizes = _joined_sides(profiles)
+    width = scheme.m + 1
+    buckets = scheme.bucket(strengths, boundary)
+    buckets += np.arange(0, len(sizes) * width, width).repeat(sizes)
+    counts = np.bincount(buckets, minlength=len(sizes) * width)
+    return counts.reshape(len(profiles), 2, width)
+
+
 def bucket_profiles(profiles, scheme: ThresholdScheme,
                     boundary: str = INCLUSIVE) -> list[PairwiseTally]:
     """Reduce each profile's exact strengths to the bucket counts a scheme's
     ballots reveal. A tally is built once per profile and (scheme, boundary);
-    the profiles without one are bucketed in one pass and counted in one
-    bincount."""
+    the profiles without one are counted together by bucket_counts."""
     key = (scheme.taus, boundary)
     todo = [prof for prof in profiles if key not in prof._tallies]
     if todo:
-        strengths, sizes = _joined_sides(todo)
-        width = scheme.m + 1
-        buckets = scheme.bucket(strengths, boundary)
-        buckets += np.arange(0, len(sizes) * width, width).repeat(sizes)
-        counts = np.bincount(buckets, minlength=len(sizes) * width)
-        counts = counts.reshape(len(todo), 2, width).tolist()
-        for prof, (a, b) in zip(todo, counts):
+        for prof, (a, b) in zip(todo, bucket_counts(todo, scheme, boundary).tolist()):
             prof._tallies[key] = PairwiseTally(prof.pair, scheme, tuple(a[1:]), tuple(b[1:]),
                                                a[0] + b[0], boundary)
     return [prof._tallies[key] for prof in profiles]

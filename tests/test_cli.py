@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -443,3 +444,41 @@ def test_search_grid_0_and_1_both_skip_the_grid_sweep(monkeypatch, capsys):
                      "--grid", grid, "--n-instances", "20"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flag", ["--tau-min", "--tau-max"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_curve_rejects_a_non_finite_tau_naming_the_flag(flag, value, capsys):
+    # flag=value, because argparse reads a lone -inf as an option name
+    assert main(["curve", "--rule", "rule1", f"{flag}={value}", "--steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert flag in captured.err and value in captured.err
+
+
+def test_verify_timings_go_to_stderr_only(tmp_path, monkeypatch, capsys):
+    for name, sizes in (("bounds", {"n_two": 100, "n_multi": 20}), ("lambda", {"n": 50}),
+                        ("condition1", {"n": 600}), ("tradeoff", {"n_two": 50, "n_multi": 10})):
+        check = getattr(search_oracle, f"check_{name}")
+        monkeypatch.setattr(search_oracle, f"check_{name}", functools.partial(check, **sizes))
+    runs = []
+    for extra in ([], ["--timings"]):
+        for out in (None, tmp_path / f"report{len(extra)}.json"):
+            argv = ["verify", "--suite", "all", "--seed", "3", *extra]
+            if out is not None:
+                argv += ["--out", str(out)]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            runs.append((captured.out.replace(str(out), "OUT"), captured.err,
+                         out.read_text() if out is not None else None))
+    (plain, plain_err, _), (plain_to, _, plain_file), (timed, timed_err, _), \
+        (timed_to, timed_to_err, timed_file) = runs
+    assert (timed, timed_to, timed_file) == (plain, plain_to, plain_file)
+    assert plain_err == ""
+    names = [c["name"] for c in json.loads(plain)["checks"]]
+    for err in (timed_err, timed_to_err):
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == names
+        for line, check in zip(lines, json.loads(plain)["checks"]):
+            assert f" {check['cases']} cases in " in line and line.endswith(" s")
