@@ -7,7 +7,10 @@ points are coordinate tuples measured by math.dist, which is exactly |x - y|
 in 1-D. Matrix instances may carry extra named points that are neither voters
 nor candidates (useful as witness points). A distance matrix is checked against
 every metric axiom exactly, the triangle inequality over all n^3 triples, on
-numpy; the first violation in row-major order is reported.
+numpy; the first violation in row-major order is reported. Coordinates are
+checked once per instance, by a type-set test and one isfinite pass over all
+of them; the per-point scan runs only when those fail: for other inputs, such
+as integers, and to name the first bad field.
 
 Each voter's distance to a point is measured once per instance: the voter
 column of a point (``voter_distances``), a read-only float64 array, is built
@@ -24,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -94,11 +98,6 @@ class MetricInstance:
             self._columns[point] = column
         return column
 
-    def named_points(self) -> tuple[str, ...]:
-        if self.space == MATRIX:
-            return self.point_ids
-        return tuple(sorted(self.coords))
-
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -124,17 +123,37 @@ def _as_coord(value, field: str) -> tuple[float, ...]:
     return coord
 
 
+def _coords(points: dict, field: str) -> dict[str, tuple[float, ...]]:
+    """Each id's coordinate tuple, checked once per instance: when every value
+    is an exact float, or every value a non-empty list of exact floats, one
+    type-set test and one isfinite pass over all coordinates accept them. Any
+    other input, or a non-finite coordinate, is scanned point by point by
+    _as_coord, which names the first bad field."""
+    values = points.values()
+    types = set(map(type, values))
+    if types == {list} and all(values):
+        flat = list(chain.from_iterable(values))
+        types, coords = set(map(type, flat)), map(tuple, values)
+    else:
+        flat, coords = values, zip(values)  # zip(values): 1-tuples
+    if types <= {float} and all(map(math.isfinite, flat)):
+        return dict(zip(map(str, points), coords))
+    return {str(k): _as_coord(v, f"{field}[{k!r}]") for k, v in points.items()}
+
+
 def _check_instance(inst: MetricInstance, spread: float) -> None:
     """Every id is known, candidates sit at distinct points, and no social cost
     overflows: spread bounds every distance, so voters * spread bounds the sums."""
-    known = set(inst.named_points())
+    known = set(inst.point_ids if inst.space == MATRIX else inst.coords)
     if len(inst.candidates) < 2:
         raise ValueError("an instance needs at least two candidates")
     if len(set(inst.candidates)) != len(inst.candidates):
         raise ValueError("candidate ids must be distinct")
-    for cid in list(inst.voters) + list(inst.candidates):
-        if cid not in known:
-            raise UnknownId(cid)
+    ids = inst.voters + inst.candidates
+    if not all(map(known.__contains__, ids)):
+        for cid in ids:
+            if cid not in known:
+                raise UnknownId(cid)
     if not inst.voters:
         raise ValueError("an instance needs at least one voter")
     if not math.isfinite(len(inst.voters) * spread):
@@ -192,7 +211,7 @@ def _coord_instance(space: str, coords: dict, voters, candidates) -> MetricInsta
     """Line or Euclidean instance from id -> coordinate tuple. Its spread is
     the bounding box's diagonal: the diameter on a line, at most sqrt(d) times
     it in R^d."""
-    dims = {len(c) for c in coords.values()}
+    dims = set(map(len, coords.values()))
     if len(dims) > 1:
         raise ValueError(f"inconsistent coordinate dimensions: {sorted(dims)}")
     inst = MetricInstance(space, tuple(voters), tuple(candidates), coords=coords)
@@ -203,15 +222,15 @@ def _coord_instance(space: str, coords: dict, voters, candidates) -> MetricInsta
 
 def line_instance(positions: dict, voters, candidates) -> MetricInstance:
     """Build a 1D instance from id -> position."""
-    coords = {str(k): _as_coord(v, f"positions[{k!r}]") for k, v in positions.items()}
-    if any(len(c) != 1 for c in coords.values()):
+    coords = _coords(positions, "positions")
+    if not {1}.issuperset(map(len, coords.values())):
         raise ValueError("line positions must be single numbers")
     return _coord_instance(LINE, coords, voters, candidates)
 
 
 def euclidean_instance(coordinates: dict, voters, candidates) -> MetricInstance:
     """Build an R^d instance from id -> coordinate vector."""
-    coords = {str(k): _as_coord(v, f"coordinates[{k!r}]") for k, v in coordinates.items()}
+    coords = _coords(coordinates, "coordinates")
     return _coord_instance(EUCLIDEAN, coords, voters, candidates)
 
 

@@ -217,14 +217,19 @@ def side_scores(weights, a, b, condition1=()) -> tuple[list[float], list[float]]
     n, counts = len(a), np.array([a, b])
     sums = _row_fsums(np.multiply(weights, counts))
     if __debug__ and condition1:
-        scores = np.array(sums).reshape(2, n)
-        slacks = np.array(_slack_sums(condition1, counts)).reshape(2, n)
-        scale = np.maximum(1.0, np.abs(scores).max(axis=0))
-        close = np.abs((scores[0] - scores[1]) - (slacks[0] - slacks[1])) <= 1e-9 * scale
-        if not close.all():
-            i = int(np.argmin(close))
-            raise AssertionError((sums[i], sums[n + i], slacks[0, i] - slacks[1, i]))
+        _check_gaps(sums, _slack_sums(condition1, counts))
     return sums[:n], sums[n:]
+
+
+def _check_gaps(scores, slacks) -> None:
+    """Raise AssertionError unless each row's score gap matches its slack
+    gap; both are laid out as side a's rows then side b's."""
+    scores, slacks = np.reshape(scores, (2, -1)), np.reshape(slacks, (2, -1))
+    scale = np.maximum(1.0, np.abs(scores).max(axis=0))
+    close = np.abs((scores[0] - scores[1]) - (slacks[0] - slacks[1])) <= 1e-9 * scale
+    if not close.all():
+        i = int(np.argmin(close))
+        raise AssertionError((*scores[:, i].tolist(), float(slacks[0, i] - slacks[1, i])))
 
 
 def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
@@ -251,9 +256,11 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
 
 def rule4_tally_columns(tallies) -> np.ndarray:
     """rule4 under each tally's own scheme, as a (4, n) array of columns: the
-    pair[0] and pair[1] side scores (side_scores, with its condition-1
-    check), then the two sides' condition-1 slacks. rule4_weights is derived
-    once per tally, and the tallies of one scheme length are summed together."""
+    pair[0] and pair[1] side scores (side_scores), then the two sides'
+    condition-1 slacks. The slacks are summed once, and every row's score
+    gap is checked against their gap as side_scores checks it. rule4_weights
+    is derived once per tally, and the tallies of one scheme length are
+    summed together."""
     out = np.empty((4, len(tallies)))
     by_length = {}
     for i, tally in enumerate(tallies):
@@ -268,8 +275,11 @@ def rule4_tally_columns(tallies) -> np.ndarray:
         a = np.array([tallies[i].a_counts for i in rows])
         b = np.array([tallies[i].b_counts for i in rows])
         condition1 = (np.array(own), np.array(other))
-        out[0, rows], out[1, rows] = side_scores(np.array(weights), a, b, condition1)
-        out[2, rows], out[3, rows] = condition1_slacks(condition1, a, b)
+        scores = side_scores(np.array(weights), a, b)
+        slacks = condition1_slacks(condition1, a, b)
+        if __debug__:
+            _check_gaps(scores, slacks)
+        out[:, rows] = *scores, *slacks
     return out
 
 

@@ -28,9 +28,10 @@ as long as the instance lives.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -47,15 +48,17 @@ class ThresholdScheme:
     taus: tuple[float, ...]
 
     def __post_init__(self):
-        taus = tuple(float(t) for t in self.taus)
+        taus = tuple(map(float, self.taus))
         object.__setattr__(self, "taus", taus)
         if not taus:
             raise ValueError("a scheme needs at least one threshold")
         if taus[0] < 1.0:
             raise ValueError(f"thresholds must be >= 1, got {taus[0]}")
-        if any(a >= b for a, b in zip(taus, taus[1:])):
+        # before the finite check: (1, inf, inf) is not strictly increasing,
+        # while a NaN compares false and is reported as not finite
+        if any(map(operator.ge, taus, taus[1:])):
             raise ValueError(f"thresholds must be strictly increasing: {taus}")
-        if any(math.isinf(t) or math.isnan(t) for t in taus):
+        if not all(map(math.isfinite, taus)):
             raise ValueError("thresholds must be finite")
 
     @property
@@ -142,7 +145,7 @@ class PairwiseTally:
         m = self.scheme.m
         if len(self.a_counts) != m or len(self.b_counts) != m:
             raise ValueError(f"expected {m} bucket counts per side")
-        if self.c_count < 0 or any(c < 0 for c in self.a_counts + self.b_counts):
+        if self.c_count < 0 or any(map(operator.lt, self.a_counts + self.b_counts, repeat(0))):
             raise ValueError("bucket counts must be nonnegative")
         if self.scheme.taus[0] == 1.0 and self.c_count != 0:
             raise ValueError("C must be empty when tau_1 = 1")

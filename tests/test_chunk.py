@@ -14,12 +14,13 @@ import random
 import numpy as np
 import pytest
 
+from strengthvote import rules
 from strengthvote.metric_core import line_instance
 from strengthvote.rules import (Rule, _condition1_diff, decide_pair, decide_tally,
                                 rule4_tally_columns, rule4_weights, side_scores)
 from strengthvote.search_oracle import (_drawn, _random_tally, _two_candidate_rules, _winner,
                                         _winners, check_condition1)
-from strengthvote.tallies import ThresholdScheme
+from strengthvote.tallies import PairwiseTally, ThresholdScheme
 from strengthvote.tournament import copeland_winner, majority_graph
 
 from test_kernel import SCHEMES
@@ -138,6 +139,26 @@ def test_side_scores_raise_when_condition1_disagrees():
     weights, (own, other), _, _ = rule4_weights(ThresholdScheme((1.5, 3.0)))
     with pytest.raises(AssertionError):
         side_scores(weights, [[3, 0]], [[0, 2]], (own, tuple(x + 1.0 for x in other)))
+
+
+def test_condition1_columns_check_every_rows_score_gap(monkeypatch):
+    """rule4_tally_columns sums the slacks once and still checks each row:
+    skewing the last tally's condition-1 coefficients makes it raise."""
+    rng = np.random.default_rng(8)
+    skewed = PairwiseTally(("P", "Q"), ThresholdScheme((1.5, 3.0)), (3, 0), (0, 2), 0)
+    tallies = [_random_tally(rng) for _ in range(50)] + [skewed]
+    derive = rules.rule4_weights
+
+    def skewing(scheme):
+        weights, (own, other), ds, k = derive(scheme)
+        if scheme is skewed.scheme:
+            other = tuple(x + 1.0 for x in other)
+        return weights, (own, other), ds, k
+
+    rule4_tally_columns(tallies)
+    monkeypatch.setattr(rules, "rule4_weights", skewing)
+    with pytest.raises(AssertionError):
+        rule4_tally_columns(tallies)
 
 
 def test_condition1_columns_match_the_per_tally_path():
