@@ -12,11 +12,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
-from .metric_core import EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost
+from .metric_core import (EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost,
+                          voter_points)
 from .rules import (SQRT2, Rule, bound_value, decide_pair, lambda_coefficients, make_rule,
                     prepare_profiles, ratio_terms)
 from .tallies import exact_profiles
@@ -110,15 +111,16 @@ def ideal_point(inst: MetricInstance) -> IdealPoint:
     returned with converged=False). Matrix: the cheapest named point.
     """
     if inst.space == LINE:
-        xs = sorted(inst.coords[v][0] for v in inst.voters)
-        med = xs[(len(xs) - 1) // 2]
-        cost = math.fsum(abs(x - med) for x in xs)
+        # stable, so -0.0 and 0.0 keep voter order, as sorted() does
+        xs = np.sort(voter_points(inst), kind="stable")
+        med = float(xs[(len(xs) - 1) // 2])
+        cost = math.fsum(np.abs(xs - med).tolist())
         return IdealPoint(med, cost, "exact")
     if inst.space == EUCLIDEAN:
-        pts = np.array([inst.coords[v] for v in inst.voters], dtype=float)
-        loc, converged, achieved = _geometric_median(pts)
+        points = voter_points(inst)
+        loc, converged, achieved = _geometric_median(np.array(points, dtype=float))
         loc = tuple(loc.tolist())
-        cost = math.fsum(math.dist(loc, p) for p in pts.tolist())
+        cost = math.fsum(map(math.dist, repeat(loc), points))
         return IdealPoint(loc, cost, "iterative", converged, achieved)
     best, best_cost = None, math.inf
     for pid in inst.point_ids:

@@ -14,8 +14,11 @@ as integers, and to name the first bad field.
 
 Each voter's distance to a point is measured once per instance: the voter
 column of a point (``voter_distances``), a read-only float64 array, is built
-through ``distance`` on first use and kept, and social costs and the
-strength kernel in ``tallies`` read it. The instance also keeps each ordered
+on first use and kept, and social costs and the strength kernel in
+``tallies`` read it. A column is one array step over the voters' positions,
+kept on the instance: |x_v - x| on a line, a gather from the checked matrix
+array, and math.dist mapped over the coordinate tuples in R^d, so each entry
+equals the scalar ``distance`` exactly. The instance also keeps each ordered
 pair's strength profile once ``tallies.exact_profiles`` has built it;
 profiles and columns live as long as the instance, at 8 bytes per strength:
 about C(C-1)/2 * V floats of profiles for C candidates and V voters.
@@ -27,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -92,8 +95,7 @@ class MetricInstance:
         array, measured on first use."""
         column = self._columns.get(point)
         if column is None:
-            column = np.fromiter((distance(self, v, point) for v in self.voters),
-                                 float, len(self.voters))
+            column = distance_column(self, point)
             column.flags.writeable = False
             self._columns[point] = column
         return column
@@ -166,13 +168,14 @@ def _check_instance(inst: MetricInstance, spread: float) -> None:
                 raise DuplicateCandidatePoint(f"{cands[i]} and {cands[j]} coincide")
 
 
-def _check_matrix(ids: tuple[str, ...], rows: tuple[tuple[float, ...], ...]) -> None:
+def _check_matrix(ids: tuple[str, ...], rows: tuple[tuple[float, ...], ...]) -> np.ndarray:
     """Check the metric axioms exactly and report the first violation in scan
     order: row i ascending, its diagonal first, then j ascending, and for one
     entry not-finite before negative before asymmetry; then the triangle
     inequality d(i,j) <= d(i,k) + d(k,j) over (i, k, j) in row-major order.
     numpy compares the same float sums a scalar loop would, and messages
-    quote the Python floats in ``rows``."""
+    quote the Python floats in ``rows``. Returns the checked matrix as a
+    read-only float64 array."""
     n = len(ids)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"distance matrix must be {n}x{n}")
@@ -205,6 +208,8 @@ def _check_matrix(ids: tuple[str, ...], rows: tuple[tuple[float, ...], ...]) -> 
                     f"triangle inequality fails on ({ids[i]}, {ids[k]}, {ids[j]}): "
                     f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
                 )
+    d.flags.writeable = False
+    return d
 
 
 def _coord_instance(space: str, coords: dict, voters, candidates) -> MetricInstance:
@@ -240,10 +245,11 @@ def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
     if len(set(ids)) != len(ids):
         raise ValueError("matrix point ids must be distinct")
     mat = tuple(tuple(map(_float, r)) for r in rows)
-    _check_matrix(ids, mat)
+    array = _check_matrix(ids, mat)
     inst = MetricInstance(MATRIX, tuple(voters), tuple(candidates),
                           point_ids=ids, matrix=mat)
     _check_instance(inst, max(map(max, mat), default=0.0))
+    inst.__dict__["_matrix_array"] = array
     return inst
 
 
@@ -353,6 +359,40 @@ def distance(inst: MetricInstance, a: str, b: str) -> float:
     except KeyError as exc:
         raise UnknownId(exc.args[0]) from None
     return math.dist(pa, pb)
+
+
+def voter_points(inst: MetricInstance):
+    """The voters' positions in voter order, kept on the instance (outside its
+    fields) on first use: a float64 array of x on a line, the coordinate
+    tuples in R^d, and an array of the voters' rows for a matrix."""
+    points = inst.__dict__.get("_voter_points")
+    if points is None:
+        voters = inst.voters
+        if inst.space == MATRIX:
+            points = np.fromiter(map(inst.row_of.__getitem__, voters), np.intp, len(voters))
+        else:
+            points = list(map(inst.coords.__getitem__, voters))
+            if inst.space == LINE:
+                points = np.fromiter(chain.from_iterable(points), float, len(points))
+        inst.__dict__["_voter_points"] = points
+    return points
+
+
+def distance_column(inst: MetricInstance, point: str) -> np.ndarray:
+    """d(v, point) for each voter v in voter order, in one array step over the
+    kept voter positions: |x_v - x| on a line, a gather from the matrix, and
+    math.dist mapped over the coordinate tuples in R^d. Each entry is exactly
+    distance(inst, v, point)."""
+    points = voter_points(inst)
+    try:
+        at = inst.row_of[point] if inst.space == MATRIX else inst.coords[point]
+    except KeyError:
+        raise UnknownId(point) from None
+    if inst.space == LINE:
+        return np.abs(points - at[0])
+    if inst.space == EUCLIDEAN:
+        return np.fromiter(map(math.dist, points, repeat(at)), float, len(points))
+    return inst.__dict__["_matrix_array"][points, at]
 
 
 def social_cost(inst: MetricInstance, point: str) -> float:

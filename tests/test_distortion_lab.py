@@ -347,13 +347,14 @@ def test_evaluate_measures_each_voter_distance_to_each_candidate_once(monkeypatc
     pos.update((v, rng.uniform(-1.0, 5.0)) for v in voters)
     inst = line_instance(pos, voters, cands)
     calls = []
-    distance = metric_core.distance
+    distance_column = metric_core.distance_column
 
-    def counted(inst, a, b):
-        calls.append((a, b))
-        return distance(inst, a, b)
+    def counted(inst, point):
+        column = distance_column(inst, point)
+        calls.extend((point, d) for d in column.tolist())
+        return column
 
-    monkeypatch.setattr(metric_core, "distance", counted)
+    monkeypatch.setattr(metric_core, "distance_column", counted)
     evaluate_instance(inst, make_rule("rule4", taus=(1.5, 3.0)))
     assert len(calls) == len(voters) * len(cands)
 
