@@ -12,16 +12,16 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .metric_core import (EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost,
                           voter_points)
-from .rules import (SQRT2, Rule, bound_value, decide_pair, lambda_coefficients, make_rule,
-                    prepare_profiles, ratio_terms)
-from .tallies import exact_profiles
+from .rules import SQRT2, Rule, bound_value, lambda_coefficients, make_rule, ratio_terms
 from .tournament import copeland_winner, majority_graph
+# Unused here, but perfbench/tracer.py counts calls through this module attribute.
+from .rules import decide_pair  # noqa: F401
 
 # family -> (number of thresholds, index into ratio_terms of the term it approaches)
 _FAMILIES = {"exact_sqrt2": (0, None), "smallest": (1, 0), "largest": (1, -1), "pair": (2, 1)}
@@ -29,6 +29,9 @@ _ARITY_WORDS = ("no thresholds", "exactly one threshold", "exactly two threshold
 LOWER_BOUND_KINDS = tuple(_FAMILIES)
 _WEISZFELD_TOL = 1e-10
 _WEISZFELD_MAX_ITER = 10_000
+# Up to this voter spread (about 6.7e153) squared distances stay below 2**1022,
+# a factor 4 short of overflow; beyond it _geometric_median rescales.
+_WEISZFELD_RESCALE_ABOVE = 2.0 ** 511
 
 
 class InvalidParams(ValueError):
@@ -71,11 +74,15 @@ def _geometric_median(pts: np.ndarray):
     coordinates centred on the first voter, and a step counts as converged when
     it is within _WEISZFELD_TOL of the voters' spread (their bounding box's
     diagonal): both are unchanged by translation, so voters far from the
-    origin neither overflow nor stop the iteration early.
+    origin neither overflow nor stop the iteration early. Above
+    _WEISZFELD_RESCALE_ABOVE the spread is the unit of length, so the squares
+    np.linalg.norm sums cannot overflow.
     """
     origin = pts[0]
     pts = pts - origin
     spread = math.hypot(*np.ptp(pts, axis=0))
+    unit = spread if spread > _WEISZFELD_RESCALE_ABOVE else 1.0
+    pts, spread = pts / unit, spread / unit
     y = pts.mean(axis=0)
     achieved = math.inf
     for _ in range(_WEISZFELD_MAX_ITER):
@@ -83,7 +90,7 @@ def _geometric_median(pts: np.ndarray):
         d = np.linalg.norm(diff, axis=1)
         off = d > 0.0
         if not off.any():
-            return y + origin, True, 0.0
+            return y * unit + origin, True, 0.0
         inv = 1.0 / d[off]
         tilde = (pts[off] * inv[:, None]).sum(axis=0) / inv.sum()
         eta = int((~off).sum())
@@ -91,7 +98,7 @@ def _geometric_median(pts: np.ndarray):
             pull = (diff[off] * inv[:, None]).sum(axis=0)
             r = float(np.linalg.norm(pull))
             if r <= eta:
-                return y + origin, True, 0.0
+                return y * unit + origin, True, 0.0
             gamma = eta / r
             new = (1.0 - gamma) * tilde + gamma * y
         else:
@@ -99,8 +106,8 @@ def _geometric_median(pts: np.ndarray):
         achieved = float(np.linalg.norm(new - y)) / spread
         y = new
         if achieved <= _WEISZFELD_TOL:
-            return y + origin, True, achieved
-    return y + origin, False, achieved
+            return y * unit + origin, True, achieved
+    return y * unit + origin, False, achieved
 
 
 def ideal_point(inst: MetricInstance) -> IdealPoint:
@@ -149,16 +156,11 @@ def actual_distortion(inst: MetricInstance, winner: str) -> tuple[float, bool]:
 def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:
     """Run a rule on an instance and measure its distortion against the bound.
 
-    Two candidates are decided directly; with more, the winner is Copeland
-    over the rule's majority graph. A rule with no known bound in the given
+    The winner is Copeland over the rule's majority graph, which for two
+    candidates is the pair's winner. A rule with no known bound in the given
     setting reports bound = +inf.
     """
-    cands = sorted(inst.candidates)
-    if len(cands) == 2:
-        winner = decide_pair(inst, cands[0], cands[1], rule).winner
-    else:
-        prepare_profiles(exact_profiles([(inst, p, q) for p, q in combinations(cands, 2)]), [rule])
-        winner = copeland_winner(majority_graph(inst, rule))
+    winner = copeland_winner(majority_graph(inst, rule))
     costs = {c: social_cost(inst, c) for c in inst.candidates}
     sc_w = costs[winner]
     sc_best = min(costs.values())
@@ -166,7 +168,7 @@ def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:
     ip = ideal_point(inst)
     rho = cost_ratio(sc_w, ip.cost)
     try:
-        bound = bound_value(rule, len(cands))
+        bound = bound_value(rule, len(inst.candidates))
     except ValueError:
         bound = math.inf
     if math.isinf(bound) and math.isinf(delta):

@@ -168,18 +168,21 @@ def _check_instance(inst: MetricInstance, spread: float) -> None:
                 raise DuplicateCandidatePoint(f"{cands[i]} and {cands[j]} coincide")
 
 
-def _check_matrix(ids: tuple[str, ...], rows: tuple[tuple[float, ...], ...]) -> np.ndarray:
+def _check_matrix(ids: tuple[str, ...], rows) -> np.ndarray:
     """Check the metric axioms exactly and report the first violation in scan
     order: row i ascending, its diagonal first, then j ascending, and for one
     entry not-finite before negative before asymmetry; then the triangle
     inequality d(i,j) <= d(i,k) + d(k,j) over (i, k, j) in row-major order.
     numpy compares the same float sums a scalar loop would, and messages
-    quote the Python floats in ``rows``. Returns the checked matrix as a
-    read-only float64 array."""
+    quote entries as Python floats. Returns the rows as a read-only float64
+    array, converted in one step (an integer too big for a float is +-inf)."""
     n = len(ids)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"distance matrix must be {n}x{n}")
-    d = np.array(rows, dtype=float).reshape(n, n)
+    try:
+        d = np.array(rows, dtype=float).reshape(n, n)
+    except OverflowError:
+        d = np.array([list(map(_float, r)) for r in rows]).reshape(n, n)
     # Entries near the float limit overflow to inf in the sums, as they do in
     # Python arithmetic, and inf - inf is nan; neither is an error here.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -187,7 +190,7 @@ def _check_matrix(ids: tuple[str, ...], rows: tuple[tuple[float, ...], ...]) -> 
         entry_bad = ~np.isfinite(d) | (d < -TOL) | (np.abs(d - d.T) > TOL)
         row_bad = diagonal_bad | entry_bad.any(axis=1)
         if row_bad.any():
-            i = int(row_bad.argmax())
+            rows, i = d.tolist(), int(row_bad.argmax())
             if diagonal_bad[i]:
                 raise MetricViolation(f"d({ids[i]},{ids[i]}) = {rows[i][i]}, expected 0")
             j = int(entry_bad[i].argmax())
@@ -203,7 +206,7 @@ def _check_matrix(ids: tuple[str, ...], rows: tuple[tuple[float, ...], ...]) -> 
             # broken[k, j]: d(i,j) > (d(i,k) + d(k,j)) + TOL, summed in that order
             broken = d[i] > d[i, :, None] + d + TOL
             if broken.any():
-                k, j = divmod(int(broken.argmax()), n)
+                rows, (k, j) = d.tolist(), divmod(int(broken.argmax()), n)
                 raise MetricViolation(
                     f"triangle inequality fails on ({ids[i]}, {ids[k]}, {ids[j]}): "
                     f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
@@ -244,8 +247,8 @@ def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
     ids = tuple(str(p) for p in point_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("matrix point ids must be distinct")
-    mat = tuple(tuple(map(_float, r)) for r in rows)
-    array = _check_matrix(ids, mat)
+    array = _check_matrix(ids, rows)
+    mat = tuple(map(tuple, array.tolist()))
     inst = MetricInstance(MATRIX, tuple(voters), tuple(candidates),
                           point_ids=ids, matrix=mat)
     _check_instance(inst, max(map(max, mat), default=0.0))

@@ -29,6 +29,9 @@ max{tau, (tau+2)/tau} (rule3). distortion_lab's hard-instance families each
 approach one ratio term.
 The multiway and ideal-point guarantees rest on each rule's lambda-inequality
 SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
+pair_scores is the one scorer from strength profiles to side scores: the
+chunk path (search_oracle._winners) calls it, and the evaluate path through
+prepare_profiles, which keeps the scores on the profiles for decide_profile.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ import numpy as np
 
 from .metric_core import MetricInstance
 from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdScheme,
-                      _joined_sides, bucket_profile, bucket_profiles, exact_profile)
+                      _joined_sides, bucket_counts, exact_profile)
+# Unused here, but perfbench/tracer.py counts calls through this module attribute.
+from .tallies import bucket_profile  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 
@@ -308,18 +313,27 @@ def rule5_weight(strength):
     return w if w.ndim else float(w)
 
 
-def _rule5_scores(profiles) -> list[tuple[float, float]]:
-    """Each profile's rule5 side scores, the fsum of its voters' weights,
-    kept on the profile; the profiles without them are weighed in one pass."""
-    todo = [prof for prof in profiles if "rule5" not in prof._scores]
-    if todo:
-        strengths, sizes = _joined_sides(todo)
-        weights = rule5_weight(strengths)
-        ends = list(accumulate(sizes))
-        sums = [math.fsum(weights[lo:hi].tolist()) for lo, hi in zip([0] + ends, ends)]
-        for prof, p, q in zip(todo, sums[0::2], sums[1::2]):
-            prof._scores["rule5"] = (p, q)
-    return [prof._scores["rule5"] for prof in profiles]
+def pair_scores(profiles, rules) -> list[tuple[list[float], list[float]]]:
+    """Each rule's (a, b) side scores for every profile, as two lists in
+    profile order. rule5 sums its voters' rule5_weight, weighed in one pass
+    over all the profiles' strengths; a threshold rule sums its bucket
+    weights by side_scores, over counts bucketed once per distinct (scheme,
+    boundary)."""
+    out, counts = [], {}
+    for rule in rules:
+        if rule.kind == "rule5":
+            strengths, sizes = _joined_sides(profiles)
+            weights = rule5_weight(strengths)
+            ends = list(accumulate(sizes))
+            sums = [math.fsum(weights[lo:hi].tolist()) for lo, hi in zip([0] + ends, ends)]
+            out.append((sums[0::2], sums[1::2]))
+            continue
+        key = (rule.scheme.taus, rule.boundary)
+        if key not in counts:
+            counts[key] = bucket_counts(profiles, rule.scheme, rule.boundary)[:, :, 1:]
+        out.append(side_scores(rule.weights, counts[key][:, 0], counts[key][:, 1],
+                               rule.condition1))
+    return out
 
 
 def _score_key(rule: Rule):
@@ -329,34 +343,22 @@ def _score_key(rule: Rule):
 
 
 def prepare_profiles(profiles, rules) -> None:
-    """Build in one batch what the rules read from these profiles: a tally
-    per distinct (scheme, boundary), and each rule's side scores, summed by
-    one side_scores call per rule and kept on the profiles. decide_profile
-    then reads the kept scores."""
-    for rule in rules:
-        if rule.kind == "rule5":
-            _rule5_scores(profiles)
-            continue
-        key = _score_key(rule)
-        todo = [prof for prof in profiles if key not in prof._scores]
-        if todo:
-            tallies = bucket_profiles(todo, rule.scheme, rule.boundary)
-            p, q = side_scores(rule.weights, [t.a_counts for t in tallies],
-                               [t.b_counts for t in tallies], rule.condition1)
+    """Score the profiles that lack some rule's side scores in one
+    pair_scores batch, and keep each rule's scores on every profile that has
+    none yet; decide_profile reads the kept scores."""
+    keys = [_score_key(rule) for rule in rules]
+    todo = [prof for prof in profiles if not all(map(prof._scores.__contains__, keys))]
+    if todo:
+        for key, (p, q) in zip(keys, pair_scores(todo, rules)):
             for prof, scores in zip(todo, zip(p, q)):
-                prof._scores[key] = scores
+                prof._scores.setdefault(key, scores)
 
 
 def decide_profile(profile: ExactProfile, rule: Rule) -> PairwiseDecision:
     """Decide a pair from its exact profile, revealing only what the rule may
-    see: from the side scores prepare_profiles kept, else from the profile's
-    tally (rule5: from its strengths)."""
-    scores = profile._scores.get(_score_key(rule))
-    if scores is not None:
-        return _resolve(profile.pair, *scores)
-    if rule.kind == "rule5":
-        return _resolve(profile.pair, *_rule5_scores([profile])[0])
-    return decide_tally(bucket_profile(profile, rule.scheme, rule.boundary), rule)
+    see: its side scores under the rule, as prepare_profiles keeps them."""
+    prepare_profiles([profile], [rule])
+    return _resolve(profile.pair, *profile._scores[_score_key(rule)])
 
 
 def decide_pair(inst: MetricInstance, p: str, q: str, rule: Rule) -> PairwiseDecision:

@@ -9,10 +9,10 @@ violated, lambda inequalities, feasibility, tradeoffs, generator targets)
 behind a machine-readable report.
 
 The checks and the random stage decide a chunk of instances at a time
-(_winners): one kernel pass over every candidate pair, one bucket count per
-distinct (scheme, boundary), each rule's side scores from rules.side_scores,
-and winners, costs and margins as arrays. A lone instance (_winner) is a
-chunk of one.
+(_winners): one kernel pass over every candidate pair, each rule's side
+scores from rules.pair_scores (the scorer evaluate's majority graph uses
+too), and winners, costs and margins as arrays. A lone instance (_winner) is
+a chunk of one.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import numpy as np
 from .distortion_lab import (actual_distortion, cost_ratio, generate_lower_bound, ideal_point,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
 from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
-from .rules import (SQRT2, Rule, _rule5_scores, bound_value, lambda_coefficients, make_rule,
-                    rule4_delta, rule4_tally_columns, side_scores)
-from .tallies import PairwiseTally, ThresholdScheme, _strengths, bucket_counts, exact_profiles
+from .rules import (SQRT2, Rule, bound_value, lambda_coefficients, make_rule, pair_scores,
+                    rule4_delta, rule4_tally_columns)
+from .tallies import PairwiseTally, ThresholdScheme, _strengths, exact_profiles
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
 from .rules import (_condition1_diff, decide_pair, decide_profile,  # noqa: F401
                     rule4_decide, rule4_weights)
@@ -93,8 +93,8 @@ def _winners(chunk, rules) -> np.ndarray:
     """Each rule's winner on each instance of a chunk, as an index into the
     instance's sorted candidates: an (len(rules), len(chunk)) array. The
     instances have equally many candidates. Every candidate pair's profile is
-    measured in one kernel pass and bucketed once per distinct (scheme,
-    boundary) of the rules. A pair goes to its first (smaller) id unless the
+    measured in one kernel pass and scored under all the rules by
+    rules.pair_scores. A pair goes to its first (smaller) id unless the
     second scores more, and the winner is the first candidate in sorted order
     with the most pairs won: for two candidates the pair's winner, beyond
     two the Copeland winner, as copeland_winner(majority_graph(...)) names it."""
@@ -102,17 +102,7 @@ def _winners(chunk, rules) -> np.ndarray:
     pairs = list(combinations(range(len(names[0])), 2))
     profiles = exact_profiles([(inst, ids[i], ids[j]) for inst, ids in zip(chunk, names)
                                for i, j in pairs])
-    counts, first = {}, []
-    for rule in rules:
-        if rule.kind == "rule5":
-            p, q = np.array(_rule5_scores(profiles)).T
-        else:
-            key = (rule.scheme.taus, rule.boundary)
-            if key not in counts:
-                counts[key] = bucket_counts(profiles, rule.scheme, rule.boundary)[:, :, 1:]
-            p, q = side_scores(rule.weights, counts[key][:, 0], counts[key][:, 1],
-                               rule.condition1)
-        first.append(np.greater_equal(p, q))
+    first = [np.greater_equal(p, q) for p, q in pair_scores(profiles, rules)]
     first = np.array(first).reshape(len(rules), len(chunk), len(pairs), 1)
     ends = np.eye(len(names[0]), dtype=int)[np.array(pairs)]  # (pair, end, one-hot id)
     return np.where(first, ends[:, 0], ends[:, 1]).sum(axis=-2).argmax(axis=-1)

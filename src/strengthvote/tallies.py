@@ -16,13 +16,14 @@ modes, since strengths never fall below 1.
 One column kernel (``_strengths``) is the only path from distances to
 strengths: it turns two voter-distance columns into each voter's side and
 its strength far/near. ``exact_profiles`` runs it once over a batch of
-(instance, p, q) items, ``bucket_counts`` buckets a batch of profiles with
-one searchsorted and counts them with one bincount, ``bucket_profiles``
-keeps those counts as tallies, and the single-item forms are batches of
-one. Profiles and tallies are built once and kept: an instance holds each
-ordered pair's profile, each side a read-only float64 array (8 bytes per
-strength), and a profile holds its tally under each (scheme, boundary), for
-as long as the instance lives.
+(instance, p, q) items (``exact_profile`` is a batch of one), and
+``bucket_counts`` buckets a batch of profiles with one searchsorted and
+counts them with one bincount; rules.pair_scores scores rules from those
+counts. ``bucket_profile`` keeps one profile's counts as a tally. Profiles
+and tallies are built once and kept: an instance holds each ordered pair's
+profile, each side a read-only float64 array (8 bytes per strength), and a
+profile holds its tally under each (scheme, boundary) and the side scores
+rules.prepare_profiles kept, for as long as the instance lives.
 """
 
 from __future__ import annotations
@@ -120,15 +121,15 @@ class ExactProfile:
 
     @cached_property
     def _tallies(self) -> dict[tuple[tuple[float, ...], str], PairwiseTally]:
-        """bucket_profiles' result for each (scheme, boundary) it has built,
+        """bucket_profile's result for each (scheme, boundary) it has built,
         keyed by (scheme.taus, boundary): schemes are equal when their taus
         are, and a tuple of floats hashes without the dataclass's __hash__."""
         return {}
 
     @cached_property
     def _scores(self) -> dict[object, tuple[float, float]]:
-        """The (a, b) side scores rules has summed and kept: rule5's, and
-        each threshold rule's that rules.prepare_profiles summed in a batch."""
+        """Each rule's (a, b) side scores, keyed by rules._score_key, as
+        rules.prepare_profiles kept them."""
         return {}
 
 
@@ -221,25 +222,17 @@ def bucket_counts(profiles, scheme: ThresholdScheme, boundary: str = INCLUSIVE) 
     return counts.reshape(len(profiles), 2, width)
 
 
-def bucket_profiles(profiles, scheme: ThresholdScheme,
-                    boundary: str = INCLUSIVE) -> list[PairwiseTally]:
-    """Reduce each profile's exact strengths to the bucket counts a scheme's
-    ballots reveal. A tally is built once per profile and (scheme, boundary);
-    the profiles without one are counted together by bucket_counts."""
-    key = (scheme.taus, boundary)
-    todo = [prof for prof in profiles if key not in prof._tallies]
-    if todo:
-        for prof, (a, b) in zip(todo, bucket_counts(todo, scheme, boundary).tolist()):
-            prof._tallies[key] = PairwiseTally(prof.pair, scheme, tuple(a[1:]), tuple(b[1:]),
-                                               a[0] + b[0], boundary)
-    return [prof._tallies[key] for prof in profiles]
-
-
 def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme,
                    boundary: str = INCLUSIVE) -> PairwiseTally:
-    """bucket_profiles for one profile."""
-    tally = profile._tallies.get((scheme.taus, boundary))
-    return tally if tally is not None else bucket_profiles([profile], scheme, boundary)[0]
+    """Reduce a profile's exact strengths to the bucket counts a scheme's
+    ballots reveal (bucket_counts), as a tally built once per (scheme,
+    boundary) and kept on the profile."""
+    key = (scheme.taus, boundary)
+    if key not in profile._tallies:
+        (a, b), = bucket_counts([profile], scheme, boundary).tolist()
+        profile._tallies[key] = PairwiseTally(profile.pair, scheme, tuple(a[1:]), tuple(b[1:]),
+                                              a[0] + b[0], boundary)
+    return profile._tallies[key]
 
 
 def pairwise_tally(inst: MetricInstance, p: str, q: str, scheme: ThresholdScheme,

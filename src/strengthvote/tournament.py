@@ -3,7 +3,8 @@
 The majority graph is a complete antisymmetric digraph on the candidates (a
 tournament, since every pairwise decision names a winner). The uncovered set
 collects candidates that reach every other candidate in at most two beat
-steps; it is never empty and always contains the Copeland winner.
+steps; it is never empty and always contains the Copeland winner. With two
+candidates the graph is the one pair, and its winner the Copeland winner.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .metric_core import MetricInstance
-from .rules import PairwiseDecision, Rule, decide_pair
+from .rules import PairwiseDecision, Rule, decide_pair, prepare_profiles
+from .tallies import exact_profiles
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,11 @@ class TournamentGraph:
 
 
 def majority_graph(inst: MetricInstance, rule: Rule) -> TournamentGraph:
-    """Decide every candidate pair, from the kept profiles and tallies where
-    they were built in a batch (prepare_profiles), else one pair at a time."""
-    decisions = {(p, q): decide_pair(inst, p, q, rule)
-                 for p, q in combinations(sorted(inst.candidates), 2)}
+    """Decide every candidate pair by decide_pair, from the kept scores of one
+    batch that measures and scores all the pairs (prepare_profiles)."""
+    pairs = list(combinations(sorted(inst.candidates), 2))
+    prepare_profiles(exact_profiles([(inst, p, q) for p, q in pairs]), [rule])
+    decisions = {(p, q): decide_pair(inst, p, q, rule) for p, q in pairs}
     return TournamentGraph(tuple(inst.candidates), decisions)
 
 

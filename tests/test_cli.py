@@ -329,6 +329,19 @@ def test_instance_whose_social_costs_overflow_exits_2(space, voters, tmp_path, c
     assert captured.out == "" and "overflow" in captured.err
 
 
+def test_evaluate_finds_the_ideal_point_where_squared_distances_overflow(tmp_path, capsys):
+    """Voters 1.75e300 apart: their squared distances overflow, so the
+    geometric median is found in units of the voters' spread."""
+    path = tmp_path / "huge_spread.json"
+    path.write_text(json.dumps({
+        "space": {"type": "euclidean", "positions": {
+            "a": [1e300, -3e299], "b": [-1e300, 3e299], "v1": [1.25e300, 0], "v2": [-5e299, 0]}},
+        "voters": ["v1", "v2"], "candidates": ["a", "b"]}))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sc_ideal"] == pytest.approx(1.75e300)
+    assert math.isfinite(doc["rho"])
+
 
 def _doc(space):
     return {"space": space, "voters": ["v1"], "candidates": ["P", "Q"]}

@@ -4,19 +4,23 @@ import json
 import math
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
+from strengthvote import metric_core, tallies
+from strengthvote.cli import main
 from strengthvote.distortion_lab import (InvalidParams, PoleViolation,
                                          actual_distortion, cost_ratio,
                                          evaluate_instance, generate_lower_bound,
                                          ideal_point, ideal_tradeoff_bound,
                                          lower_bound_target, report_csv,
                                          report_to_dict, rule3_counterexample)
-from strengthvote import metric_core
 from strengthvote.metric_core import (MetricInstance, euclidean_instance, line_instance,
-                                      matrix_instance, social_cost)
+                                      matrix_instance, save_instance, social_cost)
 from strengthvote.rules import SQRT2, make_rule
+from strengthvote.search_oracle import _two_candidate_rules, _winner
+from strengthvote.tallies import ThresholdScheme
 from strengthvote.tournament import copeland_winner, majority_graph
 
 TOL = 1e-9
@@ -363,3 +367,49 @@ def test_evaluate_measures_each_voter_distance_to_each_candidate_once(monkeypatc
 def test_generator_rejects_a_non_finite_epsilon(epsilon):
     with pytest.raises(InvalidParams, match="epsilon"):
         generate_lower_bound("largest", (2.0,), epsilon)
+
+
+def _tie_heavy(rng, num_candidates):
+    """A line instance on half-integer spots in [-3, 6]: many voters are
+    equidistant from a pair, sit on a candidate, or have a strength of
+    exactly 1.5, 2, 3 or 4."""
+    spots = [k / 2 for k in range(-6, 13)]
+    cands = tuple(f"c{j}" for j in range(num_candidates))
+    pos = dict(zip(cands, rng.sample(spots, num_candidates)))
+    voters = tuple(f"v{i}" for i in range(rng.randint(1, 12)))
+    pos.update((v, rng.choice(spots)) for v in voters)
+    return line_instance(pos, voters, cands)
+
+
+@pytest.mark.parametrize("num_candidates", [2, 4])
+def test_evaluate_names_the_chunk_winner_on_tie_heavy_instances(num_candidates):
+    rng = random.Random(1600 + num_candidates)
+    for _ in range(30):
+        inst = _tie_heavy(rng, num_candidates)
+        for rule in _two_candidate_rules():
+            assert evaluate_instance(inst, rule).winner == _winner(inst, rule), rule.label()
+
+
+def test_two_candidate_evaluate_measures_and_buckets_once(tmp_path, monkeypatch, capsys):
+    """Two candidates go through the majority graph too: one kernel call and
+    one bucket call under rule4 (1.5, 3)."""
+    rng = random.Random(16)
+    voters = [f"v{i}" for i in range(30)]
+    pos = {"P": 0.0, "Q": 1.0}
+    pos.update((v, rng.uniform(-1.0, 2.0)) for v in voters)
+    path = tmp_path / "two.json"
+    save_instance(line_instance(pos, voters, ("P", "Q")), path)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tallies, "_strengths", counted("kernel", tallies._strengths))
+    monkeypatch.setattr(ThresholdScheme, "bucket", counted("bucket", ThresholdScheme.bucket))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule4",
+                 "--taus", "1.5,3"]) == 0
+    assert json.loads(capsys.readouterr().out)["winner"] in ("P", "Q")
+    assert calls == {"kernel": 1, "bucket": 1}

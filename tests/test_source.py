@@ -8,6 +8,12 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "strengthvote"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
+
+
+def _exempt(lines: list[str], node: ast.AST) -> bool:
+    """Whether an import statement carries ``# noqa: F401`` on any of its lines."""
+    return any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
@@ -23,7 +29,7 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
             continue
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+        if _exempt(lines, node):
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
@@ -35,6 +41,39 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _traced_attributes() -> set[tuple[str, str]]:
+    """The (module, attribute) of every literal entry in perfbench/tracer.py's
+    SPANS and COUNTERS, read from its source without importing it."""
+    tree = ast.parse(TRACER.read_text())
+    pairs = set()
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) in ("SPANS", "COUNTERS") for t in node.targets)):
+            continue
+        for entry in ast.walk(node.value):
+            if isinstance(entry, ast.Tuple) and len(entry.elts) >= 2 and all(
+                    isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in entry.elts[:2]):
+                pairs.add((entry.elts[0].value, entry.elts[1].value))
+    return pairs
+
+
+def test_every_exempt_import_is_one_the_tracer_patches():
+    """``# noqa: F401`` exempts only names the tracer patches in that module:
+    an import kept for nothing else is reported."""
+    traced = _traced_attributes()
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and _exempt(lines, node):
+                stray += [f"{path.name}:{node.lineno}: {alias.asname or alias.name}"
+                          for alias in node.names
+                          if (path.stem, alias.asname or alias.name) not in traced]
+    assert stray == []
 
 
 def _referenced_names(tree: ast.AST) -> set[str]:
