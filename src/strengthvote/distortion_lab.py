@@ -29,9 +29,6 @@ _ARITY_WORDS = ("no thresholds", "exactly one threshold", "exactly two threshold
 LOWER_BOUND_KINDS = tuple(_FAMILIES)
 _WEISZFELD_TOL = 1e-10
 _WEISZFELD_MAX_ITER = 10_000
-# Up to this voter spread (about 6.7e153) squared distances stay below 2**1022,
-# a factor 4 short of overflow; beyond it _geometric_median rescales.
-_WEISZFELD_RESCALE_ABOVE = 2.0 ** 511
 
 
 class InvalidParams(ValueError):
@@ -74,14 +71,14 @@ def _geometric_median(pts: np.ndarray):
     coordinates centred on the first voter, and a step counts as converged when
     it is within _WEISZFELD_TOL of the voters' spread (their bounding box's
     diagonal): both are unchanged by translation, so voters far from the
-    origin neither overflow nor stop the iteration early. Above
-    _WEISZFELD_RESCALE_ABOVE the spread is the unit of length, so the squares
-    np.linalg.norm sums cannot overflow.
+    origin neither overflow nor stop the iteration early. The unit of length is
+    the power of two at or below the spread, so division by it is exact and the
+    squares np.linalg.norm sums are those of a spread in [1, 2) at any scale.
     """
     origin = pts[0]
     pts = pts - origin
     spread = math.hypot(*np.ptp(pts, axis=0))
-    unit = spread if spread > _WEISZFELD_RESCALE_ABOVE else 1.0
+    unit = 2.0 ** (math.frexp(spread)[1] - 1)
     pts, spread = pts / unit, spread / unit
     y = pts.mean(axis=0)
     achieved = math.inf

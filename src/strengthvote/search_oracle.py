@@ -113,14 +113,15 @@ def _winner(inst: MetricInstance, rule: Rule) -> str:
     return sorted(inst.candidates)[_winners([inst], [rule])[0, 0]]
 
 
-def _scored(chunk, rules) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scored(chunk, rules) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The social costs of each instance's sorted candidates, (len(chunk), k),
-    then each rule's winners (_winners) and their costs, (len(rules),
-    len(chunk)) each."""
+    then each rule's winners (_winners), their costs and their deltas,
+    (len(rules), len(chunk)) each."""
     costs = np.array([[social_cost(inst, c) for c in sorted(inst.candidates)]
                       for inst in chunk])
     winners = _winners(chunk, rules)
-    return costs, winners, costs[np.arange(len(chunk)), winners]
+    won = costs[np.arange(len(chunk)), winners]
+    return costs, winners, won, cost_ratio(won, costs.min(axis=1))
 
 
 def _two_candidate_delta(inst: MetricInstance, rule: Rule) -> tuple[str, float]:
@@ -217,8 +218,7 @@ def adversarial_search(rule: Rule, config: SearchConfig = SearchConfig()):
         consider(inst)
     rng = np.random.default_rng(config.seed)
     for chunk in _drawn(rng, config.n_instances, (config.space,), config.voters_max):
-        costs, _, won = _scored(chunk, [rule])
-        deltas = cost_ratio(won[0], costs.min(axis=1))
+        *_, (deltas,) = _scored(chunk, [rule])
         i = int(np.argmax(deltas))
         if deltas[i] > best_delta:
             best_inst, best_delta = chunk[i], float(deltas[i])
@@ -344,8 +344,8 @@ def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000):
     for count, num_candidates, rules in ((n_two, 2, rules2), (n_multi, 4, rules4)):
         bounds = np.array([bound_value(r, num_candidates) for r in rules])
         for chunk in _drawn(rng, count, num_candidates=num_candidates):
-            costs, _, won = _scored(chunk, rules)
-            margins = (cost_ratio(won, costs.min(axis=1)).T - bounds).ravel()
+            *_, deltas = _scored(chunk, rules)
+            margins = (deltas.T - bounds).ravel()
             yield margins, margins > 1e-9
 
 
@@ -359,7 +359,7 @@ def check_lambda(seed: int = 42, n: int = 5_000):
              make_rule("rule4", taus=(1.5, 3.0))]
     q_coef, z_coef = np.array([lambda_coefficients(rule) for rule in rules]).T[:, :, None]
     for chunk in _drawn(rng, n, extra_point=True):
-        costs, winners, won = _scored(chunk, rules)
+        costs, winners, won, _ = _scored(chunk, rules)
         lost = costs[np.arange(len(chunk)), 1 - winners]
         z_costs = np.array([social_cost(inst, "Z") for inst in chunk])
         slacks = (won - q_coef * lost - z_coef * z_costs).T.ravel()
@@ -402,8 +402,7 @@ def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
     skip_low = np.array([rule.kind == "rule1" for rule in rules])[:, None]
     for count, num_candidates in ((n_two, 2), (n_multi, 4)):
         for chunk in _drawn(rng, count, ("line",), num_candidates=num_candidates):
-            costs, _, won = _scored(chunk, rules)
-            deltas = cost_ratio(won, costs.min(axis=1))
+            _, _, won, deltas = _scored(chunk, rules)
             rhos = cost_ratio(won, np.array([ideal_point(inst).cost for inst in chunk]))
             limits = np.array([[ideal_tradeoff_bound(rule, delta, num_candidates)
                                 for delta in row] for rule, row in zip(rules, deltas.tolist())])

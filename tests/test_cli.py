@@ -343,6 +343,24 @@ def test_evaluate_finds_the_ideal_point_where_squared_distances_overflow(tmp_pat
     assert math.isfinite(doc["rho"])
 
 
+def test_a_document_scaled_by_2_to_the_minus_560_prints_the_same_rho(tmp_path, capsys):
+    """Five voters, and the same voters 2**-560 times closer: their squared
+    distances underflow, yet the geometric median, and so rho, is the same."""
+    positions = {"a": [0, 0], "b": [2, 1], "c": [1, 3], "v1": [0.5, 0.25], "v2": [1.5, 1],
+                 "v3": [2, 0], "v4": [1, 2.5]}
+    rows = []
+    for name, scale in (("unit.json", 1.0), ("tiny.json", 2.0 ** -560)):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "space": {"type": "euclidean",
+                      "positions": {k: [scale * x for x in p] for k, p in positions.items()}},
+            "voters": ["v1", "v2", "v3", "v4", "v4"], "candidates": ["a", "b", "c"]}))
+        assert main(["evaluate", "--instance", str(path), "--rule", "rule5",
+                     "--format", "csv"]) == 0
+        rows.append(next(csv.DictReader(io.StringIO(capsys.readouterr().out))))
+    assert rows[0]["rho"] == rows[1]["rho"] == "1.226712724"
+
+
 def _doc(space):
     return {"space": space, "voters": ["v1"], "candidates": ["P", "Q"]}
 

@@ -154,9 +154,7 @@ def test_line_ideal_point_matches_the_sorted_reference(name):
     assert (float.hex(ip.location), float.hex(ip.cost)) == (float.hex(med), float.hex(cost))
 
 
-# Weiszfeld's norms overflow near 1e300, so the huge instance is left out here.
-@pytest.mark.parametrize("name", [n for n in sorted(CASES)
-                                  if CASES[n].space == "euclidean" and not n.startswith("huge")])
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if CASES[n].space == "euclidean"])
 def test_euclidean_ideal_point_starts_from_the_voters_coordinates(name):
     inst = CASES[name]
     pts = np.array([inst.coords[v] for v in inst.voters], dtype=float)

@@ -17,7 +17,8 @@ from strengthvote.distortion_lab import (InvalidParams, PoleViolation,
                                          lower_bound_target, report_csv,
                                          report_to_dict, rule3_counterexample)
 from strengthvote.metric_core import (MetricInstance, euclidean_instance, line_instance,
-                                      matrix_instance, save_instance, social_cost)
+                                      matrix_instance, save_instance, scale_instance,
+                                      social_cost)
 from strengthvote.rules import SQRT2, make_rule
 from strengthvote.search_oracle import _two_candidate_rules, _winner
 from strengthvote.tallies import ThresholdScheme
@@ -413,3 +414,48 @@ def test_two_candidate_evaluate_measures_and_buckets_once(tmp_path, monkeypatch,
                  "--taus", "1.5,3"]) == 0
     assert json.loads(capsys.readouterr().out)["winner"] in ("P", "Q")
     assert calls == {"kernel": 1, "bucket": 1}
+
+
+def _scale_case(space, seed):
+    """Seeded voters and candidates, one voter repeated and one on a candidate."""
+    rng = random.Random(seed)
+    dim = {"line": 1, "euclidean2d": 2, "euclidean3d": 3}[space]
+    cands = tuple(f"c{j}" for j in range(rng.randint(2, 4)))
+    voters = tuple(f"v{i}" for i in range(rng.randint(5, 12)))
+    pos = {x: [rng.uniform(-5.0, 5.0) for _ in range(dim)] for x in cands + voters}
+    voters += (voters[0], cands[-1])
+    if space == "line":
+        return line_instance({x: p[0] for x, p in pos.items()}, voters, cands)
+    return euclidean_instance(pos, voters, cands)
+
+
+_SCALE_CASES = [(space, seed) for space in ("line", "euclidean2d", "euclidean3d")
+                for seed in range(1700, 1704)]
+
+
+@pytest.mark.parametrize("space, seed", _SCALE_CASES)
+def test_evaluate_is_exactly_invariant_under_power_of_two_scaling(space, seed):
+    """Scaling a document by 2**k scales its social costs by 2**k, bit for bit,
+    and leaves every ratio, the winner and the flags as they were, down to
+    spreads where squared distances underflow and up to where they overflow.
+    The Euclidean cases have a geometric median off the voters, so Weiszfeld
+    converges quickly. Matrix documents are left out: their metric check uses
+    an absolute tolerance, so a scaled matrix can be rejected."""
+    inst = _scale_case(space, seed)
+    ip = ideal_point(inst)
+    if inst.space != "line":
+        assert ip.converged
+        assert ip.location not in {inst.coords[v] for v in inst.voters}
+    rules = [make_rule("rule1", tau=2.0), make_rule("rule2", tau=2.0),
+             make_rule("rule3", tau=2.0), make_rule("rule4", taus=(1.5, 3.0)),
+             make_rule("rule5")]
+    exact = ("winner", "delta", "rho", "bound", "margin", "degenerate", "ideal_exactness")
+    costs = ("sc_winner", "sc_best", "sc_ideal")
+    for rule in rules:
+        base = evaluate_instance(inst, rule)
+        for k in (-900, -560, -300, 300, 560, 900):
+            scaled = evaluate_instance(scale_instance(inst, 2.0 ** k), rule)
+            assert ([getattr(scaled, f) for f in exact]
+                    == [getattr(base, f) for f in exact]), (rule, k)
+            assert ([float.hex(getattr(scaled, f)) for f in costs]
+                    == [float.hex(math.ldexp(getattr(base, f), k)) for f in costs]), (rule, k)
