@@ -16,8 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .metric_core import (EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost,
-                          voter_points)
+from .metric_core import EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost
 from .rules import SQRT2, Rule, bound_value, lambda_coefficients, make_rule, ratio_terms
 from .tournament import copeland_winner, majority_graph
 # Unused here, but perfbench/tracer.py counts calls through this module attribute.
@@ -116,21 +115,18 @@ def ideal_point(inst: MetricInstance) -> IdealPoint:
     """
     if inst.space == LINE:
         # stable, so -0.0 and 0.0 keep voter order, as sorted() does
-        xs = np.sort(voter_points(inst), kind="stable")
+        xs = np.sort(inst.voter_points, kind="stable")
         med = float(xs[(len(xs) - 1) // 2])
         cost = math.fsum(np.abs(xs - med).tolist())
         return IdealPoint(med, cost, "exact")
     if inst.space == EUCLIDEAN:
-        points = voter_points(inst)
+        points = inst.voter_points
         loc, converged, achieved = _geometric_median(np.array(points, dtype=float))
         loc = tuple(loc.tolist())
         cost = math.fsum(map(math.dist, repeat(loc), points))
         return IdealPoint(loc, cost, "iterative", converged, achieved)
-    best, best_cost = None, math.inf
-    for pid in inst.point_ids:
-        c = social_cost(inst, pid)
-        if c < best_cost or (c == best_cost and pid < best):
-            best, best_cost = pid, c
+    costs = (math.fsum(column.tolist()) for column in inst.matrix[inst.voter_points].T)
+    best_cost, best = min(zip(costs, inst.point_ids))
     return IdealPoint(best, best_cost, "restricted-to-named-points")
 
 

@@ -12,16 +12,16 @@ checked once per instance, by a type-set test and one isfinite pass over all
 of them; the per-point scan runs only when those fail: for other inputs, such
 as integers, and to name the first bad field.
 
-Each voter's distance to a point is measured once per instance: the voter
-column of a point (``voter_distances``), a read-only float64 array, is built
-on first use and kept, and social costs and the strength kernel in
-``tallies`` read it. A column is one array step over the voters' positions,
-kept on the instance: |x_v - x| on a line, a gather from the checked matrix
-array, and math.dist mapped over the coordinate tuples in R^d, so each entry
-equals the scalar ``distance`` exactly. The instance also keeps each ordered
-pair's strength profile once ``tallies.exact_profiles`` has built it;
-profiles and columns live as long as the instance, at 8 bytes per strength:
-about C(C-1)/2 * V floats of profiles for C candidates and V voters.
+A matrix instance's ``matrix`` is the read-only float64 array the metric
+check returns, its one copy of the distances. Each voter's distance to a
+point is measured once per instance: the voter column of a point
+(``voter_distances``), a read-only float64 array, is built on first use and
+kept, and social costs and the strength kernel in ``tallies`` read it. A
+column is one array step over the voters' positions, kept on the instance:
+|x_v - x| on a line, a gather from the matrix, and math.dist in R^d, so each
+entry equals the scalar ``distance`` exactly. Each ordered pair's strength
+profile is kept as well once ``tallies.exact_profiles`` has built it: 8 bytes
+per strength, about C(C-1)/2 * V floats for C candidates and V voters.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ class MetricInstance:
     ``voters`` may repeat ids (a multiset of ballots at the same point is two
     distinct ids in practice, but nothing forbids repetition). ``candidates``
     are distinct ids. For line/euclidean spaces ``coords`` maps every named id
-    to a coordinate tuple; for matrix spaces ``point_ids`` orders the points
-    and ``matrix`` holds row-major distances, and ``row_of`` finds an id's row.
-    ``voter_distances(point)`` is the column of voter distances to a point.
+    to a coordinate tuple; for matrix spaces ``point_ids`` orders the points,
+    ``matrix`` is the checked read-only float64 array of their distances, and
+    ``row_of`` finds an id's row. ``voter_distances(point)`` is the column of
+    voter distances to a point. Instances are equal when their documents are.
     """
 
     space: str
@@ -74,12 +75,30 @@ class MetricInstance:
     candidates: tuple[str, ...]
     coords: dict[str, tuple[float, ...]] | None = None
     point_ids: tuple[str, ...] | None = None
-    matrix: tuple[tuple[float, ...], ...] | None = None
+    matrix: np.ndarray | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, MetricInstance):
+            return NotImplemented
+        return instance_to_doc(self) == instance_to_doc(other)
 
     @cached_property
     def row_of(self) -> dict[str, int]:
         """Matrix row of each point id, built on first use."""
         return {pid: i for i, pid in enumerate(self.point_ids)}
+
+    @cached_property
+    def voter_points(self):
+        """The voters' positions in voter order, built on first use: a float64
+        array of x on a line, the coordinate tuples in R^d, and an array of the
+        voters' rows for a matrix."""
+        voters = self.voters
+        if self.space == MATRIX:
+            return np.fromiter(map(self.row_of.__getitem__, voters), np.intp, len(voters))
+        points = list(map(self.coords.__getitem__, voters))
+        if self.space == LINE:
+            return np.fromiter(chain.from_iterable(points), float, len(points))
+        return points
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
@@ -247,12 +266,9 @@ def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
     ids = tuple(str(p) for p in point_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("matrix point ids must be distinct")
-    array = _check_matrix(ids, rows)
-    mat = tuple(map(tuple, array.tolist()))
     inst = MetricInstance(MATRIX, tuple(voters), tuple(candidates),
-                          point_ids=ids, matrix=mat)
-    _check_instance(inst, max(map(max, mat), default=0.0))
-    inst.__dict__["_matrix_array"] = array
+                          point_ids=ids, matrix=_check_matrix(ids, rows))
+    _check_instance(inst, float(inst.matrix.max(initial=0.0)))
     return inst
 
 
@@ -322,9 +338,8 @@ def build_instance(doc: dict) -> MetricInstance:
 
 def instance_to_doc(inst: MetricInstance) -> dict:
     if inst.space == MATRIX:
-        n = len(inst.point_ids)
-        flat = [inst.matrix[i][j] for i in range(n) for j in range(n)]
-        space = {"type": MATRIX, "ids": list(inst.point_ids), "distances": flat}
+        space = {"type": MATRIX, "ids": list(inst.point_ids),
+                 "distances": inst.matrix.ravel().tolist()}
     else:
         positions = {
             k: (v[0] if inst.space == LINE else list(v)) for k, v in inst.coords.items()
@@ -354,7 +369,7 @@ def distance(inst: MetricInstance, a: str, b: str) -> float:
     if inst.space == MATRIX:
         row_of = inst.row_of
         try:
-            return inst.matrix[row_of[a]][row_of[b]]
+            return inst.matrix.item(row_of[a], row_of[b])
         except KeyError as exc:
             raise UnknownId(exc.args[0]) from None
     try:
@@ -364,29 +379,12 @@ def distance(inst: MetricInstance, a: str, b: str) -> float:
     return math.dist(pa, pb)
 
 
-def voter_points(inst: MetricInstance):
-    """The voters' positions in voter order, kept on the instance (outside its
-    fields) on first use: a float64 array of x on a line, the coordinate
-    tuples in R^d, and an array of the voters' rows for a matrix."""
-    points = inst.__dict__.get("_voter_points")
-    if points is None:
-        voters = inst.voters
-        if inst.space == MATRIX:
-            points = np.fromiter(map(inst.row_of.__getitem__, voters), np.intp, len(voters))
-        else:
-            points = list(map(inst.coords.__getitem__, voters))
-            if inst.space == LINE:
-                points = np.fromiter(chain.from_iterable(points), float, len(points))
-        inst.__dict__["_voter_points"] = points
-    return points
-
-
 def distance_column(inst: MetricInstance, point: str) -> np.ndarray:
     """d(v, point) for each voter v in voter order, in one array step over the
     kept voter positions: |x_v - x| on a line, a gather from the matrix, and
     math.dist mapped over the coordinate tuples in R^d. Each entry is exactly
     distance(inst, v, point)."""
-    points = voter_points(inst)
+    points = inst.voter_points
     try:
         at = inst.row_of[point] if inst.space == MATRIX else inst.coords[point]
     except KeyError:
@@ -395,7 +393,7 @@ def distance_column(inst: MetricInstance, point: str) -> np.ndarray:
         return np.abs(points - at[0])
     if inst.space == EUCLIDEAN:
         return np.fromiter(map(math.dist, points, repeat(at)), float, len(points))
-    return inst.__dict__["_matrix_array"][points, at]
+    return inst.matrix[points, at]
 
 
 def social_cost(inst: MetricInstance, point: str) -> float:
@@ -429,7 +427,8 @@ def scale_instance(inst: MetricInstance, factor: float) -> MetricInstance:
     if not factor > 0:
         raise ValueError("scale factor must be positive")
     if inst.space == MATRIX:
-        rows = tuple(tuple(factor * x for x in r) for r in inst.matrix)
+        with np.errstate(over="ignore"):  # an overflowing entry is rejected as inf
+            rows = factor * inst.matrix
         return matrix_instance(inst.point_ids, rows, inst.voters, inst.candidates)
     coords = {k: tuple(factor * x for x in v) for k, v in inst.coords.items()}
     return _coord_instance(inst.space, coords, inst.voters, inst.candidates)

@@ -11,7 +11,8 @@ behind a machine-readable report.
 The checks and the random stage decide a chunk of instances at a time
 (_winners): one kernel pass over every candidate pair, each rule's side
 scores from rules.pair_scores (the scorer evaluate's majority graph uses
-too), and winners, costs and margins as arrays. A lone instance (_winner) is
+too), and winners, costs and margins as arrays. adversarial_search decides
+its anchors and its grid re-check as one chunk, and each lowerbounds probe is
 a chunk of one.
 """
 
@@ -25,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .distortion_lab import (actual_distortion, cost_ratio, generate_lower_bound, ideal_point,
+from .distortion_lab import (cost_ratio, generate_lower_bound, ideal_point,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
 from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
 from .rules import (SQRT2, Rule, bound_value, lambda_coefficients, make_rule, pair_scores,
@@ -124,12 +125,6 @@ def _scored(chunk, rules) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return costs, winners, won, cost_ratio(won, costs.min(axis=1))
 
 
-def _two_candidate_delta(inst: MetricInstance, rule: Rule) -> tuple[str, float]:
-    winner = _winner(inst, rule)
-    delta, _ = actual_distortion(inst, winner)
-    return winner, delta
-
-
 def _anchor_instances(rule: Rule) -> list[MetricInstance]:
     """Deterministic hard instances aimed at each ratio term of the rule's bound:
     the top threshold, the first one when it leaves a hidden set, and each
@@ -195,27 +190,20 @@ def adversarial_search(rule: Rule, config: SearchConfig = SearchConfig()):
     """Highest-distortion two-candidate instance found; returns (instance, delta).
 
     The winner of the vectorized grid sweep is rebuilt as a real instance and
-    re-decided by _winner; any disagreement is an error, as is any
-    distortion above the proven bound.
+    decided in one chunk with the anchors; any disagreement is an error, as is
+    any distortion above the proven bound. Of equal distortions the first wins.
     """
-    best_inst, best_delta = None, -math.inf
-
-    def consider(inst):
-        nonlocal best_inst, best_delta
-        _, delta = _two_candidate_delta(inst, rule)
-        if delta > best_delta:
-            best_inst, best_delta = inst, delta
-
-    for inst in _anchor_instances(rule):
-        consider(inst)
+    chunk = _anchor_instances(rule)
     if config.grid >= 2:
         x, y, grid_delta = _grid_sweep(rule, config.grid)
-        inst = line_instance({"P": 0.0, "Q": 1.0, "v1": x, "v2": y}, ("v1", "v2"), ("P", "Q"))
-        _, rechecked = _two_candidate_delta(inst, rule)
-        if abs(rechecked - grid_delta) > 1e-9 * max(1.0, grid_delta):
-            raise AssertionError(
-                f"grid sweep disagrees with the pipeline: {grid_delta} vs {rechecked}")
-        consider(inst)
+        chunk.append(line_instance({"P": 0.0, "Q": 1.0, "v1": x, "v2": y},
+                                   ("v1", "v2"), ("P", "Q")))
+    *_, (deltas,) = _scored(chunk, [rule])
+    if config.grid >= 2 and abs(deltas[-1] - grid_delta) > 1e-9 * max(1.0, grid_delta):
+        raise AssertionError(
+            f"grid sweep disagrees with the pipeline: {grid_delta} vs {deltas[-1]}")
+    i = int(np.argmax(deltas))
+    best_inst, best_delta = chunk[i], float(deltas[i])
     rng = np.random.default_rng(config.seed)
     for chunk in _drawn(rng, config.n_instances, (config.space,), config.voters_max):
         *_, (deltas,) = _scored(chunk, [rule])
@@ -423,9 +411,9 @@ def check_lowerbounds(epsilon: float = 1e-6, tol: float = 1e-5):
     errs, failed = [], []
     for kind, taus in probes:
         inst = generate_lower_bound(kind, taus, epsilon)
-        winner, delta = _two_candidate_delta(inst, natural_rule(kind, taus))
-        errs.append(abs(delta - lower_bound_target(kind, taus)))
-        failed.append(winner != "P" or errs[-1] > tol)
+        _, winners, _, deltas = _scored([inst], [natural_rule(kind, taus)])
+        errs.append(abs(deltas.item() - lower_bound_target(kind, taus)))
+        failed.append(winners.item() != 0 or errs[-1] > tol)  # P sorts first
     yield np.array(errs), np.array(failed)
 
 

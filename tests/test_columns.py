@@ -4,7 +4,8 @@
 instance's kept voter positions; the reference asks ``distance`` for each
 voter in turn. Columns are compared by float.hex, so a sign of zero or a last
 bit that differs fails. The line ideal point is checked the same way against
-the sorted()/generator reference.
+the sorted()/generator reference, and the matrix ideal point against the
+cheapest named point by math.fsum, ties to the smaller id.
 """
 
 import math
@@ -162,3 +163,12 @@ def test_euclidean_ideal_point_starts_from_the_voters_coordinates(name):
     ip = ideal_point(inst)
     assert _hex(ip.location) == _hex(loc.tolist())
     assert (ip.converged, ip.tolerance) == (converged, achieved)
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if CASES[n].space == "matrix"])
+def test_matrix_ideal_point_is_the_cheapest_named_point(name):
+    inst = CASES[name]
+    cost, best = min((math.fsum(distance(inst, v, p) for v in inst.voters), p)
+                     for p in inst.point_ids)
+    ip = ideal_point(inst)
+    assert (ip.location, float.hex(ip.cost)) == (best, float.hex(cost))

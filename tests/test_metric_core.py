@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from strengthvote.metric_core import (TOL, DuplicateCandidatePoint, MetricViolation,
@@ -246,6 +247,30 @@ def test_json_roundtrip(tmp_path):
         path = tmp_path / f"inst{i}.json"
         save_instance(inst, path)
         assert load_instance(path) == inst
+
+
+def test_a_matrix_instance_keeps_one_read_only_array(tmp_path):
+    rng = random.Random(5)
+    pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(6)]
+    ids = ("a", "b", "z", "v1", "v2", "v3")
+    rows = [[math.dist(p, q) for q in pts] for p in pts]
+    inst = matrix_instance(ids, rows, ("v1", "v2", "v3", "v3"), ("a", "b"))
+    assert isinstance(inst.matrix, np.ndarray) and inst.matrix.dtype == np.float64
+    with pytest.raises(ValueError):
+        inst.matrix[0, 1] = 1.0
+    assert inst.matrix.tolist() == rows
+    assert type(distance(inst, "v1", "a")) is float
+    assert distance(inst, "v1", "a") == rows[3][0]
+    path = tmp_path / "matrix.json"
+    save_instance(inst, path)
+    loaded = load_instance(path)
+    assert loaded == inst
+    assert loaded.matrix.tobytes() == inst.matrix.tobytes()
+    scaled = scale_instance(inst, 3.0)
+    assert ([float.hex(x) for x in scaled.matrix.ravel().tolist()]
+            == [float.hex(x) for x in (3.0 * inst.matrix).ravel().tolist()])
+    with pytest.raises(MetricViolation, match="is not finite"):
+        scale_instance(scaled, 1e308)  # its largest entries overflow to inf
 
 
 def test_malformed_documents():

@@ -73,8 +73,8 @@ def test_adversarial_search_stays_under_the_bound():
         inst, delta = adversarial_search(rule, config)
         assert delta <= bound_value(rule, 2) + 1e-9
         # the reported instance really achieves the reported distortion
-        from strengthvote.search_oracle import _two_candidate_delta
-        _, again = _two_candidate_delta(inst, rule)
+        from strengthvote.search_oracle import _scored
+        *_, ((again,),) = _scored([inst], [rule])
         assert again == pytest.approx(delta, abs=1e-12)
 
 
