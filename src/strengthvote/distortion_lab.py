@@ -164,12 +164,8 @@ def evaluate_instance(inst: MetricInstance, rule: Rule) -> DistortionReport:
         bound = bound_value(rule, len(inst.candidates))
     except ValueError:
         bound = math.inf
-    if math.isinf(bound) and math.isinf(delta):
-        margin = math.nan
-    else:
-        margin = bound - delta
     return DistortionReport(winner, sc_w, sc_best, ip.cost, delta, rho,
-                            bound, margin, ip.exactness, sc_best == 0.0)
+                            bound, bound - delta, ip.exactness, sc_best == 0.0)
 
 
 def ideal_tradeoff_bound(rule: Rule, delta: float, num_candidates: int = 2) -> float:

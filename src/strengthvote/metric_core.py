@@ -194,7 +194,8 @@ def _check_matrix(ids: tuple[str, ...], rows) -> np.ndarray:
     inequality d(i,j) <= d(i,k) + d(k,j) over (i, k, j) in row-major order.
     numpy compares the same float sums a scalar loop would, and messages
     quote entries as Python floats. Returns the rows as a read-only float64
-    array, converted in one step (an integer too big for a float is +-inf)."""
+    array, converted in one step (an integer too big for a float is +-inf),
+    with the entries the tolerance lets below 0 set to 0."""
     n = len(ids)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"distance matrix must be {n}x{n}")
@@ -230,6 +231,7 @@ def _check_matrix(ids: tuple[str, ...], rows) -> np.ndarray:
                     f"triangle inequality fails on ({ids[i]}, {ids[k]}, {ids[j]}): "
                     f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
                 )
+    d[d < 0.0] = 0.0
     d.flags.writeable = False
     return d
 

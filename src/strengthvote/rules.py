@@ -45,7 +45,7 @@ import numpy as np
 
 from .metric_core import MetricInstance
 from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdScheme,
-                      _joined_sides, bucket_counts, exact_profile)
+                      exact_profile)
 # Unused here, but perfbench/tracer.py counts calls through this module attribute.
 from .tallies import bucket_profile  # noqa: F401
 
@@ -197,19 +197,14 @@ def _row_fsums(terms: np.ndarray) -> list[float]:
     return list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
 
 
-def _slack_sums(condition1, counts: np.ndarray) -> list[float]:
-    """Condition 1's slacks from (2, n, m) counts, side a's rows then side
-    b's: the fsum of own_l*(its count) and other_l*(the other side's)."""
-    return _row_fsums(np.concatenate(condition1, axis=-1)
-                      * np.concatenate((counts, counts[::-1]), axis=-1))
-
-
 def condition1_slacks(condition1, a, b) -> tuple[list[float], list[float]]:
     """Slacks (rhs - lhs) of condition 1 for both sides of each row of bucket
     counts a (pair[0]'s side) and b, with condition1 = (own, other) per
-    bucket, one row for every row of counts or one for all."""
-    sums = _slack_sums(condition1, np.array([a, b]))
-    return sums[:len(a)], sums[len(a):]
+    bucket, one row for every row of counts or one for all. A side's slack
+    is its side score with weights own then other, over its own counts then
+    the other side's."""
+    return side_scores(np.concatenate(condition1, axis=-1), np.concatenate((a, b), axis=-1),
+                       np.concatenate((b, a), axis=-1))
 
 
 def side_scores(weights, a, b, condition1=()) -> tuple[list[float], list[float]]:
@@ -219,17 +214,17 @@ def side_scores(weights, a, b, condition1=()) -> tuple[list[float], list[float]]
     Given rule4's condition1 coefficients, each row's score gap is checked
     against the gap between its two sides' condition-1 slacks (see
     condition1_holds)."""
-    n, counts = len(a), np.array([a, b])
-    sums = _row_fsums(np.multiply(weights, counts))
+    sums = _row_fsums(np.multiply(weights, np.array([a, b])))
+    scores = sums[:len(a)], sums[len(a):]
     if __debug__ and condition1:
-        _check_gaps(sums, _slack_sums(condition1, counts))
-    return sums[:n], sums[n:]
+        _check_gaps(scores, condition1_slacks(condition1, a, b))
+    return scores
 
 
 def _check_gaps(scores, slacks) -> None:
     """Raise AssertionError unless each row's score gap matches its slack
-    gap; both are laid out as side a's rows then side b's."""
-    scores, slacks = np.reshape(scores, (2, -1)), np.reshape(slacks, (2, -1))
+    gap; both are (pair[0] side, pair[1] side) results."""
+    scores, slacks = np.array(scores), np.array(slacks)
     scale = np.maximum(1.0, np.abs(scores).max(axis=0))
     close = np.abs((scores[0] - scores[1]) - (slacks[0] - slacks[1])) <= 1e-9 * scale
     if not close.all():
@@ -315,14 +310,16 @@ def rule5_weight(strength):
 
 def pair_scores(profiles, rules) -> list[tuple[list[float], list[float]]]:
     """Each rule's (a, b) side scores for every profile, as two lists in
-    profile order. rule5 sums its voters' rule5_weight, weighed in one pass
-    over all the profiles' strengths; a threshold rule sums its bucket
-    weights by side_scores, over counts bucketed once per distinct (scheme,
-    boundary)."""
+    profile order. The profiles' strengths are joined once, side by side
+    (a, b, a, b, ...). rule5 sums its voters' rule5_weight, weighed in one
+    pass over that array; a threshold rule sums its bucket weights by
+    side_scores, over counts bucketed with one searchsorted and counted with
+    one bincount per distinct (scheme, boundary)."""
+    sides = [side for prof in profiles for side in (prof.a, prof.b)]
+    strengths, sizes = np.concatenate(sides), [len(side) for side in sides]
     out, counts = [], {}
     for rule in rules:
         if rule.kind == "rule5":
-            strengths, sizes = _joined_sides(profiles)
             weights = rule5_weight(strengths)
             ends = list(accumulate(sizes))
             sums = [math.fsum(weights[lo:hi].tolist()) for lo, hi in zip([0] + ends, ends)]
@@ -330,7 +327,11 @@ def pair_scores(profiles, rules) -> list[tuple[list[float], list[float]]]:
             continue
         key = (rule.scheme.taus, rule.boundary)
         if key not in counts:
-            counts[key] = bucket_counts(profiles, rule.scheme, rule.boundary)[:, :, 1:]
+            width = rule.scheme.m + 1
+            buckets = rule.scheme.bucket(strengths, rule.boundary)
+            buckets += np.arange(0, len(sides) * width, width).repeat(sizes)
+            counts[key] = np.bincount(buckets, minlength=len(sides) * width).reshape(
+                len(profiles), 2, width)[:, :, 1:]
         out.append(side_scores(rule.weights, counts[key][:, 0], counts[key][:, 1],
                                rule.condition1))
     return out

@@ -16,10 +16,9 @@ modes, since strengths never fall below 1.
 One column kernel (``_strengths``) is the only path from distances to
 strengths: it turns two voter-distance columns into each voter's side and
 its strength far/near. ``exact_profiles`` runs it once over a batch of
-(instance, p, q) items (``exact_profile`` is a batch of one), and
-``bucket_counts`` buckets a batch of profiles with one searchsorted and
-counts them with one bincount; rules.pair_scores scores rules from those
-counts. ``bucket_profile`` keeps one profile's counts as a tally. Profiles
+(instance, p, q) items (``exact_profile`` is a batch of one);
+rules.pair_scores buckets and scores a batch of profiles, and
+``bucket_profile`` counts one profile's sides into a tally. Profiles
 and tallies are built once and kept: an instance holds each ordered pair's
 profile, each side a read-only float64 array (8 bytes per strength), and a
 profile holds its tally under each (scheme, boundary) and the side scores
@@ -202,34 +201,15 @@ def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
     return profile if profile is not None else exact_profiles([(inst, p, q)])[0]
 
 
-def _joined_sides(profiles) -> tuple[np.ndarray, list[int]]:
-    """The profiles' strengths in one array, side by side (a, b, a, b, ...),
-    and each side's size."""
-    sides = [side for prof in profiles for side in (prof.a, prof.b)]
-    return np.concatenate(sides), [len(side) for side in sides]
-
-
-def bucket_counts(profiles, scheme: ThresholdScheme, boundary: str = INCLUSIVE) -> np.ndarray:
-    """Each profile's bucket counts under a scheme, as an (n, 2, m+1) array:
-    [i, 0] counts profile i's a side and [i, 1] its b side, bucket 0 being
-    the hidden set C. The profiles are bucketed in one pass and counted in
-    one bincount; nothing is kept."""
-    strengths, sizes = _joined_sides(profiles)
-    width = scheme.m + 1
-    buckets = scheme.bucket(strengths, boundary)
-    buckets += np.arange(0, len(sizes) * width, width).repeat(sizes)
-    counts = np.bincount(buckets, minlength=len(sizes) * width)
-    return counts.reshape(len(profiles), 2, width)
-
-
 def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme,
                    boundary: str = INCLUSIVE) -> PairwiseTally:
     """Reduce a profile's exact strengths to the bucket counts a scheme's
-    ballots reveal (bucket_counts), as a tally built once per (scheme,
-    boundary) and kept on the profile."""
+    ballots reveal, one bincount per side, as a tally built once per
+    (scheme, boundary) and kept on the profile."""
     key = (scheme.taus, boundary)
     if key not in profile._tallies:
-        (a, b), = bucket_counts([profile], scheme, boundary).tolist()
+        a, b = (np.bincount(scheme.bucket(side, boundary), minlength=scheme.m + 1).tolist()
+                for side in (profile.a, profile.b))
         profile._tallies[key] = PairwiseTally(profile.pair, scheme, tuple(a[1:]), tuple(b[1:]),
                                               a[0] + b[0], boundary)
     return profile._tallies[key]

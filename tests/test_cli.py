@@ -391,6 +391,37 @@ def test_malformed_document_fields_exit_2(doc, field, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith(f"error: {field}: expected ")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({**_matrix([[0, 2, 1], [2, 0, 1], [1, 1, 0]]), "candidates": ["P", "Q", "P"]},
+     "candidate ids must be distinct"),
+    (_matrix([[0, 2, 1], [2, 0], [1, 1, 0]]), "distance matrix must be 3x3"),
+    (_doc({"type": "matrix", "ids": ["P", "Q", "P"],
+           "distances": [[0, 2, 1], [2, 0, 1], [1, 1, 0]]}),
+     "matrix point ids must be distinct"),
+])
+def test_rejected_documents_exit_2_with_their_message(doc, message, tmp_path, capsys):
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--instance", str(path), "--rule", "rule5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_a_matrix_entry_just_below_zero_is_read_as_zero(tmp_path, capsys):
+    """An entry of -1e-10 passes the matrix check's tolerance and is read as
+    0: voter v sits on P, so every rule elects P with delta 1."""
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({
+        "space": {"type": "matrix", "ids": ["P", "Q", "v"],
+                  "distances": [[0, 1, -1e-10], [1, 0, 1], [-1e-10, 1, 0]]},
+        "voters": ["v"], "candidates": ["P", "Q"]}))
+    for args in (["--rule", "rule5"], ["--rule", "rule1", "--tau", "2"],
+                 ["--rule", "rule4", "--taus", "1.5,3"]):
+        assert main(["evaluate", "--instance", str(path), *args]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["winner"], doc["delta"], doc["rho"]) == ("P", 1.0, 1.0)
+
+
 _LINE = {"type": "line", "positions": {"P": 0.0, "Q": 1.0, "v1": 0.3}}
 
 

@@ -51,6 +51,24 @@ def test_matrix_distance_names_the_unknown_id():
     assert err.value.args == ("ghost",)
 
 
+def test_line_distance_raises_unknown_id():
+    inst = two_city()
+    with pytest.raises(UnknownId) as err:
+        distance(inst, "v1", "ghost")
+    assert err.value.args == ("ghost",)
+
+
+def test_an_instance_is_not_equal_to_a_non_instance():
+    assert (two_city() == 3) is False
+
+
+def test_matrix_entries_the_tolerance_lets_below_zero_are_read_as_zero():
+    rows = [[0, 1, -1e-10], [1, 0, 1], [-1e-10, 1, 0]]
+    inst = matrix_instance(("P", "Q", "v"), rows, ("v",), ("P", "Q"))
+    assert not (inst.matrix < 0.0).any()
+    assert distance(inst, "v", "P") == 0.0
+
+
 def test_matrix_triangle_violation_names_the_triple():
     rows = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
     with pytest.raises(MetricViolation) as err:

@@ -183,6 +183,12 @@ def test_rule4_score_equals_feasibility_gap():
     assert not condition1_holds(t, "Q")
 
 
+def test_condition1_holds_rejects_a_side_outside_the_pair():
+    t = PairwiseTally(("P", "Q"), ThresholdScheme((2.0,)), (3,), (1,), 2, INCLUSIVE)
+    with pytest.raises(ValueError, match=r"'Z' is not in the pair \('P', 'Q'\)"):
+        condition1_holds(t, "Z")
+
+
 def test_some_side_is_always_feasible():
     scheme = ThresholdScheme((2.0, 5.0))
     counts = range(3)
