@@ -147,6 +147,9 @@ def _svg_curve(points: list[tuple[float, float]], label: str) -> str:
 
 
 def _cmd_curve(args) -> int:
+    # rule2 admits only tau > 1, so its default grid skips tau = 1
+    first = int(args.rule == "rule2" and args.tau_min is None)
+    args.tau_min = 1.0 if args.tau_min is None else args.tau_min
     _check_finite(args, "tau_min", "tau_max")
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
@@ -154,7 +157,7 @@ def _cmd_curve(args) -> int:
         raise ValueError("--tau-max must exceed --tau-min")
     step = (args.tau_max - args.tau_min) / (args.steps - 1)
     points = []
-    for i in range(args.steps):
+    for i in range(first, args.steps):
         tau = args.tau_min + i * step
         rule = make_rule("rule5") if args.rule == "rule5" else make_rule(args.rule, tau, (tau,))
         points.append((tau, bound_value(rule, args.num_candidates)))
@@ -233,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cv = sub.add_parser("curve", help="distortion bound as a function of the threshold")
     cv.add_argument("--rule", required=True, choices=RULE_KINDS)
-    cv.add_argument("--tau-min", type=float, default=1.0)
+    cv.add_argument("--tau-min", type=float, default=None)
     cv.add_argument("--tau-max", type=float, default=4.0)
     cv.add_argument("--steps", type=int, default=121)
     cv.add_argument("--num-candidates", type=int, default=2)

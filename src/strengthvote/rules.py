@@ -16,10 +16,11 @@ the hidden set C (bucket 0) always weighs 0.
 
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
 coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
-table once, when it is built, and rule4 its condition-1 coefficients with it.
-rule5 sees exact strengths and weighs each voter by the continuous
-rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the
-branches agree at s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
+table once, when it is built, and rule4 its condition-1 coefficients with
+it, checked there against its weights (_check_identity). rule5 sees exact
+strengths and weighs each voter by the continuous rule5_weight:
+(sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the branches agree at
+s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
 
 A scheme's ratio terms (ratio_terms) are tau_1, one term per pair of
 neighbouring cutoffs and (tau_m + 2)/tau_m. A threshold rule's two-candidate
@@ -31,7 +32,7 @@ The multiway and ideal-point guarantees rest on each rule's lambda-inequality
 SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
 pair_scores is the one scorer from strength profiles to side scores: the
 chunk path (search_oracle._winners) calls it, and the evaluate path through
-prepare_profiles, which keeps the scores on the profiles for decide_profile.
+prepare_profiles, which keeps them on each profile by Rule for decide_profile.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class SchemeMismatch(ValueError):
 class Rule:
     """A pairwise rule. The constructor checks the thresholds and derives the
     rest of the threshold rules' definition: scheme (rule1-3 from tau),
-    boundary mode, per-bucket weights and rule4's condition-1 coefficients
-    (see rule4_weights). rule5 has no buckets."""
+    boundary mode, per-bucket weights and rule4's condition-1 coefficients,
+    checked against its weights (see rule4_weights). rule5 has no buckets."""
 
     kind: str
     tau: float | None = None
@@ -92,6 +93,7 @@ class Rule:
             if not isinstance(scheme, ThresholdScheme):
                 scheme = ThresholdScheme(tuple(scheme))
             boundary, (weights, condition1, _, _) = INCLUSIVE, rule4_weights(scheme)
+            _check_identity(weights, condition1)
         else:
             if tau is None:
                 raise InvalidThreshold(f"{kind} needs a threshold")
@@ -207,29 +209,27 @@ def condition1_slacks(condition1, a, b) -> tuple[list[float], list[float]]:
                        np.concatenate((b, a), axis=-1))
 
 
+def _check_identity(weights, condition1) -> None:
+    """Raise AssertionError unless each rule4 weight is own - other of its
+    condition1 = (own, other) within 1e-9 relative, so that a tally's score
+    gap is its slack gap: one row of each, or one row of each per tally."""
+    weights, (own, other) = np.asarray(weights), np.asarray(condition1)
+    close = np.abs((own - other) - weights) <= 1e-9 * np.maximum(1.0, np.abs(weights))
+    if not close.all():
+        i = np.unravel_index(np.argmin(close), close.shape)
+        raise AssertionError((float(weights[i]), float(own[i] - other[i])))
+
+
 def side_scores(weights, a, b, condition1=()) -> tuple[list[float], list[float]]:
     """Both sides' scores sum_l w_l * count_l for each row of bucket counts a
     (pair[0]'s side) and b, with one row of weights for every row of counts
     or one for all: the one place a threshold rule's scores are summed.
-    Given rule4's condition1 coefficients, each row's score gap is checked
-    against the gap between its two sides' condition-1 slacks (see
-    condition1_holds)."""
+    Given rule4's condition1 coefficients, the weights are first checked
+    against them (_check_identity)."""
+    if condition1:
+        _check_identity(weights, condition1)
     sums = _row_fsums(np.multiply(weights, np.array([a, b])))
-    scores = sums[:len(a)], sums[len(a):]
-    if __debug__ and condition1:
-        _check_gaps(scores, condition1_slacks(condition1, a, b))
-    return scores
-
-
-def _check_gaps(scores, slacks) -> None:
-    """Raise AssertionError unless each row's score gap matches its slack
-    gap; both are (pair[0] side, pair[1] side) results."""
-    scores, slacks = np.array(scores), np.array(slacks)
-    scale = np.maximum(1.0, np.abs(scores).max(axis=0))
-    close = np.abs((scores[0] - scores[1]) - (slacks[0] - slacks[1])) <= 1e-9 * scale
-    if not close.all():
-        i = int(np.argmin(close))
-        raise AssertionError((*scores[:, i].tolist(), float(slacks[0, i] - slacks[1, i])))
+    return sums[:len(a)], sums[len(a):]
 
 
 def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
@@ -237,7 +237,7 @@ def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
 
     The tally must use the rule's scheme and boundary mode; a lone cutoff of 1
     buckets the same either way. For rule4 the score gap equals the gap
-    between the two sides' feasibility slacks (see side_scores).
+    between the two sides' feasibility slacks, checked as the Rule is built.
     """
     taus = rule.scheme.taus if rule.scheme is not None else None
     if tally.scheme.taus != taus:
@@ -245,7 +245,7 @@ def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
     if tally.boundary != rule.boundary and tally.scheme.taus != (1.0,):
         raise SchemeMismatch(
             f"{rule.kind} expects {rule.boundary} boundary, tally used {tally.boundary}")
-    (p,), (q,) = side_scores(rule.weights, [tally.a_counts], [tally.b_counts], rule.condition1)
+    (p,), (q,) = side_scores(rule.weights, [tally.a_counts], [tally.b_counts])
     return _resolve(tally.pair, p, q)
 
 
@@ -257,10 +257,9 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
 def rule4_tally_columns(tallies) -> np.ndarray:
     """rule4 under each tally's own scheme, as a (4, n) array of columns: the
     pair[0] and pair[1] side scores (side_scores), then the two sides'
-    condition-1 slacks. The slacks are summed once, and every row's score
-    gap is checked against their gap as side_scores checks it. rule4_weights
-    is derived once per tally, and the tallies of one scheme length are
-    summed together."""
+    condition-1 slacks. rule4_weights is derived once per tally, and each
+    tally's weights are checked against its coefficients (_check_identity);
+    the tallies of one scheme length are summed together."""
     out = np.empty((4, len(tallies)))
     by_length = {}
     for i, tally in enumerate(tallies):
@@ -275,11 +274,8 @@ def rule4_tally_columns(tallies) -> np.ndarray:
         a = np.array([tallies[i].a_counts for i in rows])
         b = np.array([tallies[i].b_counts for i in rows])
         condition1 = (np.array(own), np.array(other))
-        scores = side_scores(np.array(weights), a, b)
-        slacks = condition1_slacks(condition1, a, b)
-        if __debug__:
-            _check_gaps(scores, slacks)
-        out[:, rows] = *scores, *slacks
+        out[:, rows] = (*side_scores(np.array(weights), a, b, condition1),
+                        *condition1_slacks(condition1, a, b))
     return out
 
 
@@ -332,34 +328,26 @@ def pair_scores(profiles, rules) -> list[tuple[list[float], list[float]]]:
             buckets += np.arange(0, len(sides) * width, width).repeat(sizes)
             counts[key] = np.bincount(buckets, minlength=len(sides) * width).reshape(
                 len(profiles), 2, width)[:, :, 1:]
-        out.append(side_scores(rule.weights, counts[key][:, 0], counts[key][:, 1],
-                               rule.condition1))
+        out.append(side_scores(rule.weights, counts[key][:, 0], counts[key][:, 1]))
     return out
-
-
-def _score_key(rule: Rule):
-    """What a rule's side scores on a profile depend on: the exact strengths
-    for rule5; a threshold rule's scheme, boundary and weights."""
-    return "rule5" if rule.kind == "rule5" else (rule.scheme.taus, rule.boundary, rule.weights)
 
 
 def prepare_profiles(profiles, rules) -> None:
     """Score the profiles that lack some rule's side scores in one
-    pair_scores batch, and keep each rule's scores on every profile that has
-    none yet; decide_profile reads the kept scores."""
-    keys = [_score_key(rule) for rule in rules]
-    todo = [prof for prof in profiles if not all(map(prof._scores.__contains__, keys))]
+    pair_scores batch, and keep each rule's scores, keyed by the rule, on
+    every profile that has none yet; decide_profile reads the kept scores."""
+    todo = [prof for prof in profiles if not all(map(prof._scores.__contains__, rules))]
     if todo:
-        for key, (p, q) in zip(keys, pair_scores(todo, rules)):
+        for rule, (p, q) in zip(rules, pair_scores(todo, rules)):
             for prof, scores in zip(todo, zip(p, q)):
-                prof._scores.setdefault(key, scores)
+                prof._scores.setdefault(rule, scores)
 
 
 def decide_profile(profile: ExactProfile, rule: Rule) -> PairwiseDecision:
     """Decide a pair from its exact profile, revealing only what the rule may
     see: its side scores under the rule, as prepare_profiles keeps them."""
     prepare_profiles([profile], [rule])
-    return _resolve(profile.pair, *profile._scores[_score_key(rule)])
+    return _resolve(profile.pair, *profile._scores[rule])
 
 
 def decide_pair(inst: MetricInstance, p: str, q: str, rule: Rule) -> PairwiseDecision:

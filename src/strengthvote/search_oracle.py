@@ -252,7 +252,8 @@ def optimize_thresholds(m: int) -> tuple[tuple[float, ...], float]:
         else:
             lo = mid
     taus = chain(hi)
-    assert taus is not None, "the optimal chain uses every threshold"
+    if taus is None:
+        raise AssertionError("the optimal chain uses every threshold")
     taus = tuple(sorted(taus))
     return taus, rule4_delta(ThresholdScheme(taus))
 

@@ -21,8 +21,8 @@ rules.pair_scores buckets and scores a batch of profiles, and
 ``bucket_profile`` counts one profile's sides into a tally. Profiles
 and tallies are built once and kept: an instance holds each ordered pair's
 profile, each side a read-only float64 array (8 bytes per strength), and a
-profile holds its tally under each (scheme, boundary) and the side scores
-rules.prepare_profiles kept, for as long as the instance lives.
+profile holds its tally under each (scheme, boundary) and each Rule's side
+scores that rules.prepare_profiles kept, for as long as the instance lives.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class ExactProfile:
 
     @cached_property
     def _scores(self) -> dict[object, tuple[float, float]]:
-        """Each rule's (a, b) side scores, keyed by rules._score_key, as
+        """Each rule's (a, b) side scores, keyed by the frozen Rule itself, as
         rules.prepare_profiles kept them."""
         return {}
 

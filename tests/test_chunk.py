@@ -9,7 +9,10 @@ tally's scores with a scalar math.fsum. Scores are compared by float.hex.
 
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +142,54 @@ def test_side_scores_raise_when_condition1_disagrees():
     weights, (own, other), _, _ = rule4_weights(ThresholdScheme((1.5, 3.0)))
     with pytest.raises(AssertionError):
         side_scores(weights, [[3, 0]], [[0, 2]], (own, tuple(x + 1.0 for x in other)))
+
+
+def test_a_rule4_rule_checks_its_weights_when_built(monkeypatch):
+    """Building a rule4 Rule checks each weight against own - other: skewing
+    the coefficients rule4_weights derives makes it raise."""
+    derive = rules.rule4_weights
+
+    def skewing(scheme):
+        weights, (own, other), ds, k = derive(scheme)
+        return weights, (own, tuple(x + 1.0 for x in other)), ds, k
+
+    Rule("rule4", scheme=(1.5, 3.0))
+    monkeypatch.setattr(rules, "rule4_weights", skewing)
+    with pytest.raises(AssertionError):
+        Rule("rule4", scheme=(1.5, 3.0))
+
+
+SKEWED_UNDER_O = """
+from strengthvote import rules
+from strengthvote.tallies import ThresholdScheme
+
+weights, (own, other), ds, k = rules.rule4_weights(ThresholdScheme((1.5, 3.0)))
+skewed = (own, tuple(x + 1.0 for x in other))
+rules.rule4_weights = lambda scheme: (weights, skewed, ds, k)
+
+
+def outcome(call):
+    try:
+        call()
+    except AssertionError:
+        return "raised"
+    return "passed"
+
+
+print(__debug__, outcome(lambda: rules.side_scores(weights, [[3, 0]], [[0, 2]], skewed)),
+      outcome(lambda: rules.Rule("rule4", scheme=(1.5, 3.0))))
+"""
+
+
+def test_the_rule4_identity_is_checked_under_python_O():
+    """python -O drops assert statements; the identity check is a raise, so
+    a skewed side_scores call and a skewed rule4 Rule still fail there."""
+    src = os.path.dirname(os.path.dirname(rules.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-O", "-c", SKEWED_UNDER_O], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "raised", "raised"]
 
 
 def test_condition1_columns_check_every_rows_score_gap(monkeypatch):

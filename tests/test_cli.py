@@ -166,6 +166,18 @@ def test_curve_argument_validation(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_curve_rule2_default_grid_starts_one_step_above_1(capsys):
+    """rule2 admits only tau > 1: its default grid drops tau = 1, while an
+    explicit --tau-min of 1 is still rejected."""
+    assert main(["curve", "--rule", "rule2"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[:3] == ["tau,bound", "1.025,2.951219512", "1.05,2.904761905"]
+    assert len(lines) == 121 and lines[-1] == "4,2.2"
+    assert main(["curve", "--rule", "rule2", "--tau-min", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: rule2 needs tau > 1, got 1.0\n"
+
+
 def test_search_summary(capsys):
     code = main(["search", "--rule", "rule3", "--tau", "2", "--seed", "9",
                  "--grid", "60", "--n-instances", "20"])
