@@ -16,7 +16,8 @@ import math
 import sys
 
 from .distortion_lab import (LOWER_BOUND_KINDS, evaluate_instance, generate_lower_bound,
-                             lower_bound_target, natural_rule, report_csv, report_to_dict)
+                             json_number, lower_bound_target, natural_rule, report_csv,
+                             report_to_dict)
 from .metric_core import instance_to_doc, load_instance, save_instance
 from .rules import RULE_KINDS, bound_value, make_rule
 from .search_oracle import SUITES, SearchConfig, adversarial_search, verify_suite
@@ -25,10 +26,6 @@ from .tournament import copeland_winner, majority_graph, uncovered_set
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
-
-
-def _round10(x: float) -> float:
-    return float(_fmt(x))
 
 
 def _parse_taus(text: str | None) -> tuple[float, ...]:
@@ -102,8 +99,8 @@ def _cmd_lowerbound(args) -> int:
         "kind": args.kind,
         "taus": list(taus),
         "epsilon": args.epsilon,
-        "target": _round10(lower_bound_target(args.kind, taus)),
-        "achieved": _round10(report.delta),
+        "target": json_number(lower_bound_target(args.kind, taus)),
+        "achieved": json_number(report.delta),
         "winner": report.winner,
     }, inst, args.out)
 
@@ -165,7 +162,7 @@ def _cmd_curve(args) -> int:
         text = "tau,bound\n" + "\n".join(f"{_fmt(t)},{_fmt(b)}" for t, b in points) + "\n"
     elif args.format == "json":
         doc = {"rule": args.rule, "num_candidates": args.num_candidates,
-               "points": [[_round10(t), _round10(b)] for t, b in points]}
+               "points": [[json_number(t), json_number(b)] for t, b in points]}
         text = json.dumps(doc, indent=2) + "\n"
     else:
         label = f"{args.rule}: distortion bound vs threshold ({args.num_candidates} candidates)"
@@ -183,9 +180,9 @@ def _cmd_search(args) -> int:
     bound = bound_value(rule, 2)
     return _write_summary({
         "rule": rule.label(),
-        "achieved": _round10(achieved),
-        "bound": _round10(bound),
-        "ratio": _round10(achieved / bound),
+        "achieved": json_number(achieved),
+        "bound": json_number(bound),
+        "ratio": json_number(achieved / bound),
         "voters": len(inst.voters),
     }, inst, args.out)
 

@@ -3,7 +3,8 @@
 delta is the winner's social cost over the best candidate's; rho is the
 winner's social cost over the ideal point's, where the ideal point is the
 best location anywhere in the space (line median, Euclidean geometric
-median, or the best named point for matrix spaces).
+median, or the best named point for matrix spaces). json_number is the
+CLI's one rule for a float in JSON.
 """
 
 from __future__ import annotations
@@ -280,14 +281,15 @@ def rule3_counterexample(tau: float, epsilon: float = 1e-6) -> MetricInstance:
     return line_instance(positions, ("v1",), ("P", "Q", "Z"))
 
 
+def json_number(x: float) -> float | str:
+    """A float as the CLI writes it in JSON: to 10 significant digits when
+    finite, else its string ("inf", "-inf" or "nan"), so the JSON is strict."""
+    return float(f"{x:.10g}") if math.isfinite(x) else str(x)
+
+
 def report_to_dict(report: DistortionReport) -> dict:
-    out = {}
-    for key, val in report.__dict__.items():
-        if isinstance(val, float):
-            out[key] = float(f"{val:.10g}") if math.isfinite(val) else str(val)
-        else:
-            out[key] = val
-    return out
+    return {key: json_number(val) if isinstance(val, float) else val
+            for key, val in report.__dict__.items()}
 
 
 def report_csv(report: DistortionReport, label: str = "") -> str:

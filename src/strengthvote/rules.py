@@ -17,7 +17,9 @@ the hidden set C (bucket 0) always weighs 0.
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
 coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
 table once, when it is built, and rule4 its condition-1 coefficients with
-it, checked there against its weights (_check_identity). rule5 sees exact
+it, checked there against its weights (_check_identity); thresholds whose
+ratio terms, weights or coefficients overflow to inf or nan are rejected
+there (InvalidThreshold). rule5 sees exact
 strengths and weighs each voter by the continuous rule5_weight:
 (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the branches agree at
 s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
@@ -68,7 +70,9 @@ class Rule:
     """A pairwise rule. The constructor checks the thresholds and derives the
     rest of the threshold rules' definition: scheme (rule1-3 from tau),
     boundary mode, per-bucket weights and rule4's condition-1 coefficients,
-    checked against its weights (see rule4_weights). rule5 has no buckets."""
+    checked against its weights (see rule4_weights). Thresholds whose ratio
+    terms, weights or coefficients are not finite floats raise
+    InvalidThreshold. rule5 has no buckets."""
 
     kind: str
     tau: float | None = None
@@ -93,7 +97,6 @@ class Rule:
             if not isinstance(scheme, ThresholdScheme):
                 scheme = ThresholdScheme(tuple(scheme))
             boundary, (weights, condition1, _, _) = INCLUSIVE, rule4_weights(scheme)
-            _check_identity(weights, condition1)
         else:
             if tau is None:
                 raise InvalidThreshold(f"{kind} needs a threshold")
@@ -113,6 +116,15 @@ class Rule:
             if scheme is not None and scheme != derived:
                 raise InvalidThreshold(f"{kind} derives its scheme {derived.taus} from tau")
             scheme, condition1 = derived, ()
+        if scheme is not None:
+            # Python floats overflow to inf or nan silently; caught here, before
+            # _check_identity's numpy arithmetic would warn on them
+            values = ratio_terms(scheme.taus) + weights + sum(condition1, ())
+            if not all(map(math.isfinite, values)):
+                raise InvalidThreshold(
+                    f"{kind} thresholds {scheme.taus} overflow its ratio terms or weights")
+            if kind == "rule4":
+                _check_identity(weights, condition1)
         for name, value in dict(tau=tau, scheme=scheme, boundary=boundary, weights=weights,
                                 condition1=condition1).items():
             object.__setattr__(self, name, value)
@@ -220,14 +232,10 @@ def _check_identity(weights, condition1) -> None:
         raise AssertionError((float(weights[i]), float(own[i] - other[i])))
 
 
-def side_scores(weights, a, b, condition1=()) -> tuple[list[float], list[float]]:
+def side_scores(weights, a, b) -> tuple[list[float], list[float]]:
     """Both sides' scores sum_l w_l * count_l for each row of bucket counts a
     (pair[0]'s side) and b, with one row of weights for every row of counts
-    or one for all: the one place a threshold rule's scores are summed.
-    Given rule4's condition1 coefficients, the weights are first checked
-    against them (_check_identity)."""
-    if condition1:
-        _check_identity(weights, condition1)
+    or one for all: the one place a threshold rule's scores are summed."""
     sums = _row_fsums(np.multiply(weights, np.array([a, b])))
     return sums[:len(a)], sums[len(a):]
 
@@ -257,9 +265,9 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
 def rule4_tally_columns(tallies) -> np.ndarray:
     """rule4 under each tally's own scheme, as a (4, n) array of columns: the
     pair[0] and pair[1] side scores (side_scores), then the two sides'
-    condition-1 slacks. rule4_weights is derived once per tally, and each
-    tally's weights are checked against its coefficients (_check_identity);
-    the tallies of one scheme length are summed together."""
+    condition-1 slacks. rule4_weights is derived once per tally; the tallies
+    of one scheme length are checked against their coefficients
+    (_check_identity) and summed together."""
     out = np.empty((4, len(tallies)))
     by_length = {}
     for i, tally in enumerate(tallies):
@@ -273,9 +281,9 @@ def rule4_tally_columns(tallies) -> np.ndarray:
             other.append(x)
         a = np.array([tallies[i].a_counts for i in rows])
         b = np.array([tallies[i].b_counts for i in rows])
-        condition1 = (np.array(own), np.array(other))
-        out[:, rows] = (*side_scores(np.array(weights), a, b, condition1),
-                        *condition1_slacks(condition1, a, b))
+        weights, condition1 = np.array(weights), (np.array(own), np.array(other))
+        _check_identity(weights, condition1)
+        out[:, rows] = (*side_scores(weights, a, b), *condition1_slacks(condition1, a, b))
     return out
 
 

@@ -196,9 +196,8 @@ def exact_profiles(items) -> list[ExactProfile]:
 
 
 def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
-    """exact_profiles for one ordered pair."""
-    profile = inst._profiles.get((p, q))
-    return profile if profile is not None else exact_profiles([(inst, p, q)])[0]
+    """exact_profiles for one ordered pair: a batch of one."""
+    return exact_profiles([(inst, p, q)])[0]
 
 
 def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme,

@@ -120,13 +120,13 @@ def _hex(values):
 @pytest.mark.parametrize("taus", [t for t in SCHEMES if len(t) <= 4], ids=str)
 def test_side_scores_match_a_per_tally_fsum(taus):
     rng = np.random.default_rng(len(taus))
-    weights, condition1, _, _ = rule4_weights(ThresholdScheme(taus))
+    weights, _, _, _ = rule4_weights(ThresholdScheme(taus))
     a = rng.integers(0, 51, (200, len(taus)))
     b = rng.integers(0, 51, (200, len(taus)))
     a[:20], b[:10] = 0, 0  # empty sides
     rows = [(tuple(x), tuple(y)) for x, y in zip(a.tolist(), b.tolist())]
-    for w, c1 in ((weights, condition1), (rng.uniform(0.0, 5.0, len(taus)).tolist(), ())):
-        p, q = side_scores(w, a, b, c1)
+    for w in (weights, rng.uniform(0.0, 5.0, len(taus)).tolist()):
+        p, q = side_scores(w, a, b)
         want = [_reference_scores(w, x, y) for x, y in rows]
         assert _hex(p) == _hex(s for s, _ in want)
         assert _hex(q) == _hex(s for _, s in want)
@@ -141,7 +141,7 @@ def test_side_scores_match_a_per_tally_fsum(taus):
 def test_side_scores_raise_when_condition1_disagrees():
     weights, (own, other), _, _ = rule4_weights(ThresholdScheme((1.5, 3.0)))
     with pytest.raises(AssertionError):
-        side_scores(weights, [[3, 0]], [[0, 2]], (own, tuple(x + 1.0 for x in other)))
+        rules._check_identity(weights, (own, tuple(x + 1.0 for x in other)))
 
 
 def test_a_rule4_rule_checks_its_weights_when_built(monkeypatch):
@@ -161,7 +161,7 @@ def test_a_rule4_rule_checks_its_weights_when_built(monkeypatch):
 
 SKEWED_UNDER_O = """
 from strengthvote import rules
-from strengthvote.tallies import ThresholdScheme
+from strengthvote.tallies import PairwiseTally, ThresholdScheme
 
 weights, (own, other), ds, k = rules.rule4_weights(ThresholdScheme((1.5, 3.0)))
 skewed = (own, tuple(x + 1.0 for x in other))
@@ -176,14 +176,15 @@ def outcome(call):
     return "passed"
 
 
-print(__debug__, outcome(lambda: rules.side_scores(weights, [[3, 0]], [[0, 2]], skewed)),
+tally = PairwiseTally(("P", "Q"), ThresholdScheme((1.5, 3.0)), (3, 0), (0, 2), 0)
+print(__debug__, outcome(lambda: rules.rule4_tally_columns([tally])),
       outcome(lambda: rules.Rule("rule4", scheme=(1.5, 3.0))))
 """
 
 
 def test_the_rule4_identity_is_checked_under_python_O():
     """python -O drops assert statements; the identity check is a raise, so
-    a skewed side_scores call and a skewed rule4 Rule still fail there."""
+    a skewed rule4_tally_columns call and a skewed rule4 Rule still fail there."""
     src = os.path.dirname(os.path.dirname(rules.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -556,3 +556,63 @@ def test_verify_timings_go_to_stderr_only(tmp_path, monkeypatch, capsys):
         assert [line.split(":")[0] for line in lines] == names
         for line, check in zip(lines, json.loads(plain)["checks"]):
             assert f" {check['cases']} cases in " in line and line.endswith(" s")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--instance", "DOC", "--rule", "rule1", "--tau", "1e308"],
+    ["search", "--rule", "rule1", "--tau", "1e308", "--grid", "50", "--n-instances", "0"],
+    ["evaluate", "--instance", "DOC", "--rule", "rule4", "--taus", "1,1e308"],
+    ["evaluate", "--instance", "DOC", "--rule", "rule4", "--taus", "1e200"],
+    ["lowerbound", "--kind", "largest", "--taus", "1e308"],
+    ["curve", "--rule", "rule4", "--tau-max", "1e308"],
+], ids=lambda argv: " ".join(a for a in argv if a not in ("--instance", "DOC")))
+def test_thresholds_whose_rule_arithmetic_overflows_exit_2(argv, instance_path, capsys):
+    """Ratio terms, weights or condition-1 coefficients that overflow a float
+    are rejected as the rule is built: one error line and no output, where
+    they used to print an infinite bound or a false violation, or warn."""
+    assert main([instance_path if a == "DOC" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--instance", "DOC", "--rule", "rule3", "--tau", "1e200"],
+    ["lowerbound", "--kind", "pair", "--taus", "1.5,3"],
+    ["search", "--rule", "rule3", "--tau", "2", "--grid", "50", "--n-instances", "4"],
+    ["curve", "--rule", "rule3", "--num-candidates", "3", "--tau-min", "1e200",
+     "--tau-max", "2e200", "--steps", "2", "--format", "json"],
+    ["verify", "--suite", "lowerbounds"],
+], ids=lambda argv: argv[0])
+def test_every_command_prints_strict_json(argv, multi_path, capsys):
+    """Every command prints strict JSON, with no NaN or Infinity token: rule3
+    at tau = 1e200 has the multiway bound tau**2, beyond the float range,
+    which prints as the string "inf"."""
+    assert main([multi_path if a == "DOC" else a for a in argv]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    if argv[0] == "evaluate":
+        assert doc["bound"] == doc["margin"] == "inf"
+    if argv[0] == "curve":
+        assert doc["points"] == [[1e200, "inf"], [2e200, "inf"]]
+
+
+def test_curve_svg_of_one_point_widens_its_x_range(capsys):
+    # rule2's default grid skips tau = 1, so two steps leave the one point tau = 4
+    assert main(["curve", "--rule", "rule2", "--steps", "2", "--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    assert '<polyline points="50.00,350.00"' in svg
+    assert 'font-size="11">4</text>' in svg and 'font-size="11">5</text>' in svg
+
+
+def test_curve_svg_of_a_flat_bound_widens_its_y_range(capsys):
+    assert main(["curve", "--rule", "rule5", "--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    assert "nan" not in svg
+    assert f'font-size="11">{SQRT2:.10g}</text>' in svg
+    assert f'font-size="11">{SQRT2 + 1:.10g}</text>' in svg

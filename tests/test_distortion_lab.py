@@ -321,6 +321,14 @@ def test_rule3_counterexample_breaks_the_cost_inequality():
         rule3_counterexample(1.0)
 
 
+def test_rule3_counterexample_rejects_an_epsilon_that_leaves_no_strength_above_1():
+    # P sits at tau - epsilon, which must stay above 1
+    with pytest.raises(InvalidParams, match="epsilon"):
+        rule3_counterexample(2.0, epsilon=1.5)
+    with pytest.raises(InvalidParams, match="epsilon"):
+        rule3_counterexample(2.0, epsilon=0.0)
+
+
 def test_report_serialization():
     inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.3}, ("v1",), ("P", "Q"))
     report = evaluate_instance(inst, make_rule("rule5"))

@@ -264,3 +264,23 @@ def test_ties_resolve_to_lexicographic_minimum():
                             ("rule4", None, (2.0,))):
         d = decide_pair(inst, "b", "a", make_rule(kind, tau=tau, taus=taus))
         assert d.tie and d.winner == "a"
+
+
+@pytest.mark.parametrize("kind, tau, scheme", [
+    ("rule1", 1e308, None),         # (3*tau - 1)/(tau + 1) overflows in its numerator
+    ("rule2", 1e308, None),
+    ("rule4", None, (1.0, 1e308)),
+    ("rule4", None, (1e200, 1e201)),  # tau_l*tau_{l+1} overflows: inf/inf is nan
+    ("rule4", None, (1e200,)),      # finite ratio terms, but own_1 and the weight overflow
+])
+def test_thresholds_whose_arithmetic_overflows_are_rejected_when_built(kind, tau, scheme):
+    with pytest.raises(InvalidThreshold, match="overflow"):
+        Rule(kind, tau, scheme)
+
+
+def test_thresholds_just_inside_the_float_range_keep_their_bounds():
+    assert bound_value(Rule("rule1", 5e307)) == 3.0
+    rule3 = Rule("rule3", 1e308)
+    assert bound_value(rule3) == 1e308
+    assert bound_value(rule3, 3) == math.inf  # tau**2, a bound beyond the float range
+    assert bound_value(Rule("rule4", scheme=(1e150,))) == 1e150
