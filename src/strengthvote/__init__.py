@@ -16,8 +16,8 @@ from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdS
                       bucket_profile, exact_profile, pairwise_tally, tally_csv)
 from .rules import (InvalidThreshold, PairwiseDecision, Rule, SchemeMismatch,
                     bound_value, condition1_holds, decide_pair, decide_profile,
-                    decide_tally, lambda_coefficients, make_rule, ratio_terms, rule4_decide,
-                    rule4_delta, rule4_weights, rule5_weight)
+                    decide_tally, lambda_coefficients, ratio_terms, rule4_decide, rule4_delta,
+                    rule4_weights, rule5_weight)
 from .tournament import (TournamentGraph, copeland_winner, graph_csv, majority_graph,
                          uncovered_set)
 from .distortion_lab import (DistortionReport, IdealPoint, InvalidParams, PoleViolation,

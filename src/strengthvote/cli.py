@@ -19,8 +19,8 @@ from .distortion_lab import (LOWER_BOUND_KINDS, evaluate_instance, generate_lowe
                              json_number, lower_bound_target, natural_rule, report_csv,
                              report_to_dict)
 from .metric_core import instance_to_doc, load_instance, save_instance
-from .rules import RULE_KINDS, bound_value, make_rule
-from .search_oracle import SUITES, SearchConfig, adversarial_search, verify_suite
+from .rules import RULE_KINDS, Rule, bound_value
+from .search_oracle import SPACES, SUITES, SearchConfig, adversarial_search, verify_suite
 from .tournament import copeland_winner, majority_graph, uncovered_set
 
 
@@ -29,13 +29,17 @@ def _fmt(x: float) -> str:
 
 
 def _parse_taus(text: str | None) -> tuple[float, ...]:
+    """The thresholds of a --taus value, () when it is absent or empty."""
     if not text:
         return ()
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    fields = text.split(",")
+    if not all(map(str.strip, fields)):
+        raise ValueError(f"--taus has an empty field: {text!r}")
+    return tuple(map(float, fields))
 
 
-def _build_rule(args) -> object:
-    return make_rule(args.rule, tau=args.tau, taus=_parse_taus(args.taus) or None)
+def _build_rule(args) -> Rule:
+    return Rule(args.rule, args.tau, _parse_taus(args.taus) or None)
 
 
 def _check_at_least(args, **lows) -> None:
@@ -156,8 +160,8 @@ def _cmd_curve(args) -> int:
     points = []
     for i in range(first, args.steps):
         tau = args.tau_min + i * step
-        rule = make_rule("rule5") if args.rule == "rule5" else make_rule(args.rule, tau, (tau,))
-        points.append((tau, bound_value(rule, args.num_candidates)))
+        reads = {"rule4": {"scheme": (tau,)}, "rule5": {}}.get(args.rule, {"tau": tau})
+        points.append((tau, bound_value(Rule(args.rule, **reads), args.num_candidates)))
     if args.format == "csv":
         text = "tau,bound\n" + "\n".join(f"{_fmt(t)},{_fmt(b)}" for t, b in points) + "\n"
     elif args.format == "json":
@@ -247,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--grid", type=int, default=400)
     se.add_argument("--n-instances", type=int, default=200)
     se.add_argument("--voters-max", type=int, default=8)
-    se.add_argument("--space", choices=("line", "euclidean2d"), default="line")
+    se.add_argument("--space", choices=SPACES, default="line")
     se.add_argument("--out", default=None, help="write the found instance JSON here")
     se.set_defaults(func=_cmd_search)
 

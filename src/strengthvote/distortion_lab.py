@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .metric_core import EUCLIDEAN, LINE, MetricInstance, line_instance, social_cost
-from .rules import SQRT2, Rule, bound_value, lambda_coefficients, make_rule, ratio_terms
+from .rules import SQRT2, Rule, bound_value, lambda_coefficients, ratio_terms
 from .tournament import copeland_winner, majority_graph
 # Unused here, but perfbench/tracer.py counts calls through this module attribute.
 from .rules import decide_pair  # noqa: F401
@@ -214,8 +214,8 @@ def natural_rule(kind: str, taus=()) -> Rule:
     """The rule a family's instances are aimed at: rule5 for exact_sqrt2,
     else rule4 on the family's thresholds."""
     if kind == "exact_sqrt2":
-        return make_rule("rule5")
-    return make_rule("rule4", taus=taus)
+        return Rule("rule5")
+    return Rule("rule4", scheme=taus)
 
 
 def generate_lower_bound(kind: str, taus=(), epsilon: float = 1e-6,

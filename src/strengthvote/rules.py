@@ -67,12 +67,14 @@ class SchemeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Rule:
-    """A pairwise rule. The constructor checks the thresholds and derives the
-    rest of the threshold rules' definition: scheme (rule1-3 from tau),
-    boundary mode, per-bucket weights and rule4's condition-1 coefficients,
-    checked against its weights (see rule4_weights). Thresholds whose ratio
-    terms, weights or coefficients are not finite floats raise
-    InvalidThreshold. rule5 has no buckets."""
+    """A pairwise rule. rule1-3 read tau, rule4 reads scheme and rule5 reads
+    neither; any other threshold argument raises InvalidThreshold. The
+    constructor checks the thresholds and derives the rest of the threshold
+    rules' definition: scheme (rule1-3 from tau), boundary mode, per-bucket
+    weights and rule4's condition-1 coefficients, checked against its weights
+    (see rule4_weights). Thresholds whose ratio terms, weights or
+    coefficients are not finite floats raise InvalidThreshold. rule5 has no
+    buckets."""
 
     kind: str
     tau: float | None = None
@@ -98,6 +100,8 @@ class Rule:
                 scheme = ThresholdScheme(tuple(scheme))
             boundary, (weights, condition1, _, _) = INCLUSIVE, rule4_weights(scheme)
         else:
+            if scheme is not None:
+                raise InvalidThreshold(f"{kind} takes tau, not a threshold scheme")
             if tau is None:
                 raise InvalidThreshold(f"{kind} needs a threshold")
             tau = float(tau)
@@ -107,15 +111,13 @@ class Rule:
             elif not tau >= 1.0:
                 raise InvalidThreshold(f"{kind} needs tau >= 1, got {tau}")
             if kind == "rule3":
-                derived, boundary, weights = ThresholdScheme((tau,)), INCLUSIVE, (1.0,)
+                scheme, boundary, weights = ThresholdScheme((tau,)), INCLUSIVE, (1.0,)
             elif tau == 1.0:
-                derived, boundary, weights = ThresholdScheme((1.0,)), STRICT, (1.0,)
+                scheme, boundary, weights = ThresholdScheme((1.0,)), STRICT, (1.0,)
             else:
                 strong = (tau + 1.0) / (tau - 1.0) if kind == "rule2" or tau >= 1.0 + SQRT2 else tau
-                derived, boundary, weights = ThresholdScheme((1.0, tau)), STRICT, (1.0, strong)
-            if scheme is not None and scheme != derived:
-                raise InvalidThreshold(f"{kind} derives its scheme {derived.taus} from tau")
-            scheme, condition1 = derived, ()
+                scheme, boundary, weights = ThresholdScheme((1.0, tau)), STRICT, (1.0, strong)
+            condition1 = ()
         if scheme is not None:
             # Python floats overflow to inf or nan silently; caught here, before
             # _check_identity's numpy arithmetic would warn on them
@@ -142,16 +144,6 @@ class Rule:
         if self.kind == "rule5":
             return rule5_weight(strength)
         return np.array((0.0,) + self.weights)[self.scheme.bucket(strength, self.boundary)]
-
-
-def make_rule(kind: str, tau: float | None = None, taus=None) -> Rule:
-    """Build a rule from command-line style arguments: rule1-3 read tau, rule4
-    reads taus, each ignoring the other; rule5 takes neither."""
-    if kind == "rule4":
-        return Rule(kind, scheme=taus)
-    if kind in ("rule1", "rule2", "rule3"):
-        return Rule(kind, tau)
-    return Rule(kind, tau, taus)
 
 
 @dataclass(frozen=True)
@@ -259,7 +251,7 @@ def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
 
 def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecision:
     """General-scheme weighted majority over a tally built under that scheme."""
-    return decide_tally(tally, make_rule("rule4", taus=scheme))
+    return decide_tally(tally, Rule("rule4", scheme=scheme))
 
 
 def rule4_tally_columns(tallies) -> np.ndarray:

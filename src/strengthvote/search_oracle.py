@@ -29,8 +29,8 @@ import numpy as np
 from .distortion_lab import (cost_ratio, generate_lower_bound, ideal_point,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
 from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
-from .rules import (SQRT2, Rule, bound_value, lambda_coefficients, make_rule, pair_scores,
-                    rule4_delta, rule4_tally_columns)
+from .rules import (SQRT2, Rule, bound_value, lambda_coefficients, pair_scores, rule4_delta,
+                    rule4_tally_columns)
 from .tallies import PairwiseTally, ThresholdScheme, _strengths, exact_profiles
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
 from .rules import (_condition1_diff, decide_pair, decide_profile,  # noqa: F401
@@ -47,6 +47,7 @@ _EPSILON = 1e-6
 
 # random_instance's spaces: name -> (low, high, dim) of the box [low, high)^dim
 _RANDOM_SPACES = {"line": (-1.0, 2.0, 1), "euclidean2d": (0.0, 1.0, 2)}
+SPACES = tuple(_RANDOM_SPACES)
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ _CHUNK = 64
 _TALLY_CHUNK = 512
 
 
-def _drawn(rng: np.random.Generator, count: int, spaces=("line", "euclidean2d"),
+def _drawn(rng: np.random.Generator, count: int, spaces=SPACES,
            voters_max: int = _VOTERS_MAX, **kwargs):
     """count random instances, instance i drawn by random_instance in
     spaces[i % len(spaces)], yielded in order as lists of _CHUNK (the last
@@ -316,11 +317,11 @@ def _check(worst):
 
 
 def _two_candidate_rules() -> list[Rule]:
-    rules = [make_rule("rule1", tau=t) for t in _TAU_GRID]
-    rules += [make_rule("rule2", tau=t) for t in _TAU_GRID if t > 1.0]
-    rules += [make_rule("rule3", tau=t) for t in _TAU_GRID]
-    rules += [make_rule("rule4", taus=(t,)) for t in _TAU_GRID]
-    rules.append(make_rule("rule5"))
+    rules = [Rule("rule1", t) for t in _TAU_GRID]
+    rules += [Rule("rule2", t) for t in _TAU_GRID if t > 1.0]
+    rules += [Rule("rule3", t) for t in _TAU_GRID]
+    rules += [Rule("rule4", scheme=(t,)) for t in _TAU_GRID]
+    rules.append(Rule("rule5"))
     return rules
 
 
@@ -343,9 +344,8 @@ def check_lambda(seed: int = 42, n: int = 5_000):
     """Winners satisfy their lambda-inequality SC(W) <= q*SC(Q) + z*SC(Z) for a
     random witness Z, with (q, z) = lambda_coefficients(rule)."""
     rng = np.random.default_rng(seed)
-    rules = [make_rule("rule1", tau=2.0), make_rule("rule1", tau=5.0), make_rule("rule5"),
-             make_rule("rule3", tau=2.0), make_rule("rule4", taus=(2.0,)),
-             make_rule("rule4", taus=(1.5, 3.0))]
+    rules = [Rule("rule1", 2.0), Rule("rule1", 5.0), Rule("rule5"), Rule("rule3", 2.0),
+             Rule("rule4", scheme=(2.0,)), Rule("rule4", scheme=(1.5, 3.0))]
     q_coef, z_coef = np.array([lambda_coefficients(rule) for rule in rules]).T[:, :, None]
     for chunk in _drawn(rng, n, extra_point=True):
         costs, winners, won, _ = _scored(chunk, rules)
@@ -387,7 +387,7 @@ def check_condition1(seed: int = 42, n: int = 100_000):
 def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
     """rho stays under the tradeoff curve implied by the measured delta."""
     rng = np.random.default_rng(seed)
-    rules = [make_rule("rule1", tau=2.0), make_rule("rule5")]
+    rules = [Rule("rule1", 2.0), Rule("rule5")]
     skip_low = np.array([rule.kind == "rule1" for rule in rules])[:, None]
     for count, num_candidates in ((n_two, 2), (n_multi, 4)):
         for chunk in _drawn(rng, count, ("line",), num_candidates=num_candidates):

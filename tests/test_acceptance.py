@@ -14,7 +14,7 @@ import pytest
 
 from strengthvote.distortion_lab import rule3_counterexample
 from strengthvote.metric_core import scale_instance, social_cost
-from strengthvote.rules import (PairwiseDecision, SQRT2, bound_value, make_rule,
+from strengthvote.rules import (PairwiseDecision, Rule, SQRT2, bound_value,
                                 rule4_delta)
 from strengthvote.search_oracle import (SearchConfig, adversarial_search,
                                         check_bounds, check_condition1,
@@ -35,13 +35,13 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_closed_form_bounds():
     """The headline bound values agree with their closed forms to 1e-12."""
     cases = [
-        (make_rule("rule1", tau=1.0), 2, 3.0),
-        (make_rule("rule1", tau=1.0), 3, 5.0),
-        (make_rule("rule1", tau=1.0 + SQRT2), 2, 2.0 * SQRT2 - 1.0),
-        (make_rule("rule1", tau=1.0 + SQRT2), 3, 9.0 - 4.0 * SQRT2),
-        (make_rule("rule3", tau=2.0), 2, 2.0),
-        (make_rule("rule5"), 2, SQRT2),
-        (make_rule("rule5"), 3, 2.0),
+        (Rule("rule1", 1.0), 2, 3.0),
+        (Rule("rule1", 1.0), 3, 5.0),
+        (Rule("rule1", 1.0 + SQRT2), 2, 2.0 * SQRT2 - 1.0),
+        (Rule("rule1", 1.0 + SQRT2), 3, 9.0 - 4.0 * SQRT2),
+        (Rule("rule3", 2.0), 2, 2.0),
+        (Rule("rule5"), 2, SQRT2),
+        (Rule("rule5"), 3, 2.0),
     ]
     worst = 0.0
     for rule, ncand, want in cases:
@@ -86,7 +86,7 @@ def test_criterion_05_large_single_threshold_breaks_the_inequality():
     inst = rule3_counterexample(5.0, epsilon=1e-6)
     lhs = social_cost(inst, "P")
     rhs = social_cost(inst, "Q") + 2.0 * social_cost(inst, "Z")
-    winner = copeland_winner(majority_graph(inst, make_rule("rule3", tau=5.0)))
+    winner = copeland_winner(majority_graph(inst, Rule("rule3", 5.0)))
     ok = lhs > rhs and winner == "P"
     _report(5, ok, f"SC(P) = {lhs:.6g} > {rhs:.6g} = SC(Q) + 2*SC(Z), winner {winner}")
     assert ok
@@ -107,7 +107,7 @@ def test_criterion_07_single_threshold_schemes_match_the_closed_form():
     for tau in np.linspace(1.0, 20.0, 1000):
         tau = float(tau)
         scheme = ThresholdScheme((1.0,) if tau == 1.0 else (1.0, tau))
-        want = bound_value(make_rule("rule1", tau=tau), 2)
+        want = bound_value(Rule("rule1", tau), 2)
         worst = max(worst, abs(rule4_delta(scheme) - want))
     ok = worst <= EXACT
     _report(7, ok, f"1000 thresholds in [1, 20], worst gap {worst:.3g} (tol {EXACT:g})")
@@ -170,8 +170,8 @@ def test_criterion_10_uncovered_set_matches_its_definition():
 def test_criterion_11_search_gets_within_5_percent_of_each_bound():
     """Adversarial search achieves at least 95% of the proven bound."""
     config = SearchConfig(seed=42, grid=400, voters_max=8)
-    rules = [make_rule("rule1", tau=1.0), make_rule("rule1", tau=1.0 + SQRT2),
-             make_rule("rule3", tau=2.0), make_rule("rule5")]
+    rules = [Rule("rule1", 1.0), Rule("rule1", 1.0 + SQRT2),
+             Rule("rule3", 2.0), Rule("rule5")]
     ratios = []
     for rule in rules:
         _, achieved = adversarial_search(rule, config)
@@ -185,9 +185,9 @@ def test_criterion_11_search_gets_within_5_percent_of_each_bound():
 def test_criterion_12_decisions_are_scale_invariant():
     """Rescaling all distances by c in [1e-3, 1e3] never changes a majority graph."""
     rng = np.random.default_rng(42)
-    rules = [make_rule("rule1", tau=2.0), make_rule("rule2", tau=2.0),
-             make_rule("rule3", tau=2.0), make_rule("rule4", taus=(1.5, 3.0)),
-             make_rule("rule5")]
+    rules = [Rule("rule1", 2.0), Rule("rule2", 2.0),
+             Rule("rule3", 2.0), Rule("rule4", scheme=(1.5, 3.0)),
+             Rule("rule5")]
     changed = 0
     for i in range(1000):
         space = "line" if i % 2 == 0 else "euclidean2d"

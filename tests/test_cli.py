@@ -616,3 +616,38 @@ def test_curve_svg_of_a_flat_bound_widens_its_y_range(capsys):
     assert "nan" not in svg
     assert f'font-size="11">{SQRT2:.10g}</text>' in svg
     assert f'font-size="11">{SQRT2 + 1:.10g}</text>' in svg
+
+
+@pytest.mark.parametrize("command", ["evaluate", "search"])
+@pytest.mark.parametrize("flags", [
+    ["--rule", "rule1", "--tau", "2", "--taus", "2"],
+    ["--rule", "rule2", "--tau", "2", "--taus", "2"],
+    ["--rule", "rule3", "--tau", "2", "--taus", "2"],
+    ["--rule", "rule4", "--taus", "2", "--tau", "2"],
+    ["--rule", "rule5", "--tau", "2"],
+], ids=lambda flags: flags[1])
+def test_a_threshold_flag_the_rule_does_not_read_exits_2(command, flags, instance_path, capsys):
+    """rule1-3 read --tau, rule4 --taus and rule5 neither: a second flag is a
+    usage error, not silently dropped."""
+    where = (["--instance", instance_path] if command == "evaluate"
+             else ["--grid", "50", "--n-instances", "4"])
+    assert main([command, *where, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--instance", "DOC", "--rule", "rule4"],
+    ["search", "--rule", "rule4", "--grid", "50", "--n-instances", "4"],
+    ["lowerbound", "--kind", "pair"],
+], ids=lambda argv: argv[0])
+def test_an_empty_taus_field_exits_2_naming_the_flag(command, instance_path, capsys):
+    argv = [instance_path if a == "DOC" else a for a in command]
+    for taus in ("1.5,,3", "1.5,3,", ",1.5,3"):
+        assert main([*argv, "--taus", taus]) == 2, taus
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--taus" in err
+    # spaces around a number are still read
+    assert main([*argv, "--taus", "1.5, 3"]) == 0

@@ -19,7 +19,7 @@ from strengthvote.distortion_lab import (InvalidParams, PoleViolation,
 from strengthvote.metric_core import (MetricInstance, euclidean_instance, line_instance,
                                       matrix_instance, save_instance, scale_instance,
                                       social_cost)
-from strengthvote.rules import SQRT2, make_rule
+from strengthvote.rules import SQRT2, Rule
 from strengthvote.search_oracle import _two_candidate_rules, _winner
 from strengthvote.tallies import ThresholdScheme
 from strengthvote.tournament import copeland_winner, majority_graph
@@ -114,6 +114,18 @@ def test_euclidean_ideal_damps_the_step_off_a_voter():
     assert ip.cost == pytest.approx(5.0, abs=1e-9)
 
 
+def test_euclidean_ideal_near_a_voter_it_approaches_too_slowly():
+    # the median is v4 at (1, 1), cost 3*sqrt(2); Weiszfeld approaches it from
+    # off the voters and may run out of iterations short of it, in which case
+    # its best iterate must still be close
+    inst = euclidean_instance(
+        {"P": [3, 3], "Q": [-2, 4], "v1": [0, 0], "v2": [2, 0], "v3": [0, 2], "v4": [1, 1]},
+        ("v1", "v2", "v3", "v4"), ("P", "Q"))
+    ip = ideal_point(inst)
+    assert ip.cost == pytest.approx(3.0 * SQRT2, rel=1e-8)
+    assert ip.location == pytest.approx((1.0, 1.0), abs=1e-3)
+
+
 def test_single_voter_ideal_is_free():
     inst = euclidean_instance({"P": [0, 0], "Q": [1, 0], "v1": [0.3, 0.4]},
                               ("v1",), ("P", "Q"))
@@ -140,7 +152,7 @@ def test_ideal_distortion():
 def test_evaluate_instance_two_candidates():
     inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.3, "v2": 0.4},
                          ("v1", "v2"), ("P", "Q"))
-    report = evaluate_instance(inst, make_rule("rule1", tau=2.0))
+    report = evaluate_instance(inst, Rule("rule1", 2.0))
     assert report.winner == "P"
     assert report.delta == 1.0
     assert report.bound == 2.0
@@ -153,8 +165,8 @@ def test_evaluate_instance_two_candidates():
 def test_evaluate_instance_multiway_uses_copeland():
     inst = line_instance({"A": 0.0, "B": 1.0, "C": 2.0, "v1": 0.9},
                          ("v1",), ("A", "B", "C"))
-    report = evaluate_instance(inst, make_rule("rule5"))
-    g = majority_graph(inst, make_rule("rule5"))
+    report = evaluate_instance(inst, Rule("rule5"))
+    g = majority_graph(inst, Rule("rule5"))
     assert report.winner == copeland_winner(g) == "B"
     assert report.bound == 2.0
 
@@ -162,7 +174,7 @@ def test_evaluate_instance_multiway_uses_copeland():
 def test_evaluate_unbounded_rule_reports_infinite_bound():
     inst = line_instance({"A": 0.0, "B": 1.0, "C": 2.0, "v1": 0.9},
                          ("v1",), ("A", "B", "C"))
-    report = evaluate_instance(inst, make_rule("rule2", tau=2.0))
+    report = evaluate_instance(inst, Rule("rule2", 2.0))
     assert math.isinf(report.bound)
     assert report.margin == math.inf
 
@@ -176,33 +188,33 @@ def test_cost_bound_and_lambda_check():
 
 
 def test_ideal_tradeoff_bound_values():
-    r1 = make_rule("rule1", tau=2.0)
+    r1 = Rule("rule1", 2.0)
     assert ideal_tradeoff_bound(r1, 2.0) == pytest.approx(4.0)
     assert ideal_tradeoff_bound(r1, 2.0, num_candidates=3) == pytest.approx(8.0)
     assert ideal_tradeoff_bound(r1, 1.0) == math.inf
     assert ideal_tradeoff_bound(r1, math.inf) == pytest.approx(2.0)
 
-    r5 = make_rule("rule5")
+    r5 = Rule("rule5")
     assert ideal_tradeoff_bound(r5, 2.0) == pytest.approx(2.0 * (1.0 + SQRT2))
     assert ideal_tradeoff_bound(r5, math.inf) == pytest.approx(1.0 + SQRT2)
 
-    r3 = make_rule("rule3", tau=2.0)
+    r3 = Rule("rule3", 2.0)
     assert ideal_tradeoff_bound(r3, 3.0) == pytest.approx(6.0)
     assert ideal_tradeoff_bound(r3, 1.5) == math.inf
     assert ideal_tradeoff_bound(r3, math.inf) == pytest.approx(2.0)
 
-    r4 = make_rule("rule4", taus=(1.5, 3.0))
+    r4 = Rule("rule4", scheme=(1.5, 3.0))
     assert ideal_tradeoff_bound(r4, 4.0) == pytest.approx(8.0)
     assert ideal_tradeoff_bound(r4, 2.5) == math.inf
 
 
 def test_ideal_tradeoff_bound_errors():
     with pytest.raises(PoleViolation):
-        ideal_tradeoff_bound(make_rule("rule1", tau=2.0), 0.5)
+        ideal_tradeoff_bound(Rule("rule1", 2.0), 0.5)
     with pytest.raises(ValueError):
-        ideal_tradeoff_bound(make_rule("rule2", tau=2.0), 3.0)
+        ideal_tradeoff_bound(Rule("rule2", 2.0), 3.0)
     with pytest.raises(ValueError):
-        ideal_tradeoff_bound(make_rule("rule3", tau=2.0), 3.0, num_candidates=3)
+        ideal_tradeoff_bound(Rule("rule3", 2.0), 3.0, num_candidates=3)
 
 
 def _per_kind_tradeoff_bound(rule, delta, num_candidates):
@@ -236,10 +248,10 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("rule", [
-    make_rule("rule1", tau=1.0), make_rule("rule1", tau=2.0), make_rule("rule2", tau=2.0),
-    make_rule("rule3", tau=1.0), make_rule("rule3", tau=2.5), make_rule("rule4", taus=(2.0,)),
-    make_rule("rule4", taus=(1.5, 3.0)), make_rule("rule4", taus=(1.0, 1.7, 4.25)),
-    make_rule("rule5"),
+    Rule("rule1", 1.0), Rule("rule1", 2.0), Rule("rule2", 2.0),
+    Rule("rule3", 1.0), Rule("rule3", 2.5), Rule("rule4", scheme=(2.0,)),
+    Rule("rule4", scheme=(1.5, 3.0)), Rule("rule4", scheme=(1.0, 1.7, 4.25)),
+    Rule("rule5"),
 ], ids=lambda rule: rule.label())
 def test_ideal_tradeoff_bound_equals_the_per_kind_formulas(rule):
     tau_m = rule.scheme.taus[-1] if rule.scheme is not None else 1.0
@@ -275,10 +287,10 @@ def test_lower_bound_targets():
 def test_generators_hand_the_win_to_the_expensive_candidate():
     eps = 1e-6
     cases = [
-        ("exact_sqrt2", (), make_rule("rule5")),
-        ("smallest", (2.0,), make_rule("rule4", taus=(2.0,))),
-        ("largest", (2.0,), make_rule("rule4", taus=(2.0,))),
-        ("pair", (1.5, 3.0), make_rule("rule4", taus=(1.5, 3.0))),
+        ("exact_sqrt2", (), Rule("rule5")),
+        ("smallest", (2.0,), Rule("rule4", scheme=(2.0,))),
+        ("largest", (2.0,), Rule("rule4", scheme=(2.0,))),
+        ("pair", (1.5, 3.0), Rule("rule4", scheme=(1.5, 3.0))),
     ]
     for kind, taus, rule in cases:
         inst = generate_lower_bound(kind, taus, epsilon=eps)
@@ -315,7 +327,7 @@ def test_rule3_counterexample_breaks_the_cost_inequality():
     assert not cost_bound_holds(inst, "P", "Q", "Z", 1.0, 2.0)
     assert social_cost(inst, "P") == pytest.approx(5.0, abs=1e-5)
     # the rule really does elect P: every strength is below tau
-    g = majority_graph(inst, make_rule("rule3", tau=5.0))
+    g = majority_graph(inst, Rule("rule3", 5.0))
     assert copeland_winner(g) == "P"
     with pytest.raises(InvalidParams):
         rule3_counterexample(1.0)
@@ -331,7 +343,7 @@ def test_rule3_counterexample_rejects_an_epsilon_that_leaves_no_strength_above_1
 
 def test_report_serialization():
     inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.3}, ("v1",), ("P", "Q"))
-    report = evaluate_instance(inst, make_rule("rule5"))
+    report = evaluate_instance(inst, Rule("rule5"))
     doc = json.loads(json.dumps(report_to_dict(report), indent=2))
     assert doc["winner"] == "P"
     assert doc["delta"] == 1.0
@@ -344,7 +356,7 @@ def test_report_serialization():
 
 def test_report_csv_quotes_a_label_with_a_comma_quote_or_line_break():
     inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.3}, ("v1",), ("P", "Q"))
-    report = evaluate_instance(inst, make_rule("rule5"))
+    report = evaluate_instance(inst, Rule("rule5"))
     for label in ('x,y', 'x"y', "x\ny", "x\ry", "x\r\ny"):
         line = report_csv(report, label=label)
         assert "\n" not in line.replace(label, "")
@@ -368,7 +380,7 @@ def test_evaluate_measures_each_voter_distance_to_each_candidate_once(monkeypatc
         return column
 
     monkeypatch.setattr(metric_core, "distance_column", counted)
-    evaluate_instance(inst, make_rule("rule4", taus=(1.5, 3.0)))
+    evaluate_instance(inst, Rule("rule4", scheme=(1.5, 3.0)))
     assert len(calls) == len(voters) * len(cands)
 
 
@@ -454,9 +466,9 @@ def test_evaluate_is_exactly_invariant_under_power_of_two_scaling(space, seed):
     if inst.space != "line":
         assert ip.converged
         assert ip.location not in {inst.coords[v] for v in inst.voters}
-    rules = [make_rule("rule1", tau=2.0), make_rule("rule2", tau=2.0),
-             make_rule("rule3", tau=2.0), make_rule("rule4", taus=(1.5, 3.0)),
-             make_rule("rule5")]
+    rules = [Rule("rule1", 2.0), Rule("rule2", 2.0),
+             Rule("rule3", 2.0), Rule("rule4", scheme=(1.5, 3.0)),
+             Rule("rule5")]
     exact = ("winner", "delta", "rho", "bound", "margin", "degenerate", "ideal_exactness")
     costs = ("sc_winner", "sc_best", "sc_ideal")
     for rule in rules:

@@ -16,7 +16,7 @@ import pytest
 
 from strengthvote.metric_core import (euclidean_instance, line_instance, matrix_instance,
                                       preference_strength)
-from strengthvote.rules import SQRT2, decide_pair, make_rule, prepare_profiles
+from strengthvote.rules import SQRT2, Rule, decide_pair, prepare_profiles
 from strengthvote.search_oracle import _grid_positions, _signed_weights, _two_candidate_rules
 from strengthvote.tallies import (INCLUSIVE, STRICT, ThresholdScheme, bucket_profile,
                                   exact_profile, exact_profiles)
@@ -28,10 +28,10 @@ SCHEMES = [(1.0,), (1.5,), (2.0,), (3.0,), (4.0,), (1.0, 2.0), (1.0, 3.0), (1.5,
 def _rules():
     """Every rule kind: rule1 and rule2 strict, rule3 and rule4 inclusive, rule5."""
     return _two_candidate_rules() + [
-        make_rule("rule1", tau=1.5), make_rule("rule1", tau=3.0), make_rule("rule2", tau=1.5),
-        make_rule("rule3", tau=1.5), make_rule("rule3", tau=3.0), make_rule("rule3", tau=4.0),
-        make_rule("rule4", taus=(1.5, 3.0)), make_rule("rule4", taus=(1.0, 2.0, 4.0)),
-        make_rule("rule4", taus=(1.5, 2.0, 3.0, 4.0))]
+        Rule("rule1", 1.5), Rule("rule1", 3.0), Rule("rule2", 1.5),
+        Rule("rule3", 1.5), Rule("rule3", 3.0), Rule("rule3", 4.0),
+        Rule("rule4", scheme=(1.5, 3.0)), Rule("rule4", scheme=(1.0, 2.0, 4.0)),
+        Rule("rule4", scheme=(1.5, 2.0, 3.0, 4.0))]
 
 
 def _reference_sides(inst, p, q):
@@ -201,7 +201,7 @@ def test_array_bucket_and_rule5_weight_match_their_scalar_forms():
         for boundary in (INCLUSIVE, STRICT):
             assert scheme.bucket(strengths, boundary).tolist() == \
                 [_reference_bucket(taus, s, boundary) for s in strengths.tolist()]
-    rule5 = make_rule("rule5")
+    rule5 = Rule("rule5")
     assert [w.hex() for w in rule5.weight(strengths).tolist()] == \
         [_reference_rule5(s).hex() for s in strengths.tolist()]
     with pytest.raises(ValueError):

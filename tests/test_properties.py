@@ -9,15 +9,15 @@ from hypothesis import assume, given, settings, strategies as st
 from strengthvote.metric_core import (distance, line_instance,
                                       preference_strength, scale_instance)
 from strengthvote.rules import (Rule, _condition1_diff, condition1_holds, decide_pair,
-                                make_rule, rule4_decide, rule4_delta, rule4_weights,
+                                rule4_decide, rule4_delta, rule4_weights,
                                 rule5_weight)
 from strengthvote.tallies import (INCLUSIVE, STRICT, PairwiseTally,
                                   ThresholdScheme)
 from strengthvote.tournament import (PairwiseDecision, TournamentGraph,
                                      copeland_winner, uncovered_set)
 
-RULES = (make_rule("rule1", tau=2.0), make_rule("rule3", tau=2.0),
-         make_rule("rule4", taus=(2.0,)), make_rule("rule5"))
+RULES = (Rule("rule1", 2.0), Rule("rule3", 2.0),
+         Rule("rule4", scheme=(2.0,)), Rule("rule5"))
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 from strengthvote.metric_core import line_instance
 from strengthvote.rules import (InvalidThreshold, Rule, SchemeMismatch, SQRT2,
                                 bound_value, condition1_holds, decide_pair,
-                                decide_profile, decide_tally, make_rule,
+                                decide_profile, decide_tally,
                                 rule4_decide, rule4_delta, rule4_weights,
                                 rule5_weight)
 from strengthvote.tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
@@ -20,36 +20,36 @@ def tally(taus, a, b, c=0, boundary=STRICT):
                          boundary)
 
 
-def test_make_rule_validation():
-    assert make_rule("rule1", tau=1.0).kind == "rule1"
-    assert make_rule("rule4", taus=(1.5, 3.0)).scheme.taus == (1.5, 3.0)
-    assert make_rule("rule5").label() == "rule5"
+def test_rule_validation():
+    assert Rule("rule1", 1.0).kind == "rule1"
+    assert Rule("rule4", scheme=(1.5, 3.0)).scheme.taus == (1.5, 3.0)
+    assert Rule("rule5").label() == "rule5"
     with pytest.raises(InvalidThreshold):
-        make_rule("rule2", tau=1.0)
+        Rule("rule2", 1.0)
     with pytest.raises(InvalidThreshold):
-        make_rule("rule1", tau=0.5)
+        Rule("rule1", 0.5)
     with pytest.raises(InvalidThreshold):
-        make_rule("rule1")
+        Rule("rule1")
     with pytest.raises(InvalidThreshold):
-        make_rule("rule4")
+        Rule("rule4")
     with pytest.raises(InvalidThreshold):
-        make_rule("rule5", tau=2.0)
+        Rule("rule5", 2.0)
     with pytest.raises(ValueError):
-        make_rule("rule9", tau=2.0)
+        Rule("rule9", 2.0)
 
 
 def test_rule_constructor_derives_the_whole_definition():
-    # building a Rule directly gives the same rule as make_rule, derived fields
-    # included, and refuses thresholds that contradict the kind
+    # building a Rule by keyword gives the same rule as positionally, derived
+    # fields included, and refuses thresholds that contradict the kind
     spots = [0.3, 0.5, 0.62, 0.75, 0.9, 1.4, -0.2]
     voters = [f"v{i}" for i in range(len(spots))]
     inst = line_instance({"P": 0.0, "Q": 1.0, **dict(zip(voters, spots))}, voters, ["P", "Q"])
     direct = [Rule("rule1", tau=2.0), Rule("rule2", tau=3.0), Rule("rule3", tau=2.0),
               Rule("rule4", scheme=ThresholdScheme((1.5, 3.0))),
               Rule("rule4", scheme=(1.5, 3.0)), Rule("rule5")]
-    built = [make_rule("rule1", tau=2.0), make_rule("rule2", tau=3.0),
-             make_rule("rule3", tau=2.0), make_rule("rule4", taus=(1.5, 3.0)),
-             make_rule("rule4", taus=(1.5, 3.0)), make_rule("rule5")]
+    built = [Rule("rule1", 2.0), Rule("rule2", 3.0),
+             Rule("rule3", 2.0), Rule("rule4", scheme=(1.5, 3.0)),
+             Rule("rule4", scheme=(1.5, 3.0)), Rule("rule5")]
     for d, b in zip(direct, built):
         assert d == b
         assert (d.scheme, d.boundary, d.weights) == (b.scheme, b.boundary, b.weights)
@@ -67,16 +67,16 @@ def test_rule_constructor_derives_the_whole_definition():
 
 
 def test_rule_labels():
-    assert make_rule("rule1", tau=2.0).label() == "rule1[tau=2]"
-    assert make_rule("rule4", taus=(1.5, 3.0)).label() == "rule4[taus=1.5;3]"
+    assert Rule("rule1", 2.0).label() == "rule1[tau=2]"
+    assert Rule("rule4", scheme=(1.5, 3.0)).label() == "rule4[taus=1.5;3]"
 
 
 def test_rule1_strong_weight_branches():
     # below 1+sqrt(2) the strong weight is tau itself, above it (tau+1)/(tau-1)
     low = tally((1.0, 2.0), (0, 2), (3, 0))
-    assert decide_tally(low, make_rule("rule1", tau=2.0)).p_score == pytest.approx(4.0, abs=TOL)
+    assert decide_tally(low, Rule("rule1", 2.0)).p_score == pytest.approx(4.0, abs=TOL)
     high = tally((1.0, 5.0), (0, 2), (3, 0))
-    assert decide_tally(high, make_rule("rule1", tau=5.0)).p_score == pytest.approx(3.0, abs=TOL)
+    assert decide_tally(high, Rule("rule1", 5.0)).p_score == pytest.approx(3.0, abs=TOL)
     # both formulas agree at the switch point
     t = 1.0 + SQRT2
     assert (t + 1.0) / (t - 1.0) == pytest.approx(t, abs=TOL)
@@ -84,17 +84,17 @@ def test_rule1_strong_weight_branches():
 
 def test_rule1_majority_at_tau_one():
     even = tally((1.0,), (2,), (2,))
-    decision = decide_tally(even, make_rule("rule1", tau=1.0))
+    decision = decide_tally(even, Rule("rule1", 1.0))
     assert decision.tie and decision.winner == "P"
-    assert decide_tally(tally((1.0,), (1,), (2,)), make_rule("rule1", tau=1.0)).winner == "Q"
+    assert decide_tally(tally((1.0,), (1,), (2,)), Rule("rule1", 1.0)).winner == "Q"
 
 
 def test_rule2_outweighs_rule1():
     # two weak voters against one strong one: rule1 ties, rule2 lets the
     # strong voter carry the pair
     t = tally((1.0, 2.0), (2, 0), (0, 1))
-    r1 = decide_tally(t, make_rule("rule1", tau=2.0))
-    r2 = decide_tally(t, make_rule("rule2", tau=2.0))
+    r1 = decide_tally(t, Rule("rule1", 2.0))
+    r2 = decide_tally(t, Rule("rule2", 2.0))
     assert r1.tie and r1.winner == "P"
     assert not r2.tie and r2.winner == "Q"
     assert r2.q_score == pytest.approx(3.0, abs=TOL)
@@ -103,35 +103,35 @@ def test_rule2_outweighs_rule1():
 def test_rule1_rule2_divergence_on_an_instance():
     inst = line_instance({"x": 0.0, "y": 1.0, "v1": 0.4, "v2": 0.4, "v3": 0.9},
                          ("v1", "v2", "v3"), ("x", "y"))
-    assert decide_pair(inst, "x", "y", make_rule("rule1", tau=2.0)).winner == "x"
-    assert decide_pair(inst, "x", "y", make_rule("rule2", tau=2.0)).winner == "y"
+    assert decide_pair(inst, "x", "y", Rule("rule1", 2.0)).winner == "x"
+    assert decide_pair(inst, "x", "y", Rule("rule2", 2.0)).winner == "y"
 
 
 def test_boundary_strength_is_weak_for_rule1_but_counts_for_rule3():
     inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.25, "v2": 0.9},
                          ("v1", "v2"), ("P", "Q"))
     # v1 has strength exactly 3 toward P, v2 roughly 9 toward Q
-    r1 = decide_pair(inst, "P", "Q", make_rule("rule1", tau=3.0))
+    r1 = decide_pair(inst, "P", "Q", Rule("rule1", 3.0))
     assert r1.winner == "Q" and r1.p_score == pytest.approx(1.0)
-    r3 = decide_pair(inst, "P", "Q", make_rule("rule3", tau=3.0))
+    r3 = decide_pair(inst, "P", "Q", Rule("rule3", 3.0))
     assert r3.p_score == 1.0 and r3.q_score == 1.0 and r3.winner == "P"
 
 
 def test_rule3_ignores_weak_voters():
     inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.45, "v2": 0.46, "v3": 0.95},
                          ("v1", "v2", "v3"), ("P", "Q"))
-    assert decide_pair(inst, "P", "Q", make_rule("rule1", tau=2.0)).winner == "P"
-    assert decide_pair(inst, "P", "Q", make_rule("rule3", tau=2.0)).winner == "Q"
+    assert decide_pair(inst, "P", "Q", Rule("rule1", 2.0)).winner == "P"
+    assert decide_pair(inst, "P", "Q", Rule("rule3", 2.0)).winner == "Q"
 
 
 def test_scheme_mismatch_is_rejected():
     with pytest.raises(SchemeMismatch):
-        decide_tally(tally((1.0, 3.0), (1, 0), (0, 1)), make_rule("rule1", tau=2.0))
+        decide_tally(tally((1.0, 3.0), (1, 0), (0, 1)), Rule("rule1", 2.0))
     with pytest.raises(SchemeMismatch):
         decide_tally(tally((1.0, 2.0), (1, 0), (0, 1), boundary=INCLUSIVE),
-                     make_rule("rule1", tau=2.0))
+                     Rule("rule1", 2.0))
     with pytest.raises(SchemeMismatch):
-        decide_tally(tally((2.0,), (1,), (1,), boundary=STRICT), make_rule("rule3", tau=2.0))
+        decide_tally(tally((2.0,), (1,), (1,), boundary=STRICT), Rule("rule3", 2.0))
     with pytest.raises(SchemeMismatch):
         rule4_decide(tally((2.0,), (1,), (1,), boundary=STRICT),
                      ThresholdScheme((2.0,)))
@@ -147,17 +147,17 @@ def test_rule4_delta_values():
 def test_rule4_delta_matches_single_threshold_bound():
     for tau in (1.0, 1.5, 2.0, 1.0 + SQRT2, 4.0, 10.0):
         scheme = ThresholdScheme((1.0,) if tau == 1.0 else (1.0, tau))
-        want = bound_value(make_rule("rule1", tau=tau))
+        want = bound_value(Rule("rule1", tau))
         assert rule4_delta(scheme) == pytest.approx(want, abs=TOL)
 
 
 def test_two_candidate_bound_equals_the_closed_forms_exactly():
     for tau in (1.0, 1.0 + 2.0 ** -52, 1.5, 2.0, 1.0 + SQRT2, 3.0, 5.0, 1e6):
         closed = max((tau + 2.0) / tau, (3.0 * tau - 1.0) / (tau + 1.0))
-        assert bound_value(make_rule("rule1", tau=tau)) == closed
+        assert bound_value(Rule("rule1", tau)) == closed
         if tau > 1.0:
-            assert bound_value(make_rule("rule2", tau=tau)) == closed
-        assert bound_value(make_rule("rule3", tau=tau)) == max((tau + 2.0) / tau, tau)
+            assert bound_value(Rule("rule2", tau)) == closed
+        assert bound_value(Rule("rule3", tau)) == max((tau + 2.0) / tau, tau)
 
 
 def test_rule4_weights_frozen_cases():
@@ -176,7 +176,7 @@ def test_rule4_score_equals_feasibility_gap():
     from strengthvote.rules import _condition1_diff
     d = rule4_decide(t, t.scheme)
     assert d.winner == "P"
-    slack_p, slack_q = _condition1_diff(t, make_rule("rule4", taus=t.scheme))
+    slack_p, slack_q = _condition1_diff(t, Rule("rule4", scheme=t.scheme))
     gap = slack_p - slack_q
     assert d.p_score - d.q_score == pytest.approx(gap, abs=1e-9)
     assert condition1_holds(t, "P")
@@ -214,7 +214,7 @@ def test_rule5_weight_profile():
 
 def test_rule5_strong_minority_prevails():
     prof = ExactProfile(("P", "Q"), (1.1, 1.1), (2.0,))
-    d = decide_profile(prof, make_rule("rule5"))
+    d = decide_profile(prof, Rule("rule5"))
     assert d.winner == "Q"
     assert d.p_score == pytest.approx(0.2, abs=1e-9)
 
@@ -225,7 +225,7 @@ def test_decide_profile_dispatch():
     for params in (("rule1", 2.0, None), ("rule2", 2.0, None), ("rule3", 2.0, None),
                    ("rule4", None, (2.0,)), ("rule5", None, None)):
         kind, tau, taus = params
-        rule = make_rule(kind, tau=tau, taus=taus)
+        rule = Rule(kind, tau, taus)
         d = decide_pair(inst, "P", "Q", rule)
         assert d.winner in ("P", "Q")
         assert d.p_score >= 0.0 and d.q_score >= 0.0
@@ -233,18 +233,18 @@ def test_decide_profile_dispatch():
 
 def test_bound_values():
     cases = [
-        (make_rule("rule1", tau=1.0), 2, 3.0),
-        (make_rule("rule1", tau=1.0), 3, 5.0),
-        (make_rule("rule1", tau=1.0 + SQRT2), 2, 2.0 * SQRT2 - 1.0),
-        (make_rule("rule1", tau=1.0 + SQRT2), 4, (2.0 * SQRT2 - 1.0) ** 2),
-        (make_rule("rule2", tau=2.0), 2, 2.0),
-        (make_rule("rule3", tau=2.0), 2, 2.0),
-        (make_rule("rule3", tau=2.0), 3, 4.0),
-        (make_rule("rule3", tau=4.0), 2, 4.0),
-        (make_rule("rule4", taus=(2.0,)), 2, 2.0),
-        (make_rule("rule4", taus=(2.0,)), 5, 4.0),
-        (make_rule("rule5"), 2, SQRT2),
-        (make_rule("rule5"), 3, 2.0),
+        (Rule("rule1", 1.0), 2, 3.0),
+        (Rule("rule1", 1.0), 3, 5.0),
+        (Rule("rule1", 1.0 + SQRT2), 2, 2.0 * SQRT2 - 1.0),
+        (Rule("rule1", 1.0 + SQRT2), 4, (2.0 * SQRT2 - 1.0) ** 2),
+        (Rule("rule2", 2.0), 2, 2.0),
+        (Rule("rule3", 2.0), 2, 2.0),
+        (Rule("rule3", 2.0), 3, 4.0),
+        (Rule("rule3", 4.0), 2, 4.0),
+        (Rule("rule4", scheme=(2.0,)), 2, 2.0),
+        (Rule("rule4", scheme=(2.0,)), 5, 4.0),
+        (Rule("rule5"), 2, SQRT2),
+        (Rule("rule5"), 3, 2.0),
     ]
     for rule, ncand, want in cases:
         assert bound_value(rule, ncand) == pytest.approx(want, abs=TOL), rule.label()
@@ -252,9 +252,9 @@ def test_bound_values():
 
 def test_bound_value_errors():
     with pytest.raises(ValueError):
-        bound_value(make_rule("rule2", tau=2.0), 3)
+        bound_value(Rule("rule2", 2.0), 3)
     with pytest.raises(ValueError):
-        bound_value(make_rule("rule5"), 1)
+        bound_value(Rule("rule5"), 1)
 
 
 def test_ties_resolve_to_lexicographic_minimum():
@@ -262,7 +262,7 @@ def test_ties_resolve_to_lexicographic_minimum():
                          ("v1", "v2"), ("a", "b"))
     for kind, tau, taus in (("rule1", 2.0, None), ("rule5", None, None),
                             ("rule4", None, (2.0,))):
-        d = decide_pair(inst, "b", "a", make_rule(kind, tau=tau, taus=taus))
+        d = decide_pair(inst, "b", "a", Rule(kind, tau, taus))
         assert d.tie and d.winner == "a"
 
 
@@ -284,3 +284,21 @@ def test_thresholds_just_inside_the_float_range_keep_their_bounds():
     assert bound_value(rule3) == 1e308
     assert bound_value(rule3, 3) == math.inf  # tau**2, a bound beyond the float range
     assert bound_value(Rule("rule4", scheme=(1e150,))) == 1e150
+
+
+@pytest.mark.parametrize("kind, tau, scheme, reads", [
+    ("rule1", 2.0, (1.0, 2.0), "rule1 takes tau"),  # the scheme rule1 derives from tau
+    ("rule1", 1.0, (1.0,), "rule1 takes tau"),
+    ("rule2", 3.0, ThresholdScheme((1.0, 3.0)), "rule2 takes tau"),
+    ("rule3", 2.0, (2.0,), "rule3 takes tau"),
+    ("rule3", None, (2.0,), "rule3 takes tau"),
+    ("rule4", 2.0, (2.0,), "rule4 takes a threshold scheme"),
+    ("rule4", 2.0, None, "rule4 takes a threshold scheme"),
+    ("rule5", 2.0, None, "rule5 takes no thresholds"),
+    ("rule5", None, (2.0,), "rule5 takes no thresholds"),
+])
+def test_a_threshold_argument_the_kind_does_not_read_is_rejected(kind, tau, scheme, reads):
+    """rule1-3 read tau, rule4 reads scheme and rule5 neither: any other
+    argument raises, naming what the kind reads."""
+    with pytest.raises(InvalidThreshold, match=reads):
+        Rule(kind, tau, scheme)

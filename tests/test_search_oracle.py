@@ -9,7 +9,7 @@ import pytest
 
 from strengthvote.distortion_lab import evaluate_instance, generate_lower_bound
 from strengthvote.metric_core import MetricInstance, line_instance, social_cost
-from strengthvote.rules import (SQRT2, bound_value, decide_pair, make_rule, rule4_delta,
+from strengthvote.rules import (SQRT2, Rule, bound_value, decide_pair, rule4_delta,
                                 rule4_weights)
 from strengthvote import rules, search_oracle, tallies
 from strengthvote.search_oracle import (SearchConfig, _anchor_instances, _grid_positions,
@@ -41,7 +41,7 @@ def test_brute_force_best():
 
 def test_evaluate_instance_delta_matches_brute_force_best():
     rng = np.random.default_rng(4)
-    rule = make_rule("rule4", taus=(1.5, 3.0))
+    rule = Rule("rule4", scheme=(1.5, 3.0))
     for _ in range(30):
         inst = random_instance(rng, "euclidean2d", num_candidates=4)
         _, cost = brute_force_best(inst)
@@ -68,8 +68,8 @@ def test_random_instance_shapes():
 
 def test_adversarial_search_stays_under_the_bound():
     config = SearchConfig(seed=11, grid=80, n_instances=40)
-    for rule in (make_rule("rule1", tau=2.0), make_rule("rule3", tau=2.0),
-                 make_rule("rule5")):
+    for rule in (Rule("rule1", 2.0), Rule("rule3", 2.0),
+                 Rule("rule5")):
         inst, delta = adversarial_search(rule, config)
         assert delta <= bound_value(rule, 2) + 1e-9
         # the reported instance really achieves the reported distortion
@@ -80,7 +80,7 @@ def test_adversarial_search_stays_under_the_bound():
 
 def test_adversarial_search_is_sharp_for_plain_majority():
     # tau = 1 admits distortion arbitrarily close to 3; the grid finds it
-    inst, delta = adversarial_search(make_rule("rule1", tau=1.0),
+    inst, delta = adversarial_search(Rule("rule1", 1.0),
                                      SearchConfig(seed=1, grid=200, n_instances=0))
     assert delta >= 0.95 * 3.0
 
@@ -88,7 +88,7 @@ def test_adversarial_search_is_sharp_for_plain_majority():
 def test_grid_weights_agree_with_the_pipeline_on_every_cell():
     # the cut-spot positions put voters on, and within 1e-9 of, every cutoff,
     # so strict and inclusive hits and the strict cutoff of 1 are all covered
-    for rule in _two_candidate_rules() + [make_rule("rule4", taus=(1.5, 3.0))]:
+    for rule in _two_candidate_rules() + [Rule("rule4", scheme=(1.5, 3.0))]:
         xs = _grid_positions(rule, 2)
         w = _signed_weights(rule, xs)
         for i, j in product(range(len(xs)), repeat=2):
@@ -244,13 +244,13 @@ def test_anchor_instances_aim_at_each_ratio_term_of_the_scheme():
             + [one(1.0)] + [smallest(t) for t in grid]       # rule4 (tau,)
             + [[("exact_sqrt2", ())]]                        # rule5
             + [[("largest", (4.0,)), ("pair", (1.0, 2.0)), ("pair", (2.0, 4.0))]])
-    rules = _two_candidate_rules() + [make_rule("rule4", taus=(1.0, 2.0, 4.0))]
+    rules = _two_candidate_rules() + [Rule("rule4", scheme=(1.0, 2.0, 4.0))]
     assert len(rules) == len(want)
     for rule, anchors in zip(rules, want):
         assert _anchor_instances(rule) == [generate_lower_bound(kind, taus, 1e-6)
                                            for kind, taus in anchors], rule.label()
     # thresholds closer than twice the anchors' epsilon leave their pair out
-    close = make_rule("rule4", taus=(2.0, 2.0 + 1e-6))
+    close = Rule("rule4", scheme=(2.0, 2.0 + 1e-6))
     assert _anchor_instances(close) == [generate_lower_bound("largest", (2.0 + 1e-6,), 1e-6),
                                         generate_lower_bound("smallest", (2.0,), 1e-6)]
     adversarial_search(close, SearchConfig(grid=50, n_instances=10))

@@ -8,7 +8,7 @@ from strengthvote import search_oracle, tallies
 from strengthvote.metric_core import (SameCandidate, UnknownId, distance, euclidean_instance,
                                       line_instance, matrix_instance, preference_strength,
                                       social_cost)
-from strengthvote.rules import decide_pair, make_rule
+from strengthvote.rules import Rule, decide_pair
 from strengthvote.tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
                                   ThresholdScheme, bucket_profile, exact_profile,
                                   pairwise_tally, tally_csv)
@@ -237,7 +237,7 @@ def _decision_key(decision):
 @pytest.mark.parametrize("space", ["line", "euclidean2d", "matrix"])
 def test_decisions_on_a_warmed_instance_match_a_fresh_one(space, num_candidates):
     rules = search_oracle._two_candidate_rules() + [
-        make_rule("rule4", taus=(1.5, 3.0)), make_rule("rule4", taus=(1.0, 2.0, 4.0))]
+        Rule("rule4", scheme=(1.5, 3.0)), Rule("rule4", scheme=(1.0, 2.0, 4.0))]
     for seed in range(3):
         warm = _memo_case(space, seed, num_candidates)
         pairs = list(permutations(warm.candidates, 2))

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from strengthvote.metric_core import line_instance
-from strengthvote.rules import PairwiseDecision, make_rule
+from strengthvote.rules import PairwiseDecision, Rule
 from strengthvote.tournament import (TournamentGraph, copeland_winner,
                                      graph_csv, majority_graph, uncovered_set)
 
@@ -73,7 +73,7 @@ def test_two_step_reach_qualifies():
 def test_majority_graph_on_a_line():
     inst = line_instance({"A": 0.0, "B": 1.0, "C": 2.0, "v1": 0.9},
                          ("v1",), ("A", "B", "C"))
-    g = majority_graph(inst, make_rule("rule1", tau=2.0))
+    g = majority_graph(inst, Rule("rule1", 2.0))
     assert g.beats("B", "A") and g.beats("B", "C") and g.beats("A", "C")
     assert uncovered_set(g) == {"B"}
     assert copeland_winner(g) == "B"
