@@ -29,8 +29,8 @@ def _fmt(x: float) -> str:
 
 
 def _parse_taus(text: str | None) -> tuple[float, ...]:
-    """The thresholds of a --taus value, () when it is absent or empty."""
-    if not text:
+    """The thresholds of a --taus value, () when it is absent."""
+    if text is None:
         return ()
     fields = text.split(",")
     if not all(map(str.strip, fields)):

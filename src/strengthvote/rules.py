@@ -2,17 +2,17 @@
 
 Every rule decides an ordered pair (P, Q) by a weighted vote and breaks exact
 ties toward the lexicographically smaller candidate id. The four threshold
-rules share one shape: ballots are bucketed by a threshold scheme under a
-cutoff convention (see tallies), and each bucket l >= 1 carries one weight;
-the hidden set C (bucket 0) always weighs 0.
+rules share one shape: ballots are bucketed by a threshold scheme, whose
+cutoffs and cutoff comparison (see tallies) fix the ballot format, and each
+bucket l >= 1 carries one weight; the hidden set C (bucket 0) always weighs 0.
 
-    rule   scheme                    boundary   bucket weights
-    rule1  (1, tau), or (1,) at 1    strict     (1, strong): strong = tau when
-                                                tau < 1+sqrt(2), else (tau+1)/(tau-1)
-    rule2  (1, tau), tau > 1         strict     (1, (tau+1)/(tau-1))
-    rule3  (tau,)                    inclusive  (1,)
-    rule4  any tau_1 < ... < tau_m   inclusive  rule4_weights(scheme), from the
-                                                scheme's worst ratio term rule4_delta
+    rule   scheme: cutoffs, comparison        bucket weights
+    rule1  (1, tau), or (1,) at 1, strict     (1, strong): strong = tau when
+                                              tau < 1+sqrt(2), else (tau+1)/(tau-1)
+    rule2  (1, tau), tau > 1, strict          (1, (tau+1)/(tau-1))
+    rule3  (tau,), inclusive                  (1,)
+    rule4  any tau_1 < ... < tau_m, inclusive rule4_weights(scheme), from the
+                                              scheme's worst ratio term rule4_delta
 
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
 coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
@@ -62,7 +62,7 @@ class InvalidThreshold(ValueError):
 
 
 class SchemeMismatch(ValueError):
-    """A tally was built under a different scheme or boundary mode than the rule expects."""
+    """A tally was bucketed otherwise than the rule's scheme buckets."""
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,15 @@ class Rule:
     """A pairwise rule. rule1-3 read tau, rule4 reads scheme and rule5 reads
     neither; any other threshold argument raises InvalidThreshold. The
     constructor checks the thresholds and derives the rest of the threshold
-    rules' definition: scheme (rule1-3 from tau), boundary mode, per-bucket
-    weights and rule4's condition-1 coefficients, checked against its weights
-    (see rule4_weights). Thresholds whose ratio terms, weights or
-    coefficients are not finite floats raise InvalidThreshold. rule5 has no
-    buckets."""
+    rules' definition: scheme (rule1-3 from tau, with its comparison),
+    per-bucket weights and rule4's condition-1 coefficients, checked against
+    its weights (see rule4_weights). rule4 buckets inclusively, so a strict
+    scheme, like thresholds whose ratio terms, weights or coefficients are
+    not finite floats, raises InvalidThreshold. rule5 has no buckets."""
 
     kind: str
     tau: float | None = None
     scheme: ThresholdScheme | None = None
-    boundary: str | None = field(init=False)
     weights: tuple[float, ...] = field(init=False)
     condition1: tuple[tuple[float, ...], ...] = field(init=False)
 
@@ -90,7 +89,7 @@ class Rule:
         if kind == "rule5":
             if tau is not None or scheme is not None:
                 raise InvalidThreshold("rule5 takes no thresholds")
-            boundary, weights, condition1 = None, (), ()
+            weights, condition1 = (), ()
         elif kind == "rule4":
             if tau is not None:
                 raise InvalidThreshold("rule4 takes a threshold scheme, not tau")
@@ -98,7 +97,9 @@ class Rule:
                 raise InvalidThreshold("rule4 needs a threshold scheme")
             if not isinstance(scheme, ThresholdScheme):
                 scheme = ThresholdScheme(tuple(scheme))
-            boundary, (weights, condition1, _, _) = INCLUSIVE, rule4_weights(scheme)
+            if scheme.boundary != INCLUSIVE:
+                raise InvalidThreshold(f"rule4 buckets inclusively, got a {scheme.boundary} scheme")
+            weights, condition1, _, _ = rule4_weights(scheme)
         else:
             if scheme is not None:
                 raise InvalidThreshold(f"{kind} takes tau, not a threshold scheme")
@@ -111,23 +112,23 @@ class Rule:
             elif not tau >= 1.0:
                 raise InvalidThreshold(f"{kind} needs tau >= 1, got {tau}")
             if kind == "rule3":
-                scheme, boundary, weights = ThresholdScheme((tau,)), INCLUSIVE, (1.0,)
+                scheme, weights = ThresholdScheme((tau,)), (1.0,)
             elif tau == 1.0:
-                scheme, boundary, weights = ThresholdScheme((1.0,)), STRICT, (1.0,)
+                scheme, weights = ThresholdScheme((1.0,), STRICT), (1.0,)
             else:
                 strong = (tau + 1.0) / (tau - 1.0) if kind == "rule2" or tau >= 1.0 + SQRT2 else tau
-                scheme, boundary, weights = ThresholdScheme((1.0, tau)), STRICT, (1.0, strong)
+                scheme, weights = ThresholdScheme((1.0, tau), STRICT), (1.0, strong)
             condition1 = ()
         if scheme is not None:
             # Python floats overflow to inf or nan silently; caught here, before
-            # _check_identity's numpy arithmetic would warn on them
+            # _check_identity would report them as a mismatch
             values = ratio_terms(scheme.taus) + weights + sum(condition1, ())
             if not all(map(math.isfinite, values)):
                 raise InvalidThreshold(
                     f"{kind} thresholds {scheme.taus} overflow its ratio terms or weights")
             if kind == "rule4":
                 _check_identity(weights, condition1)
-        for name, value in dict(tau=tau, scheme=scheme, boundary=boundary, weights=weights,
+        for name, value in dict(tau=tau, scheme=scheme, weights=weights,
                                 condition1=condition1).items():
             object.__setattr__(self, name, value)
 
@@ -143,7 +144,7 @@ class Rule:
         elementwise on an array."""
         if self.kind == "rule5":
             return rule5_weight(strength)
-        return np.array((0.0,) + self.weights)[self.scheme.bucket(strength, self.boundary)]
+        return np.array((0.0,) + self.weights)[self.scheme.bucket(strength)]
 
 
 @dataclass(frozen=True)
@@ -214,14 +215,12 @@ def condition1_slacks(condition1, a, b) -> tuple[list[float], list[float]]:
 
 
 def _check_identity(weights, condition1) -> None:
-    """Raise AssertionError unless each rule4 weight is own - other of its
-    condition1 = (own, other) within 1e-9 relative, so that a tally's score
-    gap is its slack gap: one row of each, or one row of each per tally."""
-    weights, (own, other) = np.asarray(weights), np.asarray(condition1)
-    close = np.abs((own - other) - weights) <= 1e-9 * np.maximum(1.0, np.abs(weights))
-    if not close.all():
-        i = np.unravel_index(np.argmin(close), close.shape)
-        raise AssertionError((float(weights[i]), float(own[i] - other[i])))
+    """Raise AssertionError((w, own - other)) at the first rule4 weight w that
+    is not own - other of its condition1 = (own, other) within 1e-9 relative
+    (a NaN never is), so that a tally's score gap is its slack gap."""
+    for w, o, x in zip(weights, *condition1):
+        if not abs((o - x) - w) <= 1e-9 * max(1.0, abs(w)):
+            raise AssertionError((w, o - x))
 
 
 def side_scores(weights, a, b) -> tuple[list[float], list[float]]:
@@ -235,16 +234,13 @@ def side_scores(weights, a, b) -> tuple[list[float], list[float]]:
 def decide_tally(tally: PairwiseTally, rule: Rule) -> PairwiseDecision:
     """Weighted majority over a tally: each side scores sum_l w_l * count_l.
 
-    The tally must use the rule's scheme and boundary mode; a lone cutoff of 1
-    buckets the same either way. For rule4 the score gap equals the gap
-    between the two sides' feasibility slacks, checked as the Rule is built.
+    The tally must be bucketed as the rule's scheme buckets (equal _cuts), so
+    a lone cutoff of 1 passes under either comparison. For rule4 the score
+    gap equals the gap between the two sides' feasibility slacks, checked as
+    the Rule is built.
     """
-    taus = rule.scheme.taus if rule.scheme is not None else None
-    if tally.scheme.taus != taus:
-        raise SchemeMismatch(f"{rule.kind} expects scheme {taus}, tally has {tally.scheme.taus}")
-    if tally.boundary != rule.boundary and tally.scheme.taus != (1.0,):
-        raise SchemeMismatch(
-            f"{rule.kind} expects {rule.boundary} boundary, tally used {tally.boundary}")
+    if rule.scheme is None or tally.scheme._cuts.tolist() != rule.scheme._cuts.tolist():
+        raise SchemeMismatch(f"{rule.kind} expects scheme {rule.scheme}, tally has {tally.scheme}")
     (p,), (q,) = side_scores(rule.weights, [tally.a_counts], [tally.b_counts])
     return _resolve(tally.pair, p, q)
 
@@ -257,9 +253,9 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
 def rule4_tally_columns(tallies) -> np.ndarray:
     """rule4 under each tally's own scheme, as a (4, n) array of columns: the
     pair[0] and pair[1] side scores (side_scores), then the two sides'
-    condition-1 slacks. rule4_weights is derived once per tally; the tallies
-    of one scheme length are checked against their coefficients
-    (_check_identity) and summed together."""
+    condition-1 slacks. rule4_weights is derived and checked against its
+    coefficients (_check_identity) once per tally; the tallies of one scheme
+    length are summed together."""
     out = np.empty((4, len(tallies)))
     by_length = {}
     for i, tally in enumerate(tallies):
@@ -268,13 +264,13 @@ def rule4_tally_columns(tallies) -> np.ndarray:
         weights, own, other = [], [], []
         for i in rows:
             w, (o, x), _, _ = rule4_weights(tallies[i].scheme)
+            _check_identity(w, (o, x))
             weights.append(w)
             own.append(o)
             other.append(x)
         a = np.array([tallies[i].a_counts for i in rows])
         b = np.array([tallies[i].b_counts for i in rows])
         weights, condition1 = np.array(weights), (np.array(own), np.array(other))
-        _check_identity(weights, condition1)
         out[:, rows] = (*side_scores(weights, a, b), *condition1_slacks(condition1, a, b))
     return out
 
@@ -310,7 +306,7 @@ def pair_scores(profiles, rules) -> list[tuple[list[float], list[float]]]:
     (a, b, a, b, ...). rule5 sums its voters' rule5_weight, weighed in one
     pass over that array; a threshold rule sums its bucket weights by
     side_scores, over counts bucketed with one searchsorted and counted with
-    one bincount per distinct (scheme, boundary)."""
+    one bincount per distinct scheme."""
     sides = [side for prof in profiles for side in (prof.a, prof.b)]
     strengths, sizes = np.concatenate(sides), [len(side) for side in sides]
     out, counts = [], {}
@@ -321,14 +317,14 @@ def pair_scores(profiles, rules) -> list[tuple[list[float], list[float]]]:
             sums = [math.fsum(weights[lo:hi].tolist()) for lo, hi in zip([0] + ends, ends)]
             out.append((sums[0::2], sums[1::2]))
             continue
-        key = (rule.scheme.taus, rule.boundary)
-        if key not in counts:
-            width = rule.scheme.m + 1
-            buckets = rule.scheme.bucket(strengths, rule.boundary)
+        scheme = rule.scheme
+        if scheme not in counts:
+            width = scheme.m + 1
+            buckets = scheme.bucket(strengths)
             buckets += np.arange(0, len(sides) * width, width).repeat(sizes)
-            counts[key] = np.bincount(buckets, minlength=len(sides) * width).reshape(
+            counts[scheme] = np.bincount(buckets, minlength=len(sides) * width).reshape(
                 len(profiles), 2, width)[:, :, 1:]
-        out.append(side_scores(rule.weights, counts[key][:, 0], counts[key][:, 1]))
+        out.append(side_scores(rule.weights, counts[scheme][:, 0], counts[scheme][:, 1]))
     return out
 
 

@@ -1,17 +1,18 @@
 """Bucketing of pairwise preference strengths against a threshold scheme.
 
 A scheme is a strictly increasing tuple of cutoffs tau_1 < ... < tau_m with
-tau_1 >= 1. Relative to an ordered pair (P, Q), bucket l collects voters whose
-strength s satisfies tau_l <= s < tau_{l+1} (with tau_{m+1} = +inf); bucket 0
-is the hidden set C of strengths below tau_1, which is empty whenever
-tau_1 = 1. A tally carries the per-bucket counts for the P side (A_l) and the
-Q side (B_l).
+tau_1 >= 1 and the comparison a strength makes against them: the two fix
+what a ballot reveals. Relative to an ordered pair (P, Q), bucket l collects
+voters whose strength s satisfies tau_l <= s < tau_{l+1} (with
+tau_{m+1} = +inf); bucket 0 is the hidden set C of strengths below tau_1,
+which is empty whenever tau_1 = 1. A tally carries the per-bucket counts for
+the P side (A_l) and the Q side (B_l).
 
-Two boundary modes exist because the single-threshold rules are worded with a
-strict comparison: under ``strict`` a strength exactly equal to a cutoff
-tau_l > 1 stays below it (in bucket l-1, or in C), while ``inclusive`` is the
-default tau_l <= s convention. A cutoff of exactly 1 is inclusive in both
-modes, since strengths never fall below 1.
+The cutoff comparison is part of the scheme, as its cutoffs are, because
+rule1 and rule2 are worded with a strict one: under ``boundary=STRICT`` a
+strength exactly equal to a cutoff tau_l > 1 stays below it (in bucket l-1,
+or in C), while ``INCLUSIVE`` is the default tau_l <= s convention. A cutoff
+of exactly 1 is inclusive under both, since strengths never fall below 1.
 
 One column kernel (``_strengths``) is the only path from distances to
 strengths: it turns two voter-distance columns into each voter's side and
@@ -21,7 +22,7 @@ rules.pair_scores buckets and scores a batch of profiles, and
 ``bucket_profile`` counts one profile's sides into a tally. Profiles
 and tallies are built once and kept: an instance holds each ordered pair's
 profile, each side a read-only float64 array (8 bytes per strength), and a
-profile holds its tally under each (scheme, boundary) and each Rule's side
+profile holds its tally under each scheme and each Rule's side
 scores that rules.prepare_profiles kept, for as long as the instance lives.
 """
 
@@ -46,10 +47,13 @@ STRICT = "strict"
 @dataclass(frozen=True)
 class ThresholdScheme:
     taus: tuple[float, ...]
+    boundary: str = INCLUSIVE
 
     def __post_init__(self):
         taus = tuple(map(float, self.taus))
         object.__setattr__(self, "taus", taus)
+        if self.boundary not in (INCLUSIVE, STRICT):
+            raise ValueError(f"unknown boundary mode {self.boundary!r}")
         if not taus:
             raise ValueError("a scheme needs at least one threshold")
         if taus[0] < 1.0:
@@ -73,24 +77,23 @@ class ThresholdScheme:
             return math.inf
         return self.taus[l - 1]
 
-    def bucket(self, strength, boundary: str = INCLUSIVE):
+    def bucket(self, strength):
         """Bucket index for a strength: 0 for C, else the largest applicable l,
-        which is the number of cutoffs at or below it (strictly below under a
-        strict boundary, except a cutoff of 1). Elementwise on an array."""
+        which is the number of cutoffs the strength reaches. Elementwise on an
+        array."""
         s = np.asarray(strength, dtype=float)
         if np.count_nonzero(s >= 1.0) != s.size:
             raise ValueError(f"preference strengths are >= 1, got {s[~(s >= 1.0)].flat[0]}")
-        if boundary == INCLUSIVE:
-            l = self._cuts.searchsorted(s, "right")
-        else:
-            l = self._cuts.searchsorted(s, "left")
-            if self.taus[0] == 1.0:
-                l = l + (s == 1.0)
+        l = self._cuts.searchsorted(s, "right")
         return l if l.ndim else int(l)
 
     @cached_property
     def _cuts(self) -> np.ndarray:
-        return np.array(self.taus)
+        """The least strength that reaches each cutoff: the next float above a
+        strict cutoff tau > 1 (s > tau exactly when s >= it), else tau."""
+        strict = self.boundary == STRICT
+        return np.array([math.nextafter(t, math.inf) if strict and t > 1.0 else t
+                         for t in self.taus])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +122,9 @@ class ExactProfile:
         return tuple(self.b.tolist())
 
     @cached_property
-    def _tallies(self) -> dict[tuple[tuple[float, ...], str], PairwiseTally]:
-        """bucket_profile's result for each (scheme, boundary) it has built,
-        keyed by (scheme.taus, boundary): schemes are equal when their taus
-        are, and a tuple of floats hashes without the dataclass's __hash__."""
+    def _tallies(self) -> dict[ThresholdScheme, PairwiseTally]:
+        """bucket_profile's result for each scheme it has built, keyed by the
+        frozen scheme itself: its cutoffs and their comparison."""
         return {}
 
     @cached_property
@@ -139,7 +141,6 @@ class PairwiseTally:
     a_counts: tuple[int, ...]
     b_counts: tuple[int, ...]
     c_count: int
-    boundary: str = INCLUSIVE
 
     def __post_init__(self):
         m = self.scheme.m
@@ -149,8 +150,6 @@ class PairwiseTally:
             raise ValueError("bucket counts must be nonnegative")
         if self.scheme.taus[0] == 1.0 and self.c_count != 0:
             raise ValueError("C must be empty when tau_1 = 1")
-        if self.boundary not in (INCLUSIVE, STRICT):
-            raise ValueError(f"unknown boundary mode {self.boundary!r}")
 
 
 def _strengths(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,23 +199,20 @@ def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
     return exact_profiles([(inst, p, q)])[0]
 
 
-def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme,
-                   boundary: str = INCLUSIVE) -> PairwiseTally:
+def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme) -> PairwiseTally:
     """Reduce a profile's exact strengths to the bucket counts a scheme's
-    ballots reveal, one bincount per side, as a tally built once per
-    (scheme, boundary) and kept on the profile."""
-    key = (scheme.taus, boundary)
-    if key not in profile._tallies:
-        a, b = (np.bincount(scheme.bucket(side, boundary), minlength=scheme.m + 1).tolist()
+    ballots reveal, one bincount per side, as a tally built once per scheme
+    and kept on the profile."""
+    if scheme not in profile._tallies:
+        a, b = (np.bincount(scheme.bucket(side), minlength=scheme.m + 1).tolist()
                 for side in (profile.a, profile.b))
-        profile._tallies[key] = PairwiseTally(profile.pair, scheme, tuple(a[1:]), tuple(b[1:]),
-                                              a[0] + b[0], boundary)
-    return profile._tallies[key]
+        profile._tallies[scheme] = PairwiseTally(profile.pair, scheme, tuple(a[1:]),
+                                                 tuple(b[1:]), a[0] + b[0])
+    return profile._tallies[scheme]
 
 
-def pairwise_tally(inst: MetricInstance, p: str, q: str, scheme: ThresholdScheme,
-                   boundary: str = INCLUSIVE) -> PairwiseTally:
-    return bucket_profile(exact_profile(inst, p, q), scheme, boundary)
+def pairwise_tally(inst: MetricInstance, p: str, q: str, scheme: ThresholdScheme) -> PairwiseTally:
+    return bucket_profile(exact_profile(inst, p, q), scheme)
 
 
 def tally_csv(tally: PairwiseTally) -> str:

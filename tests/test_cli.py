@@ -651,3 +651,20 @@ def test_an_empty_taus_field_exits_2_naming_the_flag(command, instance_path, cap
         assert err.startswith("error: ") and err.count("\n") == 1 and "--taus" in err
     # spaces around a number are still read
     assert main([*argv, "--taus", "1.5, 3"]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--instance", "DOC", "--rule", "rule1", "--tau", "2"],
+    ["evaluate", "--instance", "DOC", "--rule", "rule5"],
+    ["search", "--rule", "rule5", "--grid", "50", "--n-instances", "4"],
+    ["lowerbound", "--kind", "exact_sqrt2"],
+], ids=["evaluate-rule1", "evaluate-rule5", "search-rule5", "lowerbound"])
+def test_an_empty_taus_value_exits_2_naming_the_flag(command, instance_path, capsys):
+    """--taus "" is one empty field, not an absent flag."""
+    argv = [instance_path if a == "DOC" else a for a in command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--taus", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --taus has an empty field: ''\n"

@@ -70,8 +70,8 @@ def _reference_decision(p, q, a, b, rule):
         q_score = math.fsum(map(_reference_rule5, b))
     else:
         taus = rule.scheme.taus
-        a_counts = _reference_counts(taus, a, rule.boundary)[1:]
-        b_counts = _reference_counts(taus, b, rule.boundary)[1:]
+        a_counts = _reference_counts(taus, a, rule.scheme.boundary)[1:]
+        b_counts = _reference_counts(taus, b, rule.scheme.boundary)[1:]
         p_score = math.fsum(w * n for w, n in zip(rule.weights, a_counts))
         q_score = math.fsum(w * n for w, n in zip(rule.weights, b_counts))
     tie = p_score == q_score
@@ -137,7 +137,7 @@ def test_profiles_and_tallies_match_the_reference_under_both_boundaries(space):
             assert [s.hex() for s in prof.b_strengths] == [s.hex() for s in b]
             for taus in SCHEMES:
                 for boundary in (INCLUSIVE, STRICT):
-                    tally = bucket_profile(prof, ThresholdScheme(taus), boundary)
+                    tally = bucket_profile(prof, ThresholdScheme(taus, boundary))
                     ra = _reference_counts(taus, a, boundary)
                     rb = _reference_counts(taus, b, boundary)
                     assert (list(tally.a_counts), list(tally.b_counts), tally.c_count) == \
@@ -199,7 +199,7 @@ def test_array_bucket_and_rule5_weight_match_their_scalar_forms():
     for taus in SCHEMES:
         scheme = ThresholdScheme(taus)
         for boundary in (INCLUSIVE, STRICT):
-            assert scheme.bucket(strengths, boundary).tolist() == \
+            assert ThresholdScheme(scheme.taus, boundary).bucket(strengths).tolist() == \
                 [_reference_bucket(taus, s, boundary) for s in strengths.tolist()]
     rule5 = Rule("rule5")
     assert [w.hex() for w in rule5.weight(strengths).tolist()] == \

@@ -49,7 +49,7 @@ def inclusive_tallies(draw):
     a = tuple(draw(st.lists(st.integers(0, 30), min_size=m, max_size=m)))
     b = tuple(draw(st.lists(st.integers(0, 30), min_size=m, max_size=m)))
     c = 0 if taus[0] == 1.0 else draw(st.integers(0, 30))
-    return PairwiseTally(("P", "Q"), scheme, a, b, c, INCLUSIVE)
+    return PairwiseTally(("P", "Q"), scheme, a, b, c)
 
 
 @given(grid_line_instances())
@@ -76,10 +76,10 @@ def test_line_distance_is_the_absolute_difference(x, y):
        st.floats(1.0, 20.0), st.floats(1.0, 20.0),
        st.sampled_from([INCLUSIVE, STRICT]))
 def test_bucket_is_monotone_in_strength(ks, s1, s2, boundary):
-    scheme = ThresholdScheme(tuple(sorted(k / 8.0 for k in ks)))
+    scheme = ThresholdScheme(tuple(sorted(k / 8.0 for k in ks)), boundary)
     lo, hi = sorted((s1, s2))
-    assert scheme.bucket(lo, boundary) <= scheme.bucket(hi, boundary)
-    assert 0 <= scheme.bucket(hi, boundary) <= scheme.m
+    assert scheme.bucket(lo) <= scheme.bucket(hi)
+    assert 0 <= scheme.bucket(hi) <= scheme.m
 
 
 def _bucket_by_scan(scheme, s, boundary):
@@ -103,8 +103,8 @@ def test_bucket_matches_the_linear_scan(taus, unit, off_grid):
             for s in (t, math.nextafter(t, math.inf), max(1.0, math.nextafter(t, 0.0)))]
     for s in [off_grid, 1.0] + hits:
         for boundary in (INCLUSIVE, STRICT):
-            assert scheme.bucket(s, boundary) == _bucket_by_scan(scheme, s, boundary), \
-                (scheme.taus, s, boundary)
+            assert ThresholdScheme(scheme.taus, boundary).bucket(s) == \
+                _bucket_by_scan(scheme, s, boundary), (scheme.taus, s, boundary)
 
 
 @given(grid_line_instances(), st.integers(-20, 20))
@@ -195,7 +195,7 @@ def schemes_with_counts(draw):
         taus[0] = 1.0
     a = tuple(draw(st.lists(st.integers(0, 50), min_size=m, max_size=m)))
     b = tuple(draw(st.lists(st.integers(0, 50), min_size=m, max_size=m)))
-    return PairwiseTally(("P", "Q"), ThresholdScheme(tuple(taus)), a, b, 0, INCLUSIVE)
+    return PairwiseTally(("P", "Q"), ThresholdScheme(tuple(taus), INCLUSIVE), a, b, 0)
 
 
 @settings(max_examples=500)

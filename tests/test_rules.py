@@ -16,8 +16,7 @@ TOL = 1e-12
 
 
 def tally(taus, a, b, c=0, boundary=STRICT):
-    return PairwiseTally(("P", "Q"), ThresholdScheme(taus), tuple(a), tuple(b), c,
-                         boundary)
+    return PairwiseTally(("P", "Q"), ThresholdScheme(taus, boundary), tuple(a), tuple(b), c)
 
 
 def test_rule_validation():
@@ -52,7 +51,7 @@ def test_rule_constructor_derives_the_whole_definition():
              Rule("rule4", scheme=(1.5, 3.0)), Rule("rule5")]
     for d, b in zip(direct, built):
         assert d == b
-        assert (d.scheme, d.boundary, d.weights) == (b.scheme, b.boundary, b.weights)
+        assert (d.scheme, d.weights) == (b.scheme, b.weights)
         assert decide_pair(inst, "P", "Q", d) == decide_pair(inst, "P", "Q", b)
     assert Rule("rule4", scheme=(1.5, 3.0)).weights == tuple(
         rule4_weights(ThresholdScheme((1.5, 3.0)))[0])
@@ -172,7 +171,7 @@ def test_rule4_weights_frozen_cases():
 
 
 def test_rule4_score_equals_feasibility_gap():
-    t = PairwiseTally(("P", "Q"), ThresholdScheme((2.0,)), (3,), (1,), 2, INCLUSIVE)
+    t = PairwiseTally(("P", "Q"), ThresholdScheme((2.0,), INCLUSIVE), (3,), (1,), 2)
     from strengthvote.rules import _condition1_diff
     d = rule4_decide(t, t.scheme)
     assert d.winner == "P"
@@ -184,7 +183,7 @@ def test_rule4_score_equals_feasibility_gap():
 
 
 def test_condition1_holds_rejects_a_side_outside_the_pair():
-    t = PairwiseTally(("P", "Q"), ThresholdScheme((2.0,)), (3,), (1,), 2, INCLUSIVE)
+    t = PairwiseTally(("P", "Q"), ThresholdScheme((2.0,), INCLUSIVE), (3,), (1,), 2)
     with pytest.raises(ValueError, match=r"'Z' is not in the pair \('P', 'Q'\)"):
         condition1_holds(t, "Z")
 
@@ -195,7 +194,7 @@ def test_some_side_is_always_feasible():
     for a1, a2, b1, b2, c in itertools.product(counts, counts, counts, counts, counts):
         if a1 + a2 + b1 + b2 + c == 0:
             continue
-        t = PairwiseTally(("P", "Q"), scheme, (a1, a2), (b1, b2), c, INCLUSIVE)
+        t = PairwiseTally(("P", "Q"), scheme, (a1, a2), (b1, b2), c)
         assert condition1_holds(t, "P") or condition1_holds(t, "Q")
         winner = rule4_decide(t, scheme).winner
         assert condition1_holds(t, winner)
@@ -302,3 +301,24 @@ def test_a_threshold_argument_the_kind_does_not_read_is_rejected(kind, tau, sche
     argument raises, naming what the kind reads."""
     with pytest.raises(InvalidThreshold, match=reads):
         Rule(kind, tau, scheme)
+
+
+@pytest.mark.parametrize("kind, tau", [("rule1", 2.0), ("rule1", 3.0), ("rule2", 3.0)])
+def test_a_tally_under_the_rules_own_scheme_decides_as_the_pair(kind, tau):
+    """A rule's scheme carries its strict comparison, so tallying under
+    rule.scheme alone gives the tally the rule decides."""
+    # strengths toward P: 2 (v1) and 3 (v2); toward Q: 3 (v3), 2 (v4), 5 (v5)
+    spots = {"v1": 4.0, "v2": 3.0, "v3": 9.0, "v4": 8.0, "v5": 10.0}
+    inst = line_instance({"P": 0.0, "Q": 12.0, **spots}, tuple(spots), ("P", "Q"))
+    rule = Rule(kind, tau)
+    assert rule.scheme.boundary == STRICT
+    for p, q in (("P", "Q"), ("Q", "P")):
+        tally = pairwise_tally(inst, p, q, rule.scheme)
+        assert decide_tally(tally, rule) == decide_pair(inst, p, q, rule)
+
+
+def test_rule4_refuses_a_strict_scheme():
+    with pytest.raises(InvalidThreshold):
+        Rule("rule4", scheme=ThresholdScheme((1.5, 3.0), STRICT))
+    assert Rule("rule4", scheme=ThresholdScheme((1.5, 3.0), INCLUSIVE)).weights == \
+        Rule("rule4", scheme=(1.5, 3.0)).weights

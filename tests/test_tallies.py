@@ -49,13 +49,13 @@ def test_bucket_assignment():
 
 def test_boundary_modes():
     scheme = ThresholdScheme((2.0,))
-    assert scheme.bucket(2.0, INCLUSIVE) == 1
-    assert scheme.bucket(2.0, STRICT) == 0
+    assert ThresholdScheme(scheme.taus, INCLUSIVE).bucket(2.0) == 1
+    assert ThresholdScheme(scheme.taus, STRICT).bucket(2.0) == 0
     # a threshold of exactly 1 always absorbs strength-1 voters
     unit = ThresholdScheme((1.0, 3.0))
-    assert unit.bucket(1.0, STRICT) == 1
-    assert unit.bucket(3.0, STRICT) == 1
-    assert unit.bucket(3.0, INCLUSIVE) == 2
+    assert ThresholdScheme(unit.taus, STRICT).bucket(1.0) == 1
+    assert ThresholdScheme(unit.taus, STRICT).bucket(3.0) == 1
+    assert ThresholdScheme(unit.taus, INCLUSIVE).bucket(3.0) == 2
 
 
 def test_exact_profile_orientation():
@@ -85,8 +85,8 @@ def test_strict_boundary_voter_drops_down():
     # a voter at 1/(tau+1) has strength exactly tau toward P
     inst = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.25}, ("v1",), ("P", "Q"))
     scheme = ThresholdScheme((3.0,))
-    inclusive = pairwise_tally(inst, "P", "Q", scheme, INCLUSIVE)
-    strict = pairwise_tally(inst, "P", "Q", scheme, STRICT)
+    inclusive = pairwise_tally(inst, "P", "Q", ThresholdScheme(scheme.taus, INCLUSIVE))
+    strict = pairwise_tally(inst, "P", "Q", ThresholdScheme(scheme.taus, STRICT))
     assert inclusive.a_counts == (1,) and inclusive.c_count == 0
     assert strict.a_counts == (0,) and strict.c_count == 1
 
@@ -100,7 +100,7 @@ def test_tally_validation():
     with pytest.raises(ValueError):
         PairwiseTally(("P", "Q"), scheme, (1, 0), (0, 0), 2)
     with pytest.raises(ValueError):
-        PairwiseTally(("P", "Q"), scheme, (1, 0), (0, 0), 0, boundary="fuzzy")
+        PairwiseTally(("P", "Q"), ThresholdScheme(scheme.taus, "fuzzy"), (1, 0), (0, 0), 0)
 
 
 def test_bucket_profile_conserves_voters():
@@ -204,13 +204,13 @@ def test_kept_tallies_are_told_apart_by_boundary():
                              ("v1", "v2"), ("P", "Q"))
     scheme = ThresholdScheme((3.0,))
     prof = exact_profile(build(), "P", "Q")
-    strict = bucket_profile(prof, scheme, STRICT)
-    inclusive = bucket_profile(prof, scheme, INCLUSIVE)
+    strict = bucket_profile(prof, ThresholdScheme(scheme.taus, STRICT))
+    inclusive = bucket_profile(prof, ThresholdScheme(scheme.taus, INCLUSIVE))
     assert strict != inclusive
     assert (strict.a_counts, strict.c_count) == ((0,), 1)
-    assert strict == pairwise_tally(build(), "P", "Q", scheme, STRICT)
-    assert inclusive == pairwise_tally(build(), "P", "Q", scheme, INCLUSIVE)
-    assert bucket_profile(prof, scheme, STRICT) is strict
+    assert strict == pairwise_tally(build(), "P", "Q", ThresholdScheme(scheme.taus, STRICT))
+    assert inclusive == pairwise_tally(build(), "P", "Q", ThresholdScheme(scheme.taus, INCLUSIVE))
+    assert bucket_profile(prof, ThresholdScheme(scheme.taus, STRICT)) is strict
 
 
 def _memo_case(space: str, seed: int, num_candidates: int):
@@ -248,3 +248,12 @@ def test_decisions_on_a_warmed_instance_match_a_fresh_one(space, num_candidates)
             for p, q in pairs:
                 fresh = decide_pair(_memo_case(space, seed, num_candidates), p, q, rule)
                 assert _decision_key(decide_pair(warm, p, q, rule)) == _decision_key(fresh)
+
+
+def test_a_scheme_rejects_an_unknown_comparison():
+    """The comparison is checked where the scheme is built: a misspelt mode
+    does not fall back to strict bucketing."""
+    assert ThresholdScheme((2.0,), STRICT).bucket(2.0) == 0
+    for boundary in ("Inclusive", "fuzzy", None):
+        with pytest.raises(ValueError, match="unknown boundary mode"):
+            ThresholdScheme((2.0,), boundary)
