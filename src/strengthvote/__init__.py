@@ -24,7 +24,6 @@ from .distortion_lab import (DistortionReport, IdealPoint, InvalidParams, PoleVi
                              actual_distortion, evaluate_instance, generate_lower_bound,
                              ideal_point, ideal_tradeoff_bound, lower_bound_target,
                              natural_rule, report_csv, rule3_counterexample)
-from .search_oracle import (SearchConfig, adversarial_search, optimize_thresholds,
-                            random_instance, verify_suite)
+from .search_oracle import adversarial_search, optimize_thresholds, random_instance, verify_suite
 
 __version__ = "0.1.0"

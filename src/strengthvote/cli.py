@@ -20,7 +20,7 @@ from .distortion_lab import (LOWER_BOUND_KINDS, evaluate_instance, generate_lowe
                              report_to_dict)
 from .metric_core import instance_to_doc, load_instance, save_instance
 from .rules import RULE_KINDS, Rule, bound_value
-from .search_oracle import SPACES, SUITES, SearchConfig, adversarial_search, verify_suite
+from .search_oracle import SPACES, SUITES, adversarial_search, verify_suite
 from .tournament import copeland_winner, majority_graph, uncovered_set
 
 
@@ -96,6 +96,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
+    _check_at_least(args, n=1)
     taus = _parse_taus(args.taus)
     inst = generate_lower_bound(args.kind, taus, args.epsilon, args.n)
     report = evaluate_instance(inst, natural_rule(args.kind, taus))
@@ -152,8 +153,7 @@ def _cmd_curve(args) -> int:
     first = int(args.rule == "rule2" and args.tau_min is None)
     args.tau_min = 1.0 if args.tau_min is None else args.tau_min
     _check_finite(args, "tau_min", "tau_max")
-    if args.steps < 2:
-        raise ValueError("--steps must be at least 2")
+    _check_at_least(args, steps=2, num_candidates=2)
     if not args.tau_max > args.tau_min:
         raise ValueError("--tau-max must exceed --tau-min")
     step = (args.tau_max - args.tau_min) / (args.steps - 1)
@@ -178,9 +178,9 @@ def _cmd_curve(args) -> int:
 def _cmd_search(args) -> int:
     _check_at_least(args, seed=0, grid=0, n_instances=0, voters_max=1)
     rule = _build_rule(args)
-    config = SearchConfig(seed=args.seed, grid=args.grid, n_instances=args.n_instances,
-                          voters_max=args.voters_max, space=args.space)
-    inst, achieved = adversarial_search(rule, config)
+    inst, achieved = adversarial_search(rule, seed=args.seed, grid=args.grid,
+                                        n_instances=args.n_instances,
+                                        voters_max=args.voters_max, space=args.space)
     bound = bound_value(rule, 2)
     return _write_summary({
         "rule": rule.label(),

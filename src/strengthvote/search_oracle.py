@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -48,15 +47,6 @@ _EPSILON = 1e-6
 # random_instance's spaces: name -> (low, high, dim) of the box [low, high)^dim
 _RANDOM_SPACES = {"line": (-1.0, 2.0, 1), "euclidean2d": (0.0, 1.0, 2)}
 SPACES = tuple(_RANDOM_SPACES)
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    seed: int = 42
-    grid: int = 400
-    n_instances: int = 200
-    voters_max: int = 8
-    space: str = "line"
 
 
 def random_instance(rng: np.random.Generator, space: str = "line", voters_max: int = 8,
@@ -179,34 +169,34 @@ def _grid_sweep(rule: Rule, n: int) -> tuple[float, float, float]:
     sc_p = d_p[:, None] + d_p[None, :]
     sc_q = d_q[:, None] + d_q[None, :]
     p_wins = (w[:, None] + w[None, :]) >= 0.0
-    sc_w = np.where(p_wins, sc_p, sc_q)
-    sc_b = np.minimum(sc_p, sc_q)
-    delta = np.ones_like(sc_w)
-    np.divide(sc_w, sc_b, out=delta, where=sc_b > 0.0)
+    delta = cost_ratio(np.where(p_wins, sc_p, sc_q), np.minimum(sc_p, sc_q))
     i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
     return float(xs[i]), float(xs[j]), float(delta[i, j])
 
 
-def adversarial_search(rule: Rule, config: SearchConfig = SearchConfig()):
+def adversarial_search(rule: Rule, *, seed: int = 42, grid: int = 400, n_instances: int = 200,
+                       voters_max: int = 8, space: str = "line"):
     """Highest-distortion two-candidate instance found; returns (instance, delta).
 
-    The winner of the vectorized grid sweep is rebuilt as a real instance and
-    decided in one chunk with the anchors; any disagreement is an error, as is
-    any distortion above the proven bound. Of equal distortions the first wins.
+    The grid sweep has grid points (below 2 it is skipped), and the random
+    stage draws n_instances instances of 1 to voters_max voters in space from
+    seed. The grid sweep's winner is rebuilt as a real instance and decided
+    in one chunk with the anchors; any disagreement is an error, as is any
+    distortion above the proven bound. Of equal distortions the first wins.
     """
     chunk = _anchor_instances(rule)
-    if config.grid >= 2:
-        x, y, grid_delta = _grid_sweep(rule, config.grid)
+    if grid >= 2:
+        x, y, grid_delta = _grid_sweep(rule, grid)
         chunk.append(line_instance({"P": 0.0, "Q": 1.0, "v1": x, "v2": y},
                                    ("v1", "v2"), ("P", "Q")))
     *_, (deltas,) = _scored(chunk, [rule])
-    if config.grid >= 2 and abs(deltas[-1] - grid_delta) > 1e-9 * max(1.0, grid_delta):
+    if grid >= 2 and abs(deltas[-1] - grid_delta) > 1e-9 * max(1.0, grid_delta):
         raise AssertionError(
             f"grid sweep disagrees with the pipeline: {grid_delta} vs {deltas[-1]}")
     i = int(np.argmax(deltas))
     best_inst, best_delta = chunk[i], float(deltas[i])
-    rng = np.random.default_rng(config.seed)
-    for chunk in _drawn(rng, config.n_instances, (config.space,), config.voters_max):
+    rng = np.random.default_rng(seed)
+    for chunk in _drawn(rng, n_instances, (space,), voters_max):
         *_, (deltas,) = _scored(chunk, [rule])
         i = int(np.argmax(deltas))
         if deltas[i] > best_delta:
@@ -402,8 +392,9 @@ def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
 
 
 @_check(max)
-def check_lowerbounds(epsilon: float = 1e-6, tol: float = 1e-5):
-    """Each generator lands within tol of its target and hands the win to P."""
+def check_lowerbounds():
+    """Each generator, built at _EPSILON (the anchors' epsilon), lands within
+    1e-5 of its target and hands the win to P."""
     grid = (1.5, 2.0, 1.0 + SQRT2, 4.0)
     probes = [("exact_sqrt2", ())]
     for t in grid:
@@ -411,10 +402,10 @@ def check_lowerbounds(epsilon: float = 1e-6, tol: float = 1e-5):
     probes += [("pair", pair) for pair in combinations(grid, 2)]
     errs, failed = [], []
     for kind, taus in probes:
-        inst = generate_lower_bound(kind, taus, epsilon)
+        inst = generate_lower_bound(kind, taus, _EPSILON)
         _, winners, _, deltas = _scored([inst], [natural_rule(kind, taus)])
         errs.append(abs(deltas.item() - lower_bound_target(kind, taus)))
-        failed.append(winners.item() != 0 or errs[-1] > tol)  # P sorts first
+        failed.append(winners.item() != 0 or errs[-1] > 1e-5)  # P sorts first
     yield np.array(errs), np.array(failed)
 
 

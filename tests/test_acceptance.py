@@ -16,7 +16,7 @@ from strengthvote.distortion_lab import rule3_counterexample
 from strengthvote.metric_core import scale_instance, social_cost
 from strengthvote.rules import (PairwiseDecision, Rule, SQRT2, bound_value,
                                 rule4_delta)
-from strengthvote.search_oracle import (SearchConfig, adversarial_search,
+from strengthvote.search_oracle import (adversarial_search,
                                         check_bounds, check_condition1,
                                         check_lambda, check_lowerbounds,
                                         check_tradeoff, optimize_thresholds,
@@ -56,7 +56,7 @@ def test_criterion_01_closed_form_bounds():
 
 def test_criterion_02_lower_bound_generators_are_tight():
     """Every generator family lands within 1e-5 of its target distortion."""
-    result = check_lowerbounds(epsilon=1e-6, tol=1e-5)
+    result = check_lowerbounds()
     _report(2, result["passed"],
             f"{result['cases']} generator instances, worst error "
             f"{result['worst_margin']:.3g} (tol 1e-5), {result['failures']} failures")
@@ -169,12 +169,12 @@ def test_criterion_10_uncovered_set_matches_its_definition():
 
 def test_criterion_11_search_gets_within_5_percent_of_each_bound():
     """Adversarial search achieves at least 95% of the proven bound."""
-    config = SearchConfig(seed=42, grid=400, voters_max=8)
+    config = dict(seed=42, grid=400, voters_max=8)
     rules = [Rule("rule1", 1.0), Rule("rule1", 1.0 + SQRT2),
              Rule("rule3", 2.0), Rule("rule5")]
     ratios = []
     for rule in rules:
-        _, achieved = adversarial_search(rule, config)
+        _, achieved = adversarial_search(rule, **config)
         ratios.append(achieved / bound_value(rule, 2))
     ok = all(r >= 0.95 for r in ratios)
     _report(11, ok, "achieved/bound = " + ", ".join(f"{r:.4f}" for r in ratios)

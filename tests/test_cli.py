@@ -508,6 +508,19 @@ def test_out_of_range_integers_exit_2_naming_the_flag(argv, flag, capsys):
     assert captured.err.startswith("error:") and flag in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["curve", "--rule", "rule1", "--steps", "1"], "--steps"),
+    (["curve", "--rule", "rule1", "--num-candidates", "1"], "--num-candidates"),
+    (["curve", "--rule", "rule1", "--num-candidates", "0"], "--num-candidates"),
+    (["lowerbound", "--kind", "largest", "--taus", "2", "--n", "0"], "--n"),
+], ids=["curve-steps", "curve-num-candidates-1", "curve-num-candidates-0", "lowerbound-n"])
+def test_curve_and_lowerbound_integers_exit_2_naming_the_flag(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and flag in captured.err
+
+
 def test_search_grid_0_and_1_both_skip_the_grid_sweep(monkeypatch, capsys):
     def no_sweep(rule, n):
         raise AssertionError("the grid sweep ran")

@@ -12,7 +12,7 @@ from strengthvote.metric_core import MetricInstance, line_instance, social_cost
 from strengthvote.rules import (SQRT2, Rule, bound_value, decide_pair, rule4_delta,
                                 rule4_weights)
 from strengthvote import rules, search_oracle, tallies
-from strengthvote.search_oracle import (SearchConfig, _anchor_instances, _grid_positions,
+from strengthvote.search_oracle import (_anchor_instances, _grid_positions,
                                         _signed_weights,
                                         _two_candidate_rules, adversarial_search,
                                         check_bounds, check_condition1,
@@ -66,11 +66,58 @@ def test_random_instance_shapes():
         random_instance(rng, "hyperbolic")
 
 
+class _RepeatSecondCandidate:
+    """A seeded generator whose second one-point draw (the second
+    candidate's first) repeats the first one-point draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.points = []
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def uniform(self, lo, hi, size):
+        pt = self.rng.uniform(lo, hi, size)
+        if isinstance(size, int):
+            self.points.append(pt)
+            if len(self.points) == 2:
+                return self.points[0]
+        return pt
+
+
+def test_random_instance_redraws_a_coinciding_candidate():
+    rng = _RepeatSecondCandidate(5)
+    inst = random_instance(rng, "euclidean2d", num_candidates=3)
+    assert len(rng.points) == 4  # three candidates and one redraw
+    points = [inst.coords[c] for c in inst.candidates]
+    assert len(set(points)) == 3
+
+
+def test_adversarial_search_passes_its_settings_to_the_drawn_instances(monkeypatch):
+    chunks, scored = [], search_oracle._scored
+
+    def recorder(chunk, rules):
+        chunks.append(chunk)
+        return scored(chunk, rules)
+    monkeypatch.setattr(search_oracle, "_scored", recorder)
+    rule = Rule("rule5")
+    adversarial_search(rule, seed=3, grid=0, n_instances=64, voters_max=3, space="euclidean2d")
+    anchors, *drawn = chunks
+    assert anchors == _anchor_instances(rule)
+    drawn = [inst for chunk in drawn for inst in chunk]
+    assert len(drawn) == 64
+    assert all(1 <= len(inst.voters) <= 3 and inst.space == "euclidean" for inst in drawn)
+    chunks.clear()
+    adversarial_search(rule, seed=3, grid=0, n_instances=0)
+    assert chunks == [anchors]
+
+
 def test_adversarial_search_stays_under_the_bound():
-    config = SearchConfig(seed=11, grid=80, n_instances=40)
+    config = dict(seed=11, grid=80, n_instances=40)
     for rule in (Rule("rule1", 2.0), Rule("rule3", 2.0),
                  Rule("rule5")):
-        inst, delta = adversarial_search(rule, config)
+        inst, delta = adversarial_search(rule, **config)
         assert delta <= bound_value(rule, 2) + 1e-9
         # the reported instance really achieves the reported distortion
         from strengthvote.search_oracle import _scored
@@ -80,8 +127,7 @@ def test_adversarial_search_stays_under_the_bound():
 
 def test_adversarial_search_is_sharp_for_plain_majority():
     # tau = 1 admits distortion arbitrarily close to 3; the grid finds it
-    inst, delta = adversarial_search(Rule("rule1", 1.0),
-                                     SearchConfig(seed=1, grid=200, n_instances=0))
+    inst, delta = adversarial_search(Rule("rule1", 1.0), seed=1, grid=200, n_instances=0)
     assert delta >= 0.95 * 3.0
 
 
@@ -253,7 +299,7 @@ def test_anchor_instances_aim_at_each_ratio_term_of_the_scheme():
     close = Rule("rule4", scheme=(2.0, 2.0 + 1e-6))
     assert _anchor_instances(close) == [generate_lower_bound("largest", (2.0 + 1e-6,), 1e-6),
                                         generate_lower_bound("smallest", (2.0,), 1e-6)]
-    adversarial_search(close, SearchConfig(grid=50, n_instances=10))
+    adversarial_search(close, grid=50, n_instances=10)
 
 
 def _count_kernel_and_bucket_calls(monkeypatch) -> Counter:

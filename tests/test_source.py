@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
+import io
 import pathlib
 import re
 
@@ -105,3 +107,14 @@ def test_every_public_function_has_a_caller_or_is_documented():
         and not re.search(rf"\b{re.escape(node.name)}\b", readme)
     ]
     assert unreached == []
+
+
+def test_every_readme_python_example_runs():
+    """Each fenced python block of the README runs without an error."""
+    readme = (SRC.parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            exec(compile(block, "README.md", "exec"), {})
+        assert out.getvalue()
