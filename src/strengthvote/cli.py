@@ -97,6 +97,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     _check_at_least(args, n=1)
+    if not 0.0 < args.epsilon < math.inf:
+        raise ValueError(f"--epsilon must be positive and finite, got {args.epsilon}")
     taus = _parse_taus(args.taus)
     inst = generate_lower_bound(args.kind, taus, args.epsilon, args.n)
     report = evaluate_instance(inst, natural_rule(args.kind, taus))

@@ -35,6 +35,8 @@ SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
 pair_scores is the one scorer from strength profiles to side scores: the
 chunk path (search_oracle._winners) calls it, and the evaluate path through
 prepare_profiles, which keeps them on each profile by Rule for decide_profile.
+rule4_row_columns scores rows of bucket counts, each under its own rule4
+scheme, for condition 1's check; rule4_tally_columns is it over tallies.
 """
 
 from __future__ import annotations
@@ -215,12 +217,16 @@ def condition1_slacks(condition1, a, b) -> tuple[list[float], list[float]]:
 
 
 def _check_identity(weights, condition1) -> None:
-    """Raise AssertionError((w, own - other)) at the first rule4 weight w that
-    is not own - other of its condition1 = (own, other) within 1e-9 relative
-    (a NaN never is), so that a tally's score gap is its slack gap."""
-    for w, o, x in zip(weights, *condition1):
-        if not abs((o - x) - w) <= 1e-9 * max(1.0, abs(w)):
-            raise AssertionError((w, o - x))
+    """Raise AssertionError((w, own - other)) for the first row whose rule4
+    weights w are not own - other of its condition1 = (own, other) within
+    1e-9 relative, weight by weight (a NaN never is), so that a tally's score
+    gap is its slack gap. weights, own and other are each one row or a 2-D
+    array of rows of one length: one comparison checks them all."""
+    w, gap = np.array(weights, ndmin=2), np.array(np.subtract(*condition1), ndmin=2)
+    ok = abs(gap - w) <= 1e-9 * np.maximum(1.0, abs(w))
+    if not ok.all():
+        i = int(ok.all(axis=1).argmin())
+        raise AssertionError((tuple(w[i].tolist()), tuple(gap[i].tolist())))
 
 
 def side_scores(weights, a, b) -> tuple[list[float], list[float]]:
@@ -250,29 +256,34 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
     return decide_tally(tally, Rule("rule4", scheme=scheme))
 
 
-def rule4_tally_columns(tallies) -> np.ndarray:
-    """rule4 under each tally's own scheme, as a (4, n) array of columns: the
+def rule4_row_columns(schemes, counts) -> np.ndarray:
+    """rule4 under each row's own scheme, as a (4, n) array of columns: the
     pair[0] and pair[1] side scores (side_scores), then the two sides'
-    condition-1 slacks. rule4_weights is derived and checked against its
-    coefficients (_check_identity) once per tally; the tallies of one scheme
-    length are summed together."""
-    out = np.empty((4, len(tallies)))
+    condition-1 slacks. Row i of counts starts with schemes[i]'s m bucket
+    counts for pair[0]'s side, then m for pair[1]'s; anything after them (a
+    hidden-set count) is not read. rule4_weights is derived once per row; the
+    rows of one scheme length are checked against their coefficients in one
+    _check_identity call, then summed together."""
+    out = np.empty((4, len(schemes)))
     by_length = {}
-    for i, tally in enumerate(tallies):
-        by_length.setdefault(tally.scheme.m, []).append(i)
-    for rows in by_length.values():
-        weights, own, other = [], [], []
-        for i in rows:
-            w, (o, x), _, _ = rule4_weights(tallies[i].scheme)
-            _check_identity(w, (o, x))
-            weights.append(w)
-            own.append(o)
-            other.append(x)
-        a = np.array([tallies[i].a_counts for i in rows])
-        b = np.array([tallies[i].b_counts for i in rows])
+    for i, scheme in enumerate(schemes):
+        by_length.setdefault(scheme.m, []).append(i)
+    for m, rows in by_length.items():
+        weights, condition1, _, _ = zip(*[rule4_weights(schemes[i]) for i in rows])
+        own, other = zip(*condition1)
         weights, condition1 = np.array(weights), (np.array(own), np.array(other))
+        _check_identity(weights, condition1)
+        ab = np.array([counts[i][:2 * m] for i in rows])
+        a, b = ab[:, :m], ab[:, m:]
         out[:, rows] = (*side_scores(weights, a, b), *condition1_slacks(condition1, a, b))
     return out
+
+
+def rule4_tally_columns(tallies) -> np.ndarray:
+    """rule4_row_columns over tallies: each tally's scheme, with its a then
+    b counts as the row."""
+    return rule4_row_columns([t.scheme for t in tallies],
+                             [t.a_counts + t.b_counts for t in tallies])
 
 
 def _condition1_diff(tally: PairwiseTally, rule: Rule) -> tuple[float, float]:

@@ -13,7 +13,10 @@ The checks and the random stage decide a chunk of instances at a time
 scores from rules.pair_scores (the scorer evaluate's majority graph uses
 too), and winners, costs and margins as arrays. adversarial_search decides
 its anchors and its grid re-check as one chunk, and each lowerbounds probe is
-a chunk of one.
+a chunk of one. check_condition1 draws its tallies as (scheme, count row)
+pairs (_draw_tally), checks each chunk's counts once as a PairwiseTally
+would, and scores the rows with rules.rule4_row_columns, building no tally
+object per draw.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .distortion_lab import (cost_ratio, generate_lower_bound, ideal_point,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
 from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
 from .rules import (SQRT2, Rule, bound_value, lambda_coefficients, pair_scores, rule4_delta,
-                    rule4_tally_columns)
+                    rule4_row_columns)
 from .tallies import PairwiseTally, ThresholdScheme, _strengths, exact_profiles
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
 from .rules import (_condition1_diff, decide_pair, decide_profile,  # noqa: F401
@@ -345,7 +348,10 @@ def check_lambda(seed: int = 42, n: int = 5_000):
         yield slacks, slacks > 1e-9
 
 
-def _random_tally(rng: np.random.Generator) -> PairwiseTally:
+def _draw_tally(rng: np.random.Generator) -> tuple[ThresholdScheme, list[int]]:
+    """A random rule4 scheme of 1 to 4 cutoffs, tau_1 = 1 about a quarter of
+    the time, and counts from 0 to 50 under it: m for pair[0]'s side, m for
+    pair[1]'s, then the hidden set's when tau_1 > 1."""
     m = int(rng.integers(1, 5))
     while True:
         # round(x * 1e6) / 1e6 is np.round(x, 6): scale, round half to even, divide
@@ -356,9 +362,15 @@ def _random_tally(rng: np.random.Generator) -> PairwiseTally:
         taus[0] = 1.0
     scheme = ThresholdScheme(tuple(taus))
     hidden = scheme.taus[0] > 1.0  # whether the set C can hold voters
-    counts = rng.integers(0, 51, 2 * m + hidden).tolist()
+    return scheme, rng.integers(0, 51, 2 * m + hidden).tolist()
+
+
+def _random_tally(rng: np.random.Generator) -> PairwiseTally:
+    """_draw_tally's draw as a tally of the pair (P, Q)."""
+    scheme, counts = _draw_tally(rng)
+    m = scheme.m
     return PairwiseTally(("P", "Q"), scheme, tuple(counts[:m]), tuple(counts[m:2 * m]),
-                         counts[2 * m] if hidden else 0)
+                         counts[2 * m] if len(counts) > 2 * m else 0)
 
 
 @_check(min)
@@ -366,8 +378,14 @@ def check_condition1(seed: int = 42, n: int = 100_000):
     """Some side of every tally is feasible, and rule4 always picks a feasible side."""
     rng = np.random.default_rng(seed)
     for start in range(0, n, _TALLY_CHUNK):
-        tallies = [_random_tally(rng) for _ in range(min(_TALLY_CHUNK, n - start))]
-        p, q, slack_p, slack_q = rule4_tally_columns(tallies)
+        schemes, counts = zip(*[_draw_tally(rng) for _ in range(min(_TALLY_CHUNK, n - start))])
+        # what building each row's PairwiseTally would reject, checked once per
+        # chunk: m counts per side, then C's only when tau_1 > 1, none negative
+        if list(map(len, counts)) != [2 * s.m + (s.taus[0] > 1.0) for s in schemes]:
+            raise ValueError("expected m bucket counts per side, then C's only when tau_1 > 1")
+        if np.fromiter(chain.from_iterable(counts), float).min() < 0:
+            raise ValueError("bucket counts must be nonnegative")
+        p, q, slack_p, slack_q = rule4_row_columns(schemes, counts)
         winner_slack = np.where(p >= q, slack_p, slack_q)  # a tie goes to P
         best_slack = np.where(slack_q > slack_p, slack_q, slack_p)
         yield best_slack, (best_slack < -1e-9) | (winner_slack < -1e-9)

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from strengthvote import search_oracle, tallies
+from strengthvote import cli, search_oracle, tallies
 from strengthvote.cli import main
 from strengthvote.metric_core import line_instance, save_instance
 from strengthvote.tallies import ThresholdScheme
@@ -542,6 +542,21 @@ def test_curve_rejects_a_non_finite_tau_naming_the_flag(flag, value, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert flag in captured.err and value in captured.err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_lowerbound_rejects_an_epsilon_that_is_not_positive_and_finite(value, monkeypatch,
+                                                                        capsys):
+    """--epsilon is checked, and named, before any instance is generated."""
+    def no_instance(*args):
+        raise AssertionError("generate_lower_bound ran")
+    monkeypatch.setattr(cli, "generate_lower_bound", no_instance)
+    # flag=value, because argparse reads a lone -1 as an option name
+    assert main(["lowerbound", "--kind", "largest", "--taus", "2", f"--epsilon={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: --epsilon must be positive and finite, got {float(value)}\n"
 
 
 def test_verify_timings_go_to_stderr_only(tmp_path, monkeypatch, capsys):

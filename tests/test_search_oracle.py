@@ -219,6 +219,68 @@ def test_check_condition1_derives_each_tallys_weights_once(monkeypatch):
     assert len(calls) == 500
 
 
+def test_check_condition1_at_20000_tallies_is_pinned():
+    """The draw stream and the exact sums of condition 1 at seed 42, recorded
+    while check_condition1 still built a PairwiseTally per draw: a slip in
+    draw order or summation shows here without the 100,000-tally run."""
+    result = check_condition1(seed=42, n=20_000)
+    assert (result["cases"], result["failures"]) == (20_000, 0)
+    assert result["worst_margin"].hex() == "-0x1.0000000000000p-48"
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda scheme, counts: [counts[0], -1, *counts[2:]],
+    lambda scheme, counts: counts[:-1] if len(counts) == 2 * scheme.m else None,
+    lambda scheme, counts: counts + [3] if scheme.taus[0] == 1.0 else None,
+], ids=["negative", "one-short", "hidden-count-at-1"])
+def test_check_condition1_rejects_a_drawn_row_no_tally_would_hold(corrupt, monkeypatch):
+    """One bad row in the middle of the first 512-row chunk makes the check
+    raise ValueError, as building its PairwiseTally does."""
+    draw, drawn, bad = search_oracle._draw_tally, [], []
+
+    def corrupting(rng):
+        scheme, counts = draw(rng)
+        drawn.append(scheme)
+        if len(drawn) > 256 and not bad and corrupt(scheme, counts) is not None:
+            counts = corrupt(scheme, counts)
+            bad.append((len(drawn) - 1, scheme, counts))
+        return scheme, counts
+
+    monkeypatch.setattr(search_oracle, "_draw_tally", corrupting)
+    with pytest.raises(ValueError):
+        check_condition1(seed=42, n=1024)
+    (i, scheme, counts), = bad
+    assert i < 512
+    m = scheme.m
+    with pytest.raises(ValueError):
+        PairwiseTally(("P", "Q"), scheme, tuple(counts[:m]), tuple(counts[m:2 * m]),
+                      counts[2 * m] if len(counts) > 2 * m else 0)
+
+
+def test_check_condition1_raises_the_skewed_rows_identity_gap(monkeypatch):
+    """rule4_weights skewed for one scheme in the middle of a chunk makes its
+    length group's one identity check raise that row's (w, own - other)."""
+    draw, drawn = search_oracle._draw_tally, []
+
+    def recording(rng):
+        scheme, counts = draw(rng)
+        drawn.append(scheme)
+        return scheme, counts
+
+    def skewing(scheme):
+        weights, (own, other), ds, k = rule4_weights(scheme)
+        if scheme is drawn[257]:
+            other = tuple(x + 1.0 for x in other)
+        return weights, (own, other), ds, k
+
+    monkeypatch.setattr(search_oracle, "_draw_tally", recording)
+    monkeypatch.setattr(rules, "rule4_weights", skewing)
+    with pytest.raises(AssertionError) as raised:
+        check_condition1(seed=42, n=1024)
+    weights, (own, other), _, _ = rule4_weights(drawn[257])
+    assert raised.value.args == ((weights, tuple(o - (x + 1.0) for o, x in zip(own, other))),)
+
+
 # Each check's result at seed 3 and reduced sizes, recorded before the checks
 # shared one case loop; lowerbounds runs at its fixed size.
 SMALL_SIZES = {"lowerbounds": {}, "bounds": {"n_two": 200, "n_multi": 40},
