@@ -16,10 +16,10 @@ bucket l >= 1 carries one weight; the hidden set C (bucket 0) always weighs 0.
 
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
 coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
-table once, when it is built, and rule4 its condition-1 coefficients with
-it, checked there against its weights (_check_identity); thresholds whose
-ratio terms, weights or coefficients overflow to inf or nan are rejected
-there (InvalidThreshold). rule5 sees exact
+table once, when it is built, and rule4 checks its weights there against
+its condition-1 coefficients (_check_identity); thresholds whose ratio
+terms, weights or coefficients overflow to inf or nan are rejected there
+(InvalidThreshold). rule5 sees exact
 strengths and weighs each voter by the continuous rule5_weight:
 (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the branches agree at
 s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
@@ -35,8 +35,10 @@ SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
 pair_scores is the one scorer from strength profiles to side scores: the
 chunk path (search_oracle._winners) calls it, and the evaluate path through
 prepare_profiles, which keeps them on each profile by Rule for decide_profile.
-rule4_row_columns scores rows of bucket counts, each under its own rule4
-scheme, for condition 1's check; rule4_tally_columns is it over tallies.
+rule4_row_columns is the one core for rule4 count rows, each under its own
+scheme: it checks the rows, derives their condition-1 coefficients and sums
+their scores and slacks. check_condition1 calls it on drawn rows, and
+_condition1_diff (so condition1_holds) on one tally's row.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -72,9 +74,9 @@ class Rule:
     """A pairwise rule. rule1-3 read tau, rule4 reads scheme and rule5 reads
     neither; any other threshold argument raises InvalidThreshold. The
     constructor checks the thresholds and derives the rest of the threshold
-    rules' definition: scheme (rule1-3 from tau, with its comparison),
-    per-bucket weights and rule4's condition-1 coefficients, checked against
-    its weights (see rule4_weights). rule4 buckets inclusively, so a strict
+    rules' definition: scheme (rule1-3 from tau, with its comparison) and
+    per-bucket weights, rule4's checked against its condition-1 coefficients
+    (see rule4_weights). rule4 buckets inclusively, so a strict
     scheme, like thresholds whose ratio terms, weights or coefficients are
     not finite floats, raises InvalidThreshold. rule5 has no buckets."""
 
@@ -82,7 +84,6 @@ class Rule:
     tau: float | None = None
     scheme: ThresholdScheme | None = None
     weights: tuple[float, ...] = field(init=False)
-    condition1: tuple[tuple[float, ...], ...] = field(init=False)
 
     def __post_init__(self):
         kind, tau, scheme = self.kind, self.tau, self.scheme
@@ -130,8 +131,7 @@ class Rule:
                     f"{kind} thresholds {scheme.taus} overflow its ratio terms or weights")
             if kind == "rule4":
                 _check_identity(weights, condition1)
-        for name, value in dict(tau=tau, scheme=scheme, weights=weights,
-                                condition1=condition1).items():
+        for name, value in dict(tau=tau, scheme=scheme, weights=weights).items():
             object.__setattr__(self, name, value)
 
     def label(self) -> str:
@@ -206,16 +206,6 @@ def _row_fsums(terms: np.ndarray) -> list[float]:
     return list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
 
 
-def condition1_slacks(condition1, a, b) -> tuple[list[float], list[float]]:
-    """Slacks (rhs - lhs) of condition 1 for both sides of each row of bucket
-    counts a (pair[0]'s side) and b, with condition1 = (own, other) per
-    bucket, one row for every row of counts or one for all. A side's slack
-    is its side score with weights own then other, over its own counts then
-    the other side's."""
-    return side_scores(np.concatenate(condition1, axis=-1), np.concatenate((a, b), axis=-1),
-                       np.concatenate((b, a), axis=-1))
-
-
 def _check_identity(weights, condition1) -> None:
     """Raise AssertionError((w, own - other)) for the first row whose rule4
     weights w are not own - other of its condition1 = (own, other) within
@@ -259,11 +249,19 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
 def rule4_row_columns(schemes, counts) -> np.ndarray:
     """rule4 under each row's own scheme, as a (4, n) array of columns: the
     pair[0] and pair[1] side scores (side_scores), then the two sides'
-    condition-1 slacks. Row i of counts starts with schemes[i]'s m bucket
-    counts for pair[0]'s side, then m for pair[1]'s; anything after them (a
-    hidden-set count) is not read. rule4_weights is derived once per row; the
-    rows of one scheme length are checked against their coefficients in one
-    _check_identity call, then summed together."""
+    condition-1 slacks (rhs - lhs). Row i of counts is a tally's under
+    schemes[i]: its m bucket counts for pair[0]'s side, then m for pair[1]'s,
+    then the hidden set's count only when tau_1 > 1. A row of another length
+    or with a negative count raises ValueError, as PairwiseTally would. A
+    side's slack is its side score under the weights (own, other) of
+    rule4_weights, over its own counts then the other side's. rule4_weights
+    is derived once per row; the rows of one scheme length are checked
+    against their coefficients in one _check_identity call, then summed
+    together."""
+    if list(map(len, counts)) != [2 * s.m + (s.taus[0] > 1.0) for s in schemes]:
+        raise ValueError("expected m bucket counts per side, then C's only when tau_1 > 1")
+    if (np.fromiter(chain.from_iterable(counts), float) < 0).any():
+        raise ValueError("bucket counts must be nonnegative")
     out = np.empty((4, len(schemes)))
     by_length = {}
     for i, scheme in enumerate(schemes):
@@ -275,21 +273,22 @@ def rule4_row_columns(schemes, counts) -> np.ndarray:
         _check_identity(weights, condition1)
         ab = np.array([counts[i][:2 * m] for i in rows])
         a, b = ab[:, :m], ab[:, m:]
-        out[:, rows] = (*side_scores(weights, a, b), *condition1_slacks(condition1, a, b))
+        out[:, rows] = (*side_scores(weights, a, b),
+                        *side_scores(np.concatenate(condition1, axis=-1), ab,
+                                     np.concatenate((b, a), axis=-1)))
     return out
-
-
-def rule4_tally_columns(tallies) -> np.ndarray:
-    """rule4_row_columns over tallies: each tally's scheme, with its a then
-    b counts as the row."""
-    return rule4_row_columns([t.scheme for t in tallies],
-                             [t.a_counts + t.b_counts for t in tallies])
 
 
 def _condition1_diff(tally: PairwiseTally, rule: Rule) -> tuple[float, float]:
     """Slacks (rhs - lhs) of a rule4 rule's feasibility inequality for the
-    pair's two sides, in pair order."""
-    (p,), (q,) = condition1_slacks(rule.condition1, [tally.a_counts], [tally.b_counts])
+    pair's two sides, in pair order: the tally's row of rule4_row_columns.
+    Any rule but rule4 under the tally's own scheme raises SchemeMismatch."""
+    if rule.kind != "rule4" or rule.scheme != tally.scheme:
+        raise SchemeMismatch(f"condition 1 needs rule4 under the tally's scheme {tally.scheme}, "
+                             f"got {rule.label()}")
+    hidden = (tally.c_count,) if tally.scheme.taus[0] > 1.0 else ()
+    (p,), (q,) = rule4_row_columns([tally.scheme],
+                                   [tally.a_counts + tally.b_counts + hidden])[2:].tolist()
     return p, q
 
 

@@ -14,9 +14,8 @@ scores from rules.pair_scores (the scorer evaluate's majority graph uses
 too), and winners, costs and margins as arrays. adversarial_search decides
 its anchors and its grid re-check as one chunk, and each lowerbounds probe is
 a chunk of one. check_condition1 draws its tallies as (scheme, count row)
-pairs (_draw_tally), checks each chunk's counts once as a PairwiseTally
-would, and scores the rows with rules.rule4_row_columns, building no tally
-object per draw.
+pairs (_draw_tally) and hands each chunk's rows to rules.rule4_row_columns,
+which checks and scores them, building no tally object per draw.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .distortion_lab import (cost_ratio, generate_lower_bound, ideal_point,
 from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
 from .rules import (SQRT2, Rule, bound_value, lambda_coefficients, pair_scores, rule4_delta,
                     rule4_row_columns)
-from .tallies import PairwiseTally, ThresholdScheme, _strengths, exact_profiles
+from .tallies import ThresholdScheme, _strengths, exact_profiles
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
 from .rules import (_condition1_diff, decide_pair, decide_profile,  # noqa: F401
                     rule4_decide, rule4_weights)
@@ -101,11 +100,6 @@ def _winners(chunk, rules) -> np.ndarray:
     first = np.array(first).reshape(len(rules), len(chunk), len(pairs), 1)
     ends = np.eye(len(names[0]), dtype=int)[np.array(pairs)]  # (pair, end, one-hot id)
     return np.where(first, ends[:, 0], ends[:, 1]).sum(axis=-2).argmax(axis=-1)
-
-
-def _winner(inst: MetricInstance, rule: Rule) -> str:
-    """The rule's winner on one instance: _winners on a chunk of one."""
-    return sorted(inst.candidates)[_winners([inst], [rule])[0, 0]]
 
 
 def _scored(chunk, rules) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -365,26 +359,12 @@ def _draw_tally(rng: np.random.Generator) -> tuple[ThresholdScheme, list[int]]:
     return scheme, rng.integers(0, 51, 2 * m + hidden).tolist()
 
 
-def _random_tally(rng: np.random.Generator) -> PairwiseTally:
-    """_draw_tally's draw as a tally of the pair (P, Q)."""
-    scheme, counts = _draw_tally(rng)
-    m = scheme.m
-    return PairwiseTally(("P", "Q"), scheme, tuple(counts[:m]), tuple(counts[m:2 * m]),
-                         counts[2 * m] if len(counts) > 2 * m else 0)
-
-
 @_check(min)
 def check_condition1(seed: int = 42, n: int = 100_000):
     """Some side of every tally is feasible, and rule4 always picks a feasible side."""
     rng = np.random.default_rng(seed)
     for start in range(0, n, _TALLY_CHUNK):
         schemes, counts = zip(*[_draw_tally(rng) for _ in range(min(_TALLY_CHUNK, n - start))])
-        # what building each row's PairwiseTally would reject, checked once per
-        # chunk: m counts per side, then C's only when tau_1 > 1, none negative
-        if list(map(len, counts)) != [2 * s.m + (s.taus[0] > 1.0) for s in schemes]:
-            raise ValueError("expected m bucket counts per side, then C's only when tau_1 > 1")
-        if np.fromiter(chain.from_iterable(counts), float).min() < 0:
-            raise ValueError("bucket counts must be nonnegative")
         p, q, slack_p, slack_q = rule4_row_columns(schemes, counts)
         winner_slack = np.where(p >= q, slack_p, slack_q)  # a tie goes to P
         best_slack = np.where(slack_q > slack_p, slack_q, slack_p)

@@ -143,6 +143,8 @@ class PairwiseTally:
     c_count: int
 
     def __post_init__(self):
+        if self.pair[0] == self.pair[1]:
+            raise SameCandidate(self.pair[0])
         m = self.scheme.m
         if len(self.a_counts) != m or len(self.b_counts) != m:
             raise ValueError(f"expected {m} bucket counts per side")

@@ -1,7 +1,7 @@
 """Seeded differential test of the checks' chunk path against the per-case path.
 
 The chunk path (search_oracle._winners, rules.side_scores and
-rules.rule4_tally_columns) decides whole chunks of instances or tallies in
+rules.rule4_row_columns) decides whole chunks of instances or tallies in
 numpy; the per-case path decides one pair at a time through decide_pair,
 majority_graph and copeland_winner, and the references below sum each
 tally's scores with a scalar math.fsum. Scores are compared by float.hex.
@@ -20,15 +20,35 @@ import pytest
 from strengthvote import rules
 from strengthvote.metric_core import line_instance
 from strengthvote.rules import (Rule, _condition1_diff, decide_pair, decide_tally,
-                                rule4_tally_columns, rule4_weights, side_scores)
-from strengthvote.search_oracle import (_drawn, _random_tally, _two_candidate_rules, _winner,
-                                        _winners, check_condition1)
+                                rule4_row_columns, rule4_weights, side_scores)
+from strengthvote.search_oracle import (_draw_tally, _drawn, _two_candidate_rules, _winners,
+                                        check_condition1)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 from strengthvote.tournament import copeland_winner, majority_graph
 
 from test_kernel import SCHEMES
 
 RULES = _two_candidate_rules()
+
+
+def _winner(inst, rule):
+    """The rule's winner on one instance: _winners on a chunk of one."""
+    return sorted(inst.candidates)[_winners([inst], [rule])[0, 0]]
+
+
+def _random_tally(rng):
+    """_draw_tally's draw as a tally of the pair (P, Q)."""
+    scheme, counts = _draw_tally(rng)
+    m = scheme.m
+    return PairwiseTally(("P", "Q"), scheme, tuple(counts[:m]), tuple(counts[m:2 * m]),
+                         counts[2 * m] if len(counts) > 2 * m else 0)
+
+
+def _row(tally):
+    """A tally's count row as rule4_row_columns reads it: a's counts, b's,
+    then C's only when tau_1 > 1."""
+    hidden = (tally.c_count,) if tally.scheme.taus[0] > 1.0 else ()
+    return tally.a_counts + tally.b_counts + hidden
 
 
 def _reference_winner(inst, rule):
@@ -161,7 +181,7 @@ def test_a_rule4_rule_checks_its_weights_when_built(monkeypatch):
 
 SKEWED_UNDER_O = """
 from strengthvote import rules
-from strengthvote.tallies import PairwiseTally, ThresholdScheme
+from strengthvote.tallies import ThresholdScheme
 
 weights, (own, other), ds, k = rules.rule4_weights(ThresholdScheme((1.5, 3.0)))
 skewed = (own, tuple(x + 1.0 for x in other))
@@ -176,15 +196,15 @@ def outcome(call):
     return "passed"
 
 
-tally = PairwiseTally(("P", "Q"), ThresholdScheme((1.5, 3.0)), (3, 0), (0, 2), 0)
-print(__debug__, outcome(lambda: rules.rule4_tally_columns([tally])),
+scheme = ThresholdScheme((1.5, 3.0))
+print(__debug__, outcome(lambda: rules.rule4_row_columns([scheme], [(3, 0, 0, 2, 0)])),
       outcome(lambda: rules.Rule("rule4", scheme=(1.5, 3.0))))
 """
 
 
 def test_the_rule4_identity_is_checked_under_python_O():
     """python -O drops assert statements; the identity check is a raise, so
-    a skewed rule4_tally_columns call and a skewed rule4 Rule still fail there."""
+    a skewed rule4_row_columns call and a skewed rule4 Rule still fail there."""
     src = os.path.dirname(os.path.dirname(rules.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -194,7 +214,7 @@ def test_the_rule4_identity_is_checked_under_python_O():
 
 
 def test_condition1_columns_check_every_rows_score_gap(monkeypatch):
-    """rule4_tally_columns sums the slacks once and still checks each row:
+    """rule4_row_columns sums the slacks once and still checks each row:
     skewing the last tally's condition-1 coefficients makes it raise."""
     rng = np.random.default_rng(8)
     skewed = PairwiseTally(("P", "Q"), ThresholdScheme((1.5, 3.0)), (3, 0), (0, 2), 0)
@@ -207,22 +227,25 @@ def test_condition1_columns_check_every_rows_score_gap(monkeypatch):
             other = tuple(x + 1.0 for x in other)
         return weights, (own, other), ds, k
 
-    rule4_tally_columns(tallies)
+    schemes, rows = [t.scheme for t in tallies], [_row(t) for t in tallies]
+    rule4_row_columns(schemes, rows)
     monkeypatch.setattr(rules, "rule4_weights", skewing)
     with pytest.raises(AssertionError):
-        rule4_tally_columns(tallies)
+        rule4_row_columns(schemes, rows)
 
 
 def test_condition1_columns_match_the_per_tally_path():
     rng = np.random.default_rng(8)
     tallies = [_random_tally(rng) for _ in range(2_000)]
-    p, q, slack_p, slack_q = rule4_tally_columns(tallies)
+    p, q, slack_p, slack_q = rule4_row_columns([t.scheme for t in tallies],
+                                               [_row(t) for t in tallies])
     lengths = set()
     for i, tally in enumerate(tallies):
         lengths.add(tally.scheme.m)
         rule = Rule("rule4", scheme=tally.scheme)
         ref_p, ref_q = _reference_scores(rule.weights, tally.a_counts, tally.b_counts)
-        ref_slacks = _reference_slacks(*rule.condition1, tally.a_counts, tally.b_counts)
+        ref_slacks = _reference_slacks(*rule4_weights(tally.scheme)[1], tally.a_counts,
+                                       tally.b_counts)
         decision = decide_tally(tally, rule)
         assert _hex((p[i], q[i])) == _hex((ref_p, ref_q)) == \
             _hex((decision.p_score, decision.q_score)), i
@@ -238,7 +261,8 @@ def test_condition1_margins_match_the_per_tally_path(seed):
     for _ in range(2_000):
         tally = _random_tally(rng)
         rule = Rule("rule4", scheme=tally.scheme)
-        slack_p, slack_q = _reference_slacks(*rule.condition1, tally.a_counts, tally.b_counts)
+        slack_p, slack_q = _reference_slacks(*rule4_weights(tally.scheme)[1], tally.a_counts,
+                                             tally.b_counts)
         winner = decide_tally(tally, rule).winner
         best = max(slack_p, slack_q)
         worst = min(worst, best)

@@ -499,22 +499,14 @@ def test_lowerbound_rejects_a_non_finite_epsilon(epsilon, capsys):
     (["search", "--rule", "rule5", "--seed", "-1"], "--seed"),
     (["verify", "--suite", "lowerbounds", "--seed", "-1"], "--seed"),
     (["verify", "--suite", "bounds", "--seed", "-1"], "--seed"),
-], ids=["search-voters-max", "search-n-instances", "search-grid", "search-seed",
-        "verify-lowerbounds-seed", "verify-bounds-seed"])
-def test_out_of_range_integers_exit_2_naming_the_flag(argv, flag, capsys):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and flag in captured.err
-
-
-@pytest.mark.parametrize("argv, flag", [
     (["curve", "--rule", "rule1", "--steps", "1"], "--steps"),
     (["curve", "--rule", "rule1", "--num-candidates", "1"], "--num-candidates"),
     (["curve", "--rule", "rule1", "--num-candidates", "0"], "--num-candidates"),
     (["lowerbound", "--kind", "largest", "--taus", "2", "--n", "0"], "--n"),
-], ids=["curve-steps", "curve-num-candidates-1", "curve-num-candidates-0", "lowerbound-n"])
-def test_curve_and_lowerbound_integers_exit_2_naming_the_flag(argv, flag, capsys):
+], ids=["search-voters-max", "search-n-instances", "search-grid", "search-seed",
+        "verify-lowerbounds-seed", "verify-bounds-seed", "curve-steps",
+        "curve-num-candidates-1", "curve-num-candidates-0", "lowerbound-n"])
+def test_out_of_range_integers_exit_2_naming_the_flag(argv, flag, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

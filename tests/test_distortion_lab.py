@@ -20,9 +20,11 @@ from strengthvote.metric_core import (MetricInstance, euclidean_instance, line_i
                                       matrix_instance, save_instance, scale_instance,
                                       social_cost)
 from strengthvote.rules import SQRT2, Rule
-from strengthvote.search_oracle import _two_candidate_rules, _winner
+from strengthvote.search_oracle import _two_candidate_rules
 from strengthvote.tallies import ThresholdScheme
 from strengthvote.tournament import copeland_winner, majority_graph
+
+from test_chunk import _winner
 
 TOL = 1e-9
 

@@ -136,6 +136,14 @@ def test_scheme_mismatch_is_rejected():
                      ThresholdScheme((2.0,)))
 
 
+@pytest.mark.parametrize("rule", [Rule("rule4", scheme=(3.0,)), Rule("rule3", 2.0),
+                                  Rule("rule1", 2.0), Rule("rule5")], ids=Rule.label)
+def test_condition1_slacks_need_rule4_under_the_tallys_scheme(rule):
+    from strengthvote.rules import _condition1_diff
+    with pytest.raises(SchemeMismatch):
+        _condition1_diff(tally((2.0,), (3,), (1,), 2, boundary=INCLUSIVE), rule)
+
+
 def test_rule4_delta_values():
     assert rule4_delta(ThresholdScheme((1.0,))) == pytest.approx(3.0, abs=TOL)
     assert rule4_delta(ThresholdScheme((2.0,))) == pytest.approx(2.0, abs=TOL)

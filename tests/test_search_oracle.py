@@ -20,6 +20,8 @@ from strengthvote.search_oracle import (_anchor_instances, _grid_positions,
                                         random_instance, verify_suite)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 
+from test_chunk import _random_tally
+
 
 def brute_force_best(inst: MetricInstance) -> tuple[str, float]:
     """Cheapest candidate by social cost, lexicographically smallest on ties."""
@@ -200,7 +202,7 @@ def _numpy_random_tally(rng):
 def test_random_tally_draws_what_the_numpy_version_drew(seed):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20_000):
-        got, want = search_oracle._random_tally(ours), _numpy_random_tally(theirs)
+        got, want = _random_tally(ours), _numpy_random_tally(theirs)
         assert [t.hex() for t in got.scheme.taus] == [t.hex() for t in want.scheme.taus]
         assert (got.a_counts, got.b_counts, got.c_count) == \
             (want.a_counts, want.b_counts, want.c_count)

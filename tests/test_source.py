@@ -109,6 +109,25 @@ def test_every_public_function_has_a_caller_or_is_documented():
     assert unreached == []
 
 
+def test_every_private_function_has_a_caller_or_is_traced():
+    """A private module-level def or class that no module uses must be an
+    attribute the tracer patches; otherwise only the tests reach it, and it
+    belongs in them."""
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    used = set().union(*map(_referenced_names, trees.values()))
+    traced = _traced_attributes()
+    unreached = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
+        and (path.stem, node.name) not in traced
+    ]
+    assert unreached == []
+
+
 def test_every_readme_python_example_runs():
     """Each fenced python block of the README runs without an error."""
     readme = (SRC.parent.parent / "README.md").read_text()

@@ -14,8 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from strengthvote.metric_core import (EUCLIDEAN, LINE, UnknownId, _as_coord, _coord_instance,
-                                      euclidean_instance, line_instance)
+from strengthvote.metric_core import (EUCLIDEAN, LINE, SameCandidate, UnknownId, _as_coord,
+                                      _coord_instance, euclidean_instance, line_instance)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 
 
@@ -155,3 +155,10 @@ def test_tally_messages(a, b, c, message):
     with pytest.raises(ValueError) as err:
         PairwiseTally(("P", "Q"), ThresholdScheme((1.5, 3.0)), a, b, c)
     assert str(err.value) == message
+
+
+def test_a_tally_of_one_candidate_is_refused():
+    """A pair of two equal ids is refused as exact_profiles refuses it."""
+    with pytest.raises(SameCandidate) as err:
+        PairwiseTally(("P", "P"), ThresholdScheme((1.5, 3.0)), (1, 1), (1, 2), 0)
+    assert err.value.args == ("P",)
