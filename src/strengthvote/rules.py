@@ -38,7 +38,9 @@ prepare_profiles, which keeps them on each profile by Rule for decide_profile.
 rule4_row_columns is the one core for rule4 count rows, each under its own
 scheme: it checks the rows, derives their condition-1 coefficients and sums
 their scores and slacks. check_condition1 calls it on drawn rows, and
-_condition1_diff (so condition1_holds) on one tally's row.
+_tally_slacks on one tally's row, for condition1_holds and for
+_condition1_diff, which first checks that its rule is rule4 under the
+tally's scheme.
 """
 
 from __future__ import annotations
@@ -279,26 +281,32 @@ def rule4_row_columns(schemes, counts) -> np.ndarray:
     return out
 
 
-def _condition1_diff(tally: PairwiseTally, rule: Rule) -> tuple[float, float]:
-    """Slacks (rhs - lhs) of a rule4 rule's feasibility inequality for the
-    pair's two sides, in pair order: the tally's row of rule4_row_columns.
-    Any rule but rule4 under the tally's own scheme raises SchemeMismatch."""
-    if rule.kind != "rule4" or rule.scheme != tally.scheme:
-        raise SchemeMismatch(f"condition 1 needs rule4 under the tally's scheme {tally.scheme}, "
-                             f"got {rule.label()}")
+def _tally_slacks(tally: PairwiseTally) -> tuple[float, float]:
+    """Slacks (rhs - lhs) of rule4's feasibility inequality under the tally's
+    own scheme for the pair's two sides, in pair order: the tally's row of
+    rule4_row_columns, which derives and checks its weights."""
     hidden = (tally.c_count,) if tally.scheme.taus[0] > 1.0 else ()
     (p,), (q,) = rule4_row_columns([tally.scheme],
                                    [tally.a_counts + tally.b_counts + hidden])[2:].tolist()
     return p, q
 
 
+def _condition1_diff(tally: PairwiseTally, rule: Rule) -> tuple[float, float]:
+    """A rule4 rule's _tally_slacks. Any rule but rule4 under the tally's own
+    scheme raises SchemeMismatch."""
+    if rule.kind != "rule4" or rule.scheme != tally.scheme:
+        raise SchemeMismatch(f"condition 1 needs rule4 under the tally's scheme {tally.scheme}, "
+                             f"got {rule.label()}")
+    return _tally_slacks(tally)
+
+
 def condition1_holds(tally: PairwiseTally, side: str) -> bool:
     """Whether a side's feasibility inequality holds (within 1e-9); at least
-    one side of any tally always does."""
+    one side of any tally always does. It builds no Rule: the tally's row
+    goes straight to rule4_row_columns (_tally_slacks)."""
     if side not in tally.pair:
         raise ValueError(f"{side!r} is not in the pair {tally.pair}")
-    rule = Rule("rule4", scheme=tally.scheme)
-    return _condition1_diff(tally, rule)[tally.pair.index(side)] >= -1e-9
+    return _tally_slacks(tally)[tally.pair.index(side)] >= -1e-9
 
 
 def rule5_weight(strength):

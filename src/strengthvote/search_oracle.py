@@ -15,7 +15,10 @@ too), and winners, costs and margins as arrays. adversarial_search decides
 its anchors and its grid re-check as one chunk, and each lowerbounds probe is
 a chunk of one. check_condition1 draws its tallies as (scheme, count row)
 pairs (_draw_tally) and hands each chunk's rows to rules.rule4_row_columns,
-which checks and scores them, building no tally object per draw.
+which checks and scores them, building no tally object per draw. Its draws
+are default_rng(seed)'s, read from raw PCG64 words by _Bits, which replays
+numpy's integers (Lemire's multiply-shift) and random (a 53-bit shift)
+with no Generator call per tally.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -261,6 +264,11 @@ _CHUNK = 64
 # Tallies check_condition1 draws and scores together.
 _TALLY_CHUNK = 512
 
+# Raw words _Bits reads per bit-generator call: enough to spread the call's
+# cost over several hundred tallies (about 7 words each), while the block's
+# list of ints stays small.
+_BLOCK = 4096
+
 
 def _drawn(rng: np.random.Generator, count: int, spaces=SPACES,
            voters_max: int = _VOTERS_MAX, **kwargs):
@@ -342,29 +350,65 @@ def check_lambda(seed: int = 42, n: int = 5_000):
         yield slacks, slacks > 1e-9
 
 
-def _draw_tally(rng: np.random.Generator) -> tuple[ThresholdScheme, list[int]]:
+class _Bits:
+    """default_rng(seed)'s stream read from its bit generator's raw 64-bit
+    words, a block of _BLOCK at a time, replaying the two Generator laws
+    _draw_tally needs without a Generator call per draw: below(n) is
+    integers(0, n) and double() is random(). The tail of the last block is
+    never read."""
+
+    def __init__(self, seed):
+        bit_generator = np.random.default_rng(seed).bit_generator
+        blocks = iter(lambda: bit_generator.random_raw(_BLOCK).tolist(), None)
+        self._word = chain.from_iterable(blocks).__next__
+        self._half = None  # a word's unused high 32 bits, as PCG64's has_uint32 keeps them
+
+    def below(self, n: int) -> int:
+        """integers(0, n) for 2 <= n <= 2**32: Lemire's multiply-shift on
+        32-bit halves, low half of a word first, redrawn while the product's
+        low 32 bits fall below (2**32 - n) % n. The high half waits for the
+        next below() call, double() calls in between included."""
+        while True:
+            if self._half is None:
+                word = self._word()
+                u, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                u, self._half = self._half, None
+            x = u * n
+            if x & 0xFFFFFFFF >= (0x100000000 - n) % n:
+                return x >> 32
+
+    def double(self) -> float:
+        """random(): a word's top 53 bits times 2**-53."""
+        return (self._word() >> 11) * 2.0 ** -53
+
+
+def _draw_tally(bits: _Bits) -> tuple[ThresholdScheme, list[int]]:
     """A random rule4 scheme of 1 to 4 cutoffs, tau_1 = 1 about a quarter of
     the time, and counts from 0 to 50 under it: m for pair[0]'s side, m for
-    pair[1]'s, then the hidden set's when tau_1 > 1."""
-    m = int(rng.integers(1, 5))
+    pair[1]'s, then the hidden set's when tau_1 > 1. The draws are those of
+    integers(1, 5), uniform(1.0, 6.0, m), random() and integers(0, 51, k)
+    on default_rng, in that order, read from the same stream by bits."""
+    m = 1 + bits.below(4)
     while True:
-        # round(x * 1e6) / 1e6 is np.round(x, 6): scale, round half to even, divide
-        taus = sorted({round(x * 1e6) / 1e6 for x in rng.uniform(1.0, 6.0, m).tolist()})
+        # round(x * 1e6) / 1e6 is np.round(x, 6): scale, round half to even, divide;
+        # uniform(1.0, 6.0) is 1.0 + 5.0 * random()
+        taus = sorted({round((1.0 + 5.0 * bits.double()) * 1e6) / 1e6 for _ in range(m)})
         if len(taus) == m and taus[0] > 1.0:
             break
-    if rng.random() < 0.25:
+    if bits.double() < 0.25:
         taus[0] = 1.0
     scheme = ThresholdScheme(tuple(taus))
     hidden = scheme.taus[0] > 1.0  # whether the set C can hold voters
-    return scheme, rng.integers(0, 51, 2 * m + hidden).tolist()
+    return scheme, [bits.below(51) for _ in range(2 * m + hidden)]
 
 
 @_check(min)
 def check_condition1(seed: int = 42, n: int = 100_000):
     """Some side of every tally is feasible, and rule4 always picks a feasible side."""
-    rng = np.random.default_rng(seed)
+    bits = _Bits(seed)
     for start in range(0, n, _TALLY_CHUNK):
-        schemes, counts = zip(*[_draw_tally(rng) for _ in range(min(_TALLY_CHUNK, n - start))])
+        schemes, counts = zip(*[_draw_tally(bits) for _ in range(min(_TALLY_CHUNK, n - start))])
         p, q, slack_p, slack_q = rule4_row_columns(schemes, counts)
         winner_slack = np.where(p >= q, slack_p, slack_q)  # a tie goes to P
         best_slack = np.where(slack_q > slack_p, slack_q, slack_p)

@@ -21,8 +21,8 @@ from strengthvote import rules
 from strengthvote.metric_core import line_instance
 from strengthvote.rules import (Rule, _condition1_diff, decide_pair, decide_tally,
                                 rule4_row_columns, rule4_weights, side_scores)
-from strengthvote.search_oracle import (_draw_tally, _drawn, _two_candidate_rules, _winners,
-                                        check_condition1)
+from strengthvote.search_oracle import (_Bits, _draw_tally, _drawn, _two_candidate_rules,
+                                        _winners, check_condition1)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 from strengthvote.tournament import copeland_winner, majority_graph
 
@@ -216,7 +216,7 @@ def test_the_rule4_identity_is_checked_under_python_O():
 def test_condition1_columns_check_every_rows_score_gap(monkeypatch):
     """rule4_row_columns sums the slacks once and still checks each row:
     skewing the last tally's condition-1 coefficients makes it raise."""
-    rng = np.random.default_rng(8)
+    rng = _Bits(8)
     skewed = PairwiseTally(("P", "Q"), ThresholdScheme((1.5, 3.0)), (3, 0), (0, 2), 0)
     tallies = [_random_tally(rng) for _ in range(50)] + [skewed]
     derive = rules.rule4_weights
@@ -235,7 +235,7 @@ def test_condition1_columns_check_every_rows_score_gap(monkeypatch):
 
 
 def test_condition1_columns_match_the_per_tally_path():
-    rng = np.random.default_rng(8)
+    rng = _Bits(8)
     tallies = [_random_tally(rng) for _ in range(2_000)]
     p, q, slack_p, slack_q = rule4_row_columns([t.scheme for t in tallies],
                                                [_row(t) for t in tallies])
@@ -256,7 +256,7 @@ def test_condition1_columns_match_the_per_tally_path():
 
 @pytest.mark.parametrize("seed", [3, 8])
 def test_condition1_margins_match_the_per_tally_path(seed):
-    rng = np.random.default_rng(seed)
+    rng = _Bits(seed)
     worst, failures = math.inf, 0
     for _ in range(2_000):
         tally = _random_tally(rng)

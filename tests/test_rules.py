@@ -196,6 +196,23 @@ def test_condition1_holds_rejects_a_side_outside_the_pair():
         condition1_holds(t, "Z")
 
 
+def test_condition1_holds_derives_the_tallys_weights_once(monkeypatch):
+    """condition1_holds takes the tally's row straight to rule4_row_columns:
+    one rule4_weights call per side asked, and no Rule built around it."""
+    from strengthvote import rules
+    calls = []
+
+    def counted(scheme):
+        calls.append(scheme)
+        return rule4_weights(scheme)
+
+    monkeypatch.setattr(rules, "rule4_weights", counted)
+    t = PairwiseTally(("P", "Q"), ThresholdScheme((1.5, 3.0)), (3, 0), (0, 2), 1)
+    for asked, side in enumerate("PQ", start=1):
+        condition1_holds(t, side)
+        assert calls == [t.scheme] * asked
+
+
 def test_some_side_is_always_feasible():
     scheme = ThresholdScheme((2.0, 5.0))
     counts = range(3)

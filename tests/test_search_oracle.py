@@ -12,7 +12,7 @@ from strengthvote.metric_core import MetricInstance, line_instance, social_cost
 from strengthvote.rules import (SQRT2, Rule, bound_value, decide_pair, rule4_delta,
                                 rule4_weights)
 from strengthvote import rules, search_oracle, tallies
-from strengthvote.search_oracle import (_anchor_instances, _grid_positions,
+from strengthvote.search_oracle import (_Bits, _anchor_instances, _grid_positions,
                                         _signed_weights,
                                         _two_candidate_rules, adversarial_search,
                                         check_bounds, check_condition1,
@@ -198,15 +198,35 @@ def _numpy_random_tally(rng):
     return PairwiseTally(("P", "Q"), scheme, a, b, c)
 
 
-@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("seed", [42, 7, 5])
 def test_random_tally_draws_what_the_numpy_version_drew(seed):
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours, theirs = _Bits(seed), np.random.default_rng(seed)
     for _ in range(20_000):
         got, want = _random_tally(ours), _numpy_random_tally(theirs)
         assert [t.hex() for t in got.scheme.taus] == [t.hex() for t in want.scheme.taus]
         assert (got.a_counts, got.b_counts, got.c_count) == \
             (want.a_counts, want.b_counts, want.c_count)
         assert all(type(x) is int for x in got.a_counts + got.b_counts)
+
+
+@pytest.mark.parametrize("n", [2, 4, 51, 2**31 + 1, 2**32])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_bits_replay_integers_and_random(seed, n):
+    """_Bits against the Generator calls it replays, paths the tally stream
+    never takes included: n = 2**31 + 1 rejects about half of its 32-bit draws,
+    runs of 1 to 5 below() calls leave a kept high half across calls and
+    across the double() after every other run, and the words read cross the
+    4096-word blocks at least once."""
+    bits, rng = _Bits(seed), np.random.default_rng(seed)
+    halves = doubles = 0
+    for run in range(3_000):
+        k = 1 + run % 5
+        assert [bits.below(n) for _ in range(k)] == rng.integers(0, n, k).tolist(), run
+        halves += k
+        if run % 2:
+            assert bits.double().hex() == rng.random().hex(), run
+            doubles += 1
+    assert halves // 2 + doubles > 4096
 
 
 def test_check_condition1_derives_each_tallys_weights_once(monkeypatch):
