@@ -112,7 +112,10 @@ def ideal_point(inst: MetricInstance) -> IdealPoint:
 
     Line: the lower median voter position (exact). Euclidean: the geometric
     median (iterative; after _WEISZFELD_MAX_ITER steps the best iterate is
-    returned with converged=False). Matrix: the cheapest named point.
+    returned with converged=False). Matrix: the cheapest named point, by
+    math.fsum of its voter distances, ties to the smaller id. A numpy column
+    sum brackets each point's cost first, and fsum runs only on the points
+    whose bracket reaches the least upper end, the only ones that can win.
     """
     if inst.space == LINE:
         # stable, so -0.0 and 0.0 keep voter order, as sorted() does
@@ -126,8 +129,16 @@ def ideal_point(inst: MetricInstance) -> IdealPoint:
         loc = tuple(loc.tolist())
         cost = math.fsum(map(math.dist, repeat(loc), points))
         return IdealPoint(loc, cost, "iterative", converged, achieved)
-    costs = (math.fsum(column.tolist()) for column in inst.matrix[inst.voter_points].T)
-    best_cost, best = min(zip(costs, inst.point_ids))
+    # Entries are >= 0, so a numpy sum of V of them is off the exact sum by
+    # less than V * 2**-52 times itself, and approx * (1 -+ slack) brackets the
+    # exact sum and its fsum. A point whose lower end is above some upper end
+    # costs more by fsum too, so fsum runs only on the others.
+    columns = inst.matrix[inst.voter_points].T
+    approx = columns.sum(axis=1)
+    slack = len(inst.voters) * 2.0 ** -52
+    near = np.flatnonzero(approx * (1.0 - slack) <= (approx * (1.0 + slack)).min())
+    best_cost, best = min((math.fsum(columns[p].tolist()), inst.point_ids[p])
+                          for p in near.tolist())
     return IdealPoint(best, best_cost, "restricted-to-named-points")
 
 

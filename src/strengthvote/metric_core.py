@@ -6,8 +6,9 @@ matrix over named points. A line is 1-D coordinates: line and Euclidean
 points are coordinate tuples measured by math.dist, which is exactly |x - y|
 in 1-D. Matrix instances may carry extra named points that are neither voters
 nor candidates (useful as witness points). A distance matrix is checked against
-every metric axiom exactly, the triangle inequality over all n^3 triples, on
-numpy; the first violation in row-major order is reported. Coordinates are
+every metric axiom exactly on numpy, the triangle inequality as one min-plus
+reduction per row (over j >= i alone when the matrix is exactly symmetric); the
+first violation in row-major order is reported. Coordinates are
 checked once per instance, by a type-set test and one isfinite pass over all
 of them; the per-point scan runs only when those fail: for other inputs, such
 as integers, and to name the first bad field.
@@ -192,10 +193,13 @@ def _check_matrix(ids: tuple[str, ...], rows) -> np.ndarray:
     order: row i ascending, its diagonal first, then j ascending, and for one
     entry not-finite before negative before asymmetry; then the triangle
     inequality d(i,j) <= d(i,k) + d(k,j) over (i, k, j) in row-major order.
-    numpy compares the same float sums a scalar loop would, and messages
-    quote entries as Python floats. Returns the rows as a read-only float64
-    array, converted in one step (an integer too big for a float is +-inf),
-    with the entries the tolerance lets below 0 set to 0."""
+    Each row is tested against its min-plus product min_k d(i,k) + d(k,j),
+    over j >= i alone when d equals its transpose exactly, and only a failing
+    row is scanned in full for its first (k, j). numpy compares the same float
+    sums a scalar loop would, and messages quote entries as Python floats.
+    Returns the rows as a read-only float64 array, converted in one step (an
+    integer too big for a float is +-inf), with the entries the tolerance lets
+    below 0 set to 0."""
     n = len(ids)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"distance matrix must be {n}x{n}")
@@ -222,10 +226,18 @@ def _check_matrix(ids: tuple[str, ...], rows) -> np.ndarray:
                 f"asymmetry: d({ids[i]},{ids[j]}) = {rows[i][j]} "
                 f"but d({ids[j]},{ids[i]}) = {rows[j][i]}"
             )
+        # On an exactly symmetric matrix a break at (i, j) with j < i is also
+        # one at (j, i), in the earlier row j, so each row scans only j >= i.
+        symmetric = bool((d == d.T).all())
+        columns = d.T.copy()  # columns[j, k] = d(k, j), so each min runs along a row
         for i in range(n):
-            # broken[k, j]: d(i,j) > (d(i,k) + d(k,j)) + TOL, summed in that order
-            broken = d[i] > d[i, :, None] + d + TOL
-            if broken.any():
+            lo = i if symmetric else 0
+            # Rounding is monotone, so d(i,j) > fl(fl(d(i,k) + d(k,j)) + TOL) for
+            # some k exactly when d(i,j) > fl(min_k fl(d(i,k) + d(k,j)) + TOL).
+            least = (d[i] + columns[lo:]).min(axis=1)
+            if (d[i, lo:] > least + TOL).any():
+                # broken[k, j]: d(i,j) > (d(i,k) + d(k,j)) + TOL, summed in that order
+                broken = d[i] > d[i, :, None] + d + TOL
                 rows, (k, j) = d.tolist(), divmod(int(broken.argmax()), n)
                 raise MetricViolation(
                     f"triangle inequality fails on ({ids[i]}, {ids[k]}, {ids[j]}): "

@@ -688,3 +688,29 @@ def test_an_empty_taus_value_exits_2_naming_the_flag(command, instance_path, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: --taus has an empty field: ''\n"
+
+
+def _matrix_60(path):
+    """60 points drawn uniformly in the unit square, as a distance matrix: the
+    first 6 are the candidates and the other 54 the voters."""
+    rng = np.random.default_rng(20261022)
+    pts = [tuple(xy) for xy in rng.uniform(0.0, 1.0, (60, 2)).tolist()]
+    ids = [f"p{i + 1}" for i in range(60)]
+    path.write_text(json.dumps({
+        "space": {"type": "matrix", "ids": ids,
+                  "distances": [[math.dist(a, b) for b in pts] for a in pts]},
+        "voters": ids[6:], "candidates": ids[:6]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("rule, expected", [
+    (["--rule", "rule1", "--tau", "2"],
+     ("p4", "0x1.0470d61ac313bp+0", "0x1.44f72d77cc2e3p+0", "0x1.44c5e9df0157cp+4")),
+    (["--rule", "rule5"],
+     ("p5", "0x1.0000000000000p+0", "0x1.3f6cb005db7b0p+0", "0x1.44c5e9df0157cp+4")),
+], ids=["rule1", "rule5"])
+def test_evaluate_pins_a_60_point_matrix_document(rule, expected, tmp_path, capsys):
+    """winner, delta, rho and the ideal point's cost, bit for bit."""
+    assert main(["evaluate", "--instance", _matrix_60(tmp_path / "m60.json"), *rule]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["winner"], *(float.hex(doc[k]) for k in ("delta", "rho", "sc_ideal"))) == expected

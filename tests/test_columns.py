@@ -85,8 +85,42 @@ def _int_matrix():
     return matrix_instance(ids, rows, ("v0", "v1", "v2", "a", "v1"), ("a", "b"))
 
 
+def _twin_columns():
+    """z and y, in that order, at distance 1 from each of three voters: their
+    columns are the same, and y wins on its id."""
+    ids = ("z", "y", "v0", "v1", "v2")
+    rows = [[0, 2, 1, 1, 1], [2, 0, 1, 1, 1], [1, 1, 0, 2, 2], [1, 1, 2, 0, 2],
+            [1, 1, 2, 2, 0]]
+    return matrix_instance(ids, rows, ("v0", "v1", "v2"), ("z", "y"))
+
+
+_E = 2.0 ** -53
+
+
+def _last_bit():
+    """a, v1 and v2 coincide and b is 2**-53 from them. b's voter distances
+    (1, 2**-53, 2**-53) sum to 1.0 in voter order, but to 1 + 2**-52 exactly,
+    as a's (1 + 2**-52, 0, 0) do: by fsum the two tie, and a wins on its id."""
+    ids = ("b", "a", "v0", "v1", "v2")
+    far = 1.0 + 2 * _E
+    rows = [[0, _E, 1, _E, _E], [_E, 0, far, 0, 0], [1, far, 0, far, far],
+            [_E, 0, far, 0, 0], [_E, 0, far, 0, 0]]
+    return matrix_instance(ids, rows, ("v0", "v1", "v2"), ("b", "a"))
+
+
+def _zero_columns():
+    """The voters sit on c and Z, so the columns of c, v1, Z and v0 are all
+    zero, and Z wins on its id."""
+    ids = ("c", "v1", "a", "Z", "v0")
+    rows = [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [1, 1, 0, 1, 1], [0, 0, 1, 0, 0],
+            [0, 0, 1, 0, 0]]
+    return matrix_instance(ids, rows, ("v1", "v0", "v1"), ("c", "a"))
+
+
 def _instances():
-    cases = {"line-ties": _line_ties(), "int-matrix": _int_matrix()}
+    cases = {"line-ties": _line_ties(), "int-matrix": _int_matrix(),
+             "matrix-twins": _twin_columns(), "matrix-last-bit": _last_bit(),
+             "matrix-zero-columns": _zero_columns()}
     for dim in (2, 3):
         cases[f"euclidean{dim}d-ties"] = _euclidean_ties(dim)
     for space in ("line", "euclidean2d", "euclidean3d"):

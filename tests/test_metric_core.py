@@ -144,6 +144,10 @@ def _matrix(rows):
      "triangle inequality fails on (a, b, c): 0.775000001 > 0.295 + 0.48"),
     # sums overflow to inf but break no axiom: accepted, without a warning
     ([[0, 1e308, 1.7e308], [1e308, 0, 1.7e308], [1.7e308, 1.7e308, 0]], None),
+    # symmetric only within the tolerance, and the one broken triangle is below
+    # the diagonal: a scan of j >= i alone would accept it
+    ([[0, 0.5, 1.000000001], [0.5, 0, 0.5], [1.0000000015, 0.5, 0]],
+     "triangle inequality fails on (c, b, a): 1.0000000015 > 0.5 + 0.5"),
 ])
 def test_check_matrix_reports_the_first_violation_in_scan_order(rows, message):
     ids = ("a", "b", "c", "d", "e")[:len(rows)]
@@ -179,6 +183,40 @@ def test_check_matrix_matches_the_scalar_loop_on_perturbed_matrices():
         assert _check_message(_check_matrix, ids, _matrix(rows)) == expected, rows
         kinds.add(expected and next(k for k in _KINDS if k in expected[1]))
     assert kinds == {None, *_KINDS}
+
+
+def test_check_matrix_matches_the_scalar_loop_on_larger_symmetric_matrices():
+    """Exactly symmetric matrices, whose triangle check scans j >= i alone: each
+    perturbation sets (i, j) and (j, i) together, the diagonal included."""
+    rng = random.Random(20261020)
+    specials = [-TOL, 0.0, TOL, 5.0]
+    triples = []
+    for _ in range(40):
+        n = rng.randint(7, 40)
+        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
+        rows = [[math.dist(p, q) for q in pts] for p in pts]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            roll = rng.random()
+            if roll < 0.4:
+                rows[i][j] = rows[j][i] = rng.choice(specials)
+            elif roll < 0.8:
+                rows[i][j] = rows[j][i] = rows[i][j] + rng.choice([2e-9, 0.5, -0.5])
+            elif i != j:
+                # j becomes a copy of i at distance -TOL/2, and d(i,i) = TOL: the
+                # one broken triangle is (i, j, i), on the diagonal
+                for x in range(n):
+                    rows[j][x] = rows[x][j] = rows[i][x]
+                rows[i][j] = rows[j][i] = -TOL / 2
+                rows[i][i], rows[j][j] = TOL, 0.0
+        ids = tuple(f"p{k}" for k in range(n))
+        expected = _check_message(_reference_check, ids, _matrix(rows))
+        assert _check_message(_check_matrix, ids, _matrix(rows)) == expected, rows
+        if expected is None or expected[1].startswith("triangle"):
+            triples.append(expected and expected[1].partition("(")[2].partition(")")[0])
+    assert None in triples and len(triples) >= 25
+    # a triangle broken on the diagonal, (i, k, i), and one broken off it
+    assert {t.split(", ")[0] == t.split(", ")[2] for t in triples if t} == {True, False}
 
 
 def test_non_finite_coordinates_are_rejected():
