@@ -8,30 +8,39 @@ in 1-D. Matrix instances may carry extra named points that are neither voters
 nor candidates (useful as witness points). A distance matrix is checked against
 every metric axiom exactly on numpy, the triangle inequality as one min-plus
 reduction per row (over j >= i alone when the matrix is exactly symmetric); the
-first violation in row-major order is reported. Coordinates are
-checked once per instance, by a type-set test and one isfinite pass over all
-of them; the per-point scan runs only when those fail: for other inputs, such
-as integers, and to name the first bad field.
+first violation in row-major order is reported. A document's coordinates
+are checked once per instance, by a type-set test and one isfinite pass over
+all of them; the per-point scan runs only when those fail: for other inputs,
+such as integers, and to name the first bad field.
+
+Line and Euclidean instances are built a batch at a time
+(_coord_instances): the drawn instances of a verification chunk are one
+batch, and line_instance and euclidean_instance build a batch of one. A
+batch runs each instance check once for all of its instances, over their
+stacked coordinates, and names the first failing instance with the message
+it would raise alone. A matrix instance is a batch of its own.
 
 A matrix instance's ``matrix`` is the read-only float64 array the metric
 check returns, its one copy of the distances. Each voter's distance to a
-point is measured once per instance: the voter column of a point
-(``voter_distances``), a read-only float64 array, is built on first use and
-kept, and social costs and the strength kernel in ``tallies`` read it. A
-column is one array step over the voters' positions, kept on the instance:
-|x_v - x| on a line, a gather from the matrix, and math.dist in R^d, so each
-entry equals the scalar ``distance`` exactly. Each ordered pair's strength
-profile is kept as well once ``tallies.exact_profiles`` has built it: 8 bytes
-per strength, about C(C-1)/2 * V floats for C candidates and V voters.
+point is measured once per batch: the voter column of a point
+(``voter_distances``), a read-only float64 array, is measured on first use
+for every instance of the batch that names the point and kept on the batch,
+and social costs and the strength kernel in ``tallies`` read it. A column is
+one array step over the voters' positions: |x_v - x| on a line, a gather from
+the matrix, and math.dist in R^d, so each entry equals the scalar
+``distance`` exactly. Each ordered pair's strength profile is kept as well
+once ``tallies.exact_profiles`` has built it: 8 bytes per strength, about
+C(C-1)/2 * V floats for C candidates and V voters.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, combinations, repeat
 
 import numpy as np
 
@@ -77,6 +86,8 @@ class MetricInstance:
     coords: dict[str, tuple[float, ...]] | None = None
     point_ids: tuple[str, ...] | None = None
     matrix: np.ndarray | None = None
+    # (the _Batch the instance was built in, its index there), set by the builder
+    _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __eq__(self, other):
         if not isinstance(other, MetricInstance):
@@ -88,22 +99,13 @@ class MetricInstance:
         """Matrix row of each point id, built on first use."""
         return {pid: i for i, pid in enumerate(self.point_ids)}
 
-    @cached_property
+    @property
     def voter_points(self):
-        """The voters' positions in voter order, built on first use: a float64
-        array of x on a line, the coordinate tuples in R^d, and an array of the
-        voters' rows for a matrix."""
-        voters = self.voters
-        if self.space == MATRIX:
-            return np.fromiter(map(self.row_of.__getitem__, voters), np.intp, len(voters))
-        points = list(map(self.coords.__getitem__, voters))
-        if self.space == LINE:
-            return np.fromiter(chain.from_iterable(points), float, len(points))
-        return points
-
-    @cached_property
-    def _columns(self) -> dict[str, np.ndarray]:
-        return {}
+        """The voters' positions in voter order: a read-only float64 array of
+        x on a line, the coordinate tuples in R^d, and an array of the voters'
+        rows for a matrix."""
+        batch, b = self._batch
+        return batch.voter_points[b]
 
     @cached_property
     def _profiles(self) -> dict[tuple[str, str], object]:
@@ -112,13 +114,23 @@ class MetricInstance:
 
     def voter_distances(self, point: str) -> np.ndarray:
         """d(v, point) for each voter v in voter order, as a read-only float64
-        array, measured on first use."""
-        column = self._columns.get(point)
-        if column is None:
-            column = distance_column(self, point)
-            column.flags.writeable = False
-            self._columns[point] = column
-        return column
+        array, measured on first use for every instance of the batch that
+        names the point (distance_column) and kept on the batch."""
+        batch, b = self._batch
+        column = batch.columns.get(point, {}).get(b)
+        return distance_column(self, point) if column is None else column
+
+
+class _Batch:
+    """Instances built together: each one's coordinates (None for a matrix)
+    and voter positions, and each point's voter columns, kept by point id as
+    {index in the batch: column} once distance_column has measured them. A
+    matrix instance is a batch of its own. A batch holds no instance, so an
+    instance kept alive keeps only its batch's data alive."""
+
+    def __init__(self, coords: list, voter_points: list):
+        self.coords, self.voter_points = coords, voter_points
+        self.columns: dict[str, dict[int, np.ndarray]] = {}
 
 
 def _is_number(x) -> bool:
@@ -163,29 +175,39 @@ def _coords(points: dict, field: str) -> dict[str, tuple[float, ...]]:
     return {str(k): _as_coord(v, f"{field}[{k!r}]") for k, v in points.items()}
 
 
-def _check_instance(inst: MetricInstance, spread: float) -> None:
-    """Every id is known, candidates sit at distinct points, and no social cost
-    overflows: spread bounds every distance, so voters * spread bounds the sums."""
-    known = set(inst.point_ids if inst.space == MATRIX else inst.coords)
-    if len(inst.candidates) < 2:
+def _voter_entries(points: dict, voters: tuple, candidates: tuple) -> list:
+    """The entries of an instance's voters in points, its map from id to
+    coordinates or to matrix row, after the id checks every instance passes:
+    at least two candidates, distinct candidate ids, every id known and at
+    least one voter."""
+    if len(candidates) < 2:
         raise ValueError("an instance needs at least two candidates")
-    if len(set(inst.candidates)) != len(inst.candidates):
+    if len(set(candidates)) != len(candidates):
         raise ValueError("candidate ids must be distinct")
-    ids = inst.voters + inst.candidates
-    if not all(map(known.__contains__, ids)):
-        for cid in ids:
-            if cid not in known:
-                raise UnknownId(cid)
-    if not inst.voters:
+    try:
+        entries = list(map(points.__getitem__, voters + candidates))
+    except KeyError as exc:
+        raise UnknownId(exc.args[0]) from None
+    if not voters:
         raise ValueError("an instance needs at least one voter")
-    if not math.isfinite(len(inst.voters) * spread):
-        raise ValueError(f"social costs overflow: {len(inst.voters)} voters "
+    return entries[:len(voters)]
+
+
+def _check_spread(voter_count: int, spread: float) -> None:
+    """No social cost overflows: spread bounds every distance, so
+    voter_count * spread bounds every sum."""
+    if not math.isfinite(voter_count * spread):
+        raise ValueError(f"social costs overflow: {voter_count} voters "
                          f"times the point spread {spread:g}")
+
+
+def _check_apart(inst: MetricInstance) -> None:
+    """No two candidates coincide: the first pair, in candidate order, at
+    distance 0 raises DuplicateCandidatePoint."""
     cands = inst.candidates
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            if distance(inst, cands[i], cands[j]) == 0.0:
-                raise DuplicateCandidatePoint(f"{cands[i]} and {cands[j]} coincide")
+    for i, j in combinations(range(len(cands)), 2):
+        if distance(inst, cands[i], cands[j]) == 0.0:
+            raise DuplicateCandidatePoint(f"{cands[i]} and {cands[j]} coincide")
 
 
 def _check_matrix(ids: tuple[str, ...], rows) -> np.ndarray:
@@ -249,30 +271,83 @@ def _check_matrix(ids: tuple[str, ...], rows) -> np.ndarray:
 
 
 def _coord_instance(space: str, coords: dict, voters, candidates) -> MetricInstance:
-    """Line or Euclidean instance from id -> coordinate tuple. Its spread is
-    the bounding box's diagonal: the diameter on a line, at most sqrt(d) times
-    it in R^d."""
-    dims = set(map(len, coords.values()))
+    """A line or Euclidean instance from id -> coordinate tuple: a batch of one."""
+    return _coord_instances(space, [(coords, voters, candidates)])[0]
+
+
+def _coord_instances(space: str, items) -> list[MetricInstance]:
+    """Line or Euclidean instances from (coords, voters, candidates) items,
+    coords mapping ids to coordinate tuples of floats. Each check runs once
+    for the whole batch, in the order one instance is checked: one coordinate
+    per point on a line, one dimension, the ids (_voter_entries), finite
+    coordinates and no overflowing social cost (_check_spread) from each
+    instance's spread, and no coinciding candidates (_check_apart). A spread
+    is the bounding box's diagonal, the diameter on a line and at most
+    sqrt(d) times it in R^d, from one maximum and one minimum reduction over
+    the stacked coordinates; a coordinate that is not finite makes it not
+    finite. The instances share one _Batch, so a point's voter columns are
+    measured for all of them at once. A batch that fails a check, or whose
+    instances differ in dimension, is built one instance at a time instead,
+    so that it raises as its first failing instance would alone."""
+    try:
+        return _coord_batch(space, items)
+    except (ValueError, KeyError):
+        if len(items) < 2:
+            raise
+    return [_coord_batch(space, [item])[0] for item in items]
+
+
+def _coord_batch(space: str, items) -> list[MetricInstance]:
+    """_coord_instances on one batch, raising at the first check that any of
+    its instances fails."""
+    if not items:
+        return []
+    coords = [c for c, _, _ in items]
+    values = list(chain.from_iterable(map(dict.values, coords)))
+    dims = set(map(len, values))
+    if space == LINE and not {1}.issuperset(dims):
+        raise ValueError("line positions must be single numbers")
     if len(dims) > 1:
         raise ValueError(f"inconsistent coordinate dimensions: {sorted(dims)}")
-    inst = MetricInstance(space, tuple(voters), tuple(candidates), coords=coords)
-    spans = (max(axis) - min(axis) for axis in zip(*coords.values()))
-    _check_instance(inst, math.hypot(*spans))
-    return inst
+    starts = list(accumulate(map(len, coords[:-1]), initial=0))
+    voters, candidates, voter_points = [], [], []
+    for c, vs, cs in items:
+        voters.append(tuple(vs))
+        candidates.append(tuple(cs))
+        voter_points.append(_voter_entries(c, voters[-1], candidates[-1]))
+    # every instance now has points, so no block of the reductions is empty
+    points = np.fromiter(chain.from_iterable(values), float).reshape(len(values), -1)
+    highs = np.maximum.reduceat(points, starts).tolist()
+    lows = np.minimum.reduceat(points, starts).tolist()
+    label = "positions" if space == LINE else "coordinates"
+    for c, vs, hi, lo in zip(coords, voters, highs, lows):
+        spread = math.hypot(*map(operator.sub, hi, lo))
+        if not math.isfinite(spread):  # maybe from a coordinate that is not finite: name it
+            for k, v in c.items():
+                _as_coord(list(v), f"{label}[{k!r}]")
+        _check_spread(len(vs), spread)
+    if space == LINE:
+        xs = np.fromiter(chain.from_iterable(chain.from_iterable(voter_points)), float)
+        xs.flags.writeable = False
+        ends = accumulate(map(len, voters))
+        voter_points = [xs[hi - len(vs):hi] for vs, hi in zip(voters, ends)]
+    batch = _Batch(coords, voter_points)
+    out = []
+    for b, (c, vs, cs) in enumerate(zip(coords, voters, candidates)):
+        out.append(MetricInstance(space, vs, cs, coords=c))
+        object.__setattr__(out[-1], "_batch", (batch, b))
+        _check_apart(out[-1])
+    return out
 
 
 def line_instance(positions: dict, voters, candidates) -> MetricInstance:
     """Build a 1D instance from id -> position."""
-    coords = _coords(positions, "positions")
-    if not {1}.issuperset(map(len, coords.values())):
-        raise ValueError("line positions must be single numbers")
-    return _coord_instance(LINE, coords, voters, candidates)
+    return _coord_instance(LINE, _coords(positions, "positions"), voters, candidates)
 
 
 def euclidean_instance(coordinates: dict, voters, candidates) -> MetricInstance:
     """Build an R^d instance from id -> coordinate vector."""
-    coords = _coords(coordinates, "coordinates")
-    return _coord_instance(EUCLIDEAN, coords, voters, candidates)
+    return _coord_instance(EUCLIDEAN, _coords(coordinates, "coordinates"), voters, candidates)
 
 
 def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
@@ -280,9 +355,12 @@ def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
     ids = tuple(str(p) for p in point_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("matrix point ids must be distinct")
-    inst = MetricInstance(MATRIX, tuple(voters), tuple(candidates),
-                          point_ids=ids, matrix=_check_matrix(ids, rows))
-    _check_instance(inst, float(inst.matrix.max(initial=0.0)))
+    d = _check_matrix(ids, rows)
+    inst = MetricInstance(MATRIX, tuple(voters), tuple(candidates), point_ids=ids, matrix=d)
+    voter_rows = _voter_entries(inst.row_of, inst.voters, inst.candidates)
+    _check_spread(len(inst.voters), float(d.max(initial=0.0)))
+    _check_apart(inst)
+    object.__setattr__(inst, "_batch", (_Batch([None], [np.array(voter_rows, np.intp)]), 0))
     return inst
 
 
@@ -394,20 +472,39 @@ def distance(inst: MetricInstance, a: str, b: str) -> float:
 
 
 def distance_column(inst: MetricInstance, point: str) -> np.ndarray:
-    """d(v, point) for each voter v in voter order, in one array step over the
-    kept voter positions: |x_v - x| on a line, a gather from the matrix, and
-    math.dist mapped over the coordinate tuples in R^d. Each entry is exactly
+    """d(v, point) for each voter v in voter order, measured for every
+    instance of inst's batch that names the point and kept on the batch, as
+    read-only arrays: a gather from the matrix, or one array step over the
+    voter positions of the batch's instances, |x_v - x| on a line and
+    math.dist mapped over the coordinate tuples in R^d, each instance's
+    column a view of the result. Each entry is exactly
     distance(inst, v, point)."""
-    points = inst.voter_points
-    try:
-        at = inst.row_of[point] if inst.space == MATRIX else inst.coords[point]
-    except KeyError:
-        raise UnknownId(point) from None
-    if inst.space == LINE:
-        return np.abs(points - at[0])
-    if inst.space == EUCLIDEAN:
-        return np.fromiter(map(math.dist, points, repeat(at)), float, len(points))
-    return inst.matrix[points, at]
+    batch, b = inst._batch
+    if inst.space == MATRIX:
+        try:
+            at = inst.row_of[point]
+        except KeyError:
+            raise UnknownId(point) from None
+        column = inst.matrix[inst.voter_points, at]
+        column.flags.writeable = False
+        kept = {b: column}
+    else:
+        if point not in batch.coords[b]:
+            raise UnknownId(point)
+        owners = [i for i, c in enumerate(batch.coords) if point in c]
+        at = [batch.coords[i][point] for i in owners]
+        points = [batch.voter_points[i] for i in owners]
+        sizes = list(map(len, points))
+        if inst.space == LINE:
+            column = np.abs(np.concatenate(points) - np.repeat([x for x, in at], sizes))
+        else:
+            column = np.fromiter(map(math.dist, chain.from_iterable(points),
+                                     chain.from_iterable(map(repeat, at, sizes))),
+                                 float, sum(sizes))
+        column.flags.writeable = False  # before slicing, so that each view is read-only too
+        kept = {i: column[hi - n:hi] for i, n, hi in zip(owners, sizes, accumulate(sizes))}
+    batch.columns[point] = kept
+    return kept[b]
 
 
 def social_cost(inst: MetricInstance, point: str) -> float:

@@ -32,9 +32,11 @@ max{tau, (tau+2)/tau} (rule3). distortion_lab's hard-instance families each
 approach one ratio term.
 The multiway and ideal-point guarantees rest on each rule's lambda-inequality
 SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
-pair_scores is the one scorer from strength profiles to side scores: the
-chunk path (search_oracle._winners) calls it, and the evaluate path through
-prepare_profiles, which keeps them on each profile by Rule for decide_profile.
+_pair_scores is the one scorer from joined strengths to side scores: the
+chunk path (search_oracle._winners) calls it on a chunk's sides, and
+pair_scores on the sides of a batch of profiles for the evaluate path,
+through prepare_profiles, which keeps them on each profile by Rule for
+decide_profile.
 rule4_row_columns is the one core for rule4 count rows, each under its own
 scheme: it checks the rows, derives their condition-1 coefficients and sums
 their scores and slacks. check_condition1 calls it on drawn rows, and
@@ -320,29 +322,36 @@ def rule5_weight(strength):
 
 def pair_scores(profiles, rules) -> list[tuple[list[float], list[float]]]:
     """Each rule's (a, b) side scores for every profile, as two lists in
-    profile order. The profiles' strengths are joined once, side by side
-    (a, b, a, b, ...). rule5 sums its voters' rule5_weight, weighed in one
-    pass over that array; a threshold rule sums its bucket weights by
-    side_scores, over counts bucketed with one searchsorted and counted with
-    one bincount per distinct scheme."""
-    sides = [side for prof in profiles for side in (prof.a, prof.b)]
-    strengths, sizes = np.concatenate(sides), [len(side) for side in sides]
+    profile order: _pair_scores over the profiles' a sides, then their b
+    sides, joined."""
+    sides = [prof.a for prof in profiles] + [prof.b for prof in profiles]
+    return _pair_scores(np.concatenate(sides), list(map(len, sides)), rules)
+
+
+def _pair_scores(strengths: np.ndarray, sizes, rules) -> list[tuple[list[float], list[float]]]:
+    """Each rule's (a, b) side scores for n pairs whose strengths are joined
+    in one array, the n a sides then the n b sides, sizes giving the 2n
+    sides' lengths in that order. rule5 sums its voters' rule5_weight,
+    weighed in one pass over the array; a threshold rule sums its bucket
+    weights by side_scores, over counts bucketed with one searchsorted and
+    counted with one bincount per distinct scheme."""
+    n = len(sizes) // 2
     out, counts = [], {}
     for rule in rules:
         if rule.kind == "rule5":
             weights = rule5_weight(strengths)
             ends = list(accumulate(sizes))
-            sums = [math.fsum(weights[lo:hi].tolist()) for lo, hi in zip([0] + ends, ends)]
-            out.append((sums[0::2], sums[1::2]))
+            sums = [math.fsum(weights[hi - k:hi].tolist()) for k, hi in zip(sizes, ends)]
+            out.append((sums[:n], sums[n:]))
             continue
         scheme = rule.scheme
         if scheme not in counts:
             width = scheme.m + 1
             buckets = scheme.bucket(strengths)
-            buckets += np.arange(0, len(sides) * width, width).repeat(sizes)
-            counts[scheme] = np.bincount(buckets, minlength=len(sides) * width).reshape(
-                len(profiles), 2, width)[:, :, 1:]
-        out.append(side_scores(rule.weights, counts[scheme][:, 0], counts[scheme][:, 1]))
+            buckets += np.arange(0, len(sizes) * width, width).repeat(sizes)
+            counts[scheme] = np.bincount(buckets, minlength=len(sizes) * width).reshape(
+                2, n, width)[:, :, 1:]
+        out.append(side_scores(rule.weights, *counts[scheme]))
     return out
 
 

@@ -8,17 +8,24 @@ instances. verify_suite packages the statistical invariants (bounds never
 violated, lambda inequalities, feasibility, tradeoffs, generator targets)
 behind a machine-readable report.
 
-The checks and the random stage decide a chunk of instances at a time
-(_winners): one kernel pass over every candidate pair, each rule's side
-scores from rules.pair_scores (the scorer evaluate's majority graph uses
-too), and winners, costs and margins as arrays. adversarial_search decides
-its anchors and its grid re-check as one chunk, and each lowerbounds probe is
-a chunk of one. check_condition1 draws its tallies as (scheme, count row)
-pairs (_draw_tally) and hands each chunk's rows to rules.rule4_row_columns,
-which checks and scores them, building no tally object per draw. Its draws
-are default_rng(seed)'s, read from raw PCG64 words by _Bits, which replays
-numpy's integers (Lemire's multiply-shift) and random (a 53-bit shift)
-with no Generator call per tally.
+The checks and the random stage draw and decide a chunk of instances at a
+time. _drawn makes a chunk's Generator calls in random_instance's order,
+then builds each space's instances of the chunk as one batch
+(metric_core._coord_instances), which checks them together and measures
+each point's voter column once for the chunk. _winners scores a chunk
+straight from those columns: one kernel pass over every candidate pair
+(tallies._sides), each rule's side scores from rules._pair_scores (the
+core that evaluate's rules.pair_scores calls too), and winners, costs and
+margins as arrays, with no profile object per pair. adversarial_search
+decides its anchors and its grid re-check as one chunk, and each
+lowerbounds probe is a chunk of one.
+
+check_condition1 draws its tallies as (scheme, count row) pairs
+(_draw_tally) and hands each chunk's rows to rules.rule4_row_columns, which
+checks and scores them, building no tally object per draw. Its draws are
+default_rng(seed)'s, read from raw PCG64 words by _Bits, which replays
+numpy's integers (Lemire's multiply-shift) and random (a 53-bit shift) with
+no Generator call per tally.
 """
 
 from __future__ import annotations
@@ -32,11 +39,13 @@ import numpy as np
 
 from .distortion_lab import (cost_ratio, generate_lower_bound, ideal_point,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
-from .metric_core import MetricInstance, euclidean_instance, line_instance, social_cost
-from .rules import (SQRT2, Rule, bound_value, lambda_coefficients, pair_scores, rule4_delta,
+from .metric_core import (EUCLIDEAN, LINE, MetricInstance, _coord_instance, _coord_instances,
+                          line_instance, social_cost)
+from .rules import (SQRT2, Rule, _pair_scores, bound_value, lambda_coefficients, rule4_delta,
                     rule4_row_columns)
-from .tallies import ThresholdScheme, _strengths, exact_profiles
+from .tallies import ThresholdScheme, _sides, _strengths
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
+from .metric_core import euclidean_instance  # noqa: F401
 from .rules import (_condition1_diff, decide_pair, decide_profile,  # noqa: F401
                     rule4_decide, rule4_weights)
 from .tallies import exact_profile  # noqa: F401
@@ -54,66 +63,96 @@ _RANDOM_SPACES = {"line": (-1.0, 2.0, 1), "euclidean2d": (0.0, 1.0, 2)}
 SPACES = tuple(_RANDOM_SPACES)
 
 
+def _drawer(space: str, voters_max: int, num_candidates: int = 2, extra_point: bool = False):
+    """random_instance's draw in one space, its arguments checked before any
+    draw: returns the space kind to build in and a function of a Generator
+    that draws one instance's (coords, voters, candidates), making
+    random_instance's Generator calls in its order."""
+    try:
+        lo, hi, dim = _RANDOM_SPACES[space]
+    except KeyError:
+        raise ValueError(f"unknown space kind {space!r}") from None
+    if voters_max < 1:
+        raise ValueError(f"voters_max must be at least 1, got {voters_max}")
+    if num_candidates < 2:
+        raise ValueError(f"num_candidates must be at least 2, got {num_candidates}")
+    if num_candidates == 2:
+        cands, fixed = ("P", "Q"), [0.0] * dim + [1.0] + [0.0] * (dim - 1)
+    else:
+        cands, fixed = tuple(f"c{j + 1}" for j in range(num_candidates)), []
+    ids = cands + (("Z",) if extra_point else ())
+    names = ()  # v1, v2, ...: as many as the most voters drawn so far
+
+    def draw(rng: np.random.Generator):
+        nonlocal names
+        n = int(rng.integers(1, voters_max + 1))
+        if n > len(names):
+            names = tuple(f"v{i + 1}" for i in range(n))
+        flat = rng.uniform(lo, hi, (n, dim)).ravel().tolist() + fixed
+        if num_candidates > 2:
+            taken = []
+            for _ in cands:
+                pt = rng.uniform(lo, hi, dim).tolist()
+                while pt in taken:
+                    pt = rng.uniform(lo, hi, dim).tolist()
+                taken.append(pt)
+                flat += pt
+        if extra_point:
+            flat += rng.uniform(lo, hi, dim).tolist()
+        # zip(*[iter(flat)] * dim): the flat coordinates, dim at a time, as tuples
+        return dict(zip(names[:n] + ids, zip(*[iter(flat)] * dim))), names[:n], cands
+    return (LINE if dim == 1 else EUCLIDEAN), draw
+
+
 def random_instance(rng: np.random.Generator, space: str = "line", voters_max: int = 8,
                     num_candidates: int = 2, extra_point: bool = False) -> MetricInstance:
     """Seeded random instance: voters uniform on the space's box (see
     _RANDOM_SPACES), two candidates P/Q pinned to the origin and the first unit
     vector, more candidates uniform on the box and redrawn until no two
-    coincide. extra_point adds a non-candidate witness Z.
+    coincide. extra_point adds a non-candidate witness Z. A voters_max below
+    1 or a num_candidates below 2 is refused before any draw. It is _drawn's
+    draw, built as a batch of one.
     """
-    try:
-        lo, hi, dim = _RANDOM_SPACES[space]
-    except KeyError:
-        raise ValueError(f"unknown space kind {space!r}") from None
-    n = int(rng.integers(1, voters_max + 1))
-    voters = tuple(f"v{i + 1}" for i in range(n))
-    pts = dict(zip(voters, rng.uniform(lo, hi, (n, dim)).tolist()))
-    if num_candidates == 2:
-        cands = ("P", "Q")
-        pts["P"], pts["Q"] = [0.0] * dim, [1.0] + [0.0] * (dim - 1)
-    else:
-        cands = tuple(f"c{j + 1}" for j in range(num_candidates))
-        taken = []
-        for c in cands:
-            pt = rng.uniform(lo, hi, dim).tolist()
-            while pt in taken:
-                pt = rng.uniform(lo, hi, dim).tolist()
-            taken.append(pt)
-            pts[c] = pt
-    if extra_point:
-        pts["Z"] = rng.uniform(lo, hi, dim).tolist()
-    build = line_instance if dim == 1 else euclidean_instance
-    return build(pts, voters, cands)
+    kind, draw = _drawer(space, voters_max, num_candidates, extra_point)
+    return _coord_instance(kind, *draw(rng))
 
 
 def _winners(chunk, rules) -> np.ndarray:
     """Each rule's winner on each instance of a chunk, as an index into the
     instance's sorted candidates: an (len(rules), len(chunk)) array. The
-    instances have equally many candidates. Every candidate pair's profile is
-    measured in one kernel pass and scored under all the rules by
-    rules.pair_scores. A pair goes to its first (smaller) id unless the
-    second scores more, and the winner is the first candidate in sorted order
-    with the most pairs won: for two candidates the pair's winner, beyond
-    two the Copeland winner, as copeland_winner(majority_graph(...)) names it."""
-    names = [sorted(inst.candidates) for inst in chunk]
-    pairs = list(combinations(range(len(names[0])), 2))
-    profiles = exact_profiles([(inst, ids[i], ids[j]) for inst, ids in zip(chunk, names)
-                               for i, j in pairs])
-    first = [np.greater_equal(p, q) for p, q in pair_scores(profiles, rules)]
+    instances must have equally many candidates (else ValueError). Every
+    candidate pair's strengths are measured in one kernel pass from the
+    voter columns (tallies._sides) and scored under all the rules by
+    rules._pair_scores, with no profile kept. A pair goes to its first
+    (smaller) id unless the second scores more, and the winner is the first
+    candidate in sorted order with the most pairs won: for two candidates the
+    pair's winner, beyond two the Copeland winner, as
+    copeland_winner(majority_graph(...)) names it."""
+    if not chunk:
+        return np.zeros((len(rules), 0), dtype=np.intp)
+    k = len(chunk[0].candidates)
+    if any(len(inst.candidates) != k for inst in chunk):
+        raise ValueError("a chunk's instances must have equally many candidates")
+    pairs = list(combinations(range(k), 2))
+    columns = [list(map(inst.voter_distances, sorted(inst.candidates))) for inst in chunk]
+    strengths, sizes = _sides([col[i] for col in columns for i, _ in pairs],
+                              [col[j] for col in columns for _, j in pairs])
+    first = [np.greater_equal(p, q) for p, q in _pair_scores(strengths, sizes, rules)]
     first = np.array(first).reshape(len(rules), len(chunk), len(pairs), 1)
-    ends = np.eye(len(names[0]), dtype=int)[np.array(pairs)]  # (pair, end, one-hot id)
+    ends = np.eye(k, dtype=int)[np.array(pairs)]  # (pair, end, one-hot id)
     return np.where(first, ends[:, 0], ends[:, 1]).sum(axis=-2).argmax(axis=-1)
 
 
 def _scored(chunk, rules) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The social costs of each instance's sorted candidates, (len(chunk), k),
-    then each rule's winners (_winners), their costs and their deltas,
-    (len(rules), len(chunk)) each."""
-    costs = np.array([[social_cost(inst, c) for c in sorted(inst.candidates)]
-                      for inst in chunk])
+    """Each rule's winners (_winners) on a chunk, then the social costs of
+    each instance's sorted candidates, (len(chunk), k), and each rule's
+    winners, their costs and their deltas, (len(rules), len(chunk)) each. An
+    empty chunk gives (len(rules), 0) arrays."""
     winners = _winners(chunk, rules)
+    costs = np.array([[social_cost(inst, c) for c in sorted(inst.candidates)]
+                      for inst in chunk]).reshape(len(chunk), -1 if chunk else 0)
     won = costs[np.arange(len(chunk)), winners]
-    return costs, winners, won, cost_ratio(won, costs.min(axis=1))
+    return costs, winners, won, cost_ratio(won, costs.min(axis=1, initial=math.inf))
 
 
 def _anchor_instances(rule: Rule) -> list[MetricInstance]:
@@ -272,12 +311,20 @@ _BLOCK = 4096
 
 def _drawn(rng: np.random.Generator, count: int, spaces=SPACES,
            voters_max: int = _VOTERS_MAX, **kwargs):
-    """count random instances, instance i drawn by random_instance in
-    spaces[i % len(spaces)], yielded in order as lists of _CHUNK (the last
-    one may be shorter)."""
+    """count random instances, instance i drawn as random_instance draws it
+    in spaces[i % len(spaces)], yielded in order as lists of _CHUNK (the last
+    one may be shorter). A chunk's draws come first, in order, from rng; then
+    each space's instances of the chunk are built as one batch
+    (metric_core._coord_instances)."""
+    drawers = [_drawer(space, voters_max, **kwargs) for space in spaces]
     for start in range(0, count, _CHUNK):
-        yield [random_instance(rng, spaces[i % len(spaces)], voters_max, **kwargs)
-               for i in range(start, min(start + _CHUNK, count))]
+        drawn = [drawers[i % len(drawers)][1](rng)
+                 for i in range(start, min(start + _CHUNK, count))]
+        chunk = [None] * len(drawn)
+        for s, (kind, _) in enumerate(drawers):
+            at = slice((s - start) % len(drawers), None, len(drawers))
+            chunk[at] = _coord_instances(kind, drawn[at])
+        yield chunk
 
 
 def _check(worst):

@@ -16,14 +16,18 @@ of exactly 1 is inclusive under both, since strengths never fall below 1.
 
 One column kernel (``_strengths``) is the only path from distances to
 strengths: it turns two voter-distance columns into each voter's side and
-its strength far/near. ``exact_profiles`` runs it once over a batch of
-(instance, p, q) items (``exact_profile`` is a batch of one);
-rules.pair_scores buckets and scores a batch of profiles, and
-``bucket_profile`` counts one profile's sides into a tally. Profiles
-and tallies are built once and kept: an instance holds each ordered pair's
+its strength far/near. ``_sides`` runs it once over a batch of items and
+splits the strengths by side with one boolean mask: every item's side
+toward its smaller id, then every item's other side, joined in one array.
+``exact_profiles`` keeps each item's two sides as a profile (``exact_profile``
+is a batch of one); search_oracle._winners scores a chunk's joined sides
+straight through rules._pair_scores, keeping no profile. rules.pair_scores
+buckets and scores a batch of profiles through that same core, and
+``bucket_profile`` counts one profile's sides into a tally. Profiles and
+tallies are built once and kept: an instance holds each ordered pair's
 profile, each side a read-only float64 array (8 bytes per strength), and a
-profile holds its tally under each scheme and each Rule's side
-scores that rules.prepare_profiles kept, for as long as the instance lives.
+profile holds its tally under each scheme and each Rule's side scores that
+rules.prepare_profiles kept, for as long as the instance lives.
 """
 
 from __future__ import annotations
@@ -167,10 +171,26 @@ def _strengths(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d1 <= d2, s
 
 
+def _sides(d1s, d2s) -> tuple[np.ndarray, list[int]]:
+    """The kernel over n items at once, item i's voters at distances d1s[i]
+    from its smaller id and d2s[i] from its larger: every item's strengths
+    toward its smaller id, item by item, then every item's toward its
+    larger, split from one kernel pass by a boolean mask and joined as one
+    read-only array, with the 2n sides' sizes in that order."""
+    sizes = list(map(len, d1s))
+    toward_first, s = _strengths(np.concatenate(d1s), np.concatenate(d2s))
+    joined = np.concatenate((s[toward_first], s[~toward_first]))
+    joined.flags.writeable = False
+    starts = list(accumulate(sizes[:-1], initial=0))  # every item has a voter
+    firsts = np.add.reduceat(toward_first, starts, dtype=np.intp).tolist()
+    return joined, firsts + list(map(operator.sub, sizes, firsts))
+
+
 def exact_profiles(items) -> list[ExactProfile]:
     """Every voter's strength for each (instance, p, q) item, unbucketed, from
     the voters' distance columns to p and q. A pair's profile is built once
-    per instance; the items not yet kept are measured in one kernel pass."""
+    per instance; the items not yet kept are measured in one kernel pass
+    (_sides), each side a view of its joined strengths."""
     todo = []
     for inst, p, q in items:
         if p == q:
@@ -178,21 +198,13 @@ def exact_profiles(items) -> list[ExactProfile]:
         if (p, q) not in inst._profiles:
             todo.append((inst, p, q))
     if todo:
-        sizes = [len(inst.voters) for inst, _, _ in todo]
-        toward_first, s = _strengths(
-            np.concatenate([inst.voter_distances(min(p, q)) for inst, p, q in todo]),
-            np.concatenate([inst.voter_distances(max(p, q)) for inst, p, q in todo]))
-        first_all, second_all = s[toward_first], s[~toward_first]
-        first_all.flags.writeable = second_all.flags.writeable = False
+        joined, sizes = _sides([inst.voter_distances(min(p, q)) for inst, p, q in todo],
+                               [inst.voter_distances(max(p, q)) for inst, p, q in todo])
         ends = list(accumulate(sizes))
-        ends_first = toward_first.cumsum()[np.array(ends) - 1].tolist()
-        lo = lo_first = 0
-        for (inst, p, q), hi, hi_first in zip(todo, ends, ends_first):
-            first = first_all[lo_first:hi_first]
-            second = second_all[lo - lo_first:hi - hi_first]
-            profile = ExactProfile((p, q), *((first, second) if p < q else (second, first)))
-            inst._profiles[(p, q)] = profile
-            lo, lo_first = hi, hi_first
+        sides = [joined[hi - n:hi] for n, hi in zip(sizes, ends)]
+        for (inst, p, q), first, second in zip(todo, sides, sides[len(todo):]):
+            inst._profiles[(p, q)] = ExactProfile((p, q), *((first, second) if p < q
+                                                            else (second, first)))
     return [inst._profiles[(p, q)] for inst, p, q in items]
 
 

@@ -17,12 +17,12 @@ import sys
 import numpy as np
 import pytest
 
-from strengthvote import rules
-from strengthvote.metric_core import line_instance
+from strengthvote import metric_core, rules
+from strengthvote.metric_core import build_instance, instance_to_doc, line_instance
 from strengthvote.rules import (Rule, _condition1_diff, decide_pair, decide_tally,
                                 rule4_row_columns, rule4_weights, side_scores)
-from strengthvote.search_oracle import (_Bits, _draw_tally, _drawn, _two_candidate_rules,
-                                        _winners, check_condition1)
+from strengthvote.search_oracle import (_Bits, _draw_tally, _drawn, _scored,
+                                        _two_candidate_rules, _winners, check_condition1)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 from strengthvote.tournament import copeland_winner, majority_graph
 
@@ -278,3 +278,67 @@ def test_chunks_of_one_rule_kind_agree_with_mixed_rule_lists():
     together = _winners(chunk, RULES)
     for r, rule in enumerate(RULES):
         assert (_winners(chunk, [rule])[0] == together[r]).all(), rule.label()
+
+
+def _mixed_pair():
+    """a has two candidates and b three; b's winner under rule5 is R."""
+    a = line_instance({"v1": 0.2, "P": 0.0, "Q": 1.0}, ("v1",), ("P", "Q"))
+    b = line_instance({"v1": 2.9, "P": 0.0, "Q": 1.0, "R": 3.0}, ("v1",), ("P", "Q", "R"))
+    return a, b
+
+
+def test_a_chunk_of_mixed_candidate_counts_is_refused():
+    """Deciding every instance on the first one's pairs named Q on b, or
+    indexed past a's pairs; both orders are refused."""
+    a, b = _mixed_pair()
+    assert _winner(b, Rule("rule5")) == "R"
+    for chunk in ([a, b], [b, a]):
+        with pytest.raises(ValueError, match="equally many candidates"):
+            _winners(chunk, [Rule("rule5")])
+        with pytest.raises(ValueError, match="equally many candidates"):
+            _scored(chunk, [Rule("rule5")])
+
+
+def test_an_empty_chunk_gives_empty_arrays():
+    rules_ = [Rule("rule5"), Rule("rule1", 2.0)]
+    assert _winners([], rules_).shape == (2, 0)
+    costs, winners, won, deltas = _scored([], rules_)
+    assert len(costs) == 0
+    assert winners.shape == won.shape == deltas.shape == (2, 0)
+
+
+@pytest.mark.parametrize("extra_point", [False, True])
+@pytest.mark.parametrize("num_candidates", [2, 4])
+@pytest.mark.parametrize("space", ["line", "euclidean2d"])
+def test_chunk_built_instances_match_their_documents(space, num_candidates, extra_point):
+    """Each instance of a drawn chunk, built in one batch, equals the instance
+    built alone from its document, and every point's voter column, measured
+    once for the whole chunk, is byte-equal to the one measured alone."""
+    rng = np.random.default_rng(17)
+    for chunk in _drawn(rng, 2 * 64 + 5, (space,), 9, num_candidates=num_candidates,
+                        extra_point=extra_point):
+        for inst in chunk:
+            alone = build_instance(instance_to_doc(inst))
+            assert inst == alone
+            assert list(inst.coords) == list(alone.coords)
+            for point in inst.coords:
+                got, want = inst.voter_distances(point), alone.voter_distances(point)
+                assert got.tobytes() == want.tobytes(), point
+                assert not got.flags.writeable
+            assert ("Z" in inst.coords) == extra_point
+
+
+def test_a_chunk_measures_each_points_column_once(monkeypatch):
+    calls = []
+    measure = metric_core.distance_column
+
+    def counted(inst, point):
+        calls.append(point)
+        return measure(inst, point)
+
+    chunk = next(_drawn(np.random.default_rng(4), 64, ("line",), extra_point=True))
+    monkeypatch.setattr(metric_core, "distance_column", counted)
+    for inst in chunk:
+        for point in ("P", "Q", "Z", "P"):
+            inst.voter_distances(point)
+    assert calls == ["P", "Q", "Z"]

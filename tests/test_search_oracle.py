@@ -12,12 +12,12 @@ from strengthvote.metric_core import MetricInstance, line_instance, social_cost
 from strengthvote.rules import (SQRT2, Rule, bound_value, decide_pair, rule4_delta,
                                 rule4_weights)
 from strengthvote import rules, search_oracle, tallies
-from strengthvote.search_oracle import (_Bits, _anchor_instances, _grid_positions,
+from strengthvote.search_oracle import (SPACES, _Bits, _anchor_instances, _grid_positions,
                                         _signed_weights,
                                         _two_candidate_rules, adversarial_search,
                                         check_bounds, check_condition1,
-                                        check_lowerbounds, optimize_thresholds,
-                                        random_instance, verify_suite)
+                                        check_lambda, check_lowerbounds, check_tradeoff,
+                                        optimize_thresholds, random_instance, verify_suite)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 
 from test_chunk import _random_tally
@@ -66,6 +66,27 @@ def test_random_instance_shapes():
     assert "Z" in multi.coords and "Z" not in multi.candidates
     with pytest.raises(ValueError):
         random_instance(rng, "hyperbolic")
+
+
+class _NoDraws:
+    """A generator that fails the test if it is drawn from."""
+
+    def integers(self, *args):
+        raise AssertionError("drawn from")
+
+    uniform = integers
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"voters_max": 0}, "voters_max must be at least 1, got 0"),
+    ({"voters_max": -3}, "voters_max must be at least 1, got -3"),
+    ({"num_candidates": 1}, "num_candidates must be at least 2, got 1"),
+    ({"num_candidates": 0, "extra_point": True}, "num_candidates must be at least 2, got 0"),
+])
+def test_random_instance_refuses_bad_sizes_before_any_draw(kwargs, message):
+    for space in SPACES:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_instance(_NoDraws(), space, **kwargs)
 
 
 class _RepeatSecondCandidate:
@@ -416,3 +437,21 @@ def test_a_chunk_is_measured_once_and_bucketed_once_per_scheme(check, sizes, buc
     calls = _count_kernel_and_bucket_calls(monkeypatch)
     assert getattr(search_oracle, f"check_{check}")(seed=3, **sizes)["cases"] > 0
     assert calls == {"kernel": 1, "bucket": buckets}
+
+
+def test_drawn_checks_are_pinned_at_reduced_sizes():
+    """Read before the drawn checks were built and scored a chunk at a time.
+    check_tradeoff draws line instances only, so its worst margin is the same
+    float on every Python; bounds and lambda draw in R^2 as well, where
+    math.dist may differ by an ulp between Python versions."""
+    result = check_tradeoff(42, n_two=400, n_multi=150)
+    assert (result["cases"], result["failures"]) == (595, 0)
+    assert result["worst_margin"].hex() == "-0x1.1e51f3231d18ap+2"
+    result = check_tradeoff(7, n_two=400, n_multi=150)
+    assert (result["cases"], result["failures"]) == (588, 0)
+    assert result["worst_margin"].hex() == "-0x1.bd74b9af4e4a2p+2"
+    for seed in (42, 7):
+        result = check_bounds(seed, n_two=400, n_multi=150)
+        assert (result["cases"], result["failures"]) == (8350, 0)
+        result = check_lambda(seed, n=300)
+        assert (result["cases"], result["failures"]) == (1800, 0)

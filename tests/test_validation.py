@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from strengthvote.metric_core import (EUCLIDEAN, LINE, SameCandidate, UnknownId, _as_coord,
-                                      _coord_instance, euclidean_instance, line_instance)
+                                      _coord_instance, _coord_instances, euclidean_instance,
+                                      line_instance)
+from strengthvote.search_oracle import SPACES, _drawer
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 
 
@@ -162,3 +164,53 @@ def test_a_tally_of_one_candidate_is_refused():
     with pytest.raises(SameCandidate) as err:
         PairwiseTally(("P", "P"), ThresholdScheme((1.5, 3.0)), (1, 1), (1, 2), 0)
     assert err.value.args == ("P",)
+
+
+def _spoil_nan(coords, candidates):
+    coords["v1"] = (math.nan,) * len(coords["v1"])
+
+
+def _spoil_coinciding(coords, candidates):
+    coords[candidates[2]] = coords[candidates[0]]
+
+
+def _spoil_spread(coords, candidates):
+    dim = len(coords["v1"])
+    coords["v1"], coords[candidates[1]] = (1e308,) * dim, (-1e308,) * dim
+
+
+@pytest.mark.parametrize("spoil", [_spoil_nan, _spoil_coinciding, _spoil_spread],
+                         ids=["nan", "coinciding", "spread"])
+@pytest.mark.parametrize("space", SPACES)
+def test_a_batch_refuses_its_first_bad_instance_as_one_instance_would(space, spoil):
+    """A drawn batch raises what its first spoiled instance raises when built
+    alone from its positions as a document holds them, although a later one
+    fails a check that comes first (an unknown candidate id)."""
+    kind, draw = _drawer(space, 6, num_candidates=4)
+    rng = np.random.default_rng(9)
+    items = [draw(rng) for _ in range(12)]
+    coords, voters, candidates = items[4]
+    spoil(coords, candidates)
+    items[9] = (items[9][0], items[9][1], ("c1", "ghost", "c3", "c4"))
+    positions = {k: list(v) for k, v in coords.items()}
+    build = line_instance if kind == LINE else euclidean_instance
+    with pytest.raises(ValueError) as alone:
+        build(positions, voters, candidates)
+    with pytest.raises(ValueError) as batch:
+        _coord_instances(kind, items)
+    assert (type(batch.value), str(batch.value)) == (type(alone.value), str(alone.value))
+    assert str(alone.value).startswith(
+        {_spoil_nan: "positions['v1']: coordinates must be finite, got [nan"
+                     if kind == LINE else "coordinates['v1']: coordinates must be finite",
+         _spoil_coinciding: "c1 and c3 coincide",
+         _spoil_spread: "social costs overflow"}[spoil])
+
+
+def test_a_batch_of_mixed_dimensions_is_built_one_instance_at_a_time():
+    items = [({"P": (0.0, 0.0), "Q": (1.0, 0.0), "v": (0.5, 0.5)}, ("v",), ("P", "Q")),
+             ({"P": (0.0, 0.0, 0.0), "Q": (0.0, 1.0, 0.0), "v": (1.0, 1.0, 1.0)}, ("v",),
+              ("P", "Q"))]
+    built = _coord_instances(EUCLIDEAN, items)
+    assert [inst.coords for inst in built] == [coords for coords, _, _ in items]
+    assert built[1].voter_distances("Q").tolist() == [math.sqrt(2.0)]
+    assert _coord_instances(EUCLIDEAN, []) == []
