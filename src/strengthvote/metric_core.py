@@ -15,10 +15,12 @@ such as integers, and to name the first bad field.
 
 Line and Euclidean instances are built a batch at a time
 (_coord_instances): the drawn instances of a verification chunk are one
-batch, and line_instance and euclidean_instance build a batch of one. A
-batch runs each instance check once for all of its instances, over their
-stacked coordinates, and names the first failing instance with the message
-it would raise alone. A matrix instance is a batch of its own.
+batch, and line_instance and euclidean_instance build a batch of one. Each
+instance of a batch is checked alone, in order, so a batch raises what its
+first failing instance raises alone; the instances that pass share the
+batch's voter positions and columns. A matrix instance is a batch of its
+own. Every instance is built with its batch, so a MetricInstance made
+directly, without one, is refused.
 
 A matrix instance's ``matrix`` is the read-only float64 array the metric
 check returns, its one copy of the distances. Each voter's distance to a
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, combinations, repeat
@@ -60,7 +61,10 @@ class DuplicateCandidatePoint(ValueError):
 
 
 class UnknownId(KeyError):
-    """A point id is not defined by the instance."""
+    """A point id is not defined by the instance. args is (the id,)."""
+
+    def __str__(self):
+        return f"unknown point id {self.args[0]!r}"
 
 
 class SameCandidate(ValueError):
@@ -86,8 +90,13 @@ class MetricInstance:
     coords: dict[str, tuple[float, ...]] | None = None
     point_ids: tuple[str, ...] | None = None
     matrix: np.ndarray | None = None
-    # (the _Batch the instance was built in, its index there), set by the builder
-    _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (the _Batch the instance was built in, its index there), passed by the builder
+    _batch: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._batch is None:
+            raise TypeError("a MetricInstance is built by line_instance, euclidean_instance, "
+                            "matrix_instance or build_instance, not directly")
 
     def __eq__(self, other):
         if not isinstance(other, MetricInstance):
@@ -277,66 +286,41 @@ def _coord_instance(space: str, coords: dict, voters, candidates) -> MetricInsta
 
 def _coord_instances(space: str, items) -> list[MetricInstance]:
     """Line or Euclidean instances from (coords, voters, candidates) items,
-    coords mapping ids to coordinate tuples of floats. Each check runs once
-    for the whole batch, in the order one instance is checked: one coordinate
-    per point on a line, one dimension, the ids (_voter_entries), finite
-    coordinates and no overflowing social cost (_check_spread) from each
-    instance's spread, and no coinciding candidates (_check_apart). A spread
+    coords mapping ids to coordinate tuples of floats. Each instance is
+    checked alone, in item order, so a batch raises what its first failing
+    instance raises: one coordinate per point on a line, one dimension, the
+    ids (_voter_entries), finite coordinates, no overflowing social cost
+    (_check_spread) and no coinciding candidates (_check_apart). The spread
     is the bounding box's diagonal, the diameter on a line and at most
-    sqrt(d) times it in R^d, from one maximum and one minimum reduction over
-    the stacked coordinates; a coordinate that is not finite makes it not
-    finite. The instances share one _Batch, so a point's voter columns are
-    measured for all of them at once. A batch that fails a check, or whose
-    instances differ in dimension, is built one instance at a time instead,
-    so that it raises as its first failing instance would alone."""
-    try:
-        return _coord_batch(space, items)
-    except (ValueError, KeyError):
-        if len(items) < 2:
-            raise
-    return [_coord_batch(space, [item])[0] for item in items]
-
-
-def _coord_batch(space: str, items) -> list[MetricInstance]:
-    """_coord_instances on one batch, raising at the first check that any of
-    its instances fails."""
-    if not items:
-        return []
-    coords = [c for c, _, _ in items]
-    values = list(chain.from_iterable(map(dict.values, coords)))
-    dims = set(map(len, values))
-    if space == LINE and not {1}.issuperset(dims):
-        raise ValueError("line positions must be single numbers")
-    if len(dims) > 1:
-        raise ValueError(f"inconsistent coordinate dimensions: {sorted(dims)}")
-    starts = list(accumulate(map(len, coords[:-1]), initial=0))
-    voters, candidates, voter_points = [], [], []
-    for c, vs, cs in items:
-        voters.append(tuple(vs))
-        candidates.append(tuple(cs))
-        voter_points.append(_voter_entries(c, voters[-1], candidates[-1]))
-    # every instance now has points, so no block of the reductions is empty
-    points = np.fromiter(chain.from_iterable(values), float).reshape(len(values), -1)
-    highs = np.maximum.reduceat(points, starts).tolist()
-    lows = np.minimum.reduceat(points, starts).tolist()
+    sqrt(d) times it in R^d. The instances share one _Batch, so a point's
+    voter columns are measured for all of them at once; on a line their
+    voters' positions are one read-only float array, a view per instance."""
     label = "positions" if space == LINE else "coordinates"
-    for c, vs, hi, lo in zip(coords, voters, highs, lows):
-        spread = math.hypot(*map(operator.sub, hi, lo))
-        if not math.isfinite(spread):  # maybe from a coordinate that is not finite: name it
-            for k, v in c.items():
-                _as_coord(list(v), f"{label}[{k!r}]")
-        _check_spread(len(vs), spread)
-    if space == LINE:
-        xs = np.fromiter(chain.from_iterable(chain.from_iterable(voter_points)), float)
-        xs.flags.writeable = False
-        ends = accumulate(map(len, voters))
-        voter_points = [xs[hi - len(vs):hi] for vs, hi in zip(voters, ends)]
-    batch = _Batch(coords, voter_points)
+    batch = _Batch([], [])
     out = []
-    for b, (c, vs, cs) in enumerate(zip(coords, voters, candidates)):
-        out.append(MetricInstance(space, vs, cs, coords=c))
-        object.__setattr__(out[-1], "_batch", (batch, b))
+    for b, (coords, voters, candidates) in enumerate(items):
+        values = coords.values()
+        dims = set(map(len, values))
+        if space == LINE and not {1}.issuperset(dims):
+            raise ValueError("line positions must be single numbers")
+        if len(dims) > 1:
+            raise ValueError(f"inconsistent coordinate dimensions: {sorted(dims)}")
+        voters, candidates = tuple(voters), tuple(candidates)
+        voter_points = _voter_entries(coords, voters, candidates)
+        # max and min skip a NaN that is not first, so finiteness is its own pass
+        if not all(map(math.isfinite, chain.from_iterable(values))):
+            for k, v in coords.items():  # name the first point that is not finite
+                _as_coord(list(v), f"{label}[{k!r}]")
+        _check_spread(len(voters), math.hypot(*[max(x) - min(x) for x in zip(*values)]))
+        batch.coords.append(coords)
+        batch.voter_points.append(voter_points)
+        out.append(MetricInstance(space, voters, candidates, coords=coords, _batch=(batch, b)))
         _check_apart(out[-1])
+    if space == LINE:
+        xs = np.fromiter(chain.from_iterable(chain.from_iterable(batch.voter_points)), float)
+        xs.flags.writeable = False
+        ends = accumulate(map(len, batch.voter_points))
+        batch.voter_points = [xs[hi - len(p):hi] for p, hi in zip(batch.voter_points, ends)]
     return out
 
 
@@ -356,11 +340,12 @@ def matrix_instance(point_ids, rows, voters, candidates) -> MetricInstance:
     if len(set(ids)) != len(ids):
         raise ValueError("matrix point ids must be distinct")
     d = _check_matrix(ids, rows)
-    inst = MetricInstance(MATRIX, tuple(voters), tuple(candidates), point_ids=ids, matrix=d)
-    voter_rows = _voter_entries(inst.row_of, inst.voters, inst.candidates)
-    _check_spread(len(inst.voters), float(d.max(initial=0.0)))
+    voters, candidates = tuple(voters), tuple(candidates)
+    voter_rows = _voter_entries(dict(zip(ids, range(len(ids)))), voters, candidates)
+    _check_spread(len(voters), float(d.max(initial=0.0)))
+    batch = _Batch([None], [np.array(voter_rows, np.intp)])
+    inst = MetricInstance(MATRIX, voters, candidates, point_ids=ids, matrix=d, _batch=(batch, 0))
     _check_apart(inst)
-    object.__setattr__(inst, "_batch", (_Batch([None], [np.array(voter_rows, np.intp)]), 0))
     return inst
 
 
@@ -534,9 +519,10 @@ def preference_strength(inst: MetricInstance, voter: str, p: str, q: str):
 
 
 def scale_instance(inst: MetricInstance, factor: float) -> MetricInstance:
-    """Scale every distance by a positive factor (an isometry up to scale)."""
-    if not factor > 0:
-        raise ValueError("scale factor must be positive")
+    """Scale every distance by a positive, finite factor (an isometry up to
+    scale). A product that overflows is refused by the instance checks."""
+    if not (factor > 0 and math.isfinite(factor)):
+        raise ValueError(f"scale factor must be positive and finite, got {factor}")
     if inst.space == MATRIX:
         with np.errstate(over="ignore"):  # an overflowing entry is rejected as inf
             rows = factor * inst.matrix

@@ -410,6 +410,10 @@ def test_malformed_document_fields_exit_2(doc, field, tmp_path, capsys):
     (_doc({"type": "matrix", "ids": ["P", "Q", "P"],
            "distances": [[0, 2, 1], [2, 0, 1], [1, 1, 0]]}),
      "matrix point ids must be distinct"),
+    ({**_matrix([[0, 2, 1], [2, 0, 1], [1, 1, 0]]), "candidates": ["P", "ghost"]},
+     "unknown point id 'ghost'"),
+    ({**_doc({"type": "line", "positions": {"P": 0.0, "Q": 1.0, "v1": 0.3}}),
+      "candidates": ["P", "ghost"]}, "unknown point id 'ghost'"),
 ])
 def test_rejected_documents_exit_2_with_their_message(doc, message, tmp_path, capsys):
     path = tmp_path / "rejected.json"

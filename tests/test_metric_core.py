@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from strengthvote.metric_core import (TOL, DuplicateCandidatePoint, MetricViolation,
-                                      SameCandidate, UnknownId, _check_matrix,
+from strengthvote.metric_core import (LINE, TOL, DuplicateCandidatePoint, MetricInstance,
+                                      MetricViolation, SameCandidate, UnknownId, _check_matrix,
                                       build_instance,
                                       distance, euclidean_instance, line_instance,
                                       load_instance, matrix_instance,
@@ -337,6 +337,25 @@ def test_malformed_documents():
     with pytest.raises(ValueError):
         build_instance({"space": {"type": "matrix", "ids": ["a", "b"], "distances": [0, 1, 1]},
                         "voters": ["a"], "candidates": ["a", "b"]})
+
+
+def test_an_instance_made_directly_is_refused():
+    """Every instance is built with its batch; one made without it would
+    fail at its first distance column."""
+    with pytest.raises(TypeError) as err:
+        MetricInstance(LINE, ("v",), ("P", "Q"), coords={"v": (0.5,), "P": (0.0,), "Q": (1.0,)})
+    for builder in ("line_instance", "euclidean_instance", "matrix_instance", "build_instance"):
+        assert builder in str(err.value)
+
+
+@pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan, 0.0, -2.0])
+def test_scale_instance_refuses_a_factor_that_is_not_positive_and_finite(factor):
+    matrix = matrix_instance(("P", "Q", "v"), [[0, 2, 1], [2, 0, 1], [1, 1, 0]],
+                             ("v",), ("P", "Q"))
+    for inst in (two_city(), matrix):
+        with pytest.raises(ValueError) as err:
+            scale_instance(inst, factor)
+        assert str(err.value) == f"scale factor must be positive and finite, got {factor}"
 
 
 def test_scale_instance():

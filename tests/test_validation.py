@@ -214,3 +214,28 @@ def test_a_batch_of_mixed_dimensions_is_built_one_instance_at_a_time():
     assert [inst.coords for inst in built] == [coords for coords, _, _ in items]
     assert built[1].voter_distances("Q").tolist() == [math.sqrt(2.0)]
     assert _coord_instances(EUCLIDEAN, []) == []
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_a_nan_between_finite_points_is_named_alone_and_in_a_batch(space):
+    """A NaN in the last axis of a point that is neither first nor last in
+    dict order: a max or min over the points skips it, so only a finiteness
+    pass of its own refuses it. Built alone, as a document and as coordinate
+    tuples, and as the middle instance of a 12-instance drawn batch, it
+    raises that point's own message."""
+    kind, draw = _drawer(space, 6, num_candidates=4)
+    rng = np.random.default_rng(11)
+    items = [draw(rng) for _ in range(12)]
+    coords, voters, candidates = items[6]
+    key = list(coords)[len(coords) // 2]
+    assert key not in (next(iter(coords)), list(coords)[-1])
+    coords[key] = coords[key][:-1] + (math.nan,)
+    label = "positions" if kind == LINE else "coordinates"
+    message = f"{label}[{key!r}]: coordinates must be finite, got {list(coords[key])!r}"
+    build = line_instance if kind == LINE else euclidean_instance
+    for run in (lambda: build({k: list(v) for k, v in coords.items()}, voters, candidates),
+                lambda: _coord_instance(kind, coords, voters, candidates),
+                lambda: _coord_instances(kind, items)):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == message
