@@ -13,13 +13,12 @@ from .metric_core import (DuplicateCandidatePoint, MetricInstance, MetricViolati
                           load_instance, matrix_instance, preference_strength,
                           save_instance, scale_instance, social_cost)
 from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdScheme,
-                      bucket_profile, exact_profile, pairwise_tally, tally_csv)
+                      bucket_profile, exact_profile, pairwise_tally)
 from .rules import (InvalidThreshold, PairwiseDecision, Rule, SchemeMismatch,
                     bound_value, condition1_holds, decide_pair, decide_profile,
                     decide_tally, lambda_coefficients, ratio_terms, rule4_decide, rule4_delta,
                     rule4_weights, rule5_weight)
-from .tournament import (TournamentGraph, copeland_winner, graph_csv, majority_graph,
-                         uncovered_set)
+from .tournament import TournamentGraph, copeland_winner, majority_graph, uncovered_set
 from .distortion_lab import (DistortionReport, IdealPoint, InvalidParams, PoleViolation,
                              actual_distortion, evaluate_instance, generate_lower_bound,
                              ideal_point, ideal_tradeoff_bound, lower_bound_target,

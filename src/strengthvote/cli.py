@@ -112,16 +112,26 @@ def _cmd_lowerbound(args) -> int:
     }, inst, args.out)
 
 
+def _span(values: list[float]) -> tuple[float, float]:
+    """An axis range: the least and the greatest value. Where they are equal,
+    the greatest is the least plus 1, or plus one ulp where 1 is below that
+    (above 2**53), so that the range is never empty."""
+    lo, hi = min(values), max(values)
+    return lo, hi if hi > lo else lo + max(1.0, math.ulp(lo))
+
+
 def _svg_curve(points: list[tuple[float, float]], label: str) -> str:
+    """The curve as an SVG line chart over the whole threshold range. A bound
+    that is not finite has no place on the y axis: it is left out of the line
+    and of the axis range, and a range with no finite bound is an error."""
     width, height, pad = 640, 400, 50
     xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi += 1.0
-    if y_hi == y_lo:
-        y_hi += 1.0
+    points = [(x, y) for x, y in points if math.isfinite(y)]
+    if not points:
+        raise ValueError("no bound in the threshold range is finite, so there is no curve "
+                         "to draw; --format csv or json lists them as inf")
+    x_lo, x_hi = _span(xs)
+    y_lo, y_hi = _span([p[1] for p in points])
 
     def sx(x):
         return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)

@@ -73,14 +73,6 @@ class ThresholdScheme:
     def m(self) -> int:
         return len(self.taus)
 
-    def tau(self, l: int) -> float:
-        """tau_l with the sentinel extensions tau_0 = 1/tau_1 and tau_{m+1} = +inf."""
-        if l == 0:
-            return 1.0 / self.taus[0]
-        if l == self.m + 1:
-            return math.inf
-        return self.taus[l - 1]
-
     def bucket(self, strength):
         """Bucket index for a strength: 0 for C, else the largest applicable l,
         which is the number of cutoffs the strength reaches. Elementwise on an
@@ -116,14 +108,6 @@ class ExactProfile:
                 side = np.array(side, dtype=float)
                 side.flags.writeable = False
                 object.__setattr__(self, name, side)
-
-    @property
-    def a_strengths(self) -> tuple[float, ...]:
-        return tuple(self.a.tolist())
-
-    @property
-    def b_strengths(self) -> tuple[float, ...]:
-        return tuple(self.b.tolist())
 
     @cached_property
     def _tallies(self) -> dict[ThresholdScheme, PairwiseTally]:
@@ -227,12 +211,3 @@ def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme) -> PairwiseTa
 
 def pairwise_tally(inst: MetricInstance, p: str, q: str, scheme: ThresholdScheme) -> PairwiseTally:
     return bucket_profile(exact_profile(inst, p, q), scheme)
-
-
-def tally_csv(tally: PairwiseTally) -> str:
-    """One row per bucket: pair, l, |A_l|, |B_l|, |C|."""
-    p, q = tally.pair
-    lines = ["pair,l,a,b,c"]
-    for l in range(1, tally.scheme.m + 1):
-        lines.append(f"{p}>{q},{l},{tally.a_counts[l - 1]},{tally.b_counts[l - 1]},{tally.c_count}")
-    return "\n".join(lines) + "\n"

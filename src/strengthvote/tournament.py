@@ -71,11 +71,3 @@ def copeland_winner(graph: TournamentGraph) -> str:
         if deg > best_deg:
             best, best_deg = c, deg
     return best
-
-
-def graph_csv(graph: TournamentGraph) -> str:
-    lines = ["winner,loser,p_score,q_score"]
-    for (p, q), dec in sorted(graph.decisions.items()):
-        loser = q if dec.winner == p else p
-        lines.append(f"{dec.winner},{loser},{dec.p_score:.10g},{dec.q_score:.10g}")
-    return "\n".join(lines) + "\n"

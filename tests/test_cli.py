@@ -642,6 +642,40 @@ def test_curve_svg_of_a_flat_bound_widens_its_y_range(capsys):
     assert f'font-size="11">{SQRT2 + 1:.10g}</text>' in svg
 
 
+def test_curve_svg_leaves_infinite_bounds_out(capsys):
+    """rule3's three-candidate bound overflows to inf beyond tau ~ 1e154: the
+    SVG draws only the finite bounds over the whole tau range, CSV keeps inf,
+    and a range with no finite bound is an error."""
+    argv = ["curve", "--rule", "rule3", "--num-candidates", "3", "--tau-min", "1",
+            "--tau-max", "1e300", "--steps", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "tau,bound\n1,9\n5e+299,inf\n1e+300,inf\n"
+    assert main(argv + ["--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    assert "nan" not in svg and "inf" not in svg
+    assert '<polyline points="50.00,350.00"' in svg
+    for label in ("1", "1e+300", "9", "10"):
+        assert f'font-size="11">{label}</text>' in svg
+    assert main(["curve", "--rule", "rule3", "--num-candidates", "3", "--tau-min", "1e200",
+                 "--tau-max", "2e200", "--steps", "2", "--format", "svg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no bound") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rule", "rule2", "--tau-max", "1e300", "--steps", "2"],
+    ["--rule", "rule3", "--num-candidates", "3", "--tau-min", "1e153", "--tau-max", "1e160",
+     "--steps", "2"],
+], ids=["one-tau", "one-finite-bound"])
+def test_curve_svg_of_one_huge_point_widens_its_range_by_an_ulp(argv, capsys):
+    """Where 1 is below a value's ulp, adding 1 leaves a flat axis range empty;
+    the range then widens by one ulp, not to a division by zero."""
+    assert main(["curve", *argv, "--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    assert '<polyline points="50.00,350.00"' in svg and "nan" not in svg
+
+
 @pytest.mark.parametrize("command", ["evaluate", "search"])
 @pytest.mark.parametrize("flags", [
     ["--rule", "rule1", "--tau", "2", "--taus", "2"],

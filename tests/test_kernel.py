@@ -133,8 +133,8 @@ def test_profiles_and_tallies_match_the_reference_under_both_boundaries(space):
         for p, q in permutations(inst.candidates, 2):
             a, b = _reference_sides(inst, p, q)
             prof = exact_profile(inst, p, q)
-            assert [s.hex() for s in prof.a_strengths] == [s.hex() for s in a]
-            assert [s.hex() for s in prof.b_strengths] == [s.hex() for s in b]
+            assert [s.hex() for s in tuple(prof.a.tolist())] == [s.hex() for s in a]
+            assert [s.hex() for s in tuple(prof.b.tolist())] == [s.hex() for s in b]
             for taus in SCHEMES:
                 for boundary in (INCLUSIVE, STRICT):
                     tally = bucket_profile(prof, ThresholdScheme(taus, boundary))

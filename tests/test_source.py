@@ -109,6 +109,27 @@ def test_every_public_function_has_a_caller_or_is_documented():
     assert unreached == []
 
 
+def test_every_public_member_has_a_caller_or_is_documented():
+    """A public method or property of a public class that no module uses,
+    matched by name as above, must be named in the README; otherwise nothing
+    but the tests would reach it."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    used = set().union(*map(_referenced_names, trees.values()))
+    readme = (SRC.parent.parent / "README.md").read_text()
+    unreached = [
+        f"{name}:{member.lineno}: {node.name}.{member.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for member in node.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in used
+        and not re.search(rf"\b{re.escape(member.name)}\b", readme)
+    ]
+    assert unreached == []
+
+
 def test_every_private_function_has_a_caller_or_is_traced():
     """A private module-level def or class that no module uses must be an
     attribute the tracer patches; otherwise only the tests reach it, and it

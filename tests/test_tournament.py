@@ -4,8 +4,8 @@ import pytest
 
 from strengthvote.metric_core import line_instance
 from strengthvote.rules import PairwiseDecision, Rule
-from strengthvote.tournament import (TournamentGraph, copeland_winner,
-                                     graph_csv, majority_graph, uncovered_set)
+from strengthvote.tournament import (TournamentGraph, copeland_winner, majority_graph,
+                                     uncovered_set)
 
 
 def graph_from_beats(candidates, beats):
@@ -77,11 +77,3 @@ def test_majority_graph_on_a_line():
     assert g.beats("B", "A") and g.beats("B", "C") and g.beats("A", "C")
     assert uncovered_set(g) == {"B"}
     assert copeland_winner(g) == "B"
-
-
-def test_graph_csv_layout():
-    g = graph_from_beats("ab", [("b", "a")])
-    text = graph_csv(g)
-    lines = text.strip().split("\n")
-    assert lines[0] == "winner,loser,p_score,q_score"
-    assert lines[1] == "b,a,0,1"
