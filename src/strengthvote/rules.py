@@ -33,10 +33,9 @@ approach one ratio term.
 The multiway and ideal-point guarantees rest on each rule's lambda-inequality
 SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
 _pair_scores is the one scorer from joined strengths to side scores: the
-chunk path (search_oracle._winners) calls it on a chunk's sides, and
-pair_scores on the sides of a batch of profiles for the evaluate path,
-through prepare_profiles, which keeps them on each profile by Rule for
-decide_profile.
+chunk path (search_oracle._winners) calls it on a chunk's sides, and the
+evaluate path's prepare_profiles on the joined sides of a batch of
+profiles, keeping the scores on each profile by Rule for decide_profile.
 rule4_row_columns is the one core for rule4 count rows, each under its own
 scheme: it checks the rows, derives their condition-1 coefficients and sums
 their scores and slacks. check_condition1 calls it on drawn rows, and
@@ -203,13 +202,6 @@ def rule4_weights(scheme: ThresholdScheme) -> tuple[tuple, tuple, float, int]:
     return tuple(weights), (tuple(own), tuple(other)), ds, k
 
 
-def _row_fsums(terms: np.ndarray) -> list[float]:
-    """math.fsum of each row (along the last axis) of an array, rows in C
-    order. fsum is correctly rounded, so the order of a row's terms does not
-    matter."""
-    return list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
-
-
 def _check_identity(weights, condition1) -> None:
     """Raise AssertionError((w, own - other)) for the first row whose rule4
     weights w are not own - other of its condition1 = (own, other) within
@@ -226,8 +218,11 @@ def _check_identity(weights, condition1) -> None:
 def side_scores(weights, a, b) -> tuple[list[float], list[float]]:
     """Both sides' scores sum_l w_l * count_l for each row of bucket counts a
     (pair[0]'s side) and b, with one row of weights for every row of counts
-    or one for all: the one place a threshold rule's scores are summed."""
-    sums = _row_fsums(np.multiply(weights, np.array([a, b])))
+    or one for all: the one place a threshold rule's scores are summed. Each
+    row is summed by math.fsum, which is correctly rounded, so the order of
+    a row's terms does not matter."""
+    terms = np.multiply(weights, np.array([a, b]))
+    sums = list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
     return sums[:len(a)], sums[len(a):]
 
 
@@ -320,14 +315,6 @@ def rule5_weight(strength):
     return w if w.ndim else float(w)
 
 
-def pair_scores(profiles, rules) -> list[tuple[list[float], list[float]]]:
-    """Each rule's (a, b) side scores for every profile, as two lists in
-    profile order: _pair_scores over the profiles' a sides, then their b
-    sides, joined."""
-    sides = [prof.a for prof in profiles] + [prof.b for prof in profiles]
-    return _pair_scores(np.concatenate(sides), list(map(len, sides)), rules)
-
-
 def _pair_scores(strengths: np.ndarray, sizes, rules) -> list[tuple[list[float], list[float]]]:
     """Each rule's (a, b) side scores for n pairs whose strengths are joined
     in one array, the n a sides then the n b sides, sizes giving the 2n
@@ -357,13 +344,16 @@ def _pair_scores(strengths: np.ndarray, sizes, rules) -> list[tuple[list[float],
 
 def prepare_profiles(profiles, rules) -> None:
     """Score the profiles that lack some rule's side scores in one
-    pair_scores batch, and keep each rule's scores, keyed by the rule, on
-    every profile that has none yet; decide_profile reads the kept scores."""
+    _pair_scores batch over their joined sides, every a side then every b
+    side, and keep each rule's scores, keyed by the rule, on every profile
+    that has none yet; decide_profile reads the kept scores."""
     todo = [prof for prof in profiles if not all(map(prof._scores.__contains__, rules))]
     if todo:
-        for rule, (p, q) in zip(rules, pair_scores(todo, rules)):
-            for prof, scores in zip(todo, zip(p, q)):
-                prof._scores.setdefault(rule, scores)
+        sides = [prof.a for prof in todo] + [prof.b for prof in todo]
+        scores = _pair_scores(np.concatenate(sides), list(map(len, sides)), rules)
+        for rule, (p, q) in zip(rules, scores):
+            for prof, pq in zip(todo, zip(p, q)):
+                prof._scores.setdefault(rule, pq)
 
 
 def decide_profile(profile: ExactProfile, rule: Rule) -> PairwiseDecision:

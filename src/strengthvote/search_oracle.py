@@ -15,8 +15,8 @@ then builds each space's instances of the chunk as one batch
 measures each point's voter column once for the chunk. _winners scores a
 chunk straight from those columns: one kernel pass over every candidate
 pair (tallies._sides), each rule's side scores from rules._pair_scores (the
-core that evaluate's rules.pair_scores calls too), and winners, costs and
-margins as arrays, with no profile object per pair. adversarial_search
+core that evaluate's rules.prepare_profiles calls too), and winners, costs
+and margins as arrays, with no profile object per pair. adversarial_search
 decides its anchors and its grid re-check as one chunk, and each
 lowerbounds probe is a chunk of one.
 

@@ -21,12 +21,12 @@ splits the strengths by side with one boolean mask: every item's side
 toward its smaller id, then every item's other side, joined in one array.
 ``exact_profiles`` keeps each item's two sides as a profile (``exact_profile``
 is a batch of one); search_oracle._winners scores a chunk's joined sides
-straight through rules._pair_scores, keeping no profile. rules.pair_scores
-buckets and scores a batch of profiles through that same core, and
-``bucket_profile`` counts one profile's sides into a tally. Profiles and
-tallies are built once and kept: an instance holds each ordered pair's
-profile, each side a read-only float64 array (8 bytes per strength), and a
-profile holds its tally under each scheme and each Rule's side scores that
+straight through rules._pair_scores, keeping no profile, and
+rules.prepare_profiles scores a batch of profiles' sides, joined the same
+way, through that same core. ``bucket_profile`` counts one profile's sides
+into a new tally on every call: no tally is kept. An instance holds each
+ordered pair's profile once built, each side a read-only float64 array
+(8 bytes per strength), and a profile holds each Rule's side scores that
 rules.prepare_profiles kept, for as long as the instance lives.
 """
 
@@ -108,12 +108,6 @@ class ExactProfile:
                 side = np.array(side, dtype=float)
                 side.flags.writeable = False
                 object.__setattr__(self, name, side)
-
-    @cached_property
-    def _tallies(self) -> dict[ThresholdScheme, PairwiseTally]:
-        """bucket_profile's result for each scheme it has built, keyed by the
-        frozen scheme itself: its cutoffs and their comparison."""
-        return {}
 
     @cached_property
     def _scores(self) -> dict[object, tuple[float, float]]:
@@ -199,14 +193,10 @@ def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
 
 def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme) -> PairwiseTally:
     """Reduce a profile's exact strengths to the bucket counts a scheme's
-    ballots reveal, one bincount per side, as a tally built once per scheme
-    and kept on the profile."""
-    if scheme not in profile._tallies:
-        a, b = (np.bincount(scheme.bucket(side), minlength=scheme.m + 1).tolist()
-                for side in (profile.a, profile.b))
-        profile._tallies[scheme] = PairwiseTally(profile.pair, scheme, tuple(a[1:]),
-                                                 tuple(b[1:]), a[0] + b[0])
-    return profile._tallies[scheme]
+    ballots reveal, one bincount per side, as a new tally on every call."""
+    a, b = (np.bincount(scheme.bucket(side), minlength=scheme.m + 1).tolist()
+            for side in (profile.a, profile.b))
+    return PairwiseTally(profile.pair, scheme, tuple(a[1:]), tuple(b[1:]), a[0] + b[0])
 
 
 def pairwise_tally(inst: MetricInstance, p: str, q: str, scheme: ThresholdScheme) -> PairwiseTally:

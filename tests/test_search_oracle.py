@@ -136,6 +136,29 @@ def test_adversarial_search_passes_its_settings_to_the_drawn_instances(monkeypat
     assert chunks == [anchors]
 
 
+def test_adversarial_search_keeps_the_first_drawn_instance_of_the_largest_delta(monkeypatch):
+    # the lone anchor has delta 1 (P wins and is the better candidate), so
+    # with no grid a drawn instance must win
+    anchor = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.25}, ("v1",), ("P", "Q"))
+    monkeypatch.setattr(search_oracle, "_anchor_instances", lambda rule: [anchor])
+    drawn, scored = [], search_oracle._scored
+
+    def recorder(chunk, rules):
+        out = scored(chunk, rules)
+        drawn.extend(zip(chunk, out[-1][0].tolist()))
+        return out
+    monkeypatch.setattr(search_oracle, "_scored", recorder)
+    inst, delta = adversarial_search(Rule("rule1", 2.0), seed=5, grid=0, n_instances=150)
+    (first, one), *drawn = drawn
+    assert first is anchor and one == 1.0
+    assert len(drawn) == 150
+    best = max(d for _, d in drawn)
+    assert best > 1.0
+    expected, expected_delta = next((i, d) for i, d in drawn if d == best)
+    assert inst is expected
+    assert delta == expected_delta
+
+
 def test_adversarial_search_stays_under_the_bound():
     config = dict(seed=11, grid=80, n_instances=40)
     for rule in (Rule("rule1", 2.0), Rule("rule3", 2.0),

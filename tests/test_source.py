@@ -109,25 +109,62 @@ def test_every_public_function_has_a_caller_or_is_documented():
     assert unreached == []
 
 
-def test_every_public_member_has_a_caller_or_is_documented():
-    """A public method or property of a public class that no module uses,
-    matched by name as above, must be named in the README; otherwise nothing
-    but the tests would reach it."""
-    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+def _public_members(node: ast.ClassDef) -> set[str]:
+    """The public fields (names annotated or assigned in the class body) and
+    methods of a class."""
+    names = {member.name for member in node.body if isinstance(member, ast.FunctionDef)}
+    for member in node.body:
+        if isinstance(member, ast.AnnAssign):
+            names.add(getattr(member.target, "id", ""))
+        elif isinstance(member, ast.Assign):
+            names.update(getattr(target, "id", "") for target in member.targets)
+    return {name for name in names if name and not name.startswith("_")}
+
+
+def _unreached_members(trees: dict[str, ast.AST], readme: str) -> list[str]:
+    """The public methods and properties of public classes that neither a
+    module nor the README reaches. A member is reached by a use of its name
+    or by the README naming it; but when another public class has a field or
+    member of the same name, a use cannot tell the two apart, so only the
+    README naming it as ``Class.member`` reaches it."""
     used = set().union(*map(_referenced_names, trees.values()))
+    classes = [(name, node) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+    owners = {}
+    for _, node in classes:
+        for member in _public_members(node):
+            owners.setdefault(member, set()).add(node.name)
+
+    def reached(cls: str, member: str) -> bool:
+        if owners[member] - {cls}:
+            return bool(re.search(rf"\b{re.escape(cls)}\.{re.escape(member)}\b", readme))
+        return member in used or bool(re.search(rf"\b{re.escape(member)}\b", readme))
+
+    return [f"{name}:{member.lineno}: {node.name}.{member.name}"
+            for name, node in classes
+            for member in node.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+            and not reached(node.name, member.name)]
+
+
+def test_every_public_member_has_a_caller_or_is_documented():
+    """A public method or property of a public class that nothing reaches
+    (_unreached_members) must go; otherwise only the tests would reach it."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
     readme = (SRC.parent.parent / "README.md").read_text()
-    unreached = [
-        f"{name}:{member.lineno}: {node.name}.{member.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
-        for member in node.body
-        if isinstance(member, ast.FunctionDef)
-        and not member.name.startswith("_")
-        and member.name not in used
-        and not re.search(rf"\b{re.escape(member.name)}\b", readme)
-    ]
-    assert unreached == []
+    assert _unreached_members(trees, readme) == []
+
+
+def test_a_member_that_shares_its_name_needs_its_class_in_the_readme():
+    tree = ast.parse("class Scheme:\n"
+                     "    def tau(self): ...\n"
+                     "class Rule:\n"
+                     "    tau: float\n"
+                     "def use(rule):\n"
+                     "    return rule.tau\n")
+    assert _unreached_members({"m.py": tree}, "") == ["m.py:2: Scheme.tau"]
+    assert _unreached_members({"m.py": tree}, "`tau`") == ["m.py:2: Scheme.tau"]
+    assert _unreached_members({"m.py": tree}, "`Scheme.tau`") == []
 
 
 def test_every_private_function_has_a_caller_or_is_traced():
