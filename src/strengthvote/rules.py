@@ -16,11 +16,10 @@ bucket l >= 1 carries one weight; the hidden set C (bucket 0) always weighs 0.
 
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
 coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
-table once, when it is built, and rule4 checks its weights there against
-its condition-1 coefficients (_check_identity); thresholds whose ratio
-terms, weights or coefficients overflow to inf or nan are rejected there
-(InvalidThreshold). rule5 sees exact
-strengths and weighs each voter by the continuous rule5_weight:
+table once, when it is built, refusing ratio terms that overflow to inf or
+nan (InvalidThreshold). _check_identity alone refuses rule4 weights and
+coefficients, for a Rule and rule4_row_columns. rule5 checks strengths as
+bucket does, and weighs each voter by the continuous rule5_weight:
 (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the branches agree at
 s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
 
@@ -55,7 +54,7 @@ import numpy as np
 
 from .metric_core import MetricInstance
 from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdScheme,
-                      exact_profile)
+                      _strength_array, exact_profile)
 # Unused here, but perfbench/tracer.py counts calls through this module attribute.
 from .tallies import bucket_profile  # noqa: F401
 
@@ -78,10 +77,10 @@ class Rule:
     neither; any other threshold argument raises InvalidThreshold. The
     constructor checks the thresholds and derives the rest of the threshold
     rules' definition: scheme (rule1-3 from tau, with its comparison) and
-    per-bucket weights, rule4's checked against its condition-1 coefficients
-    (see rule4_weights). rule4 buckets inclusively, so a strict
-    scheme, like thresholds whose ratio terms, weights or coefficients are
-    not finite floats, raises InvalidThreshold. rule5 has no buckets."""
+    per-bucket weights, rule4's from rule4_weights and passed through
+    _check_identity. A scheme whose ratio terms are not finite floats raises
+    InvalidThreshold here, as does a strict one for rule4, which buckets
+    inclusively. rule5 has no buckets."""
 
     kind: str
     tau: float | None = None
@@ -95,7 +94,7 @@ class Rule:
         if kind == "rule5":
             if tau is not None or scheme is not None:
                 raise InvalidThreshold("rule5 takes no thresholds")
-            weights, condition1 = (), ()
+            weights = ()
         elif kind == "rule4":
             if tau is not None:
                 raise InvalidThreshold("rule4 takes a threshold scheme, not tau")
@@ -106,6 +105,7 @@ class Rule:
             if scheme.boundary != INCLUSIVE:
                 raise InvalidThreshold(f"rule4 buckets inclusively, got a {scheme.boundary} scheme")
             weights, condition1, _, _ = rule4_weights(scheme)
+            _check_identity(weights, condition1)
         else:
             if scheme is not None:
                 raise InvalidThreshold(f"{kind} takes tau, not a threshold scheme")
@@ -124,16 +124,9 @@ class Rule:
             else:
                 strong = (tau + 1.0) / (tau - 1.0) if kind == "rule2" or tau >= 1.0 + SQRT2 else tau
                 scheme, weights = ThresholdScheme((1.0, tau), STRICT), (1.0, strong)
-            condition1 = ()
-        if scheme is not None:
-            # Python floats overflow to inf or nan silently; caught here, before
-            # _check_identity would report them as a mismatch
-            values = ratio_terms(scheme.taus) + weights + sum(condition1, ())
-            if not all(map(math.isfinite, values)):
-                raise InvalidThreshold(
-                    f"{kind} thresholds {scheme.taus} overflow its ratio terms or weights")
-            if kind == "rule4":
-                _check_identity(weights, condition1)
+        # Python floats overflow to inf or nan silently
+        if scheme is not None and not all(map(math.isfinite, ratio_terms(scheme.taus))):
+            raise InvalidThreshold(f"{kind} thresholds {scheme.taus} overflow its ratio terms")
         for name, value in dict(tau=tau, scheme=scheme, weights=weights).items():
             object.__setattr__(self, name, value)
 
@@ -203,14 +196,21 @@ def rule4_weights(scheme: ThresholdScheme) -> tuple[tuple, tuple, float, int]:
 
 
 def _check_identity(weights, condition1) -> None:
-    """Raise AssertionError((w, own - other)) for the first row whose rule4
-    weights w are not own - other of its condition1 = (own, other) within
-    1e-9 relative, weight by weight (a NaN never is), so that a tally's score
-    gap is its slack gap. weights, own and other are each one row or a 2-D
-    array of rows of one length: one comparison checks them all."""
-    w, gap = np.array(weights, ndmin=2), np.array(np.subtract(*condition1), ndmin=2)
+    """The one check of rule4 rows, for Rule and rule4_row_columns alike, on
+    weights and condition1 = (own, other), each one row or 2-D rows of one
+    length. A non-finite entry raises InvalidThreshold, tested first since
+    the tolerance holds for w = inf; then the first row whose w is not
+    own - other within 1e-9 relative raises AssertionError((w, own - other)),
+    so that a tally's score gap is its slack gap."""
+    table = np.array((weights, *condition1))
+    if np.count_nonzero(np.isfinite(table)) != table.size:
+        rows = table.reshape(3, -1, table.shape[-1])
+        w, own, other = rows[:, np.isfinite(rows).all(axis=(0, 2)).argmin()].tolist()
+        raise InvalidThreshold(f"rule4 weights {w}, own {own} or other {other} overflow")
+    w, gap = table[0], table[1] - table[2]
     ok = abs(gap - w) <= 1e-9 * np.maximum(1.0, abs(w))
-    if not ok.all():
+    if np.count_nonzero(ok) != ok.size:
+        w, gap, ok = np.atleast_2d(w, gap, ok)
         i = int(ok.all(axis=1).argmin())
         raise AssertionError((tuple(w[i].tolist()), tuple(gap[i].tolist())))
 
@@ -254,9 +254,9 @@ def rule4_row_columns(schemes, counts) -> np.ndarray:
     or with a negative count raises ValueError, as PairwiseTally would. A
     side's slack is its side score under the weights (own, other) of
     rule4_weights, over its own counts then the other side's. rule4_weights
-    is derived once per row; the rows of one scheme length are checked
-    against their coefficients in one _check_identity call, then summed
-    together."""
+    is derived once per row; the rows of one scheme length go through one
+    _check_identity call (InvalidThreshold for an entry that is not finite,
+    AssertionError for a mismatch), then are summed together."""
     if list(map(len, counts)) != [2 * s.m + (s.taus[0] > 1.0) for s in schemes]:
         raise ValueError("expected m bucket counts per side, then C's only when tau_1 > 1")
     if (np.fromiter(chain.from_iterable(counts), float) < 0).any():
@@ -307,8 +307,9 @@ def condition1_holds(tally: PairwiseTally, side: str) -> bool:
 
 
 def rule5_weight(strength):
-    """rule5's weight of a strength, elementwise on an array."""
-    s = np.asarray(strength, dtype=float)
+    """rule5's weight of a strength, elementwise on an array; a strength
+    that ThresholdScheme.bucket refuses (_strength_array) raises here too."""
+    s = _strength_array(strength)
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.where(s > SQRT2, (SQRT2 * s - 1.0) / (s + 1.0), s - 1.0)
     w = np.where(np.isinf(s), SQRT2, w)

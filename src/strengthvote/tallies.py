@@ -48,6 +48,14 @@ INCLUSIVE = "inclusive"
 STRICT = "strict"
 
 
+def _strength_array(strength) -> np.ndarray:
+    """The one strength check: a float array, each entry >= 1, or ValueError."""
+    s = np.asarray(strength, dtype=float)
+    if np.count_nonzero(s >= 1.0) != s.size:
+        raise ValueError(f"preference strengths are >= 1, got {s[~(s >= 1.0)].flat[0]}")
+    return s
+
+
 @dataclass(frozen=True)
 class ThresholdScheme:
     taus: tuple[float, ...]
@@ -76,11 +84,8 @@ class ThresholdScheme:
     def bucket(self, strength):
         """Bucket index for a strength: 0 for C, else the largest applicable l,
         which is the number of cutoffs the strength reaches. Elementwise on an
-        array."""
-        s = np.asarray(strength, dtype=float)
-        if np.count_nonzero(s >= 1.0) != s.size:
-            raise ValueError(f"preference strengths are >= 1, got {s[~(s >= 1.0)].flat[0]}")
-        l = self._cuts.searchsorted(s, "right")
+        array; _strength_array refuses a strength that is not >= 1."""
+        l = self._cuts.searchsorted(_strength_array(strength), "right")
         return l if l.ndim else int(l)
 
     @cached_property

@@ -11,16 +11,18 @@ import math
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from strengthvote import metric_core, rules
 from strengthvote.metric_core import build_instance, instance_to_doc, line_instance
-from strengthvote.rules import (Rule, _condition1_diff, decide_pair, decide_tally,
-                                rule4_row_columns, rule4_weights, side_scores)
+from strengthvote.rules import (InvalidThreshold, Rule, _condition1_diff, decide_pair,
+                                decide_tally, rule4_row_columns, rule4_weights, side_scores)
 from strengthvote.search_oracle import (_Bits, _draw_tally, _drawn, _scored,
                                         _two_candidate_rules, _winners, check_condition1)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
@@ -232,6 +234,23 @@ def test_condition1_columns_check_every_rows_score_gap(monkeypatch):
     monkeypatch.setattr(rules, "rule4_weights", skewing)
     with pytest.raises(AssertionError):
         rule4_row_columns(schemes, rows)
+
+
+def test_condition1_columns_refuse_a_row_whose_arithmetic_overflows():
+    """A (1e200,) row among drawn ones: its weight and own coefficient
+    overflow, so rule4_row_columns raises InvalidThreshold naming that row,
+    as a Rule under its scheme does, with no RuntimeWarning on the way."""
+    rng = _Bits(8)
+    schemes, rows = zip(*[_draw_tally(rng) for _ in range(50)],
+                        (ThresholdScheme((1e200,)), [1, 2, 3]))
+    rule4_row_columns(schemes[:-1], rows[:-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        named = re.escape("weights [inf], own [inf] or other [-1.0]")
+        with pytest.raises(InvalidThreshold, match=named):
+            rule4_row_columns(schemes, rows)
+        with pytest.raises(InvalidThreshold, match="overflow"):
+            Rule("rule4", scheme=schemes[-1])
 
 
 def test_condition1_columns_match_the_per_tally_path():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import pytest
 
@@ -10,7 +11,7 @@ from strengthvote.rules import (InvalidThreshold, Rule, SchemeMismatch, SQRT2,
                                 rule4_decide, rule4_delta, rule4_weights,
                                 rule5_weight)
 from strengthvote.tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
-                                  ThresholdScheme, pairwise_tally)
+                                  ThresholdScheme, bucket_profile, pairwise_tally)
 
 TOL = 1e-12
 
@@ -236,6 +237,21 @@ def test_rule5_weight_profile():
     assert all(rule5_weight(s) <= rule5_weight(t) for s, t in zip(grid, grid[1:]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.5])
+def test_rule5_refuses_the_strengths_that_bucketing_refuses(bad):
+    """A hand-built profile with a strength that is not >= 1 is refused under
+    rule5 with the message bucket_profile gives under rule1: both read
+    strengths through one check."""
+    prof = ExactProfile(("P", "Q"), (bad, 2.0), (3.0,))
+    with pytest.raises(ValueError) as bucketed:
+        bucket_profile(prof, Rule("rule1", 2.0).scheme)
+    for call in (lambda: decide_profile(prof, Rule("rule5")), lambda: rule5_weight(prof.a),
+                 lambda: rule5_weight(bad)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == str(bucketed.value)
+
+
 def test_rule5_strong_minority_prevails():
     prof = ExactProfile(("P", "Q"), (1.1, 1.1), (2.0,))
     d = decide_profile(prof, Rule("rule5"))
@@ -300,6 +316,19 @@ def test_ties_resolve_to_lexicographic_minimum():
 def test_thresholds_whose_arithmetic_overflows_are_rejected_when_built(kind, tau, scheme):
     with pytest.raises(InvalidThreshold, match="overflow"):
         Rule(kind, tau, scheme)
+
+
+@pytest.mark.parametrize("taus", [(1e200,), (1e200, 1e201)])
+def test_condition1_refuses_thresholds_whose_arithmetic_overflows(taus):
+    """condition1_holds builds no Rule, yet refuses what building one
+    refuses: _check_identity raises InvalidThreshold for weights or
+    coefficients that overflow, with no RuntimeWarning on the way."""
+    t = tally(taus, (1,) * len(taus), (2,) * len(taus), 3, INCLUSIVE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for side in t.pair:
+            with pytest.raises(InvalidThreshold, match="overflow"):
+                condition1_holds(t, side)
 
 
 def test_thresholds_just_inside_the_float_range_keep_their_bounds():
