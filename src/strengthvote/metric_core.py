@@ -30,9 +30,9 @@ for every instance of the batch that names the point and kept on the batch,
 and social costs and the strength kernel in ``tallies`` read it. A column is
 one array step over the voters' positions: |x_v - x| on a line, a gather from
 the matrix, and math.dist in R^d, so each entry equals the scalar
-``distance`` exactly. Each ordered pair's strength profile is kept as well
-once ``tallies.exact_profiles`` has built it: 8 bytes per strength, about
-C(C-1)/2 * V floats for C candidates and V voters.
+``distance`` exactly. An instance keeps rules.decide_pair's two scores per
+candidate pair and Rule, and any profile ``tallies.exact_profile`` builds,
+V floats per pair for V voters; no program path, evaluate included, builds one.
 """
 
 from __future__ import annotations
@@ -118,7 +118,12 @@ class MetricInstance:
 
     @cached_property
     def _profiles(self) -> dict[tuple[str, str], object]:
-        """tallies.exact_profiles' result for each ordered pair it has built."""
+        """tallies.exact_profile's result for each ordered pair it has built."""
+        return {}
+
+    @cached_property
+    def _scores(self) -> dict[object, dict[tuple[str, str], tuple[float, float]]]:
+        """rules.decide_pair's (a, b) side scores of each pair a < b, by Rule."""
         return {}
 
     def voter_distances(self, point: str) -> np.ndarray:

@@ -16,12 +16,12 @@ bucket l >= 1 carries one weight; the hidden set C (bucket 0) always weighs 0.
 
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
 coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
-table once, when it is built, refusing ratio terms that overflow to inf or
-nan (InvalidThreshold). _check_identity alone refuses rule4 weights and
-coefficients, for a Rule and rule4_row_columns. rule5 checks strengths as
-bucket does, and weighs each voter by the continuous rule5_weight:
-(sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the branches agree at
-s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
+table once, when it is built. rule4_delta alone refuses ratio terms that
+overflow to inf or nan (InvalidThreshold), and _check_identity alone rule4
+weights and coefficients, for a Rule and rule4_row_columns alike. rule5
+checks strengths as bucket does, and weighs each voter by the continuous
+rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the
+branches agree at s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
 
 A scheme's ratio terms (ratio_terms) are tau_1, one term per pair of
 neighbouring cutoffs and (tau_m + 2)/tau_m. A threshold rule's two-candidate
@@ -31,10 +31,10 @@ max{tau, (tau+2)/tau} (rule3). distortion_lab's hard-instance families each
 approach one ratio term.
 The multiway and ideal-point guarantees rest on each rule's lambda-inequality
 SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
-_pair_scores is the one scorer from joined strengths to side scores: the
-chunk path (search_oracle._winners) calls it on a chunk's sides, and the
-evaluate path's prepare_profiles on the joined sides of a batch of
-profiles, keeping the scores on each profile by Rule for decide_profile.
+_instance_scores is the one path from voter columns to pair scores, through
+_pair_scores, the one scorer of joined strengths: search_oracle._winners
+calls it on a chunk, and decide_pair (so evaluate) once per instance and
+Rule, keeping the scores on the instance.
 rule4_row_columns is the one core for rule4 count rows, each under its own
 scheme: it checks the rows, derives their condition-1 coefficients and sums
 their scores and slacks. check_condition1 calls it on drawn rows, and
@@ -48,15 +48,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 
 import numpy as np
 
-from .metric_core import MetricInstance
+from .metric_core import MetricInstance, SameCandidate
 from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdScheme,
-                      _strength_array, exact_profile)
-# Unused here, but perfbench/tracer.py counts calls through this module attribute.
-from .tallies import bucket_profile  # noqa: F401
+                      _sides, _strength_array)
+# Unused here, but perfbench/tracer.py counts calls through these module attributes.
+from .tallies import bucket_profile, exact_profile  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 
@@ -79,8 +79,9 @@ class Rule:
     rules' definition: scheme (rule1-3 from tau, with its comparison) and
     per-bucket weights, rule4's from rule4_weights and passed through
     _check_identity. A scheme whose ratio terms are not finite floats raises
-    InvalidThreshold here, as does a strict one for rule4, which buckets
-    inclusively. rule5 has no buckets."""
+    InvalidThreshold in rule4_delta, which rule1-3 call on their scheme and
+    rule4 through rule4_weights; a strict scheme for rule4, which buckets
+    inclusively, raises it here. rule5 has no buckets."""
 
     kind: str
     tau: float | None = None
@@ -124,9 +125,7 @@ class Rule:
             else:
                 strong = (tau + 1.0) / (tau - 1.0) if kind == "rule2" or tau >= 1.0 + SQRT2 else tau
                 scheme, weights = ThresholdScheme((1.0, tau), STRICT), (1.0, strong)
-        # Python floats overflow to inf or nan silently
-        if scheme is not None and not all(map(math.isfinite, ratio_terms(scheme.taus))):
-            raise InvalidThreshold(f"{kind} thresholds {scheme.taus} overflow its ratio terms")
+            rule4_delta(scheme)
         for name, value in dict(tau=tau, scheme=scheme, weights=weights).items():
             object.__setattr__(self, name, value)
 
@@ -170,8 +169,13 @@ def ratio_terms(taus) -> tuple[float, ...]:
 
 
 def rule4_delta(scheme: ThresholdScheme) -> float:
-    """Worst ratio term of a scheme: the two-candidate bound of rule1-rule4."""
-    return max(ratio_terms(scheme.taus))
+    """Worst ratio term of a scheme: the two-candidate bound of rule1-rule4.
+    Python floats overflow to inf or nan silently, and max passes over a nan,
+    so a ratio term that is not finite raises InvalidThreshold."""
+    terms = ratio_terms(scheme.taus)
+    if not all(map(math.isfinite, terms)):
+        raise InvalidThreshold(f"thresholds {scheme.taus} overflow their ratio terms {terms}")
+    return max(terms)
 
 
 def rule4_weights(scheme: ThresholdScheme) -> tuple[tuple, tuple, float, int]:
@@ -343,30 +347,39 @@ def _pair_scores(strengths: np.ndarray, sizes, rules) -> list[tuple[list[float],
     return out
 
 
-def prepare_profiles(profiles, rules) -> None:
-    """Score the profiles that lack some rule's side scores in one
-    _pair_scores batch over their joined sides, every a side then every b
-    side, and keep each rule's scores, keyed by the rule, on every profile
-    that has none yet; decide_profile reads the kept scores."""
-    todo = [prof for prof in profiles if not all(map(prof._scores.__contains__, rules))]
-    if todo:
-        sides = [prof.a for prof in todo] + [prof.b for prof in todo]
-        scores = _pair_scores(np.concatenate(sides), list(map(len, sides)), rules)
-        for rule, (p, q) in zip(rules, scores):
-            for prof, pq in zip(todo, zip(p, q)):
-                prof._scores.setdefault(rule, pq)
+def _instance_scores(instances, rules) -> list[tuple[list[float], list[float]]]:
+    """_pair_scores for every candidate pair of each instance in turn, in
+    combinations order of its sorted candidates, a toward the smaller id:
+    one kernel pass over the pairs' voter columns (tallies._sides)."""
+    pairs = [pair for inst in instances
+             for pair in combinations(map(inst.voter_distances, sorted(inst.candidates)), 2)]
+    return _pair_scores(*_sides(*zip(*pairs)), rules)
 
 
 def decide_profile(profile: ExactProfile, rule: Rule) -> PairwiseDecision:
     """Decide a pair from its exact profile, revealing only what the rule may
-    see: its side scores under the rule, as prepare_profiles keeps them."""
-    prepare_profiles([profile], [rule])
-    return _resolve(profile.pair, *profile._scores[rule])
+    see: its side scores under the rule (_pair_scores)."""
+    sides = (profile.a, profile.b)
+    ((p,), (q,)), = _pair_scores(np.concatenate(sides), list(map(len, sides)), [rule])
+    return _resolve(profile.pair, p, q)
 
 
 def decide_pair(inst: MetricInstance, p: str, q: str, rule: Rule) -> PairwiseDecision:
-    """Decide an ordered candidate pair of an instance under a rule."""
-    return decide_profile(exact_profile(inst, p, q), rule)
+    """Decide an ordered candidate pair of an instance under a rule. An id
+    that is not a candidate raises ValueError, and p == q SameCandidate. The
+    first call under a rule scores all the instance's pairs (_instance_scores)
+    and keeps them on the instance by rule; (q, p) reads (p, q)'s swapped."""
+    for c in (p, q):
+        if c not in inst.candidates:
+            raise ValueError(f"{c!r} is not a candidate")
+    if p == q:
+        raise SameCandidate(p)
+    if rule not in inst._scores:
+        (firsts, seconds), = _instance_scores([inst], [rule])
+        pairs = combinations(sorted(inst.candidates), 2)
+        inst._scores[rule] = dict(zip(pairs, zip(firsts, seconds)))
+    a, b = inst._scores[rule][min(p, q), max(p, q)]
+    return _resolve((p, q), *((a, b) if p < q else (b, a)))
 
 
 def bound_value(rule: Rule, num_candidates: int = 2) -> float:

@@ -13,10 +13,10 @@ time. _drawn makes a chunk's Generator calls in random_instance's order,
 then builds each space's instances of the chunk as one batch
 (metric_core._coord_instances), which checks each instance alone and
 measures each point's voter column once for the chunk. _winners scores a
-chunk straight from those columns: one kernel pass over every candidate
-pair (tallies._sides), each rule's side scores from rules._pair_scores (the
-core that evaluate's rules.prepare_profiles calls too), and winners, costs
-and margins as arrays, with no profile object per pair. adversarial_search
+chunk straight from those columns through rules._instance_scores (one
+kernel pass over every candidate pair, then each rule's side scores: the
+path that evaluate's rules.decide_pair takes too), and winners, costs and
+margins follow as arrays, with no profile object per pair. adversarial_search
 decides its anchors and its grid re-check as one chunk, and each
 lowerbounds probe is a chunk of one.
 
@@ -41,9 +41,9 @@ from .distortion_lab import (cost_ratio, generate_lower_bound, ideal_point,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
 from .metric_core import (EUCLIDEAN, LINE, MetricInstance, _coord_instance, _coord_instances,
                           line_instance, social_cost)
-from .rules import (SQRT2, Rule, _pair_scores, bound_value, lambda_coefficients, rule4_delta,
+from .rules import (SQRT2, Rule, _instance_scores, bound_value, lambda_coefficients, rule4_delta,
                     rule4_row_columns)
-from .tallies import ThresholdScheme, _sides, _strengths
+from .tallies import ThresholdScheme, _strengths
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
 from .metric_core import euclidean_instance  # noqa: F401
 from .rules import (_condition1_diff, decide_pair, decide_profile,  # noqa: F401
@@ -121,12 +121,11 @@ def _winners(chunk, rules) -> np.ndarray:
     """Each rule's winner on each instance of a chunk, as an index into the
     instance's sorted candidates: an (len(rules), len(chunk)) array. The
     instances must have equally many candidates (else ValueError). Every
-    candidate pair's strengths are measured in one kernel pass from the
-    voter columns (tallies._sides) and scored under all the rules by
-    rules._pair_scores, with no profile kept. A pair goes to its first
-    (smaller) id unless the second scores more, and the winner is the first
-    candidate in sorted order with the most pairs won: for two candidates the
-    pair's winner, beyond two the Copeland winner, as
+    candidate pair is scored under all the rules by rules._instance_scores
+    in one kernel pass from the voter columns, with no profile kept. A pair
+    goes to its first (smaller) id unless the second scores more, and the
+    winner is the first candidate in sorted order with the most pairs won:
+    for two candidates the pair's winner, beyond two the Copeland winner, as
     copeland_winner(majority_graph(...)) names it."""
     if not chunk:
         return np.zeros((len(rules), 0), dtype=np.intp)
@@ -134,10 +133,7 @@ def _winners(chunk, rules) -> np.ndarray:
     if any(len(inst.candidates) != k for inst in chunk):
         raise ValueError("a chunk's instances must have equally many candidates")
     pairs = list(combinations(range(k), 2))
-    columns = [list(map(inst.voter_distances, sorted(inst.candidates))) for inst in chunk]
-    strengths, sizes = _sides([col[i] for col in columns for i, _ in pairs],
-                              [col[j] for col in columns for _, j in pairs])
-    first = [np.greater_equal(p, q) for p, q in _pair_scores(strengths, sizes, rules)]
+    first = [np.greater_equal(p, q) for p, q in _instance_scores(chunk, rules)]
     first = np.array(first).reshape(len(rules), len(chunk), len(pairs), 1)
     ends = np.eye(k, dtype=int)[np.array(pairs)]  # (pair, end, one-hot id)
     return np.where(first, ends[:, 0], ends[:, 1]).sum(axis=-2).argmax(axis=-1)

@@ -19,15 +19,13 @@ strengths: it turns two voter-distance columns into each voter's side and
 its strength far/near. ``_sides`` runs it once over a batch of items and
 splits the strengths by side with one boolean mask: every item's side
 toward its smaller id, then every item's other side, joined in one array.
-``exact_profiles`` keeps each item's two sides as a profile (``exact_profile``
-is a batch of one); search_oracle._winners scores a chunk's joined sides
-straight through rules._pair_scores, keeping no profile, and
-rules.prepare_profiles scores a batch of profiles' sides, joined the same
-way, through that same core. ``bucket_profile`` counts one profile's sides
-into a new tally on every call: no tally is kept. An instance holds each
-ordered pair's profile once built, each side a read-only float64 array
-(8 bytes per strength), and a profile holds each Rule's side scores that
-rules.prepare_profiles kept, for as long as the instance lives.
+rules._instance_scores scores every candidate pair of its instances
+straight from those joined sides, keeping no profile: it is the path of
+evaluate, verify and search. ``exact_profile`` keeps one ordered pair's two
+sides as a profile, each a read-only view of one kernel pass (8 bytes per
+strength), held by the instance once built; ``bucket_profile`` counts a
+profile into a new tally on every call: no tally is kept. No program path
+builds a profile: they are the library's forms for one pair.
 """
 
 from __future__ import annotations
@@ -114,12 +112,6 @@ class ExactProfile:
                 side.flags.writeable = False
                 object.__setattr__(self, name, side)
 
-    @cached_property
-    def _scores(self) -> dict[object, tuple[float, float]]:
-        """Each rule's (a, b) side scores, keyed by the frozen Rule itself, as
-        rules.prepare_profiles kept them."""
-        return {}
-
 
 @dataclass(frozen=True)
 class PairwiseTally:
@@ -169,31 +161,20 @@ def _sides(d1s, d2s) -> tuple[np.ndarray, list[int]]:
     return joined, firsts + list(map(operator.sub, sizes, firsts))
 
 
-def exact_profiles(items) -> list[ExactProfile]:
-    """Every voter's strength for each (instance, p, q) item, unbucketed, from
-    the voters' distance columns to p and q. A pair's profile is built once
-    per instance; the items not yet kept are measured in one kernel pass
-    (_sides), each side a view of its joined strengths."""
-    todo = []
-    for inst, p, q in items:
-        if p == q:
-            raise SameCandidate(p)
-        if (p, q) not in inst._profiles:
-            todo.append((inst, p, q))
-    if todo:
-        joined, sizes = _sides([inst.voter_distances(min(p, q)) for inst, p, q in todo],
-                               [inst.voter_distances(max(p, q)) for inst, p, q in todo])
-        ends = list(accumulate(sizes))
-        sides = [joined[hi - n:hi] for n, hi in zip(sizes, ends)]
-        for (inst, p, q), first, second in zip(todo, sides, sides[len(todo):]):
-            inst._profiles[(p, q)] = ExactProfile((p, q), *((first, second) if p < q
-                                                            else (second, first)))
-    return [inst._profiles[(p, q)] for inst, p, q in items]
-
-
 def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
-    """exact_profiles for one ordered pair: a batch of one."""
-    return exact_profiles([(inst, p, q)])[0]
+    """Every voter's strength for an ordered pair, unbucketed, from the
+    voters' distance columns to p and q by one kernel pass (_sides), each
+    side a view of the joined strengths. A pair's profile is built once per
+    instance and kept there."""
+    if p == q:
+        raise SameCandidate(p)
+    if (p, q) not in inst._profiles:
+        joined, (n, _) = _sides([inst.voter_distances(min(p, q))],
+                                [inst.voter_distances(max(p, q))])
+        first, second = joined[:n], joined[n:]
+        inst._profiles[(p, q)] = ExactProfile((p, q), *((first, second) if p < q
+                                                        else (second, first)))
+    return inst._profiles[(p, q)]
 
 
 def bucket_profile(profile: ExactProfile, scheme: ThresholdScheme) -> PairwiseTally:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .metric_core import MetricInstance
-from .rules import PairwiseDecision, Rule, decide_pair, prepare_profiles
-from .tallies import exact_profiles
+from .rules import PairwiseDecision, Rule, decide_pair
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,9 @@ class TournamentGraph:
 
 
 def majority_graph(inst: MetricInstance, rule: Rule) -> TournamentGraph:
-    """Decide every candidate pair by decide_pair, from the kept scores of one
-    batch that measures and scores all the pairs (prepare_profiles)."""
-    pairs = list(combinations(sorted(inst.candidates), 2))
-    prepare_profiles(exact_profiles([(inst, p, q) for p, q in pairs]), [rule])
+    """Decide every candidate pair by decide_pair, whose first call under the
+    rule scores them all."""
+    pairs = combinations(sorted(inst.candidates), 2)
     decisions = {(p, q): decide_pair(inst, p, q, rule) for p, q in pairs}
     return TournamentGraph(tuple(inst.candidates), decisions)
 

@@ -16,10 +16,10 @@ import pytest
 
 from strengthvote.metric_core import (euclidean_instance, line_instance, matrix_instance,
                                       preference_strength)
-from strengthvote.rules import SQRT2, Rule, decide_pair, prepare_profiles
+from strengthvote.rules import SQRT2, Rule, _instance_scores, decide_pair
 from strengthvote.search_oracle import _grid_positions, _signed_weights, _two_candidate_rules
 from strengthvote.tallies import (INCLUSIVE, STRICT, ThresholdScheme, bucket_profile,
-                                  exact_profile, exact_profiles)
+                                  exact_profile)
 
 SCHEMES = [(1.0,), (1.5,), (2.0,), (3.0,), (4.0,), (1.0, 2.0), (1.0, 3.0), (1.5, 3.0),
            (1.0, 2.0, 4.0), (1.5, 2.0, 3.0, 4.0), (1.0 + SQRT2,)]
@@ -171,8 +171,7 @@ def test_decisions_match_the_reference_for_every_rule(space):
 def test_one_batch_of_many_instances_matches_one_at_a_time():
     rules = _rules()
     batch = [_build(space, seed) for space, seed in CASES]
-    items = [(inst, p, q) for inst in batch for p, q in permutations(inst.candidates, 2)]
-    prepare_profiles(exact_profiles(items), rules)
+    _instance_scores(batch, rules)
     for (space, seed), inst in zip(CASES, batch):
         fresh = _build(space, seed)
         for rule in rules:
@@ -180,6 +179,15 @@ def test_one_batch_of_many_instances_matches_one_at_a_time():
                 alone = decide_pair(fresh, p, q, rule)
                 assert _key(decide_pair(inst, p, q, rule)) == _key(alone), \
                     (space, seed, rule.label(), p, q)
+
+
+def test_one_scoring_batch_matches_each_instance_scored_alone():
+    rules = _rules()
+    batch = [_build(space, seed) for space, seed in CASES]
+    alone = [_instance_scores([inst], rules) for inst in batch]
+    for r, (p, q) in enumerate(_instance_scores(batch, rules)):
+        assert [x.hex() for x in p] == [x.hex() for scores in alone for x in scores[r][0]]
+        assert [x.hex() for x in q] == [x.hex() for scores in alone for x in scores[r][1]]
 
 
 def test_signed_grid_weights_match_per_position_rule_weight():

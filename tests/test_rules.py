@@ -4,14 +4,16 @@ import warnings
 
 import pytest
 
-from strengthvote.metric_core import line_instance
+from strengthvote import tallies
+from strengthvote.metric_core import SameCandidate, line_instance
 from strengthvote.rules import (InvalidThreshold, Rule, SchemeMismatch, SQRT2,
                                 bound_value, condition1_holds, decide_pair,
                                 decide_profile, decide_tally,
-                                rule4_decide, rule4_delta, rule4_weights,
+                                rule4_decide, rule4_delta, rule4_row_columns, rule4_weights,
                                 rule5_weight)
 from strengthvote.tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally,
                                   ThresholdScheme, bucket_profile, pairwise_tally)
+from strengthvote.tournament import majority_graph
 
 TOL = 1e-12
 
@@ -331,6 +333,23 @@ def test_condition1_refuses_thresholds_whose_arithmetic_overflows(taus):
                 condition1_holds(t, side)
 
 
+def test_a_ratio_term_that_is_nan_is_refused_on_every_path():
+    """(1, 1e200, 1e201)'s neighbour term for (1e200, 1e201) is inf/inf =
+    nan, which max passes over: rule4_delta refuses it, so condition1_holds
+    and rule4_row_columns refuse the scheme as Rule does, with no warning."""
+    taus = (1.0, 1e200, 1e201)
+    t = tally(taus, (1, 1, 1), (2, 2, 2), 0, INCLUSIVE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for side in t.pair:
+            with pytest.raises(InvalidThreshold, match="overflow"):
+                condition1_holds(t, side)
+        with pytest.raises(InvalidThreshold, match="overflow"):
+            rule4_row_columns([t.scheme], [t.a_counts + t.b_counts])
+        with pytest.raises(InvalidThreshold, match="overflow"):
+            Rule("rule4", scheme=taus)
+
+
 def test_thresholds_just_inside_the_float_range_keep_their_bounds():
     assert bound_value(Rule("rule1", 5e307)) == 3.0
     rule3 = Rule("rule3", 1e308)
@@ -376,3 +395,42 @@ def test_rule4_refuses_a_strict_scheme():
         Rule("rule4", scheme=ThresholdScheme((1.5, 3.0), STRICT))
     assert Rule("rule4", scheme=ThresholdScheme((1.5, 3.0), INCLUSIVE)).weights == \
         Rule("rule4", scheme=(1.5, 3.0)).weights
+
+
+def _counting_kernel(monkeypatch) -> list[int]:
+    """Patch the strength kernel to record the length of each call."""
+    calls = []
+    kernel = tallies._strengths
+    monkeypatch.setattr(tallies, "_strengths",
+                        lambda d1, d2: calls.append(len(d1)) or kernel(d1, d2))
+    return calls
+
+
+def test_decide_pair_takes_candidate_pairs_only(monkeypatch):
+    inst = line_instance({"P": 0.0, "Q": 1.0, "Z": 3.0, "v1": 0.25, "v2": 2.0},
+                         ("v1", "v2"), ("P", "Q"))
+    calls = _counting_kernel(monkeypatch)
+    for p, q, named in (("P", "Z", "Z"), ("Z", "P", "Z"), ("Q", "v1", "v1"), ("Z", "Z", "Z")):
+        with pytest.raises(ValueError, match=f"'{named}' is not a candidate"):
+            decide_pair(inst, p, q, Rule("rule5"))
+    with pytest.raises(SameCandidate) as err:
+        decide_pair(inst, "P", "P", Rule("rule5"))
+    assert err.value.args == ("P",)
+    assert calls == []
+    assert decide_pair(inst, "P", "Q", Rule("rule5")).winner == "P"
+
+
+def test_the_evaluate_path_measures_once_per_instance_and_rule(monkeypatch):
+    inst = line_instance({"a": 0.0, "b": 1.0, "c": 2.5, "d": 4.0, "e": 7.0,
+                          "v1": 0.5, "v2": 1.0, "v3": 3.0, "v4": 6.0},
+                         ("v1", "v2", "v3", "v4"), ("a", "b", "c", "d", "e"))
+    calls = _counting_kernel(monkeypatch)
+    rule4 = Rule("rule4", scheme=(1.5, 3.0))
+    decide_pair(inst, "c", "a", rule4)
+    assert calls == [10 * 4]  # every candidate pair's voters in one pass
+    for p, q in itertools.permutations(inst.candidates, 2):
+        decide_pair(inst, p, q, rule4)
+    majority_graph(inst, rule4)
+    assert calls == [40]
+    majority_graph(inst, Rule("rule5"))
+    assert calls == [40, 40]
