@@ -16,7 +16,7 @@ bucket l >= 1 carries one weight; the hidden set C (bucket 0) always weighs 0.
 
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
 coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
-table once, when it is built. rule4_delta alone refuses ratio terms that
+table once, when it is built. _rule4_table alone refuses ratio terms that
 overflow to inf or nan (InvalidThreshold), and _check_identity alone rule4
 weights and coefficients, for a Rule and rule4_row_columns alike. rule5
 checks strengths as bucket does, and weighs each voter by the continuous
@@ -28,7 +28,12 @@ neighbouring cutoffs and (tau_m + 2)/tau_m. A threshold rule's two-candidate
 bound is the largest of them, rule4_delta: (1, tau) gives
 max{(tau+2)/tau, (3*tau-1)/(tau+1)} (rule1, rule2) and (tau,) gives
 max{tau, (tau+2)/tau} (rule3). distortion_lab's hard-instance families each
-approach one ratio term.
+approach one ratio term. rule4's table (the ratio terms, their max ds, the
+pivot k, the weights and condition 1's coefficients) is written once, as
+array code over an (n, m) array of cutoffs, one scheme per row:
+_rule4_table, with the ratio terms from _ratio_term_rows. ratio_terms,
+rule4_delta and rule4_weights are each the row of a one-row call, and
+rule4_row_columns derives each scheme length's table with one call.
 The multiway and ideal-point guarantees rest on each rule's lambda-inequality
 SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
 _instance_scores is the one path from voter columns to pair scores, through
@@ -46,7 +51,6 @@ tally's scheme.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations
 
@@ -79,9 +83,10 @@ class Rule:
     rules' definition: scheme (rule1-3 from tau, with its comparison) and
     per-bucket weights, rule4's from rule4_weights and passed through
     _check_identity. A scheme whose ratio terms are not finite floats raises
-    InvalidThreshold in rule4_delta, which rule1-3 call on their scheme and
-    rule4 through rule4_weights; a strict scheme for rule4, which buckets
-    inclusively, raises it here. rule5 has no buckets."""
+    InvalidThreshold in _rule4_table, which rule1-3 reach through
+    rule4_delta on their scheme and rule4 through rule4_weights; a strict
+    scheme for rule4, which buckets inclusively, raises it here. rule5 has
+    no buckets."""
 
     kind: str
     tau: float | None = None
@@ -160,43 +165,73 @@ def _resolve(pair: tuple[str, str], p_score: float, q_score: float) -> PairwiseD
     return PairwiseDecision(min(pair), p_score, q_score, True)
 
 
+def _ratio_term_rows(cuts: np.ndarray) -> np.ndarray:
+    """ratio_terms of each row of an (n, m) array of cutoffs, as an (n, m+1)
+    array, each term's operations in ratio_terms' order. A term that
+    overflows is inf or nan, as in Python float arithmetic, with no numpy
+    RuntimeWarning."""
+    lo, hi, last = cuts[:, :-1], cuts[:, 1:], cuts[:, -1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate((cuts[:, :1], (lo * hi + 2.0 * hi - 1.0) / (lo * hi + 1.0),
+                               (last + 2.0) / last), axis=1)
+
+
+def _rule4_table(cuts: np.ndarray):
+    """rule4's table for an (n, m) array of cutoffs, one scheme per row: the
+    one definition of rule4's weights. Returns (weights, (own, other), ds, k)
+    as rule4_weights describes them: weights, own and other as (n, m) arrays,
+    ds (the row max of _ratio_term_rows) and k one entry per row. Bucket
+    l < k, that is tau_{l+1} <= ds, takes the closed forms below the pivot,
+    the others own - other, with tau_{m+1} = inf. Each entry is elementwise
+    IEEE arithmetic on its own row, so a row's bits do not depend on the
+    rest of the array. The first row whose ratio term is not finite raises
+    InvalidThreshold naming its thresholds and terms, since max would pass
+    over a nan. An own, other or weight that overflows is left inf or nan,
+    with no RuntimeWarning, for _check_identity to refuse."""
+    terms = _ratio_term_rows(cuts)
+    finite = np.isfinite(terms).all(axis=1)
+    if not finite.all():
+        i = finite.argmin()
+        raise InvalidThreshold(f"thresholds {tuple(cuts[i].tolist())} overflow their ratio terms "
+                               f"{tuple(terms[i].tolist())}")
+    ds = terms.max(axis=1)
+    d, tl = ds[:, None], cuts
+    tnext = np.concatenate((cuts[:, 1:], np.full((len(cuts), 1), math.inf)), axis=1)
+    below = tnext <= d  # l < k, as the cutoffs increase
+    with np.errstate(over="ignore", invalid="ignore"):
+        own = (d * tl - 1.0) / (tl + 1.0)
+        other = np.where(below, (d - tnext) / (tnext + 1.0),
+                         -np.where(np.isinf(tnext), 1.0, (tnext - d) / (tnext - 1.0)))
+        weights = np.where(below, (d + 1.0) * (tl * tnext - 1.0) / ((tl + 1.0) * (tnext + 1.0)),
+                           own - other)
+    return weights, (own, other), ds, np.count_nonzero(cuts <= d, axis=1)
+
+
 def ratio_terms(taus) -> tuple[float, ...]:
     """The m+1 ratio terms of a scheme tau_1 < ... < tau_m: tau_1, then
     (tau_l*tau_{l+1} + 2*tau_{l+1} - 1)/(tau_l*tau_{l+1} + 1) for each pair of
-    neighbouring cutoffs, then (tau_m + 2)/tau_m."""
-    pairs = ((lo * hi + 2.0 * hi - 1.0) / (lo * hi + 1.0) for lo, hi in zip(taus, taus[1:]))
-    return (float(taus[0]), *pairs, (taus[-1] + 2.0) / taus[-1])
+    neighbouring cutoffs, then (tau_m + 2)/tau_m. The row of a one-row
+    _ratio_term_rows call; a term that overflows is inf or nan."""
+    return tuple(_ratio_term_rows(np.array([taus], dtype=float))[0].tolist())
 
 
 def rule4_delta(scheme: ThresholdScheme) -> float:
-    """Worst ratio term of a scheme: the two-candidate bound of rule1-rule4.
-    Python floats overflow to inf or nan silently, and max passes over a nan,
-    so a ratio term that is not finite raises InvalidThreshold."""
-    terms = ratio_terms(scheme.taus)
-    if not all(map(math.isfinite, terms)):
-        raise InvalidThreshold(f"thresholds {scheme.taus} overflow their ratio terms {terms}")
-    return max(terms)
+    """Worst ratio term of a scheme: the two-candidate bound of rule1-rule4,
+    ds of the scheme's one-row _rule4_table call. A ratio term that is not
+    finite raises InvalidThreshold there."""
+    return _rule4_table(np.array([scheme.taus]))[2].item()
 
 
 def rule4_weights(scheme: ThresholdScheme) -> tuple[tuple, tuple, float, int]:
     """Bucket weights, condition 1's per-bucket (own, other) coefficients, the
-    bound ds = rule4_delta(scheme) and the pivot k = #{l: tau_l <= ds} >= 1.
-    A side's slack is sum_l own_l*(its count) + other_l*(the other side's).
-    Weight l is own_l - other_l from the pivot on; below it, a closed form
-    that own_l - other_l can miss by an ulp."""
-    taus = scheme.taus
-    ds = rule4_delta(scheme)
-    k = bisect_right(taus, ds)
-    weights, own, other = [], [], []
-    for l, (tl, tnext) in enumerate(zip(taus, taus[1:] + (math.inf,)), start=1):
-        own.append((ds * tl - 1.0) / (tl + 1.0))
-        if l < k:
-            other.append((ds - tnext) / (tnext + 1.0))
-            weights.append((ds + 1.0) * (tl * tnext - 1.0) / ((tl + 1.0) * (tnext + 1.0)))
-        else:
-            other.append(-(1.0 if math.isinf(tnext) else (tnext - ds) / (tnext - 1.0)))
-            weights.append(own[-1] - other[-1])
-    return tuple(weights), (tuple(own), tuple(other)), ds, k
+    bound ds = rule4_delta(scheme) and the pivot k = #{l: tau_l <= ds} >= 1:
+    the row of a one-row _rule4_table call, as tuples of floats, a float and
+    an int. A side's slack is sum_l own_l*(its count) + other_l*(the other
+    side's). Weight l is own_l - other_l from the pivot on; below it, a
+    closed form that own_l - other_l can miss by an ulp."""
+    weights, (own, other), ds, k = _rule4_table(np.array([scheme.taus]))
+    return (tuple(weights[0].tolist()), (tuple(own[0].tolist()), tuple(other[0].tolist())),
+            ds.item(), k.item())
 
 
 def _check_identity(weights, condition1) -> None:
@@ -222,11 +257,18 @@ def _check_identity(weights, condition1) -> None:
 def side_scores(weights, a, b) -> tuple[list[float], list[float]]:
     """Both sides' scores sum_l w_l * count_l for each row of bucket counts a
     (pair[0]'s side) and b, with one row of weights for every row of counts
-    or one for all: the one place a threshold rule's scores are summed. Each
-    row is summed by math.fsum, which is correctly rounded, so the order of
-    a row's terms does not matter."""
+    or one for all: the one place a threshold rule's scores are summed. A
+    row of three or more terms is summed by math.fsum, which is correctly
+    rounded, so the order of a row's terms does not matter. A row of one or
+    two terms is summed by one numpy row sum: one IEEE addition of two
+    finite terms is correctly rounded too, and a zero sum is +0.0 as fsum
+    gives it, so the bits are the same. No such row overflows or raises a
+    RuntimeWarning under an admitted rule: rule1-3 weights are at most
+    9.1e15, and a rule4 row's weights and coefficients are finite after
+    _check_identity, below ds + 1 with ds*tau_m finite, so under 1.4e154."""
     terms = np.multiply(weights, np.array([a, b]))
-    sums = list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
+    rows = terms.reshape(-1, terms.shape[-1])
+    sums = rows.sum(axis=1).tolist() if rows.shape[1] <= 2 else list(map(math.fsum, rows.tolist()))
     return sums[:len(a)], sums[len(a):]
 
 
@@ -257,10 +299,11 @@ def rule4_row_columns(schemes, counts) -> np.ndarray:
     then the hidden set's count only when tau_1 > 1. A row of another length
     or with a negative count raises ValueError, as PairwiseTally would. A
     side's slack is its side score under the weights (own, other) of
-    rule4_weights, over its own counts then the other side's. rule4_weights
-    is derived once per row; the rows of one scheme length go through one
-    _check_identity call (InvalidThreshold for an entry that is not finite,
-    AssertionError for a mismatch), then are summed together."""
+    rule4_weights, over its own counts then the other side's. The rows of
+    one scheme length get their weights from one _rule4_table call on their
+    cutoffs (InvalidThreshold for a ratio term that is not finite), go
+    through one _check_identity call (InvalidThreshold for an entry that is
+    not finite, AssertionError for a mismatch), then are summed together."""
     if list(map(len, counts)) != [2 * s.m + (s.taus[0] > 1.0) for s in schemes]:
         raise ValueError("expected m bucket counts per side, then C's only when tau_1 > 1")
     if (np.fromiter(chain.from_iterable(counts), float) < 0).any():
@@ -270,9 +313,7 @@ def rule4_row_columns(schemes, counts) -> np.ndarray:
     for i, scheme in enumerate(schemes):
         by_length.setdefault(scheme.m, []).append(i)
     for m, rows in by_length.items():
-        weights, condition1, _, _ = zip(*[rule4_weights(schemes[i]) for i in rows])
-        own, other = zip(*condition1)
-        weights, condition1 = np.array(weights), (np.array(own), np.array(other))
+        weights, condition1, _, _ = _rule4_table(np.array([schemes[i].taus for i in rows]))
         _check_identity(weights, condition1)
         ab = np.array([counts[i][:2 * m] for i in rows])
         a, b = ab[:, :m], ab[:, m:]

@@ -22,7 +22,9 @@ lowerbounds probe is a chunk of one.
 
 check_condition1 draws its tallies as (scheme, count row) pairs
 (_draw_tally) and hands each chunk's rows to rules.rule4_row_columns, which
-checks and scores them, building no tally object per draw. Its draws are
+checks and scores them, building no tally object per draw: each scheme
+length's weights come from one array call (rules._rule4_table), with no
+rule4_weights call per draw. Its draws are
 default_rng(seed)'s, read from raw PCG64 words by _Bits, which replays
 numpy's integers (Lemire's multiply-shift) and random (a 53-bit shift) with
 no Generator call per tally.

@@ -22,7 +22,8 @@ import pytest
 from strengthvote import metric_core, rules
 from strengthvote.metric_core import build_instance, instance_to_doc, line_instance
 from strengthvote.rules import (InvalidThreshold, Rule, _condition1_diff, decide_pair,
-                                decide_tally, rule4_row_columns, rule4_weights, side_scores)
+                                decide_tally, rule4_delta, rule4_row_columns, rule4_weights,
+                                side_scores)
 from strengthvote.search_oracle import (_Bits, _draw_tally, _drawn, _scored,
                                         _two_candidate_rules, _winners, check_condition1)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
@@ -160,6 +161,66 @@ def test_side_scores_match_a_per_tally_fsum(taus):
     assert _hex(q) == _hex(s for _, s in want)
 
 
+def test_side_scores_of_one_or_two_terms_equal_fsum_at_the_extremes():
+    """Rows of one or two terms are one numpy row sum: by float.hex they are
+    math.fsum of the row, under the largest weights a Rule admits, condition
+    1's negative coefficients and zero counts (signed zeros included), with
+    no RuntimeWarning."""
+    top = math.sqrt(sys.float_info.max)  # the largest one-cutoff rule4 scheme
+    rows = [Rule("rule2", math.nextafter(1.0, 2.0)).weights, Rule("rule1", 2.0).weights,
+            Rule("rule3", 2.0).weights, Rule("rule4", scheme=(top,)).weights,
+            Rule("rule4", scheme=(1.3e154, 1.34e154)).weights, (-1.0,), (-1.0, -1.0)]
+    for taus in [(1.0,), (2.0,), (top,), (1.5, 3.0)]:
+        _, (own, other), _, _ = rule4_weights(ThresholdScheme(taus))
+        rows += [own, other] if len(taus) > 1 else [own + other]
+    assert max(max(map(abs, w)) for w in rows) > 1e154
+    counts = np.array([[0, 0], [1, 0], [0, 1], [7, 3], [0, 10 ** 6], [10 ** 6, 10 ** 6]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in rows:
+            a, b = counts[:, :len(w)], counts[::-1, :len(w)]
+            p, q = side_scores(w, a, b)
+            want = [_reference_scores(w, x, y) for x, y in zip(a.tolist(), b.tolist())]
+            assert _hex(p) == _hex(s for s, _ in want), w
+            assert _hex(q) == _hex(s for _, s in want), w
+
+
+def test_the_rule4_table_rows_match_their_rows_of_one():
+    """Each row of a length group's _rule4_table is, by float.hex, the same
+    cutoffs' row of one (rule4_weights): rows do not depend on each other."""
+    rng = _Bits(6)
+    groups = {}
+    for _ in range(3_000):
+        scheme, _ = _draw_tally(rng)
+        groups.setdefault(scheme.m, []).append(scheme.taus)
+    assert sorted(groups) == [1, 2, 3, 4]
+    for cuts in groups.values():
+        weights, (own, other), ds, k = rules._rule4_table(np.array(cuts))
+        for i, taus in enumerate(cuts):
+            one = rule4_weights(ThresholdScheme(taus))
+            assert (_hex(weights[i]), _hex(own[i]), _hex(other[i]), ds[i].hex(), int(k[i])) == \
+                (_hex(one[0]), _hex(one[1][0]), _hex(one[1][1]), one[2].hex(), one[3]), taus
+
+
+def test_a_length_group_refuses_a_ratio_term_as_rule4_delta_does():
+    """(1, 1e200, 1e201) among drawn rows of its length: its neighbour term is
+    inf/inf = nan, and rule4_row_columns raises rule4_delta's exact
+    InvalidThreshold for that scheme, with no RuntimeWarning on the way."""
+    rng = _Bits(9)
+    drawn = [_draw_tally(rng) for _ in range(200)]
+    bad = ThresholdScheme((1.0, 1e200, 1e201))
+    schemes, rows = zip(*drawn[:100], (bad, [1, 0, 2, 0, 3, 0]), *drawn[100:])
+    assert sum(s.m == 3 for s in schemes) > 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidThreshold) as want:
+            rule4_delta(bad)
+        with pytest.raises(InvalidThreshold) as got:
+            rule4_row_columns(schemes, rows)
+    assert str(got.value) == str(want.value) == (
+        "thresholds (1.0, 1e+200, 1e+201) overflow their ratio terms (1.0, 3.0, nan, 1.0)")
+
+
 def test_side_scores_raise_when_condition1_disagrees():
     weights, (own, other), _, _ = rule4_weights(ThresholdScheme((1.5, 3.0)))
     with pytest.raises(AssertionError):
@@ -185,9 +246,15 @@ SKEWED_UNDER_O = """
 from strengthvote import rules
 from strengthvote.tallies import ThresholdScheme
 
-weights, (own, other), ds, k = rules.rule4_weights(ThresholdScheme((1.5, 3.0)))
-skewed = (own, tuple(x + 1.0 for x in other))
-rules.rule4_weights = lambda scheme: (weights, skewed, ds, k)
+table = rules._rule4_table
+
+
+def skewed(cuts):
+    weights, (own, other), ds, k = table(cuts)
+    return weights, (own, other + 1.0), ds, k
+
+
+rules._rule4_table = skewed
 
 
 def outcome(call):
@@ -221,17 +288,17 @@ def test_condition1_columns_check_every_rows_score_gap(monkeypatch):
     rng = _Bits(8)
     skewed = PairwiseTally(("P", "Q"), ThresholdScheme((1.5, 3.0)), (3, 0), (0, 2), 0)
     tallies = [_random_tally(rng) for _ in range(50)] + [skewed]
-    derive = rules.rule4_weights
+    table = rules._rule4_table
 
-    def skewing(scheme):
-        weights, (own, other), ds, k = derive(scheme)
-        if scheme is skewed.scheme:
-            other = tuple(x + 1.0 for x in other)
+    def skewing(cuts):
+        weights, (own, other), ds, k = table(cuts)
+        if cuts.shape[1] == skewed.scheme.m:
+            other = np.where((cuts == skewed.scheme.taus).all(axis=1)[:, None], other + 1.0, other)
         return weights, (own, other), ds, k
 
     schemes, rows = [t.scheme for t in tallies], [_row(t) for t in tallies]
     rule4_row_columns(schemes, rows)
-    monkeypatch.setattr(rules, "rule4_weights", skewing)
+    monkeypatch.setattr(rules, "_rule4_table", skewing)
     with pytest.raises(AssertionError):
         rule4_row_columns(schemes, rows)
 

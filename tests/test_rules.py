@@ -201,15 +201,15 @@ def test_condition1_holds_rejects_a_side_outside_the_pair():
 
 def test_condition1_holds_derives_the_tallys_weights_once(monkeypatch):
     """condition1_holds takes the tally's row straight to rule4_row_columns:
-    one rule4_weights call per side asked, and no Rule built around it."""
+    one _rule4_table row per side asked, and no Rule built around it."""
     from strengthvote import rules
-    calls = []
+    calls, table = [], rules._rule4_table
 
-    def counted(scheme):
-        calls.append(scheme)
-        return rule4_weights(scheme)
+    def counted(cuts):
+        calls.extend(ThresholdScheme(tuple(row)) for row in cuts.tolist())
+        return table(cuts)
 
-    monkeypatch.setattr(rules, "rule4_weights", counted)
+    monkeypatch.setattr(rules, "_rule4_table", counted)
     t = PairwiseTally(("P", "Q"), ThresholdScheme((1.5, 3.0)), (3, 0), (0, 2), 1)
     for asked, side in enumerate("PQ", start=1):
         condition1_holds(t, side)

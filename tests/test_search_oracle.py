@@ -274,13 +274,13 @@ def test_bits_replay_integers_and_random(seed, n):
 
 
 def test_check_condition1_derives_each_tallys_weights_once(monkeypatch):
-    calls = []
+    calls, table = [], rules._rule4_table
 
-    def counted(scheme):
-        calls.append(scheme)
-        return rule4_weights(scheme)
+    def counted(cuts):
+        calls.extend(cuts)
+        return table(cuts)
 
-    monkeypatch.setattr(rules, "rule4_weights", counted)
+    monkeypatch.setattr(rules, "_rule4_table", counted)
     check_condition1(seed=5, n=500)
     assert len(calls) == 500
 
@@ -324,8 +324,8 @@ def test_check_condition1_rejects_a_drawn_row_no_tally_would_hold(corrupt, monke
 
 
 def test_check_condition1_raises_the_skewed_rows_identity_gap(monkeypatch):
-    """rule4_weights skewed for one scheme in the middle of a chunk makes its
-    length group's one identity check raise that row's (w, own - other)."""
+    """_rule4_table skewed for one scheme's row in the middle of a chunk makes
+    its length group's one identity check raise that row's (w, own - other)."""
     draw, drawn = search_oracle._draw_tally, []
 
     def recording(rng):
@@ -333,16 +333,19 @@ def test_check_condition1_raises_the_skewed_rows_identity_gap(monkeypatch):
         drawn.append(scheme)
         return scheme, counts
 
-    def skewing(scheme):
-        weights, (own, other), ds, k = rule4_weights(scheme)
-        if scheme is drawn[257]:
-            other = tuple(x + 1.0 for x in other)
+    table = rules._rule4_table
+
+    def skewing(cuts):
+        weights, (own, other), ds, k = table(cuts)
+        if cuts.shape[1] == drawn[257].m:
+            other = np.where((cuts == drawn[257].taus).all(axis=1)[:, None], other + 1.0, other)
         return weights, (own, other), ds, k
 
     monkeypatch.setattr(search_oracle, "_draw_tally", recording)
-    monkeypatch.setattr(rules, "rule4_weights", skewing)
+    monkeypatch.setattr(rules, "_rule4_table", skewing)
     with pytest.raises(AssertionError) as raised:
         check_condition1(seed=42, n=1024)
+    monkeypatch.undo()
     weights, (own, other), _, _ = rule4_weights(drawn[257])
     assert raised.value.args == ((weights, tuple(o - (x + 1.0) for o, x in zip(own, other))),)
 
