@@ -18,7 +18,7 @@ Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
 coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
 table once, when it is built. _rule4_table alone refuses ratio terms that
 overflow to inf or nan (InvalidThreshold), and _check_identity alone rule4
-weights and coefficients, for a Rule and rule4_row_columns alike. rule5
+weights and coefficients, for a Rule and _rule4_columns alike. rule5
 checks strengths as bucket does, and weighs each voter by the continuous
 rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the
 branches agree at s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
@@ -32,20 +32,24 @@ approach one ratio term. rule4's table (the ratio terms, their max ds, the
 pivot k, the weights and condition 1's coefficients) is written once, as
 array code over an (n, m) array of cutoffs, one scheme per row:
 _rule4_table, with the ratio terms from _ratio_term_rows. ratio_terms,
-rule4_delta and rule4_weights are each the row of a one-row call, and
-rule4_row_columns derives each scheme length's table with one call.
+rule4_delta and rule4_weights are each the row of a one-row call, a Rule
+keeps its row's ds, and _rule4_columns derives each scheme length's table
+with one call.
 The multiway and ideal-point guarantees rest on each rule's lambda-inequality
 SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
 _instance_scores is the one path from voter columns to pair scores, through
 _pair_scores, the one scorer of joined strengths: search_oracle._winners
 calls it on a chunk, and decide_pair (so evaluate) once per instance and
 Rule, keeping the scores on the instance.
-rule4_row_columns is the one core for rule4 count rows, each under its own
-scheme: it checks the rows, derives their condition-1 coefficients and sums
-their scores and slacks. check_condition1 calls it on drawn rows, and
-_tally_slacks on one tally's row, for condition1_holds and for
+_rule4_columns is the one core for rule4 count rows, each under its own
+scheme, over a ragged table of arrays (each row's m, the cutoffs, each
+row's count length, the counts): it checks the rows as ThresholdScheme and
+PairwiseTally would, derives their condition-1 coefficients and sums their
+scores and slacks. check_condition1 hands it the table it decodes from the
+draw stream; rule4_row_columns joins a list of (scheme, count row) pairs
+into the table, for _tally_slacks on one tally's row (condition1_holds and
 _condition1_diff, which first checks that its rule is rule4 under the
-tally's scheme.
+tally's scheme).
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import numpy as np
 
 from .metric_core import MetricInstance, SameCandidate
 from .tallies import (INCLUSIVE, STRICT, ExactProfile, PairwiseTally, ThresholdScheme,
-                      _sides, _strength_array)
+                      _cutoff_error, _sides, _strength_array)
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
 from .tallies import bucket_profile, exact_profile  # noqa: F401
 
@@ -85,13 +89,15 @@ class Rule:
     _check_identity. A scheme whose ratio terms are not finite floats raises
     InvalidThreshold in _rule4_table, which rule1-3 reach through
     rule4_delta on their scheme and rule4 through rule4_weights; a strict
-    scheme for rule4, which buckets inclusively, raises it here. rule5 has
-    no buckets."""
+    scheme for rule4, which buckets inclusively, raises it here. The build
+    keeps the scheme's worst ratio term, rule4_delta's ds, as ds, for
+    bound_value and the grid sweep; rule5 has no buckets and ds None."""
 
     kind: str
     tau: float | None = None
     scheme: ThresholdScheme | None = None
     weights: tuple[float, ...] = field(init=False)
+    ds: float | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         kind, tau, scheme = self.kind, self.tau, self.scheme
@@ -100,7 +106,7 @@ class Rule:
         if kind == "rule5":
             if tau is not None or scheme is not None:
                 raise InvalidThreshold("rule5 takes no thresholds")
-            weights = ()
+            weights, ds = (), None
         elif kind == "rule4":
             if tau is not None:
                 raise InvalidThreshold("rule4 takes a threshold scheme, not tau")
@@ -110,7 +116,7 @@ class Rule:
                 scheme = ThresholdScheme(tuple(scheme))
             if scheme.boundary != INCLUSIVE:
                 raise InvalidThreshold(f"rule4 buckets inclusively, got a {scheme.boundary} scheme")
-            weights, condition1, _, _ = rule4_weights(scheme)
+            weights, condition1, ds, _ = rule4_weights(scheme)
             _check_identity(weights, condition1)
         else:
             if scheme is not None:
@@ -130,8 +136,8 @@ class Rule:
             else:
                 strong = (tau + 1.0) / (tau - 1.0) if kind == "rule2" or tau >= 1.0 + SQRT2 else tau
                 scheme, weights = ThresholdScheme((1.0, tau), STRICT), (1.0, strong)
-            rule4_delta(scheme)
-        for name, value in dict(tau=tau, scheme=scheme, weights=weights).items():
+            ds = rule4_delta(scheme)
+        for name, value in dict(tau=tau, scheme=scheme, weights=weights, ds=ds).items():
             object.__setattr__(self, name, value)
 
     def label(self) -> str:
@@ -235,7 +241,7 @@ def rule4_weights(scheme: ThresholdScheme) -> tuple[tuple, tuple, float, int]:
 
 
 def _check_identity(weights, condition1) -> None:
-    """The one check of rule4 rows, for Rule and rule4_row_columns alike, on
+    """The one check of rule4 rows, for Rule and _rule4_columns alike, on
     weights and condition1 = (own, other), each one row or 2-D rows of one
     length. A non-finite entry raises InvalidThreshold, tested first since
     the tolerance holds for w = inf; then the first row whose w is not
@@ -291,36 +297,62 @@ def rule4_decide(tally: PairwiseTally, scheme: ThresholdScheme) -> PairwiseDecis
     return decide_tally(tally, Rule("rule4", scheme=scheme))
 
 
-def rule4_row_columns(schemes, counts) -> np.ndarray:
-    """rule4 under each row's own scheme, as a (4, n) array of columns: the
-    pair[0] and pair[1] side scores (side_scores), then the two sides'
-    condition-1 slacks (rhs - lhs). Row i of counts is a tally's under
-    schemes[i]: its m bucket counts for pair[0]'s side, then m for pair[1]'s,
-    then the hidden set's count only when tau_1 > 1. A row of another length
-    or with a negative count raises ValueError, as PairwiseTally would. A
+def _rule4_columns(m, cuts, lengths, counts) -> np.ndarray:
+    """The one core for rule4 count rows, each under its own scheme, as a
+    (4, n) array of columns: the pair[0] and pair[1] side scores
+    (side_scores), then the two sides' condition-1 slacks (rhs - lhs). The
+    n rows come as a ragged table: row i's cutoff count m[i], the rows'
+    cutoffs joined in cuts, row i's count length lengths[i] and the rows'
+    counts joined in counts. A row's counts are its m bucket counts for
+    pair[0]'s side, then m for pair[1]'s, then the hidden set's count only
+    when tau_1 > 1. The first row whose cutoffs ThresholdScheme would refuse
+    raises its ValueError (tallies._cutoff_error); then a row of another
+    length or a negative count raises ValueError, as PairwiseTally would. A
     side's slack is its side score under the weights (own, other) of
     rule4_weights, over its own counts then the other side's. The rows of
-    one scheme length get their weights from one _rule4_table call on their
-    cutoffs (InvalidThreshold for a ratio term that is not finite), go
-    through one _check_identity call (InvalidThreshold for an entry that is
-    not finite, AssertionError for a mismatch), then are summed together."""
-    if list(map(len, counts)) != [2 * s.m + (s.taus[0] > 1.0) for s in schemes]:
+    one cutoff count, taken in order of first appearance, get their weights
+    from one _rule4_table call on their cutoffs (InvalidThreshold for a
+    ratio term that is not finite), go through one _check_identity call
+    (InvalidThreshold for an entry that is not finite, AssertionError for a
+    mismatch), then are summed together."""
+    m, lengths = np.asarray(m, dtype=np.intp), np.asarray(lengths, dtype=np.intp)
+    cuts, counts = np.asarray(cuts, dtype=float), np.asarray(counts)
+    ends = np.cumsum(m)
+    starts = ends - m
+    lead = np.zeros(len(cuts), dtype=bool)
+    lead[starts[m > 0]] = True
+    # each cutoff finite, and >= 1 if its row's first, else above the one before
+    ok = np.isfinite(cuts) & np.where(lead, cuts >= 1.0, cuts > np.roll(cuts, 1))
+    refused = m < 1
+    refused[np.repeat(np.arange(len(m)), m)[~ok]] = True
+    if refused.any():
+        i = refused.argmax()
+        raise ValueError(_cutoff_error(tuple(cuts[starts[i]:ends[i]].tolist())))
+    if lengths.shape != m.shape or (lengths != 2 * m + (cuts[starts] > 1.0)).any():
         raise ValueError("expected m bucket counts per side, then C's only when tau_1 > 1")
-    if (np.fromiter(chain.from_iterable(counts), float) < 0).any():
+    if (counts < 0).any():
         raise ValueError("bucket counts must be nonnegative")
-    out = np.empty((4, len(schemes)))
-    by_length = {}
-    for i, scheme in enumerate(schemes):
-        by_length.setdefault(scheme.m, []).append(i)
-    for m, rows in by_length.items():
-        weights, condition1, _, _ = _rule4_table(np.array([schemes[i].taus for i in rows]))
+    firsts = np.cumsum(lengths) - lengths
+    out = np.empty((4, len(m)))
+    for g in m[np.sort(np.unique(m, return_index=True)[1])]:
+        rows = np.flatnonzero(m == g)
+        weights, condition1, _, _ = _rule4_table(cuts[starts[rows, None] + np.arange(g)])
         _check_identity(weights, condition1)
-        ab = np.array([counts[i][:2 * m] for i in rows])
-        a, b = ab[:, :m], ab[:, m:]
+        ab = counts[firsts[rows, None] + np.arange(2 * g)]
+        a, b = ab[:, :g], ab[:, g:]
         out[:, rows] = (*side_scores(weights, a, b),
                         *side_scores(np.concatenate(condition1, axis=-1), ab,
                                      np.concatenate((b, a), axis=-1)))
     return out
+
+
+def rule4_row_columns(schemes, counts) -> np.ndarray:
+    """_rule4_columns over a list of rows: row i of counts is a tally's under
+    schemes[i], its counts in the order the core reads them. The rows are
+    joined into the core's ragged table, so they are checked and scored as
+    check_condition1's decoded rows are."""
+    return _rule4_columns([s.m for s in schemes], list(chain.from_iterable(s.taus for s in schemes)),
+                          list(map(len, counts)), np.fromiter(chain.from_iterable(counts), float))
 
 
 def _tally_slacks(tally: PairwiseTally) -> tuple[float, float]:
@@ -426,7 +458,7 @@ def decide_pair(inst: MetricInstance, p: str, q: str, rule: Rule) -> PairwiseDec
 def bound_value(rule: Rule, num_candidates: int = 2) -> float:
     """Worst-case distortion bound for a rule.
 
-    Two candidates: the scheme's worst ratio term rule4_delta(rule.scheme) for
+    Two candidates: the scheme's worst ratio term rule.ds for
     the threshold rules (see the module docstring), sqrt(2) for rule5.
     Three or more candidates (winner from the uncovered set): rule1 takes
     min{b+2, b^2} of its two-candidate bound b, rule3/rule4 square theirs,
@@ -436,7 +468,7 @@ def bound_value(rule: Rule, num_candidates: int = 2) -> float:
         raise ValueError("bounds are defined for two or more candidates")
     if rule.kind == "rule5":
         return SQRT2 if num_candidates == 2 else 2.0
-    b = rule4_delta(rule.scheme)
+    b = rule.ds
     if num_candidates == 2:
         return b
     if rule.kind == "rule2":

@@ -20,14 +20,16 @@ margins follow as arrays, with no profile object per pair. adversarial_search
 decides its anchors and its grid re-check as one chunk, and each
 lowerbounds probe is a chunk of one.
 
-check_condition1 draws its tallies as (scheme, count row) pairs
-(_draw_tally) and hands each chunk's rows to rules.rule4_row_columns, which
-checks and scores them, building no tally object per draw: each scheme
-length's weights come from one array call (rules._rule4_table), with no
-rule4_weights call per draw. Its draws are
-default_rng(seed)'s, read from raw PCG64 words by _Bits, which replays
-numpy's integers (Lemire's multiply-shift) and random (a 53-bit shift) with
-no Generator call per tally.
+check_condition1 decodes its tallies a chunk at a time straight from
+default_rng(seed)'s raw PCG64 words (_decode_tallies): one short Python scan
+(_scan) lays each tally's words out, numpy reads the cutoffs and counts,
+and the chunk goes as one ragged table of arrays to rules._rule4_columns,
+which checks and scores it with one array call per scheme length
+(rules._rule4_table), building no scheme, tally or Python row per draw. A
+tally whose cutoffs are drawn again or whose count half is rejected goes to
+the scalar draw, _draw_tally, which reads the same buffered words through
+_Bits, a replay of numpy's integers (Lemire's multiply-shift) and random
+(a 53-bit shift) with no Generator call per tally.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -43,8 +45,8 @@ from .distortion_lab import (cost_ratio, generate_lower_bound, ideal_point,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
 from .metric_core import (EUCLIDEAN, LINE, MetricInstance, _coord_instance, _coord_instances,
                           line_instance, social_cost)
-from .rules import (SQRT2, Rule, _instance_scores, bound_value, lambda_coefficients, rule4_delta,
-                    rule4_row_columns)
+from .rules import (SQRT2, Rule, _instance_scores, _rule4_columns, bound_value,
+                    lambda_coefficients, rule4_delta)
 from .tallies import ThresholdScheme, _strengths
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
 from .metric_core import euclidean_instance  # noqa: F401
@@ -183,7 +185,7 @@ def _grid_positions(rule: Rule, n: int) -> np.ndarray:
         cuts.add(rule.tau)
     elif rule.kind == "rule4":
         cuts.update(rule.scheme.taus)
-        cuts.add(rule4_delta(rule.scheme))
+        cuts.add(rule.ds)
     else:
         cuts.add(SQRT2)
     spots = []
@@ -399,16 +401,40 @@ def check_lambda(seed: int = 42, n: int = 5_000):
 
 class _Bits:
     """default_rng(seed)'s stream read from its bit generator's raw 64-bit
-    words, a block of _BLOCK at a time, replaying the two Generator laws
-    _draw_tally needs without a Generator call per draw: below(n) is
-    integers(0, n) and double() is random(). The tail of the last block is
-    never read."""
+    words, replaying the two Generator laws _draw_tally needs without a
+    Generator call per draw: below(n) is integers(0, n) and double() is
+    random(). The words wait in one buffer, read a block of _BLOCK at a
+    time (_block) and held both as a numpy array, for _decode_tallies, and
+    as Python ints: the unread tail of earlier blocks and the blocks read
+    since. The tail of the last block is never read."""
 
     def __init__(self, seed):
-        bit_generator = np.random.default_rng(seed).bit_generator
-        blocks = iter(lambda: bit_generator.random_raw(_BLOCK).tolist(), None)
-        self._word = chain.from_iterable(blocks).__next__
+        self._bit_generator = np.random.default_rng(seed).bit_generator
+        self._raw = np.empty(0, dtype=np.uint64)
+        self._words = []
+        self._at = 0  # the next unread word
         self._half = None  # a word's unused high 32 bits, as PCG64's has_uint32 keeps them
+
+    def _block(self) -> np.ndarray:
+        """The stream's next _BLOCK raw words."""
+        return self._bit_generator.random_raw(_BLOCK)
+
+    def _fill(self, need: int) -> None:
+        """Drop the words read, then read blocks until at least need words
+        wait unread."""
+        blocks = []
+        while len(self._words) - self._at + _BLOCK * len(blocks) < need:
+            blocks.append(self._block())
+        if blocks:
+            self._raw = np.concatenate([self._raw[self._at:], *blocks])
+            self._words = self._words[self._at:] + np.concatenate(blocks).tolist()
+            self._at = 0
+
+    def _word(self) -> int:
+        if self._at == len(self._words):
+            self._fill(1)
+        self._at += 1
+        return self._words[self._at - 1]
 
     def below(self, n: int) -> int:
         """integers(0, n) for 2 <= n <= 2**32: Lemire's multiply-shift on
@@ -435,7 +461,9 @@ def _draw_tally(bits: _Bits) -> tuple[ThresholdScheme, list[int]]:
     the time, and counts from 0 to 50 under it: m for pair[0]'s side, m for
     pair[1]'s, then the hidden set's when tau_1 > 1. The draws are those of
     integers(1, 5), uniform(1.0, 6.0, m), random() and integers(0, 51, k)
-    on default_rng, in that order, read from the same stream by bits."""
+    on default_rng, in that order, read from the same stream by bits. It is
+    the scalar path, which _decode_tallies takes only for a tally whose
+    cutoffs are drawn again or whose count half is rejected."""
     m = 1 + bits.below(4)
     while True:
         # round(x * 1e6) / 1e6 is np.round(x, 6): scale, round half to even, divide;
@@ -450,13 +478,108 @@ def _draw_tally(bits: _Bits) -> tuple[ThresholdScheme, list[int]]:
     return scheme, [bits.below(51) for _ in range(2 * m + hidden)]
 
 
+# The most words a tally reads when it draws its cutoffs once: for m = 4,
+# m's word (or a kept half), 4 cutoffs, the coin and 9 count halves.
+_TALLY_WORDS = 10
+
+# random() < 0.25 exactly when a word's top two bits are 0
+_QUARTER = 1 << 62
+
+
+def _scan(words: list, at: int, half, count: int):
+    """Lay out count tallies from words[at:], as _draw_tally reads them when
+    no cutoff is drawn again and no count half is rejected: m is below(4),
+    which never rejects, so m - 1 is a 32-bit half's top two bits; then m
+    cutoff words, the coin word (tau_1 = 1 when its top two bits are 0),
+    then 2m + (tau_1 > 1) count halves. The first count half is the high
+    half kept from m's word, unless m was read from a half kept before.
+    Returns each tally's m, its first cutoff word and whether m was read
+    from a kept half, then the index and kept half after the last tally."""
+    ms, firsts, kept = [], [], []
+    for _ in range(count):
+        kept.append(half is not None)
+        if half is None:
+            m = (words[at] >> 30 & 3) + 1
+            at += 1
+            halves = 2 * m - 1  # from new words: the word's high half is the first
+        else:
+            m = (half >> 30) + 1
+            halves = 2 * m
+        ms.append(m)
+        firsts.append(at)
+        at += m
+        halves += words[at] >= _QUARTER
+        at += 1 + (halves + 1) // 2
+        half = words[at - 1] >> 32 if halves % 2 else None
+    return ms, firsts, kept, at, half
+
+
+def _ends(lengths: np.ndarray) -> np.ndarray:
+    """Where each of a ragged table's rows ends in its flat array, after a
+    leading 0: row i spans [ends[i], ends[i + 1])."""
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
+def _flat(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """lengths[i] consecutive indices from each firsts[i], row after row."""
+    ends = _ends(lengths)
+    return np.arange(ends[-1]) + np.repeat(firsts - ends[:-1], lengths)
+
+
+def _decode_tallies(bits: _Bits, count: int):
+    """The next count tallies of _draw_tally's stream, as _rule4_columns'
+    ragged table (m, cutoffs, count lengths, counts) of numpy arrays. _scan
+    lays the tallies out from the buffered words; numpy then reads the
+    cutoffs (sorted per row, tau_1 set to 1 by the coin) and the counts
+    ((u * 51) >> 32 of each 32-bit half u). A tally that _draw_tally would
+    read otherwise ends the decode: two cutoffs that round equal, a least
+    cutoff that rounds to 1 (both drawn again), or a count half of 0
+    (below(51)'s one rejection). bits is put at that tally's first word and
+    kept half, _draw_tally draws it, and the decode goes on after it. The
+    buffer holds fewer than _TALLY_WORDS * count + _BLOCK words."""
+    parts = []
+    while count:
+        bits._fill(_TALLY_WORDS * count)
+        ms, firsts, kept, at, half = _scan(bits._words, bits._at, bits._half, count)
+        m, c, kept, raw = np.array(ms), np.array(firsts), np.array(kept), bits._raw
+        hidden = raw[c + m] >= _QUARTER
+        k = 2 * m + hidden
+        count_ends, cut_ends = _ends(k), _ends(m)
+        after = 2 * (c + m + 1)  # the half index of the low half after the coin
+        h = _flat(np.where(kept, after, after - 1), k)
+        h[count_ends[:-1]] = np.where(kept, after, 2 * c - 1)
+        w = raw[h >> 1]
+        u = np.where(h & 1, w >> 32, w & 0xFFFFFFFF)
+        taus = np.rint((1.0 + 5.0 * ((raw[_flat(c, m)] >> 11) * 2.0 ** -53)) * 1e6) / 1e6
+        rows = np.arange(count)
+        by_row = np.repeat(rows, m)
+        taus = taus[np.lexsort((taus, by_row))]
+        stopped = taus[cut_ends[:-1]] <= 1.0
+        stopped[by_row[1:][(taus[1:] == taus[:-1]) & (by_row[1:] == by_row[:-1])]] = True
+        stopped[np.repeat(rows, k)[u == 0]] = True
+        taus[cut_ends[:-1][~hidden]] = 1.0
+        stop = int(stopped.argmax()) if stopped.any() else count
+        parts.append((m[:stop], taus[:cut_ends[stop]], k[:stop],
+                      ((u[:count_ends[stop]] * 51) >> 32).astype(np.intp)))
+        if stop == count:
+            bits._at, bits._half = at, half
+            break
+        if stop:
+            bits._at = int(c[stop]) - (not kept[stop])
+            bits._half = bits._words[bits._at - 1] >> 32 if kept[stop] else None
+        scheme, counts = _draw_tally(bits)
+        parts.append(([scheme.m], scheme.taus, [len(counts)], counts))
+        count -= stop + 1
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 @_check(min)
 def check_condition1(seed: int = 42, n: int = 100_000):
     """Some side of every tally is feasible, and rule4 always picks a feasible side."""
     bits = _Bits(seed)
     for start in range(0, n, _TALLY_CHUNK):
-        schemes, counts = zip(*[_draw_tally(bits) for _ in range(min(_TALLY_CHUNK, n - start))])
-        p, q, slack_p, slack_q = rule4_row_columns(schemes, counts)
+        p, q, slack_p, slack_q = _rule4_columns(*_decode_tallies(bits, min(_TALLY_CHUNK,
+                                                                           n - start)))
         winner_slack = np.where(p >= q, slack_p, slack_q)  # a tie goes to P
         best_slack = np.where(slack_q > slack_p, slack_q, slack_p)
         yield best_slack, (best_slack < -1e-9) | (winner_slack < -1e-9)

@@ -54,6 +54,24 @@ def _strength_array(strength) -> np.ndarray:
     return s
 
 
+def _cutoff_error(taus: tuple[float, ...]) -> str | None:
+    """The one check of a scheme's cutoffs, for ThresholdScheme and
+    rules._rule4_columns alike: the message of the first check the cutoffs
+    fail (at least one, the least >= 1, strictly increasing, finite), or
+    None."""
+    if not taus:
+        return "a scheme needs at least one threshold"
+    if taus[0] < 1.0:
+        return f"thresholds must be >= 1, got {taus[0]}"
+    # before the finite check: (1, inf, inf) is not strictly increasing,
+    # while a NaN compares false and is reported as not finite
+    if any(map(operator.ge, taus, taus[1:])):
+        return f"thresholds must be strictly increasing: {taus}"
+    if not all(map(math.isfinite, taus)):
+        return "thresholds must be finite"
+    return None
+
+
 @dataclass(frozen=True)
 class ThresholdScheme:
     taus: tuple[float, ...]
@@ -64,16 +82,9 @@ class ThresholdScheme:
         object.__setattr__(self, "taus", taus)
         if self.boundary not in (INCLUSIVE, STRICT):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
-        if not taus:
-            raise ValueError("a scheme needs at least one threshold")
-        if taus[0] < 1.0:
-            raise ValueError(f"thresholds must be >= 1, got {taus[0]}")
-        # before the finite check: (1, inf, inf) is not strictly increasing,
-        # while a NaN compares false and is reported as not finite
-        if any(map(operator.ge, taus, taus[1:])):
-            raise ValueError(f"thresholds must be strictly increasing: {taus}")
-        if not all(map(math.isfinite, taus)):
-            raise ValueError("thresholds must be finite")
+        error = _cutoff_error(taus)
+        if error is not None:
+            raise ValueError(error)
 
     @property
     def m(self) -> int:

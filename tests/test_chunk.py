@@ -54,6 +54,23 @@ def _row(tally):
     return tally.a_counts + tally.b_counts + hidden
 
 
+def _table_rows(table):
+    """A ragged table's rows (search_oracle._decode_tallies, the table
+    rules._rule4_columns reads) as (scheme, count row) pairs, each count row
+    a list of ints."""
+    m, cuts, lengths, counts = map(np.asarray, table)
+    cut_ends, count_ends = np.cumsum(m).tolist(), np.cumsum(lengths).tolist()
+    return [(ThresholdScheme(tuple(cuts[ce - k:ce].tolist())), counts[ne - n:ne].tolist())
+            for k, ce, n, ne in zip(m.tolist(), cut_ends, lengths.tolist(), count_ends)]
+
+
+def _rows_table(rows):
+    """(scheme, count row) pairs as a ragged table: _table_rows' inverse."""
+    schemes, counts = zip(*rows)
+    return ([s.m for s in schemes], [t for s in schemes for t in s.taus],
+            list(map(len, counts)), [x for row in counts for x in row])
+
+
 def _reference_winner(inst, rule):
     """The per-case winner: decide_pair on the sorted pair for two
     candidates, else copeland_winner of majority_graph."""
@@ -318,6 +335,23 @@ def test_condition1_columns_refuse_a_row_whose_arithmetic_overflows():
             rule4_row_columns(schemes, rows)
         with pytest.raises(InvalidThreshold, match="overflow"):
             Rule("rule4", scheme=schemes[-1])
+
+
+@pytest.mark.parametrize("taus", [(), (0.5, 2.0), (2.0, 2.0), (1.0, math.inf, math.inf),
+                                  (1.5, math.nan), (math.nan,), (1.0, math.inf)], ids=str)
+def test_the_row_core_refuses_cutoffs_as_a_scheme_does(taus):
+    """A row whose cutoffs ThresholdScheme refuses, among drawn rows and
+    before a second refused row, makes rules._rule4_columns raise the
+    scheme's ValueError for that row."""
+    rng = _Bits(8)
+    drawn = [(s.taus, c) for s, c in (_draw_tally(rng) for _ in range(20))]
+    rows = drawn[:10] + [(taus, [0] * (2 * len(taus) + 1))] + drawn[10:] + [((0.5,), [1, 2, 3])]
+    with pytest.raises(ValueError) as want:
+        ThresholdScheme(taus)
+    with pytest.raises(ValueError) as got:
+        rules._rule4_columns([len(t) for t, _ in rows], [x for t, _ in rows for x in t],
+                             [len(c) for _, c in rows], [x for _, c in rows for x in c])
+    assert str(got.value) == str(want.value)
 
 
 def test_condition1_columns_match_the_per_tally_path():

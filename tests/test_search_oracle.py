@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import operator
 from collections import Counter
 from itertools import product
 
@@ -20,7 +21,7 @@ from strengthvote.search_oracle import (SPACES, _Bits, _anchor_instances, _grid_
                                         optimize_thresholds, random_instance, verify_suite)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 
-from test_chunk import _random_tally
+from test_chunk import _random_tally, _reference_slacks, _rows_table, _table_rows
 
 
 def brute_force_best(inst: MetricInstance) -> tuple[str, float]:
@@ -273,6 +274,134 @@ def test_bits_replay_integers_and_random(seed, n):
     assert halves // 2 + doubles > 4096
 
 
+def _decoded_rows(bits, n):
+    """n tallies from _decode_tallies, _TALLY_CHUNK at a time, as (scheme,
+    count row) pairs."""
+    rows = []
+    for start in range(0, n, search_oracle._TALLY_CHUNK):
+        rows += _table_rows(search_oracle._decode_tallies(
+            bits, min(search_oracle._TALLY_CHUNK, n - start)))
+    return rows
+
+
+def _hex_rows(rows):
+    return [([t.hex() for t in scheme.taus], counts) for scheme, counts in rows]
+
+
+@pytest.mark.parametrize("seed", [42, 7, 5])
+def test_decoded_tallies_are_the_scalar_draws(seed, monkeypatch):
+    """The block decoder reads the rows _draw_tally draws, by float.hex, with
+    Python int counts, while high halves kept from one tally's last count
+    word carry into the next chunk and across the blocks the buffer reads."""
+    bits, reference, carried, crossed = _Bits(seed), _Bits(seed), [], []
+    block, decode = _Bits._block, search_oracle._decode_tallies
+
+    def reading(self):
+        if self is bits:
+            crossed.append(self._half is not None)
+        return block(self)
+
+    def decoding(bits, count):
+        carried.append(bits._half is not None)
+        return decode(bits, count)
+
+    monkeypatch.setattr(_Bits, "_block", reading)
+    monkeypatch.setattr(search_oracle, "_decode_tallies", decoding)
+    got = _decoded_rows(bits, 20_000)
+    want = [search_oracle._draw_tally(reference) for _ in range(20_000)]
+    assert _hex_rows(got) == _hex_rows(want)
+    assert all(type(x) is int for _, counts in got for x in counts)
+    assert any(carried) and any(crossed) and len(crossed) > 20
+
+
+def test_seed_41_draws_its_cutoffs_again_at_tally_13735(monkeypatch):
+    """Seed 41's stream draws tally 13,735's cutoffs twice (m = 3, so 7
+    doubles), and no other tally of the first 14,000 does. The decoder hands
+    that tally, and only it, to _draw_tally and reads the same rows; the
+    check's cases, failures and worst margin are the per-tally path's."""
+    reference, doubles, draws = _Bits(41), [0], []
+    double = _Bits.double
+
+    def counting(self):
+        doubles[0] += 1
+        return double(self)
+
+    monkeypatch.setattr(_Bits, "double", counting)
+    want, redrawn = [], []
+    for i in range(14_000):
+        doubles[0] = 0
+        want.append(search_oracle._draw_tally(reference))
+        if doubles[0] != want[-1][0].m + 1:
+            redrawn.append((i, want[-1][0].m, doubles[0]))
+    monkeypatch.undo()
+    assert redrawn == [(13_735, 3, 7)]
+    draw = search_oracle._draw_tally
+    monkeypatch.setattr(search_oracle, "_draw_tally", lambda bits: draws.append(1) or draw(bits))
+    assert _hex_rows(_decoded_rows(_Bits(41), 14_000)) == _hex_rows(want)
+    assert draws == [1]
+    monkeypatch.undo()
+    worst, failures = math.inf, 0
+    reference = _Bits(41)
+    for tally in (_random_tally(reference) for _ in range(14_000)):
+        weights, (own, other), _, _ = rule4_weights(tally.scheme)
+        p, q = (math.fsum(map(operator.mul, weights, side))
+                for side in (tally.a_counts, tally.b_counts))
+        slack_p, slack_q = _reference_slacks(own, other, tally.a_counts, tally.b_counts)
+        best = max(slack_p, slack_q)
+        worst = min(worst, best)
+        failures += best < -1e-9 or (slack_p if p >= q else slack_q) < -1e-9
+    got = check_condition1(seed=41, n=14_000)
+    assert (got["cases"], got["failures"]) == (14_000, failures)
+    assert got["worst_margin"].hex() == worst.hex()
+
+
+@pytest.mark.parametrize("tally", [0, 256, 511, 512, 768, 1023])
+def test_a_rejected_count_half_falls_back_to_the_scalar_draw(tally, monkeypatch):
+    """A count half of 0, below(51)'s one rejection, written into the word
+    source at a chunk's first, middle or last tally's first count half: the
+    decoder hands that tally to _draw_tally and reads the rows _draw_tally
+    reads from the same words."""
+    block, served = _Bits._block, {}
+
+    def serving(self):
+        words = block(self)
+        start = served.get(self, 0)
+        served[self] = start + len(words)
+        if target and start <= target[0] < start + len(words):
+            word, high = target
+            words[word - start] &= np.uint64(0xFFFFFFFF if high else 0xFFFFFFFF00000000)
+        return words
+
+    target, halves = (), []
+    below = _Bits.below
+
+    def locating(self, n):
+        # the word and half the next below() reads u from, counted from the
+        # stream's start: a kept half is the high half of below()'s last word
+        if self._half is None:
+            halves.append((served.get(self, 0) - (len(self._words) - self._at), False))
+        else:
+            halves.append((halves[-1][0], True))
+        return below(self, n)
+
+    monkeypatch.setattr(_Bits, "_block", serving)
+    monkeypatch.setattr(_Bits, "below", locating)
+    bits = _Bits(5)
+    for _ in range(tally):
+        search_oracle._draw_tally(bits)
+    first = len(halves)
+    search_oracle._draw_tally(bits)
+    monkeypatch.setattr(_Bits, "below", below)
+    target = halves[first + 1]  # below(4) reads m, then the first count half
+    draw, draws = search_oracle._draw_tally, []
+    monkeypatch.setattr(search_oracle, "_draw_tally", lambda bits: draws.append(1) or draw(bits))
+    got = _decoded_rows(_Bits(5), 1536)
+    reference = _Bits(5)
+    want = [draw(reference) for _ in range(1536)]
+    assert _hex_rows(got) == _hex_rows(want)
+    assert draws == [1]
+
+
 def test_check_condition1_derives_each_tallys_weights_once(monkeypatch):
     calls, table = [], rules._rule4_table
 
@@ -302,17 +431,19 @@ def test_check_condition1_at_20000_tallies_is_pinned():
 def test_check_condition1_rejects_a_drawn_row_no_tally_would_hold(corrupt, monkeypatch):
     """One bad row in the middle of the first 512-row chunk makes the check
     raise ValueError, as building its PairwiseTally does."""
-    draw, drawn, bad = search_oracle._draw_tally, [], []
+    decode, drawn, bad = search_oracle._decode_tallies, [], []
 
-    def corrupting(rng):
-        scheme, counts = draw(rng)
-        drawn.append(scheme)
-        if len(drawn) > 256 and not bad and corrupt(scheme, counts) is not None:
-            counts = corrupt(scheme, counts)
-            bad.append((len(drawn) - 1, scheme, counts))
-        return scheme, counts
+    def corrupting(bits, count):
+        rows = _table_rows(decode(bits, count))
+        for i, (scheme, counts) in enumerate(rows):
+            drawn.append(scheme)
+            if len(drawn) > 256 and not bad and corrupt(scheme, counts) is not None:
+                counts = corrupt(scheme, counts)
+                rows[i] = scheme, counts
+                bad.append((len(drawn) - 1, scheme, counts))
+        return _rows_table(rows)
 
-    monkeypatch.setattr(search_oracle, "_draw_tally", corrupting)
+    monkeypatch.setattr(search_oracle, "_decode_tallies", corrupting)
     with pytest.raises(ValueError):
         check_condition1(seed=42, n=1024)
     (i, scheme, counts), = bad
@@ -326,12 +457,12 @@ def test_check_condition1_rejects_a_drawn_row_no_tally_would_hold(corrupt, monke
 def test_check_condition1_raises_the_skewed_rows_identity_gap(monkeypatch):
     """_rule4_table skewed for one scheme's row in the middle of a chunk makes
     its length group's one identity check raise that row's (w, own - other)."""
-    draw, drawn = search_oracle._draw_tally, []
+    decode, drawn = search_oracle._decode_tallies, []
 
-    def recording(rng):
-        scheme, counts = draw(rng)
-        drawn.append(scheme)
-        return scheme, counts
+    def recording(bits, count):
+        table = decode(bits, count)
+        drawn.extend(scheme for scheme, _ in _table_rows(table))
+        return table
 
     table = rules._rule4_table
 
@@ -341,7 +472,7 @@ def test_check_condition1_raises_the_skewed_rows_identity_gap(monkeypatch):
             other = np.where((cuts == drawn[257].taus).all(axis=1)[:, None], other + 1.0, other)
         return weights, (own, other), ds, k
 
-    monkeypatch.setattr(search_oracle, "_draw_tally", recording)
+    monkeypatch.setattr(search_oracle, "_decode_tallies", recording)
     monkeypatch.setattr(rules, "_rule4_table", skewing)
     with pytest.raises(AssertionError) as raised:
         check_condition1(seed=42, n=1024)

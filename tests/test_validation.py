@@ -160,7 +160,7 @@ def test_tally_messages(a, b, c, message):
 
 
 def test_a_tally_of_one_candidate_is_refused():
-    """A pair of two equal ids is refused as exact_profiles refuses it."""
+    """A pair of two equal ids is refused as decide_pair and exact_profile refuse it."""
     with pytest.raises(SameCandidate) as err:
         PairwiseTally(("P", "P"), ThresholdScheme((1.5, 3.0)), (1, 1), (1, 2), 0)
     assert err.value.args == ("P",)
