@@ -50,6 +50,11 @@ draw stream; rule4_row_columns joins a list of (scheme, count row) pairs
 into the table, for _tally_slacks on one tally's row (condition1_holds and
 _condition1_diff, which first checks that its rule is rule4 under the
 tally's scheme).
+side_scores is the one place threshold scores and condition-1 slacks are
+summed, each row to math.fsum's bits: a row of one or two terms by a numpy
+row sum, a batch of _KERNEL_ROWS or more longer rows by _row_fsums (two
+TwoSum cascades and a per-row rounding certificate, with math.fsum for a
+row it cannot certify), and any other row by math.fsum.
 """
 
 from __future__ import annotations
@@ -260,21 +265,90 @@ def _check_identity(weights, condition1) -> None:
         raise AssertionError((tuple(w[i].tolist()), tuple(gap[i].tolist())))
 
 
+# Rows of three or more terms from which side_scores sums a batch with
+# _row_fsums, not one math.fsum call per row. The kernel's numpy calls do not
+# grow with the batch (about 50 for rows of 4 terms, 100 for 8). In a
+# microbenchmark of both sides on random rows of 3 to 8 terms, on 2 cores
+# (Python 3.11, numpy 2.4), the kernel overtook fsum between 150 and 250 rows.
+# No benchmark workload runs the fsum side with such rows: check_condition1's
+# length groups are all above the threshold, and evaluate's and search's
+# rules have at most two buckets.
+_KERNEL_ROWS = 256
+
+
+def _two_sum(a, b):
+    """(fl(a + b), a + b - fl(a + b)), elementwise: Knuth's TwoSum, whose
+    error term is exact for finite floats whose sum does not overflow."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _row_fsums(rows: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of an (n, k) float array, k >= 3, whose terms
+    are finite and far below the overflow threshold: the certificate that
+    side_scores states, with math.fsum for each row it cannot certify."""
+    s, errors = rows[:, 0], []
+    for column in rows.T[1:]:
+        s, e = _two_sum(s, column)
+        errors.append(e)
+    t, residues = errors[0], []
+    for e in errors[1:]:
+        t, f = _two_sum(t, e)
+        residues.append(f)
+    r, g = _two_sum(s, t)
+    bound = np.abs(residues).sum(axis=0) * (2.0 + len(residues) * 2.0 ** -51)
+    g2 = g + g
+    certified = (bound == 0.0) | ((g2 + bound < np.nextafter(r, math.inf) - r)
+                                  & (bound - g2 < r - np.nextafter(r, -math.inf)))
+    sums = r + 0.0
+    for i in np.flatnonzero(~certified).tolist():
+        sums[i] = math.fsum(rows[i].tolist())
+    return sums
+
+
 def side_scores(weights, a, b) -> tuple[list[float], list[float]]:
     """Both sides' scores sum_l w_l * count_l for each row of bucket counts a
     (pair[0]'s side) and b, with one row of weights for every row of counts
-    or one for all: the one place a threshold rule's scores are summed. A
-    row of three or more terms is summed by math.fsum, which is correctly
-    rounded, so the order of a row's terms does not matter. A row of one or
-    two terms is summed by one numpy row sum: one IEEE addition of two
-    finite terms is correctly rounded too, and a zero sum is +0.0 as fsum
-    gives it, so the bits are the same. No such row overflows or raises a
-    RuntimeWarning under an admitted rule: rule1-3 weights are at most
-    9.1e15, and a rule4 row's weights and coefficients are finite after
-    _check_identity, below ds + 1 with ds*tau_m finite, so under 1.4e154."""
+    or one for all: the one place a threshold rule's scores are summed. Each
+    row's sum is math.fsum of the row, correctly rounded with ties to even
+    and +0.0 for a zero sum, so the order of a row's terms does not matter.
+    A row of one or two terms is one numpy row sum: one IEEE addition of two
+    finite terms is correctly rounded too, and a zero sum comes out +0.0. A
+    batch of _KERNEL_ROWS or more rows of three or more terms is summed by
+    _row_fsums in whole-column passes, and a smaller batch by math.fsum, one
+    call per row; the bits are the same either way. No row overflows or
+    raises a RuntimeWarning under an admitted rule: rule1-3 weights are at
+    most 9.1e15, and a rule4 row's weights and coefficients are finite after
+    _check_identity, below ds + 1 with ds*tau_m finite, so under 1.4e154.
+
+    _row_fsums' certificate. TwoSum(a, b) gives s = fl(a + b) and the exact
+    error a + b - s. A TwoSum cascade over a row's terms gives s1 and k - 1
+    errors e with sum(x) = s1 + sum(e) exactly; a second cascade over the
+    errors gives s2 and k - 2 residues f with sum(e) = s2 + sum(f) exactly;
+    TwoSum(s1, s2) gives r and g, so sum(x) = r + g + F with F = sum(f).
+    B = fl(fl(sum|f|) * (2 + (k-2) * 2**-51)) is at least 2*sum|f| >= 2|F|:
+    the float sum of k - 2 nonnegative residues falls short of the true sum
+    by less than (k-2) * 2**-53 of it (by nothing in the subnormal range),
+    and the factor's excess over 2 covers that and the product's rounding.
+    If B = 0 every residue is 0, so r = fl(s1 + s2) is the IEEE rounding of
+    sum(x) itself, ties to even included, and needs no gap test. Otherwise
+    let hi and lo be the gaps from r to the floats above and below it
+    (exact float differences; 2g is exact too). If fl(2g + B) < hi and
+    fl(B - 2g) < lo, then 2g + B < hi and B - 2g < lo exactly, since
+    rounding is monotone and hi and lo are floats, so sum(x) - r = g + F
+    lies strictly inside (-lo/2, hi/2) and sum(x) rounds to r. At a power of
+    two the gap below is half the gap above, so each side is tested against
+    its own gap; a zero g thus meets the smaller one. A row that fails the
+    test goes to math.fsum, and r + 0.0 turns a zero sum into +0.0."""
     terms = np.multiply(weights, np.array([a, b]))
     rows = terms.reshape(-1, terms.shape[-1])
-    sums = rows.sum(axis=1).tolist() if rows.shape[1] <= 2 else list(map(math.fsum, rows.tolist()))
+    if rows.shape[1] <= 2:
+        sums = rows.sum(axis=1).tolist()
+    elif len(rows) >= _KERNEL_ROWS:
+        sums = _row_fsums(rows).tolist()
+    else:
+        sums = list(map(math.fsum, rows.tolist()))
     return sums[:len(a)], sums[len(a):]
 
 

@@ -25,7 +25,9 @@ default_rng(seed)'s raw PCG64 words (_decode_tallies): one short Python scan
 (_scan) lays each tally's words out, numpy reads the cutoffs and counts,
 and the chunk goes as one ragged table of arrays to rules._rule4_columns,
 which checks and scores it with one array call per scheme length
-(rules._rule4_table), building no scheme, tally or Python row per draw. A
+(rules._rule4_table), building no scheme, tally or Python row per draw; a
+chunk is _TALLY_CHUNK = 2,048 tallies, enough for rules.side_scores to sum
+each scheme length's long rows in numpy (rules._row_fsums). A
 tally whose cutoffs are drawn again or whose count half is rejected goes to
 the scalar draw, _draw_tally, which reads the same buffered words through
 _Bits, a replay of numpy's integers (Lemire's multiply-shift) and random
@@ -302,8 +304,11 @@ _VOTERS_MAX = 20  # most voters in a check's random instance
 # 39.6 MB with 256.
 _CHUNK = 64
 
-# Tallies check_condition1 draws and scores together.
-_TALLY_CHUNK = 512
+# Tallies check_condition1 draws and scores together. In-process
+# check_condition1(42) on 2 cores took 0.33-0.49 s with 512, 0.27-0.34 s with
+# 1,024, 0.24-0.31 s with 2,048 and 0.21-0.30 s with 4,096; verify --suite all
+# peaked at 38.6, 39.1, 40.7 and 43.6 MB RSS.
+_TALLY_CHUNK = 2048
 
 # Raw words _Bits reads per bit-generator call: enough to spread the call's
 # cost over several hundred tallies (about 7 words each), while the block's

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from strengthvote import metric_core, rules
+from strengthvote import metric_core, rules, search_oracle
 from strengthvote.metric_core import build_instance, instance_to_doc, line_instance
 from strengthvote.rules import (InvalidThreshold, Rule, _condition1_diff, decide_pair,
                                 decide_tally, rule4_delta, rule4_row_columns, rule4_weights,
@@ -200,6 +200,170 @@ def test_side_scores_of_one_or_two_terms_equal_fsum_at_the_extremes():
             want = [_reference_scores(w, x, y) for x, y in zip(a.tolist(), b.tolist())]
             assert _hex(p) == _hex(s for s, _ in want), w
             assert _hex(q) == _hex(s for _, s in want), w
+
+
+def _scattered(rng, count):
+    """count floats of random sign with exponents from -60 to 60."""
+    return (rng.choice([-1.0, 1.0], count) * rng.uniform(1.0, 2.0, count)
+            * np.exp2(rng.integers(-60, 61, count))).tolist()
+
+
+def _padded(rng, row, zeros=(0.0,)):
+    """row, padded to a random length from max(3, len(row)) to 12 with zeros
+    drawn from zeros, in a random order."""
+    row = row + rng.choice(zeros, rng.integers(max(3, len(row)), 13) - len(row)).tolist()
+    return [row[i] for i in rng.permutation(len(row))]
+
+
+def _cancelling_rows(rng):
+    """Terms of scattered exponents and their negatives: the sum is exactly 0."""
+    rows = []
+    for _ in range(500):
+        half = _scattered(rng, int(rng.integers(2, 7)))
+        rows.append(_padded(rng, half + [-x for x in half], (0.0, -0.0)))
+    return rows
+
+
+def _near_power_of_two_rows(rng, d):
+    """[H, 4P, x, -H, -3P] for powers of two P = 2**p, with x = d(rng)*hi,
+    hi the gap above P and H = 2**(p+56), which swallows 4P and x: the first
+    cascade's errors are 4P and x, the second rounds 4P + x to 4P with x as
+    its residue, and the last float sum fl(-3P + 4P) is P with a zero g. The
+    sum P + x lies within a gap of P, where the gap below is hi/2. Some rows
+    are negated, and some are zero-padded, which leaves the cascades as they
+    are."""
+    rows = []
+    for p in rng.integers(-900, 900, 300).tolist():
+        big, pw, hi = 2.0 ** (p + 56), 2.0 ** p, 2.0 ** (p - 52)
+        sign = float(rng.choice([-1.0, 1.0]))
+        row = [sign * x for x in (big, 4.0 * pw, d(rng) * hi, -big, -3.0 * pw)]
+        rows.append(row + [0.0] * int(rng.integers(0, 8)))
+    return rows
+
+
+def _midpoint_rows(rng):
+    """Sums exactly halfway between two floats, which round to the even one:
+    P + j*hi/8 beside powers of two (j = 4 the midpoint above P, j = -2 the
+    one below), and v plus half its ulp, then a term c and -c."""
+    rows = []
+    for j in (-2, 4):
+        rows += _near_power_of_two_rows(rng, lambda rng: j / 8)
+    for v, c in zip(_scattered(rng, 500), _scattered(rng, 500)):
+        rows.append(_padded(rng, [v, math.ulp(v) / 2, c, -c]))
+    return rows
+
+
+def _power_of_two_rows(rng):
+    """Sums within a gap of a power of two, on either side of each midpoint:
+    P + j*hi/8 for each j from -7 to 7, and P + x for x uniform in (-hi, hi)."""
+    rows = []
+    for j in range(-7, 8):
+        rows += _near_power_of_two_rows(rng, lambda rng: j / 8)
+    return rows + _near_power_of_two_rows(rng, lambda rng: rng.uniform(-1.0, 1.0))
+
+
+def _signed_zero_rows(rng):
+    """Rows of +0.0 and -0.0 only, then a few terms among signed zeros."""
+    rows = [rng.choice([0.0, -0.0], int(rng.integers(3, 13))).tolist() for _ in range(300)]
+    for _ in range(300):
+        rows.append(_padded(rng, _scattered(rng, int(rng.integers(1, 4))), (0.0, -0.0)))
+    return rows + [[-0.0] * k for k in range(3, 13)]
+
+
+def _subnormal_rows(rng):
+    """Subnormal terms, alone and with normal terms near 2**-1022 that cancel."""
+    rows = []
+    for _ in range(500):
+        k = int(rng.integers(3, 13))
+        sub = (rng.integers(-2 ** 52, 2 ** 52, k) * 2.0 ** -1074).tolist()
+        if rng.random() < 0.5:
+            x = float(rng.uniform(1.0, 2.0)) * 2.0 ** -1022
+            sub[:2] = [x, -x + sub[1]]
+        rows.append(sub)
+    return rows
+
+
+def _extreme_rows(rng):
+    """Weights up to 1.4e154 in size, the largest a rule4 row admits, times
+    counts from 0 to 50: random, at the bound itself, and in pairs that cancel."""
+    rows = []
+    for _ in range(500):
+        k = int(rng.integers(3, 13))
+        w = rng.uniform(-1.4e154, 1.4e154, k)
+        w[rng.random(k) < 0.2] = 1.4e154 * rng.choice([-1.0, 1.0])
+        counts = rng.integers(0, 51, k)
+        counts[rng.random(k) < 0.2] = 50
+        row = (w * counts).tolist()
+        if k >= 4 and rng.random() < 0.5:
+            row[1] = -row[0] + float(rng.uniform(-1.0, 1.0)) * 1e140
+        rows.append(row)
+    return rows
+
+
+def _ill_conditioned_rows(rng):
+    """Scattered terms where each third term nearly cancels the one before."""
+    rows = []
+    for _ in range(3_000):
+        row = _scattered(rng, int(rng.integers(3, 13)))
+        for j in range(0, len(row) - 1, 3):
+            row[j + 1] = -row[j] + row[j + 1] * 2.0 ** -int(rng.integers(0, 80))
+        rows.append(row)
+    return rows
+
+
+def _assert_row_fsums(rows):
+    """rules._row_fsums on the rows, one call per row length, is math.fsum
+    of each row by float.hex, with no RuntimeWarning."""
+    by_length = {}
+    for row in rows:
+        by_length.setdefault(len(row), []).append(row)
+    wrong = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for group in by_length.values():
+            sums = rules._row_fsums(np.array(group, dtype=float)).tolist()
+            wrong += [(row, s.hex(), math.fsum(row).hex())
+                      for row, s in zip(group, sums) if s.hex() != math.fsum(row).hex()]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("rows", [_cancelling_rows, _midpoint_rows, _power_of_two_rows,
+                                  _signed_zero_rows, _subnormal_rows, _extreme_rows,
+                                  _ill_conditioned_rows], ids=lambda f: f.__name__[1:-5])
+def test_the_row_kernel_is_fsum_on_adversarial_rows(rows):
+    """Exact cancellation (+0.0), midpoints (ties to even), sums beside a
+    power of two (where the gap below is half the gap above), signed zeros,
+    subnormals, rule4's largest weights and ill-conditioned rows, of 3 to 12
+    terms: the certificate's sums and its math.fsum fallbacks together."""
+    generated = rows(np.random.default_rng(2005))
+    assert {len(row) for row in generated} <= set(range(3, 13))
+    _assert_row_fsums(generated)
+
+
+def test_the_row_kernel_is_fsum_on_condition1s_first_chunk(monkeypatch):
+    """The rows side_scores hands the kernel while check_condition1(42) scores
+    its first chunk: every length group's long scores and slacks. A chunk of
+    _TALLY_CHUNK tallies is large enough that each of those groups reaches
+    the kernel (rules._KERNEL_ROWS rows or more), none the per-row fsum."""
+    seen, batches, kernel, scores = [], [], rules._row_fsums, rules.side_scores
+
+    def recording(rows):
+        seen.append(rows.tolist())
+        return kernel(rows)
+
+    def batching(weights, a, b):
+        if np.shape(weights)[-1] >= 3:
+            batches.append((2 * len(a), np.shape(weights)[-1]))
+        return scores(weights, a, b)
+
+    monkeypatch.setattr(rules, "_row_fsums", recording)
+    monkeypatch.setattr(rules, "side_scores", batching)
+    check_condition1(seed=42, n=search_oracle._TALLY_CHUNK)
+    shapes = [(len(rows), len(rows[0])) for rows in seen]
+    assert sorted(shapes) == sorted(batches)
+    assert len(shapes) >= 4 and min(shapes)[0] >= rules._KERNEL_ROWS
+    monkeypatch.undo()
+    _assert_row_fsums([row for rows in seen for row in rows])
 
 
 def test_the_rule4_table_rows_match_their_rows_of_one():

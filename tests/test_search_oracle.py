@@ -402,6 +402,57 @@ def test_a_rejected_count_half_falls_back_to_the_scalar_draw(tally, monkeypatch)
     assert draws == [1]
 
 
+_C = search_oracle._TALLY_CHUNK
+
+
+@pytest.mark.parametrize("tally", [0, _C // 2, _C - 1, _C, _C + _C // 2, 2 * _C - 1])
+def test_a_rejected_count_half_falls_back_at_the_chunk_boundaries(tally, monkeypatch):
+    """As test_a_rejected_count_half_falls_back_to_the_scalar_draw, at
+    positions taken from _TALLY_CHUNK = C, over 3C tallies: a chunk's first,
+    middle or last tally, and the same in the next chunk, so that a high half
+    kept after the fallback at a chunk's last tally carries into the next
+    _decode_tallies call."""
+    block, served = _Bits._block, {}
+
+    def serving(self):
+        words = block(self)
+        start = served.get(self, 0)
+        served[self] = start + len(words)
+        if target and start <= target[0] < start + len(words):
+            word, high = target
+            words[word - start] &= np.uint64(0xFFFFFFFF if high else 0xFFFFFFFF00000000)
+        return words
+
+    target, halves = (), []
+    below = _Bits.below
+
+    def locating(self, n):
+        # the word and half the next below() reads u from, counted from the
+        # stream's start: a kept half is the high half of below()'s last word
+        if self._half is None:
+            halves.append((served.get(self, 0) - (len(self._words) - self._at), False))
+        else:
+            halves.append((halves[-1][0], True))
+        return below(self, n)
+
+    monkeypatch.setattr(_Bits, "_block", serving)
+    monkeypatch.setattr(_Bits, "below", locating)
+    bits = _Bits(5)
+    for _ in range(tally):
+        search_oracle._draw_tally(bits)
+    first = len(halves)
+    search_oracle._draw_tally(bits)
+    monkeypatch.setattr(_Bits, "below", below)
+    target = halves[first + 1]  # below(4) reads m, then the first count half
+    draw, draws = search_oracle._draw_tally, []
+    monkeypatch.setattr(search_oracle, "_draw_tally", lambda bits: draws.append(1) or draw(bits))
+    got = _decoded_rows(_Bits(5), 3 * _C)
+    reference = _Bits(5)
+    want = [draw(reference) for _ in range(3 * _C)]
+    assert _hex_rows(got) == _hex_rows(want)
+    assert draws == [1]
+
+
 def test_check_condition1_derives_each_tallys_weights_once(monkeypatch):
     calls, table = [], rules._rule4_table
 
@@ -421,6 +472,26 @@ def test_check_condition1_at_20000_tallies_is_pinned():
     result = check_condition1(seed=42, n=20_000)
     assert (result["cases"], result["failures"]) == (20_000, 0)
     assert result["worst_margin"].hex() == "-0x1.0000000000000p-48"
+
+
+# check_condition1(seed, n=20_000)'s worst margin, recorded with 512-tally
+# chunks, whose length groups side_scores sums by math.fsum row by row.
+_WORST_AT_20000 = {42: "-0x1.0000000000000p-48", 41: "-0x1.0000000000000p-47",
+                   7: "-0x1.0000000000000p-47"}
+
+
+@pytest.mark.parametrize("seed, chunk", [(42, 512), (41, 512), (41, search_oracle._TALLY_CHUNK),
+                                         (7, 512), (7, search_oracle._TALLY_CHUNK)])
+def test_check_condition1_does_not_depend_on_the_chunk_size(seed, chunk, monkeypatch):
+    """Chunks of 512 and of _TALLY_CHUNK give the same cases, failures and
+    worst margin by float.hex at n = 20,000: side_scores sums a length
+    group's long rows by its numpy kernel only when the group is large, and
+    seed 41's redraw at tally 13,735 falls inside a chunk of either size.
+    Seed 42 at _TALLY_CHUNK is test_check_condition1_at_20000_tallies_is_pinned."""
+    monkeypatch.setattr(search_oracle, "_TALLY_CHUNK", chunk)
+    result = check_condition1(seed=seed, n=20_000)
+    assert (result["cases"], result["failures"]) == (20_000, 0)
+    assert result["worst_margin"].hex() == _WORST_AT_20000[seed]
 
 
 @pytest.mark.parametrize("corrupt", [
