@@ -15,26 +15,30 @@ bucket l >= 1 carries one weight; the hidden set C (bucket 0) always weighs 0.
                                               scheme's worst ratio term rule4_delta
 
 Under strict cutoffs a strength equal to tau stays in the lower bucket; rule2
-coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row of the
-table once, when it is built. _rule4_table alone refuses ratio terms that
-overflow to inf or nan (InvalidThreshold), and _check_identity alone rule4
-weights and coefficients, for a Rule and _rule4_columns alike. rule5
-checks strengths as bucket does, and weighs each voter by the continuous
-rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else s - 1; the
-branches agree at s = sqrt(2) and the weight tends to sqrt(2) as s -> +inf.
+coincides with rule1 for tau >= 1+sqrt(2). A Rule computes its row once,
+when it is built. Ratio terms that overflow to inf or nan are refused
+(InvalidThreshold) by one test on each path, _worst_term on the scalar row
+and _rule4_table on the array table, with the same message; rule4 weights
+and coefficients by _check_identity alone, for a Rule and _rule4_columns
+alike. rule5 checks strengths as bucket does, and weighs each voter by the
+continuous rule5_weight: (sqrt(2)*s - 1)/(s + 1) when s > sqrt(2), else
+s - 1; the branches agree at s = sqrt(2) and the weight tends to sqrt(2) as
+s -> +inf.
 
 A scheme's ratio terms (ratio_terms) are tau_1, one term per pair of
 neighbouring cutoffs and (tau_m + 2)/tau_m. A threshold rule's two-candidate
 bound is the largest of them, rule4_delta: (1, tau) gives
 max{(tau+2)/tau, (3*tau-1)/(tau+1)} (rule1, rule2) and (tau,) gives
 max{tau, (tau+2)/tau} (rule3). distortion_lab's hard-instance families each
-approach one ratio term. rule4's table (the ratio terms, their max ds, the
-pivot k, the weights and condition 1's coefficients) is written once, as
-array code over an (n, m) array of cutoffs, one scheme per row:
-_rule4_table, with the ratio terms from _ratio_term_rows. ratio_terms,
-rule4_delta and rule4_weights are each the row of a one-row call, a Rule
-keeps its row's ds, and _rule4_columns derives each scheme length's table
-with one call.
+approach one ratio term. rule4's row (the ratio terms, their max ds, the
+pivot k, the weights and condition 1's coefficients) comes from five
+formulas, each written once with only + - * / and integer constants, so
+that floats, numpy arrays and Fractions all evaluate them. Two callers pick
+their branches: _rule4_row with if, for one scheme (ratio_terms,
+rule4_delta, rule4_weights and so every Rule, which keeps its ds; on
+Fractions it is the exact row), and _rule4_table with np.where, over an
+(n, m) array of cutoffs, one scheme per row, with which _rule4_columns
+derives each scheme length's rows in one call. Both give the same bits.
 The multiway and ideal-point guarantees rest on each rule's lambda-inequality
 SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
 _instance_scores is the one path from voter columns to pair scores, through
@@ -60,6 +64,7 @@ row it cannot certify), and any other row by math.fsum.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations
 
@@ -92,11 +97,12 @@ class Rule:
     rules' definition: scheme (rule1-3 from tau, with its comparison) and
     per-bucket weights, rule4's from rule4_weights and passed through
     _check_identity. A scheme whose ratio terms are not finite floats raises
-    InvalidThreshold in _rule4_table, which rule1-3 reach through
-    rule4_delta on their scheme and rule4 through rule4_weights; a strict
-    scheme for rule4, which buckets inclusively, raises it here. The build
-    keeps the scheme's worst ratio term, rule4_delta's ds, as ds, for
-    bound_value and the grid sweep; rule5 has no buckets and ds None."""
+    InvalidThreshold in _worst_term, which rule1-3 reach through rule4_delta
+    on their scheme and rule4 through rule4_weights; a strict scheme for
+    rule4, which buckets inclusively, raises it here. Neither reaches
+    _rule4_table: the build derives one scalar row. It keeps the scheme's
+    worst ratio term, rule4_delta's ds, as ds, for bound_value and the grid
+    sweep; rule5 has no buckets and ds None."""
 
     kind: str
     tau: float | None = None
@@ -176,73 +182,120 @@ def _resolve(pair: tuple[str, str], p_score: float, q_score: float) -> PairwiseD
     return PairwiseDecision(min(pair), p_score, q_score, True)
 
 
-def _ratio_term_rows(cuts: np.ndarray) -> np.ndarray:
-    """ratio_terms of each row of an (n, m) array of cutoffs, as an (n, m+1)
-    array, each term's operations in ratio_terms' order. A term that
-    overflows is inf or nan, as in Python float arithmetic, with no numpy
-    RuntimeWarning."""
-    lo, hi, last = cuts[:, :-1], cuts[:, 1:], cuts[:, -1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.concatenate((cuts[:, :1], (lo * hi + 2.0 * hi - 1.0) / (lo * hi + 1.0),
-                               (last + 2.0) / last), axis=1)
+# rule4's formulas, each written once. They use only + - * / and integer
+# constants, so Python floats, numpy arrays and Fractions all evaluate them,
+# floats and arrays to the same bits; the callers pick the branches.
+
+def _neighbour_term(lo, hi):
+    """The ratio term of neighbouring cutoffs tau_l = lo < tau_{l+1} = hi."""
+    return (lo * hi + 2 * hi - 1) / (lo * hi + 1)
+
+
+def _last_term(last):
+    """The ratio term of the top cutoff tau_m."""
+    return (last + 2) / last
+
+
+def _own(d, t):
+    """Condition 1's own coefficient of the bucket at cutoff t, under bound d."""
+    return (d * t - 1) / (t + 1)
+
+
+def _below_pivot(d, t, tnext):
+    """(weight, other) of the bucket at cutoff t below the pivot, tnext <= d."""
+    return (d + 1) * (t * tnext - 1) / ((t + 1) * (tnext + 1)), (d - tnext) / (tnext + 1)
+
+
+def _other_above(d, tnext):
+    """Condition 1's other coefficient of a bucket from the pivot on, below
+    the top one: tnext > d. The top bucket's is -1."""
+    return -((tnext - d) / (tnext - 1))
+
+
+def _overflow(taus, terms) -> InvalidThreshold:
+    return InvalidThreshold(f"thresholds {tuple(taus)} overflow their ratio terms {tuple(terms)}")
 
 
 def _rule4_table(cuts: np.ndarray):
-    """rule4's table for an (n, m) array of cutoffs, one scheme per row: the
-    one definition of rule4's weights. Returns (weights, (own, other), ds, k)
-    as rule4_weights describes them: weights, own and other as (n, m) arrays,
-    ds (the row max of _ratio_term_rows) and k one entry per row. Bucket
-    l < k, that is tau_{l+1} <= ds, takes the closed forms below the pivot,
-    the others own - other, with tau_{m+1} = inf. Each entry is elementwise
+    """rule4's row, as _rule4_row gives it, for each row of an (n, m) array
+    of cutoffs: weights, own and other as (n, m) arrays, ds and k one entry
+    per row, with the branches picked by np.where. Each entry is elementwise
     IEEE arithmetic on its own row, so a row's bits do not depend on the
-    rest of the array. The first row whose ratio term is not finite raises
-    InvalidThreshold naming its thresholds and terms, since max would pass
-    over a nan. An own, other or weight that overflows is left inf or nan,
-    with no RuntimeWarning, for _check_identity to refuse."""
-    terms = _ratio_term_rows(cuts)
+    rest of the array and equal _rule4_row's. The first row whose ratio term
+    is not finite raises the InvalidThreshold that _worst_term raises for
+    it. An own, other or weight that overflows is left inf or nan, with no
+    RuntimeWarning, for _check_identity to refuse."""
+    hi = cuts[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.concatenate((cuts[:, :1], _neighbour_term(cuts[:, :-1], hi),
+                                _last_term(cuts[:, -1:])), axis=1)
     finite = np.isfinite(terms).all(axis=1)
     if not finite.all():
         i = finite.argmin()
-        raise InvalidThreshold(f"thresholds {tuple(cuts[i].tolist())} overflow their ratio terms "
-                               f"{tuple(terms[i].tolist())}")
+        raise _overflow(cuts[i].tolist(), terms[i].tolist())
     ds = terms.max(axis=1)
     d, tl = ds[:, None], cuts
-    tnext = np.concatenate((cuts[:, 1:], np.full((len(cuts), 1), math.inf)), axis=1)
+    tnext = np.concatenate((hi, np.full((len(cuts), 1), math.inf)), axis=1)
     below = tnext <= d  # l < k, as the cutoffs increase
     with np.errstate(over="ignore", invalid="ignore"):
-        own = (d * tl - 1.0) / (tl + 1.0)
-        other = np.where(below, (d - tnext) / (tnext + 1.0),
-                         -np.where(np.isinf(tnext), 1.0, (tnext - d) / (tnext - 1.0)))
-        weights = np.where(below, (d + 1.0) * (tl * tnext - 1.0) / ((tl + 1.0) * (tnext + 1.0)),
-                           own - other)
+        own = _own(d, tl)
+        weight_below, other_below = _below_pivot(d, tl, tnext)
+        other = np.where(below, other_below,
+                         np.where(np.isinf(tnext), -1.0, _other_above(d, tnext)))
+        weights = np.where(below, weight_below, own - other)
     return weights, (own, other), ds, np.count_nonzero(cuts <= d, axis=1)
 
 
-def ratio_terms(taus) -> tuple[float, ...]:
+def ratio_terms(taus) -> tuple:
     """The m+1 ratio terms of a scheme tau_1 < ... < tau_m: tau_1, then
     (tau_l*tau_{l+1} + 2*tau_{l+1} - 1)/(tau_l*tau_{l+1} + 1) for each pair of
-    neighbouring cutoffs, then (tau_m + 2)/tau_m. The row of a one-row
-    _ratio_term_rows call; a term that overflows is inf or nan."""
-    return tuple(_ratio_term_rows(np.array([taus], dtype=float))[0].tolist())
+    neighbouring cutoffs, then (tau_m + 2)/tau_m, in the cutoffs' number
+    type. A float term that overflows is inf or nan."""
+    return (taus[0], *map(_neighbour_term, taus, taus[1:]), _last_term(taus[-1]))
+
+
+def _worst_term(taus):
+    """The largest ratio term of the cutoffs taus. A term that is not finite
+    raises InvalidThreshold naming the thresholds and terms, since max would
+    pass over a nan."""
+    terms = ratio_terms(taus)
+    if not all(map(math.isfinite, terms)):
+        raise _overflow(taus, terms)
+    return max(terms)
+
+
+def _rule4_row(taus) -> tuple[tuple, tuple, float, int]:
+    """rule4_weights of the cutoffs taus, with the branches picked by if, in
+    the cutoffs' number type: floats give _rule4_table's bits, Fractions the
+    exact row. A ratio term that is not finite raises InvalidThreshold
+    (_worst_term)."""
+    d = _worst_term(taus)
+    own, buckets = [], []
+    for t, tnext in zip(taus, taus[1:] + (None,)):
+        own.append(_own(d, t))
+        if tnext is not None and tnext <= d:
+            buckets.append(_below_pivot(d, t, tnext))
+        else:
+            other = type(d)(-1) if tnext is None else _other_above(d, tnext)
+            buckets.append((own[-1] - other, other))
+    weights, other = zip(*buckets)
+    return weights, (tuple(own), other), d, bisect_right(taus, d)
 
 
 def rule4_delta(scheme: ThresholdScheme) -> float:
-    """Worst ratio term of a scheme: the two-candidate bound of rule1-rule4,
-    ds of the scheme's one-row _rule4_table call. A ratio term that is not
-    finite raises InvalidThreshold there."""
-    return _rule4_table(np.array([scheme.taus]))[2].item()
+    """Worst ratio term of a scheme: the two-candidate bound of rule1-rule4.
+    A ratio term that is not finite raises InvalidThreshold (_worst_term)."""
+    return _worst_term(scheme.taus)
 
 
 def rule4_weights(scheme: ThresholdScheme) -> tuple[tuple, tuple, float, int]:
     """Bucket weights, condition 1's per-bucket (own, other) coefficients, the
-    bound ds = rule4_delta(scheme) and the pivot k = #{l: tau_l <= ds} >= 1:
-    the row of a one-row _rule4_table call, as tuples of floats, a float and
-    an int. A side's slack is sum_l own_l*(its count) + other_l*(the other
-    side's). Weight l is own_l - other_l from the pivot on; below it, a
-    closed form that own_l - other_l can miss by an ulp."""
-    weights, (own, other), ds, k = _rule4_table(np.array([scheme.taus]))
-    return (tuple(weights[0].tolist()), (tuple(own[0].tolist()), tuple(other[0].tolist())),
-            ds.item(), k.item())
+    bound ds = rule4_delta(scheme) and the pivot k = #{l: tau_l <= ds} >= 1,
+    as tuples of floats, a float and an int: the scheme's _rule4_row. A
+    side's slack is sum_l own_l*(its count) + other_l*(the other side's).
+    Weight l is own_l - other_l from the pivot on; below it, a closed form
+    that own_l - other_l can miss by an ulp."""
+    return _rule4_row(scheme.taus)
 
 
 def _check_identity(weights, condition1) -> None:

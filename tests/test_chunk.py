@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ import pytest
 from strengthvote import metric_core, rules, search_oracle
 from strengthvote.metric_core import build_instance, instance_to_doc, line_instance
 from strengthvote.rules import (InvalidThreshold, Rule, _condition1_diff, decide_pair,
-                                decide_tally, rule4_delta, rule4_row_columns, rule4_weights,
-                                side_scores)
+                                decide_tally, ratio_terms, rule4_delta, rule4_row_columns,
+                                rule4_weights, side_scores)
 from strengthvote.search_oracle import (_Bits, _draw_tally, _drawn, _scored,
                                         _two_candidate_rules, _winners, check_condition1)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
@@ -402,6 +403,157 @@ def test_a_length_group_refuses_a_ratio_term_as_rule4_delta_does():
         "thresholds (1.0, 1e+200, 1e+201) overflow their ratio terms (1.0, 3.0, nan, 1.0)")
 
 
+# Each edge scheme's ratio terms; its rule4_weights row (weights, (own,
+# other), ds, k) or the InvalidThreshold message that refuses its ratio terms; and
+# the message that refuses its row when built into a Rule, or None. Recorded
+# while every row was a one-row numpy table.
+EDGE_SCHEMES = {
+    (1e200,): ((1e200, 1.0),
+               ((math.inf,), ((math.inf,), (-1.0,)), 1e200, 1),
+               "rule4 weights [inf], own [inf] or other [-1.0] overflow"),
+    (1.0, 1e200, 1e201): (
+        (1.0, 3.0, math.nan, 1.0),
+        "thresholds (1.0, 1e+200, 1e+201) overflow their ratio terms (1.0, 3.0, nan, 1.0)",
+        None),
+    (1.0, 1.7e308): ((1.0, math.inf, 1.0),
+                     "thresholds (1.0, 1.7e+308) overflow their ratio terms (1.0, inf, 1.0)",
+                     None),
+    (1e308,): ((1e308, 1.0),
+               ((math.inf,), ((math.inf,), (-1.0,)), 1e308, 1),
+               "rule4 weights [inf], own [inf] or other [-1.0] overflow"),
+    (1.34e154,): ((1.34e154, 1.0),
+                  ((1.34e154,), ((1.34e154,), (-1.0,)), 1.34e154, 1),
+                  None),
+    (1.0,): ((1.0, 3.0), ((2.0,), ((1.0,), (-1.0,)), 3.0, 1), None),
+    (2.0,): ((2.0, 2.0), ((2.0,), ((1.0,), (-1.0,)), 2.0, 1), None),
+    (1.5, 3.0): (
+        (1.5, 1.7272727272727273, 1.6666666666666667),
+        ((1.2727272727272727, 2.0454545454545454),
+         ((0.6363636363636364, 1.0454545454545454), (-0.6363636363636364, -1.0)),
+         1.7272727272727273, 1),
+        None),
+    (1.0, 1.0 + math.sqrt(2.0)): (
+        (1.0, 1.82842712474619, 1.82842712474619),
+        ((0.8284271247461901, 2.0), ((0.41421356237309503, 1.0), (-0.41421356237309503, -1.0)),
+         1.82842712474619, 1),
+        None),
+    (1.2, 2.0, 4.0): (
+        (1.2, 1.5882352941176472, 1.6666666666666667, 1.5),
+        ((0.7878787878787878, 1.5555555555555554, 2.1333333333333333),
+         ((0.45454545454545453, 0.7777777777777778, 1.1333333333333333),
+          (-0.33333333333333326, -0.7777777777777777, -1.0)), 1.6666666666666667, 1),
+        None),
+    (1.0, 1e154): ((1.0, 3.0, 1.0), ((2.0, 4.0), ((1.0, 3.0), (-1.0, -1.0)), 3.0, 1), None),
+    (1.3e154, 1.34e154): (
+        (1.3e154, 1.0, 1.0),
+        ((1.3e154, 1.3e154), ((1.3e154, 1.3e154), (-0.029850746268656768, -1.0)), 1.3e154, 1),
+        None),
+    (math.sqrt(sys.float_info.max),): (
+        (1.3407807929942596e154, 1.0),
+        ((1.3407807929942596e154,), ((1.3407807929942596e154,), (-1.0,)), 1.3407807929942596e154,
+         1),
+        None),
+    (1.0000001, 5.0): ((1.0000001, 2.3333332222222314, 1.4),
+                       ((1.3333333888888843, 2.7777776851851925),
+                        ((0.666666694444442, 1.7777776851851927), (-0.6666666944444422, -1.0)),
+                        2.3333332222222314, 1),
+                       None),
+}
+
+
+def _hexed(value):
+    """A value with every float in its nested tuples as float.hex."""
+    if isinstance(value, tuple):
+        return tuple(map(_hexed, value))
+    return value.hex() if isinstance(value, float) else value
+
+
+def _outcome(call):
+    """A call's result, _hexed, or its ValueError's type name and message."""
+    try:
+        return _hexed(call())
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("taus", list(EDGE_SCHEMES), ids=str)
+def test_the_scalar_row_and_the_array_table_agree_on_edge_schemes(taus):
+    """ratio_terms, rule4_delta, rule4_weights and a rule4 Rule (the scalar
+    row) and rule4_row_columns (the array table) give the recorded values by
+    float.hex, or the recorded InvalidThreshold, with warnings as errors. One
+    count row per bucket l, a 1 on pair[0]'s side in bucket l, reads weight l
+    as pair[0]'s score, own_l as its slack and other_l as pair[1]'s slack."""
+    terms, row, refused = EDGE_SCHEMES[taus]
+    scheme, m = ThresholdScheme(taus), len(taus)
+    hidden = [0] if taus[0] > 1.0 else []
+    units = [[int(j == l) for j in range(2 * m)] + hidden for l in range(m)]
+
+    def built():
+        rule = Rule("rule4", scheme=taus)
+        return rule.weights, rule.ds
+
+    def columns():
+        p, _, own, other = rule4_row_columns([scheme] * m, units).tolist()
+        return tuple(p), tuple(own), tuple(other)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [_outcome(call) for call in (lambda: ratio_terms(taus), lambda: rule4_delta(scheme),
+                                           lambda: rule4_weights(scheme), built, columns)]
+    if isinstance(row, str):
+        want = [("InvalidThreshold", row)] * 4
+    elif refused is not None:
+        want = [_hexed(row[2]), _hexed(row)] + [("InvalidThreshold", refused)] * 2
+    else:
+        weights, (own, other), ds, _ = row
+        want = [_hexed(ds), _hexed(row), _hexed((weights, ds)), _hexed((weights, own, other))]
+    assert got == [_hexed(terms), *want]
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("rule1", ("InvalidThreshold",
+               "thresholds (1.0, 1e+308) overflow their ratio terms (1.0, inf, 1.0)")),
+    ("rule2", ("InvalidThreshold",
+               "thresholds (1.0, 1e+308) overflow their ratio terms (1.0, inf, 1.0)")),
+    ("rule3", (((1.0).hex(),), (1e308).hex())),
+])
+def test_threshold_rules_at_tau_1e308(kind, want):
+    """rule1 and rule2 at tau = 1e308 overflow their neighbour ratio term;
+    rule3's scheme (1e308,) has finite terms and weight 1. As recorded while
+    every row was a one-row numpy table, with warnings as errors."""
+    def built():
+        rule = Rule(kind, tau=1e308)
+        return rule.weights, rule.ds
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(built) == want
+
+
+@pytest.mark.parametrize("taus, ds", [
+    ((Fraction(3, 2), Fraction(3)), Fraction(19, 11)),
+    ((Fraction(5, 3), Fraction(3)), Fraction(5, 3)),
+    ((Fraction(6, 5), Fraction(2), Fraction(4)), Fraction(5, 3)),
+    ((Fraction(11, 10), Fraction(13, 10), Fraction(17, 10), Fraction(5, 2)), Fraction(9, 5)),
+], ids=str)
+def test_the_scalar_row_is_exact_on_fractions(taus, ds):
+    """The scalar row evaluates rule4's formulas on Fraction cutoffs with no
+    code of its own for them: every entry is a Fraction, ds is exact, every
+    weight is exactly own - other (below the pivot too, where the float
+    closed form can miss it by an ulp), and each entry rounds to within
+    1e-12 of the float row."""
+    weights, (own, other), got_ds, k = rules._rule4_row(taus)
+    exact = (*weights, *own, *other, got_ds)
+    assert all(isinstance(x, Fraction) for x in exact)
+    assert got_ds == ds
+    assert k == sum(t <= ds for t in taus)
+    assert weights == tuple(map(operator.sub, own, other))
+    floats = rule4_weights(ThresholdScheme(tuple(map(float, taus))))
+    assert floats[3] == k
+    assert [float(x) for x in exact] == pytest.approx([*floats[0], *floats[1][0], *floats[1][1],
+                                                       floats[2]], rel=1e-12)
+
+
 def test_side_scores_raise_when_condition1_disagrees():
     weights, (own, other), _, _ = rule4_weights(ThresholdScheme((1.5, 3.0)))
     with pytest.raises(AssertionError):
@@ -427,7 +579,7 @@ SKEWED_UNDER_O = """
 from strengthvote import rules
 from strengthvote.tallies import ThresholdScheme
 
-table = rules._rule4_table
+table, row = rules._rule4_table, rules.rule4_weights
 
 
 def skewed(cuts):
@@ -435,7 +587,12 @@ def skewed(cuts):
     return weights, (own, other + 1.0), ds, k
 
 
-rules._rule4_table = skewed
+def skewed_row(scheme):
+    weights, (own, other), ds, k = row(scheme)
+    return weights, (own, tuple(x + 1.0 for x in other)), ds, k
+
+
+rules._rule4_table, rules.rule4_weights = skewed, skewed_row
 
 
 def outcome(call):

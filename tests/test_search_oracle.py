@@ -355,63 +355,20 @@ def test_seed_41_draws_its_cutoffs_again_at_tally_13735(monkeypatch):
     assert got["worst_margin"].hex() == worst.hex()
 
 
-@pytest.mark.parametrize("tally", [0, 256, 511, 512, 768, 1023])
-def test_a_rejected_count_half_falls_back_to_the_scalar_draw(tally, monkeypatch):
-    """A count half of 0, below(51)'s one rejection, written into the word
-    source at a chunk's first, middle or last tally's first count half: the
-    decoder hands that tally to _draw_tally and reads the rows _draw_tally
-    reads from the same words."""
-    block, served = _Bits._block, {}
-
-    def serving(self):
-        words = block(self)
-        start = served.get(self, 0)
-        served[self] = start + len(words)
-        if target and start <= target[0] < start + len(words):
-            word, high = target
-            words[word - start] &= np.uint64(0xFFFFFFFF if high else 0xFFFFFFFF00000000)
-        return words
-
-    target, halves = (), []
-    below = _Bits.below
-
-    def locating(self, n):
-        # the word and half the next below() reads u from, counted from the
-        # stream's start: a kept half is the high half of below()'s last word
-        if self._half is None:
-            halves.append((served.get(self, 0) - (len(self._words) - self._at), False))
-        else:
-            halves.append((halves[-1][0], True))
-        return below(self, n)
-
-    monkeypatch.setattr(_Bits, "_block", serving)
-    monkeypatch.setattr(_Bits, "below", locating)
-    bits = _Bits(5)
-    for _ in range(tally):
-        search_oracle._draw_tally(bits)
-    first = len(halves)
-    search_oracle._draw_tally(bits)
-    monkeypatch.setattr(_Bits, "below", below)
-    target = halves[first + 1]  # below(4) reads m, then the first count half
-    draw, draws = search_oracle._draw_tally, []
-    monkeypatch.setattr(search_oracle, "_draw_tally", lambda bits: draws.append(1) or draw(bits))
-    got = _decoded_rows(_Bits(5), 1536)
-    reference = _Bits(5)
-    want = [draw(reference) for _ in range(1536)]
-    assert _hex_rows(got) == _hex_rows(want)
-    assert draws == [1]
-
-
 _C = search_oracle._TALLY_CHUNK
 
 
-@pytest.mark.parametrize("tally", [0, _C // 2, _C - 1, _C, _C + _C // 2, 2 * _C - 1])
-def test_a_rejected_count_half_falls_back_at_the_chunk_boundaries(tally, monkeypatch):
-    """As test_a_rejected_count_half_falls_back_to_the_scalar_draw, at
-    positions taken from _TALLY_CHUNK = C, over 3C tallies: a chunk's first,
-    middle or last tally, and the same in the next chunk, so that a high half
-    kept after the fallback at a chunk's last tally carries into the next
-    _decode_tallies call."""
+@pytest.mark.parametrize("tally, count", [(t, 1536) for t in (0, 256, 511, 512, 768, 1023)] +
+                         [(t, 3 * _C) for t in (0, _C // 2, _C - 1, _C, _C + _C // 2, 2 * _C - 1)])
+def test_a_rejected_count_half_falls_back_to_the_scalar_draw(tally, count, monkeypatch):
+    """A count half of 0, below(51)'s one rejection, written into the word
+    source at the given tally's first count half of count decoded tallies:
+    the decoder hands that tally to _draw_tally and reads the rows
+    _draw_tally reads from the same words. The first six positions were the
+    edges of 512-tally chunks; the others are taken from _TALLY_CHUNK = C,
+    over 3C tallies: a chunk's first, middle or last tally, and the same in
+    the next chunk, so that a high half kept after the fallback at a chunk's
+    last tally carries into the next _decode_tallies call."""
     block, served = _Bits._block, {}
 
     def serving(self):
@@ -446,9 +403,9 @@ def test_a_rejected_count_half_falls_back_at_the_chunk_boundaries(tally, monkeyp
     target = halves[first + 1]  # below(4) reads m, then the first count half
     draw, draws = search_oracle._draw_tally, []
     monkeypatch.setattr(search_oracle, "_draw_tally", lambda bits: draws.append(1) or draw(bits))
-    got = _decoded_rows(_Bits(5), 3 * _C)
+    got = _decoded_rows(_Bits(5), count)
     reference = _Bits(5)
-    want = [draw(reference) for _ in range(3 * _C)]
+    want = [draw(reference) for _ in range(count)]
     assert _hex_rows(got) == _hex_rows(want)
     assert draws == [1]
 
