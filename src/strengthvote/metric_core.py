@@ -15,12 +15,16 @@ such as integers, and to name the first bad field.
 
 Line and Euclidean instances are built a batch at a time
 (_coord_instances): the drawn instances of a verification chunk are one
-batch, and line_instance and euclidean_instance build a batch of one. Each
-instance of a batch is checked alone, in order, so a batch raises what its
-first failing instance raises alone; the instances that pass share the
-batch's voter positions and columns. A matrix instance is a batch of its
-own. Every instance is built with its batch, so a MetricInstance made
-directly, without one, is refused.
+batch, and line_instance and euclidean_instance build a batch of one. A
+batch's ids are checked instance by instance, its coordinates once for the
+whole batch (_batch_passes: one dimension and one magnitude pass), and its
+candidates apart instance by instance through distance. Only a batch that
+fails _batch_passes has its coordinates checked instance by instance, in
+order (_check_alone), so a batch raises what its first failing instance
+raises alone. The instances of a batch share its voter positions and
+columns. A matrix instance is a batch of its own. Every instance is built
+with its batch, so a MetricInstance made directly, without one, is
+refused.
 
 A matrix instance's ``matrix`` is the read-only float64 array the metric
 check returns, its one copy of the distances. Each voter's distance to a
@@ -291,34 +295,31 @@ def _coord_instance(space: str, coords: dict, voters, candidates) -> MetricInsta
 
 def _coord_instances(space: str, items) -> list[MetricInstance]:
     """Line or Euclidean instances from (coords, voters, candidates) items,
-    coords mapping ids to coordinate tuples of floats. Each instance is
-    checked alone, in item order, so a batch raises what its first failing
-    instance raises: one coordinate per point on a line, one dimension, the
-    ids (_voter_entries), finite coordinates, no overflowing social cost
+    coords mapping ids to coordinate tuples of floats. Each instance must
+    pass, in this order: one coordinate per point on a line, one dimension,
+    the ids (_voter_entries), finite coordinates, no overflowing social cost
     (_check_spread) and no coinciding candidates (_check_apart). The spread
     is the bounding box's diagonal, the diameter on a line and at most
-    sqrt(d) times it in R^d. The instances share one _Batch, so a point's
-    voter columns are measured for all of them at once; on a line their
-    voters' positions are one read-only float array, a view per instance."""
-    label = "positions" if space == LINE else "coordinates"
-    batch = _Batch([], [])
+    sqrt(d) times it in R^d. The ids are checked instance by instance and
+    the coordinates once for the whole batch (_batch_passes); only a batch
+    that fails there has them checked instance by instance (_check_alone).
+    Either way each instance's candidates are checked apart right after its
+    own other checks, in item order, so a batch raises what its first
+    failing instance raises alone. The instances share one _Batch, so a
+    point's voter columns are measured for all of them at once; on a line
+    their voters' positions are one read-only float array, a view per
+    instance."""
+    items = [(coords, tuple(voters), tuple(candidates)) for coords, voters, candidates in items]
+    try:
+        voter_points = [_voter_entries(*item) for item in items]
+    except (ValueError, KeyError):  # UnknownId is a KeyError
+        voter_points = None
+    alone = voter_points is None or not _batch_passes(space, items)
+    batch = _Batch([coords for coords, _, _ in items], [] if alone else voter_points)
     out = []
     for b, (coords, voters, candidates) in enumerate(items):
-        values = coords.values()
-        dims = set(map(len, values))
-        if space == LINE and not {1}.issuperset(dims):
-            raise ValueError("line positions must be single numbers")
-        if len(dims) > 1:
-            raise ValueError(f"inconsistent coordinate dimensions: {sorted(dims)}")
-        voters, candidates = tuple(voters), tuple(candidates)
-        voter_points = _voter_entries(coords, voters, candidates)
-        # max and min skip a NaN that is not first, so finiteness is its own pass
-        if not all(map(math.isfinite, chain.from_iterable(values))):
-            for k, v in coords.items():  # name the first point that is not finite
-                _as_coord(list(v), f"{label}[{k!r}]")
-        _check_spread(len(voters), math.hypot(*[max(x) - min(x) for x in zip(*values)]))
-        batch.coords.append(coords)
-        batch.voter_points.append(voter_points)
+        if alone:
+            batch.voter_points.append(_check_alone(space, coords, voters, candidates))
         out.append(MetricInstance(space, voters, candidates, coords=coords, _batch=(batch, b)))
         _check_apart(out[-1])
     if space == LINE:
@@ -327,6 +328,42 @@ def _coord_instances(space: str, items) -> list[MetricInstance]:
         ends = accumulate(map(len, batch.voter_points))
         batch.voter_points = [xs[hi - len(p):hi] for p, hi in zip(batch.voter_points, ends)]
     return out
+
+
+def _batch_passes(space: str, items) -> bool:
+    """Whether every instance of a batch has one dimension (1 on a line),
+    finite coordinates and no overflowing social cost, tested over the
+    whole batch: one dimension for all its points and one magnitude pass
+    over all their coordinates. Coordinates below 2**500 in magnitude are
+    finite and keep every spread below sqrt(d) * 2**501, so no voter count
+    times it overflows; a batch with a larger coordinate, or of mixed
+    dimensions, is left to _check_alone."""
+    values = [coords.values() for coords, _, _ in items]
+    dims = set(map(len, chain.from_iterable(values)))
+    if len(dims) != 1 or (space == LINE and dims != {1}):
+        return False
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(values)), float)
+    return np.abs(flat).max(initial=0.0) < 2.0 ** 500  # a NaN fails too
+
+
+def _check_alone(space: str, coords: dict, voters: tuple, candidates: tuple) -> list:
+    """One instance's checks before _check_apart, in _coord_instances'
+    order, raising the first that fails; returns its voter entries
+    (_voter_entries)."""
+    values = coords.values()
+    dims = set(map(len, values))
+    if space == LINE and not {1}.issuperset(dims):
+        raise ValueError("line positions must be single numbers")
+    if len(dims) > 1:
+        raise ValueError(f"inconsistent coordinate dimensions: {sorted(dims)}")
+    voter_points = _voter_entries(coords, voters, candidates)
+    # max and min skip a NaN that is not first, so finiteness is its own pass
+    if not all(map(math.isfinite, chain.from_iterable(values))):
+        label = "positions" if space == LINE else "coordinates"
+        for k, v in coords.items():  # name the first point that is not finite
+            _as_coord(list(v), f"{label}[{k!r}]")
+    _check_spread(len(voters), math.hypot(*[max(x) - min(x) for x in zip(*values)]))
+    return voter_points
 
 
 def line_instance(positions: dict, voters, candidates) -> MetricInstance:

@@ -8,15 +8,21 @@ instances. verify_suite packages the statistical invariants (bounds never
 violated, lambda inequalities, feasibility, tradeoffs, generator targets)
 behind a machine-readable report.
 
-The checks and the random stage draw and decide a chunk of instances at a
-time. _drawn makes a chunk's Generator calls in random_instance's order,
-then builds each space's instances of the chunk as one batch
-(metric_core._coord_instances), which checks each instance alone and
-measures each point's voter column once for the chunk. _winners scores a
-chunk straight from those columns through rules._instance_scores (one
-kernel pass over every candidate pair, then each rule's side scores: the
-path that evaluate's rules.decide_pair takes too), and winners, costs and
-margins follow as arrays, with no profile object per pair. adversarial_search
+The checks and the random stage draw and decide a chunk of _CHUNK = 256
+instances at a time. _drawn decodes a chunk from default_rng(seed)'s raw
+PCG64 words (_decode_instances): a short Python scan (_scan_instances)
+reads each instance's voter count from a 32-bit half and skips its
+coordinate words, and numpy reads every coordinate. An instance whose count
+half is rejected or whose drawn candidates repeat is drawn by
+random_instance's own draw (_Draw) on the same words through _Bits. Each
+space's instances of the chunk are then built as one batch
+(metric_core._coord_instances), which checks their coordinates once for
+the whole batch and measures each point's voter column once for the chunk.
+_winners scores a chunk straight from those columns through
+rules._instance_scores (one kernel pass over every candidate pair, then
+each rule's side scores: the path that evaluate's rules.decide_pair takes
+too), and winners, costs and margins follow as arrays, with no profile
+object per pair. adversarial_search
 decides its anchors and its grid re-check as one chunk, and each
 lowerbounds probe is a chunk of one.
 
@@ -30,8 +36,8 @@ chunk is _TALLY_CHUNK = 2,048 tallies, enough for rules.side_scores to sum
 each scheme length's long rows in numpy (rules._row_fsums). A
 tally whose cutoffs are drawn again or whose count half is rejected goes to
 the scalar draw, _draw_tally, which reads the same buffered words through
-_Bits, a replay of numpy's integers (Lemire's multiply-shift) and random
-(a 53-bit shift) with no Generator call per tally.
+_Bits, a replay of numpy's integers (Lemire's multiply-shift), random and
+uniform (a 53-bit shift) with no Generator call per draw.
 """
 
 from __future__ import annotations
@@ -69,45 +75,75 @@ _RANDOM_SPACES = {"line": (-1.0, 2.0, 1), "euclidean2d": (0.0, 1.0, 2)}
 SPACES = tuple(_RANDOM_SPACES)
 
 
+class _Draw:
+    """random_instance's draw of one instance in one space: called with a
+    Generator or a _Bits, which give the same integers(low, high) and
+    uniform(low, high, size), it makes random_instance's draws in its order
+    and returns the instance's (coords, voters, candidates). The voter count
+    is 1 + integers(0, voters_max), then the voters' coordinates and those
+    of the drawn points (points of them, after the voters: the candidates
+    beyond two, then the witness Z) are uniform on [lo, hi)^dim. item()
+    assembles an instance from its voter count and those coordinates, which
+    _decode_instances reads from raw words a scan at a time."""
+
+    def __init__(self, lo: float, hi: float, dim: int, voters_max: int, num_candidates: int,
+                 extra_point: bool):
+        self.lo, self.hi, self.dim, self.voters_max = lo, hi, dim, voters_max
+        self.multi = num_candidates > 2  # whether the candidates are drawn
+        if self.multi:
+            self.cands, self._fixed = tuple(f"c{j + 1}" for j in range(num_candidates)), []
+        else:
+            self.cands, self._fixed = ("P", "Q"), [0.0] * dim + [1.0] + [0.0] * (dim - 1)
+        self.extra_point = extra_point
+        self.points = num_candidates * self.multi + extra_point
+        self._ids = self.cands + (("Z",) if extra_point else ())
+        self._names = ()  # v1, v2, ...: as many as the most voters drawn so far
+
+    def item(self, n: int, flat: list):
+        """The instance of n voters whose voters' and drawn points'
+        coordinates are flat, in draw order; the fixed P and Q go after the
+        voters, as their ids do."""
+        if n > len(self._names):
+            self._names = tuple(f"v{i + 1}" for i in range(n))
+        flat[n * self.dim:n * self.dim] = self._fixed
+        # zip(*[iter(flat)] * dim): the flat coordinates, dim at a time, as tuples
+        coords = dict(zip(self._names[:n] + self._ids, zip(*[iter(flat)] * self.dim)))
+        return coords, self._names[:n], self.cands
+
+    def __call__(self, rng):
+        lo, hi, dim = self.lo, self.hi, self.dim
+        n = int(rng.integers(1, self.voters_max + 1))
+        flat = rng.uniform(lo, hi, (n, dim)).ravel().tolist()
+        if self.multi:
+            taken = []
+            for _ in self.cands:
+                pt = rng.uniform(lo, hi, dim).tolist()
+                while pt in taken:
+                    pt = rng.uniform(lo, hi, dim).tolist()
+                taken.append(pt)
+                flat += pt
+        if self.extra_point:
+            flat += rng.uniform(lo, hi, dim).tolist()
+        return self.item(n, flat)
+
+
 def _drawer(space: str, voters_max: int, num_candidates: int = 2, extra_point: bool = False):
     """random_instance's draw in one space, its arguments checked before any
-    draw: returns the space kind to build in and a function of a Generator
-    that draws one instance's (coords, voters, candidates), making
-    random_instance's Generator calls in its order."""
+    draw: returns the space kind to build in and the _Draw. A voters_max
+    above 2**32 is refused too: a count drawn from 32 bits is what _Bits
+    replays."""
     try:
         lo, hi, dim = _RANDOM_SPACES[space]
     except KeyError:
         raise ValueError(f"unknown space kind {space!r}") from None
     if voters_max < 1:
         raise ValueError(f"voters_max must be at least 1, got {voters_max}")
+    if voters_max > 2 ** 32:
+        raise ValueError(f"voters_max must be at most 2**32, got {voters_max}")
     if num_candidates < 2:
         raise ValueError(f"num_candidates must be at least 2, got {num_candidates}")
-    if num_candidates == 2:
-        cands, fixed = ("P", "Q"), [0.0] * dim + [1.0] + [0.0] * (dim - 1)
-    else:
-        cands, fixed = tuple(f"c{j + 1}" for j in range(num_candidates)), []
-    ids = cands + (("Z",) if extra_point else ())
-    names = ()  # v1, v2, ...: as many as the most voters drawn so far
-
-    def draw(rng: np.random.Generator):
-        nonlocal names
-        n = int(rng.integers(1, voters_max + 1))
-        if n > len(names):
-            names = tuple(f"v{i + 1}" for i in range(n))
-        flat = rng.uniform(lo, hi, (n, dim)).ravel().tolist() + fixed
-        if num_candidates > 2:
-            taken = []
-            for _ in cands:
-                pt = rng.uniform(lo, hi, dim).tolist()
-                while pt in taken:
-                    pt = rng.uniform(lo, hi, dim).tolist()
-                taken.append(pt)
-                flat += pt
-        if extra_point:
-            flat += rng.uniform(lo, hi, dim).tolist()
-        # zip(*[iter(flat)] * dim): the flat coordinates, dim at a time, as tuples
-        return dict(zip(names[:n] + ids, zip(*[iter(flat)] * dim))), names[:n], cands
-    return (LINE if dim == 1 else EUCLIDEAN), draw
+    return (LINE if dim == 1 else EUCLIDEAN), _Draw(lo, hi, dim, voters_max, num_candidates,
+                                                   extra_point)
 
 
 def random_instance(rng: np.random.Generator, space: str = "line", voters_max: int = 8,
@@ -116,8 +152,8 @@ def random_instance(rng: np.random.Generator, space: str = "line", voters_max: i
     _RANDOM_SPACES), two candidates P/Q pinned to the origin and the first unit
     vector, more candidates uniform on the box and redrawn until no two
     coincide. extra_point adds a non-candidate witness Z. A voters_max below
-    1 or a num_candidates below 2 is refused before any draw. It is _drawn's
-    draw, built as a batch of one.
+    1 or above 2**32, or a num_candidates below 2, is refused before any
+    draw. It is _drawn's draw, built as a batch of one.
     """
     kind, draw = _drawer(space, voters_max, num_candidates, extra_point)
     return _coord_instance(kind, *draw(rng))
@@ -236,8 +272,7 @@ def adversarial_search(rule: Rule, *, seed: int = 42, grid: int = 400, n_instanc
             f"grid sweep disagrees with the pipeline: {grid_delta} vs {deltas[-1]}")
     i = int(np.argmax(deltas))
     best_inst, best_delta = chunk[i], float(deltas[i])
-    rng = np.random.default_rng(seed)
-    for chunk in _drawn(rng, n_instances, (space,), voters_max):
+    for chunk in _drawn(_Bits(seed), n_instances, (space,), voters_max):
         *_, (deltas,) = _scored(chunk, [rule])
         i = int(np.argmax(deltas))
         if deltas[i] > best_delta:
@@ -296,13 +331,16 @@ def optimize_thresholds(m: int) -> tuple[tuple[float, ...], float]:
 
 _VOTERS_MAX = 20  # most voters in a check's random instance
 
-# Instances decided together (_winners): enough to spread numpy's per-call
-# cost over instances of at most _VOTERS_MAX voters. A chunk's instances, its
-# batch columns and its joined strengths stay alive until the chunk is done,
-# so a larger chunk costs memory: check_bounds, check_lambda and
-# check_tradeoff run in one process peak at about 37 MB RSS with 64 and
-# 39.6 MB with 256.
-_CHUNK = 64
+# Instances drawn, built and decided together (_decode_instances,
+# _coord_instances, _winners): enough to spread numpy's per-call cost over
+# instances of at most _VOTERS_MAX voters. A chunk's instances, its batch
+# columns and its joined strengths stay alive until the chunk is done, so a
+# larger chunk costs memory. In-process on 2 cores, medians of 5, bounds,
+# lambda and tradeoff at seed 42 took 0.316, 0.105 and 0.130 s with 64;
+# 0.277, 0.093 and 0.117 s with 128; 0.271, 0.090 and 0.115 s with 256.
+# verify --suite all in-process took 0.74, 0.68 and 0.66 s and peaked at
+# 41.1, 40.6 and 41.5 MB RSS.
+_CHUNK = 256
 
 # Tallies check_condition1 draws and scores together. In-process
 # check_condition1(42) on 2 cores took 0.33-0.49 s with 512, 0.27-0.34 s with
@@ -316,22 +354,110 @@ _TALLY_CHUNK = 2048
 _BLOCK = 4096
 
 
-def _drawn(rng: np.random.Generator, count: int, spaces=SPACES,
-           voters_max: int = _VOTERS_MAX, **kwargs):
+# Most words one scan of _decode_instances lays out: a chunk of _CHUNK
+# instances of up to _VOTERS_MAX voters in R^2 with four candidates and Z
+# drawn, 51 words each at most, is one scan. An instance that may read more
+# than this is drawn by its _Draw alone.
+_SCAN_WORDS = 4 * _BLOCK
+
+
+def _drawn(bits: _Bits, count: int, spaces=SPACES, voters_max: int = _VOTERS_MAX, **kwargs):
     """count random instances, instance i drawn as random_instance draws it
-    in spaces[i % len(spaces)], yielded in order as lists of _CHUNK (the last
-    one may be shorter). A chunk's draws come first, in order, from rng; then
-    each space's instances of the chunk are built as one batch
-    (metric_core._coord_instances)."""
+    in spaces[i % len(spaces)] from default_rng(seed)'s stream, which bits
+    (a _Bits(seed)) reads; yielded in order as lists of _CHUNK (the last one
+    may be shorter). A chunk is decoded from bits' raw words
+    (_decode_instances), then each space's instances of the chunk are built
+    as one batch (metric_core._coord_instances)."""
     drawers = [_drawer(space, voters_max, **kwargs) for space in spaces]
     for start in range(0, count, _CHUNK):
-        drawn = [drawers[i % len(drawers)][1](rng)
-                 for i in range(start, min(start + _CHUNK, count))]
+        drawn = _decode_instances(bits, [drawers[i % len(drawers)][1]
+                                         for i in range(start, min(start + _CHUNK, count))])
         chunk = [None] * len(drawn)
         for s, (kind, _) in enumerate(drawers):
             at = slice((s - start) % len(drawers), None, len(drawers))
             chunk[at] = _coord_instances(kind, drawn[at])
         yield chunk
+
+
+def _scan_instances(words: list, at: int, half, voters_max: int, points: int, dims: list):
+    """Lay out one instance per entry of dims (its dimension) from words[at:],
+    as _Draw reads them when no count half is rejected and no drawn
+    candidate repeats: the voter count n is 1 + below(voters_max) from a
+    32-bit half (none read when voters_max is 1), the low half of a new
+    word unless a high half is kept from an earlier word, and then the n
+    voters' and the points drawn points' coordinates, a word each. Stops
+    before the first instance whose count half is rejected. Returns the
+    voter counts and first coordinate words of the instances laid out, the
+    (word, kept half) at each one's start and at the rejected one's, and the
+    word and kept half after the last."""
+    ns, firsts, starts = [], [], []
+    reject = (0x100000000 - voters_max) % voters_max
+    for dim in dims:
+        starts.append((at, half))
+        if voters_max > 1:
+            if half is None:
+                word = words[at]
+                at += 1
+                u, half = word & 0xFFFFFFFF, word >> 32
+            else:
+                u, half = half, None
+            x = u * voters_max
+            if x & 0xFFFFFFFF < reject:
+                break
+            n = 1 + (x >> 32)
+        else:
+            n = 1
+        ns.append(n)
+        firsts.append(at)
+        at += (n + points) * dim
+    return ns, firsts, starts, at, half
+
+
+def _decode_instances(bits: _Bits, draws: list) -> list:
+    """The (coords, voters, candidates) of the next len(draws) instances of
+    bits' stream, instance i drawn as draws[i] draws it; the draws share a
+    voters_max and their drawn points. _scan_instances lays out a run of
+    instances from the buffered words, and numpy reads each coordinate as
+    lo + (hi - lo) * random(), random() being a word's top 53 bits times
+    2**-53. The first instance whose count half is rejected or whose drawn
+    candidates repeat is drawn by its _Draw on the same words through bits,
+    and the decode goes on after it; so is every instance when one may read
+    more than _SCAN_WORDS words."""
+    first, items, i = draws[0], [], 0
+    upper = 1 + (first.voters_max + first.points) * max(draw.dim for draw in draws)
+    while i < len(draws):
+        run = draws[i:i + _SCAN_WORDS // upper]
+        if not run:
+            items.append(draws[i](bits))
+            i += 1
+            continue
+        bits._fill(len(run) * upper)
+        dims = [draw.dim for draw in run]
+        ns, firsts, starts, at, half = _scan_instances(bits._words, bits._at, bits._half,
+                                                       first.voters_max, first.points, dims)
+        lengths = np.array([(n + first.points) * dim for n, dim in zip(ns, dims)], dtype=np.intp)
+        ends = _ends(lengths)
+        lo = np.repeat([draw.lo for draw in run[:len(ns)]], lengths)
+        span = np.repeat([draw.hi - draw.lo for draw in run[:len(ns)]], lengths)
+        raw = bits._raw[_flat(np.array(firsts, dtype=np.intp), lengths)]
+        flat, ends = (lo + span * ((raw >> 11) * 2.0 ** -53)).tolist(), ends.tolist()
+        decoded = [draw.item(n_voters, flat[a:b])
+                   for draw, n_voters, a, b in zip(run, ns, ends, ends[1:])]
+        stop = len(decoded)
+        # _Draw draws a candidate again at an earlier one's point (pt in taken:
+        # equal coordinates, as equal tuples are)
+        if first.multi:
+            stop = next((r for r, (coords, _, cands) in enumerate(decoded)
+                         if len(set(map(coords.__getitem__, cands))) < len(cands)), stop)
+        items += decoded[:stop]
+        if stop == len(run):
+            bits._at, bits._half = at, half
+        else:
+            bits._at, bits._half = starts[stop]
+            items.append(run[stop](bits))
+            stop += 1
+        i += stop
+    return items
 
 
 def _check(worst):
@@ -377,12 +503,12 @@ def _two_candidate_rules() -> list[Rule]:
 @_check(max)
 def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000):
     """delta never exceeds bound_value, for every rule on every random instance."""
-    rng = np.random.default_rng(seed)
+    bits = _Bits(seed)
     rules2 = _two_candidate_rules()
     rules4 = [r for r in rules2 if r.kind != "rule2"]
     for count, num_candidates, rules in ((n_two, 2, rules2), (n_multi, 4, rules4)):
         bounds = np.array([bound_value(r, num_candidates) for r in rules])
-        for chunk in _drawn(rng, count, num_candidates=num_candidates):
+        for chunk in _drawn(bits, count, num_candidates=num_candidates):
             *_, deltas = _scored(chunk, rules)
             margins = (deltas.T - bounds).ravel()
             yield margins, margins > 1e-9
@@ -392,11 +518,11 @@ def check_bounds(seed: int = 42, n_two: int = 10_000, n_multi: int = 2_000):
 def check_lambda(seed: int = 42, n: int = 5_000):
     """Winners satisfy their lambda-inequality SC(W) <= q*SC(Q) + z*SC(Z) for a
     random witness Z, with (q, z) = lambda_coefficients(rule)."""
-    rng = np.random.default_rng(seed)
+    bits = _Bits(seed)
     rules = [Rule("rule1", 2.0), Rule("rule1", 5.0), Rule("rule5"), Rule("rule3", 2.0),
              Rule("rule4", scheme=(2.0,)), Rule("rule4", scheme=(1.5, 3.0))]
     q_coef, z_coef = np.array([lambda_coefficients(rule) for rule in rules]).T[:, :, None]
-    for chunk in _drawn(rng, n, extra_point=True):
+    for chunk in _drawn(bits, n, extra_point=True):
         costs, winners, won, _ = _scored(chunk, rules)
         lost = costs[np.arange(len(chunk)), 1 - winners]
         z_costs = np.array([social_cost(inst, "Z") for inst in chunk])
@@ -406,12 +532,14 @@ def check_lambda(seed: int = 42, n: int = 5_000):
 
 class _Bits:
     """default_rng(seed)'s stream read from its bit generator's raw 64-bit
-    words, replaying the two Generator laws _draw_tally needs without a
-    Generator call per draw: below(n) is integers(0, n) and double() is
-    random(). The words wait in one buffer, read a block of _BLOCK at a
-    time (_block) and held both as a numpy array, for _decode_tallies, and
-    as Python ints: the unread tail of earlier blocks and the blocks read
-    since. The tail of the last block is never read."""
+    words, replaying the Generator laws _draw_tally and _Draw need without
+    a Generator call per draw: below(n) is integers(0, n), double() is
+    random(), and integers(low, high) and uniform(low, high, size) are the
+    calls _Draw makes. The words wait in one buffer, read a block of _BLOCK
+    at a time (_block) and held both as a numpy array, for _decode_tallies
+    and _decode_instances, and as Python ints: the unread tail of earlier
+    blocks and the blocks read since. The tail of the last block is never
+    read."""
 
     def __init__(self, seed):
         self._bit_generator = np.random.default_rng(seed).bit_generator
@@ -459,6 +587,20 @@ class _Bits:
     def double(self) -> float:
         """random(): a word's top 53 bits times 2**-53."""
         return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, low: int, high: int) -> int:
+        """integers(low, high) for high - low <= 2**32: low with no draw when
+        the range holds one value, else low + below(high - low)."""
+        return low if high - low == 1 else low + self.below(high - low)
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """uniform(low, high, size): low + (high - low) * random() for each
+        entry, in C order, a word each."""
+        count = int(np.prod(size))
+        self._fill(count)
+        self._at += count
+        raw = self._raw[self._at - count:self._at]
+        return low + (high - low) * ((raw >> 11) * 2.0 ** -53).reshape(size)
 
 
 def _draw_tally(bits: _Bits) -> tuple[ThresholdScheme, list[int]]:
@@ -593,11 +735,11 @@ def check_condition1(seed: int = 42, n: int = 100_000):
 @_check(max)
 def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
     """rho stays under the tradeoff curve implied by the measured delta."""
-    rng = np.random.default_rng(seed)
+    bits = _Bits(seed)
     rules = [Rule("rule1", 2.0), Rule("rule5")]
     skip_low = np.array([rule.kind == "rule1" for rule in rules])[:, None]
     for count, num_candidates in ((n_two, 2), (n_multi, 4)):
-        for chunk in _drawn(rng, count, ("line",), num_candidates=num_candidates):
+        for chunk in _drawn(bits, count, ("line",), num_candidates=num_candidates):
             _, _, won, deltas = _scored(chunk, rules)
             rhos = cost_ratio(won, np.array([ideal_point(inst).cost for inst in chunk]))
             limits = np.array([[ideal_tradeoff_bound(rule, delta, num_candidates)

@@ -95,7 +95,7 @@ def _assert_chunk_matches(chunk, fresh):
 @pytest.mark.parametrize("num_candidates", [2, 4])
 def test_chunk_winners_match_the_per_case_path(space, num_candidates):
     def chunks():
-        return _drawn(np.random.default_rng(11), 128, (space,), 12,
+        return _drawn(_Bits(11), 2 * search_oracle._CHUNK, (space,), 12,
                       num_candidates=num_candidates)
     for chunk, fresh in zip(chunks(), chunks()):
         _assert_chunk_matches(chunk, fresh)
@@ -715,7 +715,7 @@ def test_condition1_margins_match_the_per_tally_path(seed):
 
 def test_chunks_of_one_rule_kind_agree_with_mixed_rule_lists():
     """A rule's winners do not depend on which other rules share the chunk."""
-    chunk = next(_drawn(np.random.default_rng(2), 64, num_candidates=4))
+    chunk = next(_drawn(_Bits(2), 64, num_candidates=4))
     together = _winners(chunk, RULES)
     for r, rule in enumerate(RULES):
         assert (_winners(chunk, [rule])[0] == together[r]).all(), rule.label()
@@ -755,9 +755,9 @@ def test_chunk_built_instances_match_their_documents(space, num_candidates, extr
     """Each instance of a drawn chunk, built in one batch, equals the instance
     built alone from its document, and every point's voter column, measured
     once for the whole chunk, is byte-equal to the one measured alone."""
-    rng = np.random.default_rng(17)
-    for chunk in _drawn(rng, 2 * 64 + 5, (space,), 9, num_candidates=num_candidates,
-                        extra_point=extra_point):
+    rng = _Bits(17)
+    for chunk in _drawn(rng, 2 * search_oracle._CHUNK + 5, (space,), 9,
+                        num_candidates=num_candidates, extra_point=extra_point):
         for inst in chunk:
             alone = build_instance(instance_to_doc(inst))
             assert inst == alone
@@ -777,7 +777,7 @@ def test_a_chunk_measures_each_points_column_once(monkeypatch):
         calls.append(point)
         return measure(inst, point)
 
-    chunk = next(_drawn(np.random.default_rng(4), 64, ("line",), extra_point=True))
+    chunk = next(_drawn(_Bits(4), 64, ("line",), extra_point=True))
     monkeypatch.setattr(metric_core, "distance_column", counted)
     for inst in chunk:
         for point in ("P", "Q", "Z", "P"):

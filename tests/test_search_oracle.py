@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from strengthvote.distortion_lab import evaluate_instance, generate_lower_bound
-from strengthvote.metric_core import MetricInstance, line_instance, social_cost
+from strengthvote.metric_core import (MetricInstance, instance_to_doc, line_instance,
+                                      social_cost)
 from strengthvote.rules import (SQRT2, Rule, bound_value, decide_pair, rule4_delta,
                                 rule4_weights)
 from strengthvote import rules, search_oracle, tallies
-from strengthvote.search_oracle import (SPACES, _Bits, _anchor_instances, _grid_positions,
+from strengthvote.search_oracle import (SPACES, _Bits, _anchor_instances, _drawn, _grid_positions,
                                         _signed_weights,
                                         _two_candidate_rules, adversarial_search,
                                         check_bounds, check_condition1,
@@ -272,6 +273,150 @@ def test_bits_replay_integers_and_random(seed, n):
             assert bits.double().hex() == rng.random().hex(), run
             doubles += 1
     assert halves // 2 + doubles > 4096
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_bits_replay_the_instance_draw_calls(seed):
+    """_Bits.integers and _Bits.uniform against the Generator calls _Draw
+    makes: integers(1, voters_max + 1), which draws nothing at voters_max 1
+    and rejects about half its 32-bit draws at 2**31 + 1, and uniform over
+    each space's box in shapes (n, dim), n = 0 included, and dim; the words
+    read cross the 4096-word blocks."""
+    bits, rng, words = _Bits(seed), np.random.default_rng(seed), 0
+    for run in range(1_500):
+        voters_max = (1, 2, 3, 20, 2**31 + 1, 2**32)[run % 6]
+        assert bits.integers(1, voters_max + 1) == rng.integers(1, voters_max + 1), run
+        lo, hi, dim = search_oracle._RANDOM_SPACES[SPACES[run % 2]]
+        for size in ((run % 7, dim), dim):
+            got, want = bits.uniform(lo, hi, size), rng.uniform(lo, hi, size)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), run
+            words += got.size
+    assert words > 4096
+
+
+def _doc_text(inst):
+    """An instance's document as JSON text: its coordinates in order, each
+    float by its shortest repr."""
+    return json.dumps(instance_to_doc(inst))
+
+
+@pytest.mark.parametrize("voters_max", [1, 3, 20])
+@pytest.mark.parametrize("num_candidates, extra_point", [(2, False), (2, True), (4, False),
+                                                         (4, True)])
+@pytest.mark.parametrize("spaces", [SPACES, ("line",)], ids=["both", "line"])
+def test_drawn_instances_are_the_random_instances(spaces, num_candidates, extra_point,
+                                                  voters_max, monkeypatch):
+    """_drawn(_Bits(seed), ...) yields, in chunks of _CHUNK, the documents
+    that successive random_instance(default_rng(seed), ...) calls give, in
+    the spaces taken in turn: 2 * _CHUNK + 37 instances, then 100 more with
+    the other candidate count on the same _Bits, as check_bounds draws its
+    two phases. At 20 voters the words read cross a 4096-word block."""
+    blocks, block = [], _Bits._block
+    monkeypatch.setattr(_Bits, "_block", lambda self: blocks.append(1) or block(self))
+    bits, rng, got, want = _Bits(3), np.random.default_rng(3), [], []
+    for count, k in ((2 * search_oracle._CHUNK + 37, num_candidates), (100, 6 - num_candidates)):
+        chunks = list(_drawn(bits, count, spaces, voters_max, num_candidates=k,
+                             extra_point=extra_point))
+        assert [len(chunk) for chunk in chunks] == \
+            [min(search_oracle._CHUNK, count - i) for i in range(0, count, search_oracle._CHUNK)]
+        got += [_doc_text(inst) for chunk in chunks for inst in chunk]
+        want += [_doc_text(random_instance(rng, spaces[i % len(spaces)], voters_max, k,
+                                           extra_point)) for i in range(count)]
+    assert got == want
+    assert voters_max < 20 or len(blocks) > 1
+
+
+def _serve(monkeypatch, words):
+    """Make every _Bits read its blocks from words, from the first on;
+    returns {bits: words served}."""
+    served = {}
+
+    def block(self):
+        at = served.get(self, 0)
+        served[self] = at + search_oracle._BLOCK
+        return words[at:at + search_oracle._BLOCK].copy()
+
+    monkeypatch.setattr(_Bits, "_block", block)
+    return served
+
+
+def _crafted_draws(monkeypatch, words, t, num_candidates, craft):
+    """Instances 0 to 2 * _CHUNK - 1 of the drawn stream (both spaces, 20
+    voters at most) read from words after craft(words, count, first, n,
+    draw) changes them at instance t: count is (the index of the word that
+    holds instance t's voter-count half, whether it is the high half),
+    first the index of its first coordinate word, n its voter count and
+    draw its _Draw. Returns the documents _drawn decodes, those
+    random_instance draws one at a time from a _Bits served the same words
+    (test_bits_replay_the_instance_draw_calls holds _Bits to the
+    Generator), and the instances the decode handed to a _Draw."""
+    count, served = 2 * search_oracle._CHUNK, _serve(monkeypatch, words)
+    draws = [search_oracle._drawer(SPACES[i % 2], 20, num_candidates)[1] for i in range(count)]
+    bits, located = _Bits(0), []
+    for draw in draws[:t + 1]:
+        # the next word, and the count half's word when the count is a new word's low half
+        located.append(served.get(bits, 0) - (len(bits._words) - bits._at))
+        kept = bits._half is not None
+        n = len(draw(bits)[1])
+    # a kept half is the high half of the word instance t - 1 read its count from
+    craft(words, (located[t - 1], True) if kept else (located[t], False),
+          located[t] + (not kept), n, draws[t])
+    reference = _Bits(0)
+    want = [_doc_text(random_instance(reference, SPACES[i % 2], 20, num_candidates))
+            for i in range(count)]
+    scalar, call = [], search_oracle._Draw.__call__
+    monkeypatch.setattr(search_oracle._Draw, "__call__",
+                        lambda self, rng: scalar.append(t) or call(self, rng))
+    got = [_doc_text(inst) for chunk in _drawn(_Bits(0), count, SPACES, 20,
+                                               num_candidates=num_candidates) for inst in chunk]
+    return got, want, scalar
+
+
+_EDGES = (0, 1, 100, search_oracle._CHUNK - 1, search_oracle._CHUNK, search_oracle._CHUNK + 1)
+
+
+@pytest.mark.parametrize("num_candidates", [2, 4])
+@pytest.mark.parametrize("t", _EDGES)
+def test_a_rejected_voter_count_falls_back_to_the_scalar_draw(t, num_candidates, monkeypatch):
+    """Instance t's voter-count half set to 0, which integers(1, 21) rejects
+    (its product's low half, 0, is below (2**32 - 20) % 20 = 16): the
+    decode hands instance t to its _Draw, which redraws the count from the
+    next half, and decodes the rest after it; every document matches the
+    one random_instance draws from the same words. An even t reads its count from a new
+    word's low half, an odd t from the high half kept from the word before."""
+    def craft(words, count, first, n, draw):
+        word, high = count
+        assert high == bool(t % 2)
+        words[word] &= np.uint64(0xFFFFFFFF if high else 0xFFFFFFFF00000000)
+
+    words = np.random.default_rng(t).bit_generator.random_raw(20 * search_oracle._BLOCK)
+    got, want, scalar = _crafted_draws(monkeypatch, words, t, num_candidates, craft)
+    assert got == want
+    assert scalar == [t]
+
+
+@pytest.mark.parametrize("t", _EDGES)
+def test_a_repeated_candidate_falls_back_to_the_scalar_draw(t, monkeypatch):
+    """Instance t's second candidate drawn at its first one's point: the
+    reference draws it again from the next words, and so does the decode,
+    which hands instance t to its _Draw and decodes the rest after it."""
+    def craft(words, count, first, n, draw):
+        c1, c2 = first + n * draw.dim, first + (n + 1) * draw.dim  # after the voters
+        words[c2:c2 + draw.dim] = words[c1:c1 + draw.dim]
+
+    words = np.random.default_rng(t).bit_generator.random_raw(20 * search_oracle._BLOCK)
+    got, want, scalar = _crafted_draws(monkeypatch, words, t, 4, craft)
+    assert got == want
+    assert scalar == [t]
+    coords = json.loads(want[t])["space"]["positions"]
+    assert len({json.dumps(coords[c]) for c in ("c1", "c2", "c3", "c4")}) == 4
+
+
+def test_random_instance_refuses_a_voters_max_beyond_32_bits():
+    for space in SPACES:
+        with pytest.raises(ValueError,
+                           match=r"^voters_max must be at most 2\*\*32, got 4294967297$"):
+            random_instance(_NoDraws(), space, voters_max=2**32 + 1)
 
 
 def _decoded_rows(bits, n):
