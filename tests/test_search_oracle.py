@@ -2,20 +2,21 @@ import functools
 import json
 import math
 import operator
+import tracemalloc
 from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
-from strengthvote.distortion_lab import evaluate_instance, generate_lower_bound
+from strengthvote.distortion_lab import cost_ratio, evaluate_instance, generate_lower_bound
 from strengthvote.metric_core import (MetricInstance, instance_to_doc, line_instance,
                                       social_cost)
 from strengthvote.rules import (SQRT2, Rule, bound_value, decide_pair, rule4_delta,
                                 rule4_weights)
 from strengthvote import rules, search_oracle, tallies
 from strengthvote.search_oracle import (SPACES, _Bits, _anchor_instances, _drawn, _grid_positions,
-                                        _signed_weights,
+                                        _grid_sweep, _signed_weights,
                                         _two_candidate_rules, adversarial_search,
                                         check_bounds, check_condition1,
                                         check_lambda, check_lowerbounds, check_tradeoff,
@@ -191,6 +192,64 @@ def test_grid_weights_agree_with_the_pipeline_on_every_cell():
             grid_winner = "P" if w[i] + w[j] >= 0.0 else "Q"
             assert grid_winner == decide_pair(inst, "P", "Q", rule).winner, \
                 (rule.label(), xs[i], xs[j])
+
+
+def _full_matrix_delta(rule: Rule, n: int):
+    """The grid's positions and its whole (m x m) delta matrix, every ordered placement."""
+    xs = _grid_positions(rule, n)
+    w = _signed_weights(rule, xs)
+    d_p, d_q = np.abs(xs), np.abs(xs - 1.0)
+    sc_p = d_p[:, None] + d_p[None, :]
+    sc_q = d_q[:, None] + d_q[None, :]
+    p_wins = (w[:, None] + w[None, :]) >= 0.0
+    return xs, cost_ratio(np.where(p_wins, sc_p, sc_q), np.minimum(sc_p, sc_q))
+
+
+def _full_matrix_sweep(rule: Rule, n: int) -> tuple[str, ...]:
+    """The full matrix's first row-major maximum, as float.hex of (x, y, delta)."""
+    xs, delta = _full_matrix_delta(rule, n)
+    i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
+    return tuple(map(float.hex, (float(xs[i]), float(xs[j]), float(delta[i, j]))))
+
+
+def test_grid_sweep_matches_the_full_matrix():
+    # n = 2 is under one block of rows, 60 a little over one, 400 several; the
+    # n = 2..160 runs put the grid's size on either side of 64 and 128 rows
+    grid_rules = _two_candidate_rules() + [Rule("rule4", scheme=(1.5, 3.0)),
+                                           Rule("rule4", scheme=(1.2, 2.0, 4.0))]
+    cases = [(rule, n) for rule in grid_rules for n in (2, 60, 400)]
+    cases += [(rule, n) for rule in (Rule("rule4", scheme=(1.5, 3.0)), Rule("rule5"))
+              for n in range(2, 161)]
+    sizes = {len(_grid_positions(rule, n)) for rule, n in cases}
+    assert {63, 65, 127, 129} <= sizes
+    for rule, n in cases:
+        got = tuple(map(float.hex, _grid_sweep(rule, n)))
+        assert got == _full_matrix_sweep(rule, n), (rule.label(), n)
+
+
+def test_grid_sweep_ties_go_to_the_first_cell_in_row_major_order():
+    # rule5 at n = 2 reads 1.0 in every cell: the answer is cell (0, 0)
+    xs, delta = _full_matrix_delta(Rule("rule5"), 2)
+    assert delta.shape == (19, 19) and (delta == 1.0).all()
+    assert _grid_sweep(Rule("rule5"), 2) == (float(xs[0]), float(xs[0]), 1.0)
+    # these two tie at three cells, in the row blocks of 184 and of 236:
+    # the earlier block's cell wins
+    for rule in (Rule("rule3", 2.0), Rule("rule4", scheme=(2.0,))):
+        xs, delta = _full_matrix_delta(rule, 400)
+        top = np.argwhere(delta == delta.max()).tolist()
+        assert top == [[184, 284], [236, 236], [284, 184]], rule.label()
+        assert _grid_sweep(rule, 400) == (float(xs[184]), float(xs[284]), float(delta.max()))
+
+
+def test_grid_sweep_memory_grows_with_the_grid_not_its_square():
+    # the whole (m x m) matrices of a 2,000-point grid peak at about 178 MB
+    tracemalloc.start()
+    try:
+        _grid_sweep(Rule("rule4", scheme=(1.5, 3.0)), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_optimize_thresholds_known_optima():
