@@ -107,6 +107,25 @@ def _geometric_median(pts: np.ndarray):
     return y * unit + origin, False, achieved
 
 
+def _line_ideals(xs: np.ndarray, sizes: list[int]) -> tuple[list[float], list[float]]:
+    """The ideal point of each of n line instances and its cost, instance i
+    having sizes[i] >= 1 voters, their finite positions joined in order in
+    xs: the lower median, and math.fsum of the voters' distances to it. The
+    one place a line's ideal point is defined. Row i of an (n, max size)
+    table holds instance i's positions, padded with +inf, which sorts after
+    them, and its distances, padded with 0.0, which adds nothing to a sum.
+    The sort is stable, so -0.0 and 0.0 keep voter order, as sorted()
+    does."""
+    sizes = np.asarray(sizes)
+    within = np.arange(sizes.max()) < sizes[:, None]
+    table = np.full(within.shape, math.inf)
+    table[within] = xs  # row by row, in order
+    table.sort(axis=1, kind="stable")
+    meds = table[np.arange(len(sizes)), (sizes - 1) // 2]
+    dist = np.where(within, np.abs(table - meds[:, None]), 0.0)
+    return meds.tolist(), list(map(math.fsum, dist.tolist()))
+
+
 def ideal_point(inst: MetricInstance) -> IdealPoint:
     """Best achievable location for the voter population.
 
@@ -118,10 +137,7 @@ def ideal_point(inst: MetricInstance) -> IdealPoint:
     whose bracket reaches the least upper end, the only ones that can win.
     """
     if inst.space == LINE:
-        # stable, so -0.0 and 0.0 keep voter order, as sorted() does
-        xs = np.sort(inst.voter_points, kind="stable")
-        med = float(xs[(len(xs) - 1) // 2])
-        cost = math.fsum(np.abs(xs - med).tolist())
+        (med,), (cost,) = _line_ideals(inst.voter_points, [len(inst.voters)])
         return IdealPoint(med, cost, "exact")
     if inst.space == EUCLIDEAN:
         points = inst.voter_points

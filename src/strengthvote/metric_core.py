@@ -14,8 +14,10 @@ all of them; the per-point scan runs only when those fail: for other inputs,
 such as integers, and to name the first bad field.
 
 Line and Euclidean instances are built a batch at a time
-(_coord_instances): the drawn instances of a verification chunk are one
-batch, and line_instance and euclidean_instance build a batch of one. A
+(_coord_instances): line_instance and euclidean_instance build a batch of
+one, and the drawn instances of a verification chunk, when something asks
+for them, a batch per space; the chunk itself runs the coordinate checks
+in array form (_bounded) and is scored without its instances. A
 batch's ids are checked instance by instance, its coordinates once for the
 whole batch (_batch_passes: one dimension and one magnitude pass), and its
 candidates apart instance by instance through distance. Only a batch that
@@ -33,7 +35,8 @@ point is measured once per batch: the voter column of a point
 for every instance of the batch that names the point and kept on the batch,
 and social costs and the strength kernel in ``tallies`` read it. A column is
 one array step over the voters' positions: |x_v - x| on a line, a gather from
-the matrix, and math.dist in R^d, so each entry equals the scalar
+the matrix, and math.dist in R^d (_distances, which search_oracle's
+distance tables measure with too), so each entry equals the scalar
 ``distance`` exactly. An instance keeps rules.decide_pair's two scores per
 candidate pair and Rule, and any profile ``tallies.exact_profile`` builds,
 V floats per pair for V voters; no program path, evaluate included, builds one.
@@ -342,8 +345,13 @@ def _batch_passes(space: str, items) -> bool:
     dims = set(map(len, chain.from_iterable(values)))
     if len(dims) != 1 or (space == LINE and dims != {1}):
         return False
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(values)), float)
-    return np.abs(flat).max(initial=0.0) < 2.0 ** 500  # a NaN fails too
+    return _bounded(np.fromiter(chain.from_iterable(chain.from_iterable(values)), float))
+
+
+def _bounded(flat: np.ndarray) -> bool:
+    """Whether every coordinate of a float array is below 2**500 in
+    magnitude (a NaN fails): _batch_passes' magnitude pass."""
+    return np.abs(flat).max(initial=0.0) < 2.0 ** 500
 
 
 def _check_alone(space: str, coords: dict, voters: tuple, candidates: tuple) -> list:
@@ -523,15 +531,26 @@ def distance_column(inst: MetricInstance, point: str) -> np.ndarray:
         points = [batch.voter_points[i] for i in owners]
         sizes = list(map(len, points))
         if inst.space == LINE:
-            column = np.abs(np.concatenate(points) - np.repeat([x for x, in at], sizes))
+            column = _distances(LINE, np.concatenate(points), [x for x, in at], sizes)
         else:
-            column = np.fromiter(map(math.dist, chain.from_iterable(points),
-                                     chain.from_iterable(map(repeat, at, sizes))),
-                                 float, sum(sizes))
+            column = _distances(inst.space, chain.from_iterable(points), at, sizes)
         column.flags.writeable = False  # before slicing, so that each view is read-only too
         kept = {i: column[hi - n:hi] for i, n, hi in zip(owners, sizes, accumulate(sizes))}
     batch.columns[point] = kept
     return kept[b]
+
+
+def _distances(space: str, voters, at, sizes) -> np.ndarray:
+    """The distance from each voter to its instance's point, as a new
+    float64 array: instance i has sizes[i] voters and its point at at[i],
+    and voters joins every instance's voters in order, as one array of x on
+    a line (at[i] an x) and as coordinate tuples in R^d (at[i] a tuple).
+    |x_v - x| on a line, math.dist in R^d: the one place a column's
+    distances are measured."""
+    if space == LINE:
+        return np.abs(voters - np.repeat(at, sizes))
+    return np.fromiter(map(math.dist, voters, chain.from_iterable(map(repeat, at, sizes))),
+                       float, sum(sizes))
 
 
 def social_cost(inst: MetricInstance, point: str) -> float:

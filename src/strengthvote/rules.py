@@ -41,10 +41,10 @@ Fractions it is the exact row), and _rule4_table with np.where, over an
 derives each scheme length's rows in one call. Both give the same bits.
 The multiway and ideal-point guarantees rest on each rule's lambda-inequality
 SC(W) <= q*SC(Q) + z*SC(Z), with (q, z) from lambda_coefficients.
-_instance_scores is the one path from voter columns to pair scores, through
-_pair_scores, the one scorer of joined strengths: search_oracle._winners
-calls it on a chunk, and decide_pair (so evaluate) once per instance and
-Rule, keeping the scores on the instance.
+_pair_scores is the one scorer of joined strengths. _instance_scores
+reaches it from instances' voter columns, for decide_pair (so evaluate)
+once per instance and Rule, keeping the scores on the instance;
+search_oracle._winners reaches it from a chunk's distance table.
 _rule4_columns is the one core for rule4 count rows, each under its own
 scheme, over a ragged table of arrays (each row's m, the cutoffs, each
 row's count length, the counts): it checks the rows as ThresholdScheme and
@@ -551,9 +551,11 @@ def _instance_scores(instances, rules) -> list[tuple[list[float], list[float]]]:
     """_pair_scores for every candidate pair of each instance in turn, in
     combinations order of its sorted candidates, a toward the smaller id:
     one kernel pass over the pairs' voter columns (tallies._sides)."""
-    pairs = [pair for inst in instances
-             for pair in combinations(map(inst.voter_distances, sorted(inst.candidates)), 2)]
-    return _pair_scores(*_sides(*zip(*pairs)), rules)
+    d1s, d2s = zip(*[pair for inst in instances
+                     for pair in combinations(map(inst.voter_distances,
+                                                  sorted(inst.candidates)), 2)])
+    return _pair_scores(*_sides(np.concatenate(d1s), np.concatenate(d2s),
+                                list(map(len, d1s))), rules)
 
 
 def decide_profile(profile: ExactProfile, rule: Rule) -> PairwiseDecision:

@@ -15,17 +15,18 @@ PCG64 words (_decode_instances): a short Python scan (_scan_instances)
 reads each instance's voter count from a 32-bit half and skips its
 coordinate words, and numpy reads every coordinate. An instance whose count
 half is rejected or whose drawn candidates repeat is drawn by
-random_instance's own draw (_Draw) on the same words through _Bits. Each
-space's instances of the chunk are then built as one batch
-(metric_core._coord_instances), which checks their coordinates once for
-the whole batch and measures each point's voter column once for the chunk.
-_winners scores a chunk straight from those columns through
-rules._instance_scores (one kernel pass over every candidate pair, then
-each rule's side scores: the path that evaluate's rules.decide_pair takes
-too), and winners, costs and margins follow as arrays, with no profile
-object per pair. adversarial_search
-decides its anchors and its grid re-check as one chunk, and each
-lowerbounds probe is a chunk of one.
+random_instance's own draw (_Draw) on the same words through _Bits. A
+chunk (_Chunk) is scored as a distance table (_Table), measured from the
+decoded arrays with no MetricInstance per case: one column per sorted
+candidate slot, and Z's, over all the chunk's voters. _winners scores a
+table with one kernel pass over every candidate pair and one
+rules._pair_scores call, the scorer that evaluate's rules.decide_pair
+takes too, and winners, costs and margins follow as arrays. A chunk
+builds its instances only when it is indexed or iterated, as
+adversarial_search does when a drawn case beats the best so far; a list
+of instances gets its table from their voter columns, so
+adversarial_search decides its anchors and its grid re-check as one
+chunk, and each lowerbounds probe is a chunk of one.
 
 check_condition1 decodes its tallies a chunk at a time straight from
 default_rng(seed)'s raw PCG64 words (_decode_tallies): one short Python scan
@@ -46,19 +47,20 @@ from __future__ import annotations
 import functools
 import math
 import time
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from .distortion_lab import (cost_ratio, generate_lower_bound, ideal_point,
+from .distortion_lab import (_line_ideals, cost_ratio, generate_lower_bound,
                              ideal_tradeoff_bound, lower_bound_target, natural_rule)
-from .metric_core import (EUCLIDEAN, LINE, MetricInstance, _coord_instance, _coord_instances,
-                          line_instance, social_cost)
-from .rules import (SQRT2, Rule, _instance_scores, _rule4_columns, bound_value,
-                    lambda_coefficients, rule4_delta)
-from .tallies import ThresholdScheme, _strengths
+from .metric_core import (EUCLIDEAN, LINE, MetricInstance, _bounded, _coord_instance,
+                          _coord_instances, _distances, line_instance)
+from .rules import (SQRT2, Rule, _pair_scores, _rule4_columns, bound_value, lambda_coefficients,
+                    rule4_delta)
+from .tallies import ThresholdScheme, _sides, _strengths
 # Unused here, but perfbench/tracer.py counts calls through these module attributes.
-from .metric_core import euclidean_instance  # noqa: F401
+from .distortion_lab import ideal_point  # noqa: F401
+from .metric_core import euclidean_instance, social_cost  # noqa: F401
 from .rules import (_condition1_diff, decide_pair, decide_profile,  # noqa: F401
                     rule4_decide, rule4_weights)
 from .tallies import exact_profile  # noqa: F401
@@ -77,19 +79,22 @@ SPACES = tuple(_RANDOM_SPACES)
 
 
 class _Draw:
-    """random_instance's draw of one instance in one space: called with a
-    Generator or a _Bits, which give the same integers(low, high) and
-    uniform(low, high, size), it makes random_instance's draws in its order
-    and returns the instance's (coords, voters, candidates). The voter count
-    is 1 + integers(0, voters_max), then the voters' coordinates and those
-    of the drawn points (points of them, after the voters: the candidates
-    beyond two, then the witness Z) are uniform on [lo, hi)^dim. item()
-    assembles an instance from its voter count and those coordinates, which
-    _decode_instances reads from raw words a scan at a time."""
+    """random_instance's draw of one instance in one space (kind): called
+    with a Generator or a _Bits, which give the same integers(low, high)
+    and uniform(low, high, size), it makes random_instance's draws in its
+    order and returns the instance's voter count n and its flat
+    coordinates. n is 1 + integers(0, voters_max), then the voters'
+    coordinates and those of the drawn points (points of them, after the
+    voters: the candidates beyond two, then the witness Z) are uniform on
+    [lo, hi)^dim, and flat lists them in draw order. item() assembles the
+    instance's (coords, voters, candidates) from the two, for whoever
+    builds it. _decode_instances reads the same from raw words a scan at a
+    time."""
 
     def __init__(self, lo: float, hi: float, dim: int, voters_max: int, num_candidates: int,
                  extra_point: bool):
         self.lo, self.hi, self.dim, self.voters_max = lo, hi, dim, voters_max
+        self.kind = LINE if dim == 1 else EUCLIDEAN
         self.multi = num_candidates > 2  # whether the candidates are drawn
         if self.multi:
             self.cands, self._fixed = tuple(f"c{j + 1}" for j in range(num_candidates)), []
@@ -125,7 +130,7 @@ class _Draw:
                 flat += pt
         if self.extra_point:
             flat += rng.uniform(lo, hi, dim).tolist()
-        return self.item(n, flat)
+        return n, flat
 
 
 def _drawer(space: str, voters_max: int, num_candidates: int = 2, extra_point: bool = False):
@@ -143,8 +148,8 @@ def _drawer(space: str, voters_max: int, num_candidates: int = 2, extra_point: b
         raise ValueError(f"voters_max must be at most 2**32, got {voters_max}")
     if num_candidates < 2:
         raise ValueError(f"num_candidates must be at least 2, got {num_candidates}")
-    return (LINE if dim == 1 else EUCLIDEAN), _Draw(lo, hi, dim, voters_max, num_candidates,
-                                                   extra_point)
+    draw = _Draw(lo, hi, dim, voters_max, num_candidates, extra_point)
+    return draw.kind, draw
 
 
 def random_instance(rng: np.random.Generator, space: str = "line", voters_max: int = 8,
@@ -157,40 +162,80 @@ def random_instance(rng: np.random.Generator, space: str = "line", voters_max: i
     draw. It is _drawn's draw, built as a batch of one.
     """
     kind, draw = _drawer(space, voters_max, num_candidates, extra_point)
-    return _coord_instance(kind, *draw(rng))
+    return _coord_instance(kind, *draw.item(*draw(rng)))
+
+
+class _Table:
+    """A chunk's voter distances, its instances' voters joined in order:
+    instance i has sizes[i] voters, and row j of columns, a (k, V) array
+    for V voters in all, holds each voter's distance to its instance's j-th
+    candidate in sorted id order. A drawn chunk's table also holds z, each
+    voter's distance to Z when Z was drawn, and xs, the voters' positions
+    when every instance is on the line; else they are None."""
+
+    def __init__(self, sizes: list[int], columns: np.ndarray, z=None, xs=None):
+        self.sizes, self.columns, self.z, self.xs = sizes, columns, z, xs
+
+    def sums(self, column: np.ndarray) -> list[float]:
+        """math.fsum of each instance's stretch of a column: with one
+        tolist(), the social costs that social_cost sums one at a time."""
+        values, ends = column.tolist(), list(accumulate(self.sizes, initial=0))
+        return [math.fsum(values[a:b]) for a, b in zip(ends, ends[1:])]
+
+
+def _table(chunk) -> _Table:
+    """A chunk's distance table: a _Table is its own, a drawn _Chunk keeps
+    one, and a list of instances gets one from their voter columns
+    (voter_distances). The instances must have equally many candidates
+    (else ValueError)."""
+    if isinstance(chunk, _Table):
+        return chunk
+    if isinstance(chunk, _Chunk):
+        return chunk.table
+    k = len(chunk[0].candidates) if chunk else 0
+    if any(len(inst.candidates) != k for inst in chunk):
+        raise ValueError("a chunk's instances must have equally many candidates")
+    slots = [sorted(inst.candidates) for inst in chunk]
+    sizes = [len(inst.voters) for inst in chunk]
+    columns = [np.concatenate([inst.voter_distances(ids[j]) for inst, ids in zip(chunk, slots)])
+               for j in range(k)]
+    return _Table(sizes, np.array(columns).reshape(k, sum(sizes)))
 
 
 def _winners(chunk, rules) -> np.ndarray:
     """Each rule's winner on each instance of a chunk, as an index into the
-    instance's sorted candidates: an (len(rules), len(chunk)) array. The
-    instances must have equally many candidates (else ValueError). Every
-    candidate pair is scored under all the rules by rules._instance_scores
-    in one kernel pass from the voter columns, with no profile kept. A pair
-    goes to its first (smaller) id unless the second scores more, and the
-    winner is the first candidate in sorted order with the most pairs won:
-    for two candidates the pair's winner, beyond two the Copeland winner, as
+    instance's sorted candidates: an (len(rules), len(chunk)) array. Every
+    candidate pair of every instance is scored from the chunk's distance
+    table (_table) under all the rules in one kernel pass (tallies._sides,
+    pair after pair, each pair over all the instances) and one
+    rules._pair_scores call, with no profile kept. A pair goes to its first
+    (smaller) id unless the second scores more, and the winner is the first
+    candidate in sorted order with the most pairs won: for two candidates
+    the pair's winner, beyond two the Copeland winner, as
     copeland_winner(majority_graph(...)) names it."""
-    if not chunk:
+    table = _table(chunk)
+    k, n = len(table.columns), len(table.sizes)
+    if not n:
         return np.zeros((len(rules), 0), dtype=np.intp)
-    k = len(chunk[0].candidates)
-    if any(len(inst.candidates) != k for inst in chunk):
-        raise ValueError("a chunk's instances must have equally many candidates")
-    pairs = list(combinations(range(k), 2))
-    first = [np.greater_equal(p, q) for p, q in _instance_scores(chunk, rules)]
-    first = np.array(first).reshape(len(rules), len(chunk), len(pairs), 1)
-    ends = np.eye(k, dtype=int)[np.array(pairs)]  # (pair, end, one-hot id)
+    pairs = np.array(list(combinations(range(k), 2)))
+    joined = _sides(table.columns[pairs[:, 0]].ravel(), table.columns[pairs[:, 1]].ravel(),
+                    table.sizes * len(pairs))
+    first = [np.greater_equal(p, q) for p, q in _pair_scores(*joined, rules)]
+    first = np.array(first).reshape(len(rules), len(pairs), n, 1).swapaxes(1, 2)
+    ends = np.eye(k, dtype=int)[pairs]  # (pair, end, one-hot id)
     return np.where(first, ends[:, 0], ends[:, 1]).sum(axis=-2).argmax(axis=-1)
 
 
 def _scored(chunk, rules) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each rule's winners (_winners) on a chunk, then the social costs of
-    each instance's sorted candidates, (len(chunk), k), and each rule's
-    winners, their costs and their deltas, (len(rules), len(chunk)) each. An
-    empty chunk gives (len(rules), 0) arrays."""
-    winners = _winners(chunk, rules)
-    costs = np.array([[social_cost(inst, c) for c in sorted(inst.candidates)]
-                      for inst in chunk]).reshape(len(chunk), -1 if chunk else 0)
-    won = costs[np.arange(len(chunk)), winners]
+    """Each rule's winners on a chunk, read from its distance table
+    (_table), then the social costs of each instance's sorted candidates,
+    (len(chunk), k), and each rule's winners, their costs and their
+    deltas, (len(rules), len(chunk)) each. An empty chunk gives
+    (len(rules), 0) arrays."""
+    table = _table(chunk)
+    winners, n = _winners(table, rules), len(table.sizes)
+    costs = np.array(list(map(table.sums, table.columns))).reshape(len(table.columns), n).T
+    won = costs[np.arange(n), winners]
     return costs, winners, won, cost_ratio(won, costs.min(axis=1, initial=math.inf))
 
 
@@ -393,19 +438,99 @@ _SCAN_WORDS = 4 * _BLOCK
 def _drawn(bits: _Bits, count: int, spaces=SPACES, voters_max: int = _VOTERS_MAX, **kwargs):
     """count random instances, instance i drawn as random_instance draws it
     in spaces[i % len(spaces)] from default_rng(seed)'s stream, which bits
-    (a _Bits(seed)) reads; yielded in order as lists of _CHUNK (the last one
-    may be shorter). A chunk is decoded from bits' raw words
-    (_decode_instances), then each space's instances of the chunk are built
-    as one batch (metric_core._coord_instances)."""
-    drawers = [_drawer(space, voters_max, **kwargs) for space in spaces]
+    (a _Bits(seed)) reads; yielded in order as _Chunks of _CHUNK (the last
+    one may be shorter), each decoded from bits' raw words
+    (_decode_instances)."""
+    draws = [_drawer(space, voters_max, **kwargs)[1] for space in spaces]
     for start in range(0, count, _CHUNK):
-        drawn = _decode_instances(bits, [drawers[i % len(drawers)][1]
-                                         for i in range(start, min(start + _CHUNK, count))])
-        chunk = [None] * len(drawn)
-        for s, (kind, _) in enumerate(drawers):
-            at = slice((s - start) % len(drawers), None, len(drawers))
-            chunk[at] = _coord_instances(kind, drawn[at])
-        yield chunk
+        run = [draws[i % len(draws)] for i in range(start, min(start + _CHUNK, count))]
+        yield _Chunk(run, *_decode_instances(bits, run))
+
+
+class _Chunk:
+    """Drawn instances, instance i drawn by draws[i] with ns[i] voters and
+    its flat coordinates (_Draw's) joined in order in flat, scored through
+    their distance table (table). The checks _coord_instances makes run
+    first, in array form: _bounded's magnitude pass over all the
+    coordinates, and no two candidates of an instance at one point
+    (_coinciding); the ids and the one dimension hold by construction. A
+    chunk that fails them is built, so that its first failing instance
+    raises what it raises alone. The table measures one column per sorted
+    candidate slot, and Z's, over all the voters with
+    metric_core._distances, distance_column's formulas, so each entry
+    equals the voter_distances entry exactly. Indexing or iterating the
+    chunk gives its MetricInstances: one _coord_instances batch per space,
+    built the first time and then kept."""
+
+    def __init__(self, draws: list, ns: list[int], flat: np.ndarray):
+        self._draws, self._ns, self._flat, self._instances = draws, ns, flat, None
+        first, k = draws[0], len(draws[0].cands)
+        sizes = np.array(ns, dtype=np.intp)
+        dims = np.array([draw.dim for draw in draws], dtype=np.intp)
+        starts = _ends((sizes + first.points) * dims)[:-1]
+        if not _bounded(flat) or (first.multi and
+                                  _coinciding(flat, starts + sizes * dims, dims, k).any()):
+            self._built()
+        voter_at = _ends(sizes)[:-1]  # each instance's first voter in the table
+        slots = sorted(range(k), key=first.cands.__getitem__) + [k] * first.extra_point
+        table = np.empty((len(slots), int(sizes.sum())))
+        for dim in np.unique(dims).tolist():
+            rows = np.flatnonzero(dims == dim)
+            n = sizes[rows]
+            voters = flat[_flat(starts[rows], n * dim)]
+            drawn = flat[_flat(starts[rows] + n * dim, np.full(len(rows), first.points * dim))]
+            fixed = np.reshape(draws[rows[0]]._fixed, (-1, dim))  # P and Q, or none
+            # (point, instance, coordinate): the candidates in draw order, then Z
+            spots = np.concatenate((np.broadcast_to(fixed, (len(rows), *fixed.shape)),
+                                    drawn.reshape(len(rows), first.points, dim)), axis=1)
+            spots = spots.swapaxes(0, 1)
+            if dim == 1:
+                spots = spots[:, :, 0]
+            else:
+                voters = list(zip(*[iter(voters.tolist())] * dim))
+                spots = [list(map(tuple, at)) for at in spots.tolist()]
+            at = _flat(voter_at[rows], n)
+            for j, slot in enumerate(slots):
+                table[j, at] = _distances(draws[rows[0]].kind, voters, spots[slot], n.tolist())
+        xs = flat[_flat(starts, sizes)] if (dims == 1).all() else None
+        self.table = _Table(ns, table[:k], table[k] if first.extra_point else None, xs)
+
+    def _built(self) -> list[MetricInstance]:
+        """The chunk's instances, built on the first call and then kept."""
+        if self._instances is None:
+            values, draws, ns = self._flat.tolist(), self._draws, self._ns
+            ends = list(accumulate(((n + draw.points) * draw.dim for draw, n in zip(draws, ns)),
+                                   initial=0))
+            items = [draw.item(n, values[a:b]) for draw, n, a, b in zip(draws, ns, ends, ends[1:])]
+            self._instances = [None] * len(items)
+            for draw in dict.fromkeys(draws):  # each space's instances as one batch
+                at = [i for i, other in enumerate(draws) if other is draw]
+                for i, inst in zip(at, _coord_instances(draw.kind, [items[i] for i in at])):
+                    self._instances[i] = inst
+        return self._instances
+
+    def __len__(self) -> int:
+        return len(self._ns)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+
+def _coinciding(flat: np.ndarray, firsts: np.ndarray, dims: np.ndarray, k: int) -> np.ndarray:
+    """Whether two of the k points laid out from firsts[i] in flat, dims[i]
+    coordinates each, are equal in every coordinate, for each i: _Draw's
+    pt in taken, and for finite coordinates _check_apart's distance 0."""
+    out = np.zeros(len(firsts), dtype=bool)
+    upper = np.triu_indices(k, 1)
+    for dim in np.unique(dims).tolist():
+        rows = np.flatnonzero(dims == dim)
+        points = flat[_flat(firsts[rows], np.full(len(rows), k * dim))].reshape(-1, k, 1, dim)
+        same = (points == points.swapaxes(1, 2)).all(axis=-1)
+        out[rows] = same[:, upper[0], upper[1]].any(axis=-1)
+    return out
 
 
 def _scan_instances(words: list, at: int, half, voters_max: int, points: int, dims: list):
@@ -442,9 +567,10 @@ def _scan_instances(words: list, at: int, half, voters_max: int, points: int, di
     return ns, firsts, starts, at, half
 
 
-def _decode_instances(bits: _Bits, draws: list) -> list:
-    """The (coords, voters, candidates) of the next len(draws) instances of
-    bits' stream, instance i drawn as draws[i] draws it; the draws share a
+def _decode_instances(bits: _Bits, draws: list) -> tuple[list[int], np.ndarray]:
+    """The next len(draws) instances of bits' stream, instance i drawn as
+    draws[i] draws it, as their voter counts and their flat coordinates
+    (_Draw's) joined in order in one float array; the draws share a
     voters_max and their drawn points. _scan_instances lays out a run of
     instances from the buffered words, and numpy reads each coordinate as
     lo + (hi - lo) * random(), random() being a word's top 53 bits times
@@ -452,41 +578,45 @@ def _decode_instances(bits: _Bits, draws: list) -> list:
     candidates repeat is drawn by its _Draw on the same words through bits,
     and the decode goes on after it; so is every instance when one may read
     more than _SCAN_WORDS words."""
-    first, items, i = draws[0], [], 0
+    first, ns, parts, i = draws[0], [], [], 0
     upper = 1 + (first.voters_max + first.points) * max(draw.dim for draw in draws)
     while i < len(draws):
         run = draws[i:i + _SCAN_WORDS // upper]
         if not run:
-            items.append(draws[i](bits))
+            n, flat = draws[i](bits)
+            ns.append(n)
+            parts.append(flat)
             i += 1
             continue
         bits._fill(len(run) * upper)
         dims = [draw.dim for draw in run]
-        ns, firsts, starts, at, half = _scan_instances(bits._words, bits._at, bits._half,
-                                                       first.voters_max, first.points, dims)
-        lengths = np.array([(n + first.points) * dim for n, dim in zip(ns, dims)], dtype=np.intp)
+        counts, firsts, starts, at, half = _scan_instances(bits._words, bits._at, bits._half,
+                                                           first.voters_max, first.points, dims)
+        n, dims = np.array(counts, dtype=np.intp), np.array(dims[:len(counts)], dtype=np.intp)
+        lengths = (n + first.points) * dims
         ends = _ends(lengths)
-        lo = np.repeat([draw.lo for draw in run[:len(ns)]], lengths)
-        span = np.repeat([draw.hi - draw.lo for draw in run[:len(ns)]], lengths)
+        lo = np.repeat([draw.lo for draw in run[:len(counts)]], lengths)
+        span = np.repeat([draw.hi - draw.lo for draw in run[:len(counts)]], lengths)
         raw = bits._raw[_flat(np.array(firsts, dtype=np.intp), lengths)]
-        flat, ends = (lo + span * ((raw >> 11) * 2.0 ** -53)).tolist(), ends.tolist()
-        decoded = [draw.item(n_voters, flat[a:b])
-                   for draw, n_voters, a, b in zip(run, ns, ends, ends[1:])]
-        stop = len(decoded)
+        flat = lo + span * ((raw >> 11) * 2.0 ** -53)
+        stop = len(counts)
         # _Draw draws a candidate again at an earlier one's point (pt in taken:
-        # equal coordinates, as equal tuples are)
+        # equal coordinates, as equal lists are)
         if first.multi:
-            stop = next((r for r, (coords, _, cands) in enumerate(decoded)
-                         if len(set(map(coords.__getitem__, cands))) < len(cands)), stop)
-        items += decoded[:stop]
+            again = _coinciding(flat, ends[:-1] + n * dims, dims, len(first.cands))
+            stop = int(again.argmax()) if again.any() else stop
+        ns += counts[:stop]
+        parts.append(flat[:ends[stop]])
         if stop == len(run):
             bits._at, bits._half = at, half
         else:
             bits._at, bits._half = starts[stop]
-            items.append(run[stop](bits))
+            n, flat = run[stop](bits)
+            ns.append(n)
+            parts.append(flat)
             stop += 1
         i += stop
-    return items
+    return ns, np.concatenate(parts)
 
 
 def _check(worst):
@@ -554,7 +684,7 @@ def check_lambda(seed: int = 42, n: int = 5_000):
     for chunk in _drawn(bits, n, extra_point=True):
         costs, winners, won, _ = _scored(chunk, rules)
         lost = costs[np.arange(len(chunk)), 1 - winners]
-        z_costs = np.array([social_cost(inst, "Z") for inst in chunk])
+        z_costs = np.array(chunk.table.sums(chunk.table.z))
         slacks = (won - q_coef * lost - z_coef * z_costs).T.ravel()
         yield slacks, slacks > 1e-9
 
@@ -770,7 +900,7 @@ def check_tradeoff(seed: int = 42, n_two: int = 5_000, n_multi: int = 1_000):
     for count, num_candidates in ((n_two, 2), (n_multi, 4)):
         for chunk in _drawn(bits, count, ("line",), num_candidates=num_candidates):
             _, _, won, deltas = _scored(chunk, rules)
-            rhos = cost_ratio(won, np.array([ideal_point(inst).cost for inst in chunk]))
+            rhos = cost_ratio(won, np.array(_line_ideals(chunk.table.xs, chunk.table.sizes)[1]))
             limits = np.array([[ideal_tradeoff_bound(rule, delta, num_candidates)
                                 for delta in row] for rule, row in zip(rules, deltas.tolist())])
             finite = np.isfinite(limits) & np.isfinite(rhos)

@@ -19,9 +19,10 @@ strengths: it turns two voter-distance columns into each voter's side and
 its strength far/near. ``_sides`` runs it once over a batch of items and
 splits the strengths by side with one boolean mask: every item's side
 toward its smaller id, then every item's other side, joined in one array.
-rules._instance_scores scores every candidate pair of its instances
-straight from those joined sides, keeping no profile: it is the path of
-evaluate, verify and search. ``exact_profile`` keeps one ordered pair's two
+rules._pair_scores scores every rule's two sides straight from those
+joined sides, keeping no profile: evaluate reaches it through
+rules._instance_scores, verify and search through a chunk's distance
+table (search_oracle._winners). ``exact_profile`` keeps one ordered pair's two
 sides as a profile, each a read-only view of one kernel pass (8 bytes per
 strength), held by the instance once built; ``bucket_profile`` counts a
 profile into a new tally on every call: no tally is kept. No program path
@@ -157,14 +158,14 @@ def _strengths(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d1 <= d2, s
 
 
-def _sides(d1s, d2s) -> tuple[np.ndarray, list[int]]:
-    """The kernel over n items at once, item i's voters at distances d1s[i]
-    from its smaller id and d2s[i] from its larger: every item's strengths
-    toward its smaller id, item by item, then every item's toward its
-    larger, split from one kernel pass by a boolean mask and joined as one
-    read-only array, with the 2n sides' sizes in that order."""
-    sizes = list(map(len, d1s))
-    toward_first, s = _strengths(np.concatenate(d1s), np.concatenate(d2s))
+def _sides(d1: np.ndarray, d2: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, list[int]]:
+    """The kernel over n items at once, item i's sizes[i] voters joined in
+    order in d1, their distances from its smaller id, and in d2, from its
+    larger: every item's strengths toward its smaller id, item by item,
+    then every item's toward its larger, split from one kernel pass by a
+    boolean mask and joined as one read-only array, with the 2n sides'
+    sizes in that order."""
+    toward_first, s = _strengths(d1, d2)
     joined = np.concatenate((s[toward_first], s[~toward_first]))
     joined.flags.writeable = False
     starts = list(accumulate(sizes[:-1], initial=0))  # every item has a voter
@@ -180,8 +181,8 @@ def exact_profile(inst: MetricInstance, p: str, q: str) -> ExactProfile:
     if p == q:
         raise SameCandidate(p)
     if (p, q) not in inst._profiles:
-        joined, (n, _) = _sides([inst.voter_distances(min(p, q))],
-                                [inst.voter_distances(max(p, q))])
+        joined, (n, _) = _sides(inst.voter_distances(min(p, q)),
+                                inst.voter_distances(max(p, q)), [len(inst.voters)])
         first, second = joined[:n], joined[n:]
         inst._profiles[(p, q)] = ExactProfile((p, q), *((first, second) if p < q
                                                         else (second, first)))

@@ -21,12 +21,15 @@ import numpy as np
 import pytest
 
 from strengthvote import metric_core, rules, search_oracle
-from strengthvote.metric_core import build_instance, instance_to_doc, line_instance
+from strengthvote.distortion_lab import _line_ideals, ideal_point
+from strengthvote.metric_core import (DuplicateCandidatePoint, _coord_instances, build_instance,
+                                      instance_to_doc, line_instance, social_cost)
 from strengthvote.rules import (InvalidThreshold, Rule, _condition1_diff, decide_pair,
                                 decide_tally, ratio_terms, rule4_delta, rule4_row_columns,
                                 rule4_weights, side_scores)
-from strengthvote.search_oracle import (_Bits, _draw_tally, _drawn, _scored,
-                                        _two_candidate_rules, _winners, check_condition1)
+from strengthvote.search_oracle import (SPACES, _Bits, _Chunk, _draw_tally, _drawer, _drawn,
+                                        _scored, _two_candidate_rules, _winners,
+                                        check_condition1)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 from strengthvote.tournament import copeland_winner, majority_graph
 
@@ -783,3 +786,93 @@ def test_a_chunk_measures_each_points_column_once(monkeypatch):
         for point in ("P", "Q", "Z", "P"):
             inst.voter_distances(point)
     assert calls == ["P", "Q", "Z"]
+
+
+def _assert_scored_alike(chunk, rules_):
+    """_scored on a drawn chunk, read from its distance table, gives the
+    bytes that _scored gives on the list of its instances, read from their
+    voter columns: costs, winners, won and deltas. The table's Z costs and,
+    on a line, its ideal costs are social_cost's and ideal_point's, by
+    float.hex."""
+    table = _scored(chunk, rules_)
+    instances = list(chunk)
+    for got, want in zip(table, _scored(instances, rules_)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    if chunk.table.z is not None:
+        assert [x.hex() for x in chunk.table.sums(chunk.table.z)] == \
+            [social_cost(inst, "Z").hex() for inst in instances]
+    if chunk.table.xs is not None:
+        assert [x.hex() for x in _line_ideals(chunk.table.xs, chunk.table.sizes)[1]] == \
+            [ideal_point(inst).cost.hex() for inst in instances]
+
+
+@pytest.mark.parametrize("extra_point", [False, True])
+@pytest.mark.parametrize("num_candidates", [2, 4])
+@pytest.mark.parametrize("spaces", [SPACES, ("line",)], ids=["both", "line"])
+def test_a_drawn_chunk_scores_as_its_instances_do(spaces, num_candidates, extra_point):
+    """_CHUNK + 37 instances, so a chunk boundary and a short chunk, in both
+    spaces and on the line alone, each held to its instances by
+    _assert_scored_alike under every two-candidate rule."""
+    chunks = list(_drawn(_Bits(23), search_oracle._CHUNK + 37, spaces, 9,
+                         num_candidates=num_candidates, extra_point=extra_point))
+    assert len(chunks) == 2
+    for chunk in chunks:
+        assert (chunk.table.z is not None) == extra_point
+        assert (chunk.table.xs is not None) == (spaces == ("line",))
+        _assert_scored_alike(chunk, RULES)
+
+
+def _spoiled_chunk(space, spoil):
+    """Twelve instances of 4 candidates in space, drawn from a Generator, as
+    the table builder (_Chunk) takes them and as _coord_instances takes
+    them, after spoil(flat, n, dim) changed instance 4's flat coordinates
+    (its n voters' first, then its candidates')."""
+    _, draw = _drawer(space, 6, num_candidates=4)
+    rng = np.random.default_rng(9)
+    drawn = [draw(rng) for _ in range(12)]
+    spoil(drawn[4][1], drawn[4][0], draw.dim)
+    items = [draw.item(n, list(flat)) for n, flat in drawn]
+    ns, flats = zip(*drawn)
+    return (lambda: _Chunk([draw] * 12, list(ns), np.concatenate(flats))), \
+        (lambda: _coord_instances(draw.kind, items))
+
+
+def _spoil_nan(flat, n, dim):
+    flat[0] = math.nan
+
+
+def _spoil_coinciding(flat, n, dim):
+    flat[(n + 2) * dim:(n + 3) * dim] = flat[n * dim:(n + 1) * dim]  # c3 at c1's point
+
+
+def _spoil_spread(flat, n, dim):
+    flat[0], flat[n * dim] = 1e308, -1e308
+
+
+@pytest.mark.parametrize("spoil, error", [(_spoil_nan, ValueError),
+                                          (_spoil_coinciding, DuplicateCandidatePoint),
+                                          (_spoil_spread, ValueError)],
+                         ids=["nan", "coinciding", "spread"])
+@pytest.mark.parametrize("space", SPACES)
+def test_a_chunk_that_fails_the_array_checks_raises_as_its_batch_does(space, spoil, error):
+    """A NaN, two coinciding candidates or an overflowing spread: the table
+    builder raises exactly what _coord_instances raises on the same items."""
+    table, batch = _spoiled_chunk(space, spoil)
+    with pytest.raises(error) as built:
+        batch()
+    with pytest.raises(error) as measured:
+        table()
+    assert (type(measured.value), str(measured.value)) == (type(built.value), str(built.value))
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_a_coordinate_beyond_the_magnitude_pass_is_built_and_scored(space):
+    """A coordinate of 2**501 fails the magnitude pass but every instance
+    check: the chunk's instances are built one at a time, as
+    _coord_instances builds them, and the table still scores as they do."""
+    table, batch = _spoiled_chunk(space, lambda flat, n, dim: flat.__setitem__(0, 2.0 ** 501))
+    chunk = table()
+    assert [instance_to_doc(inst) for inst in chunk] == \
+        [instance_to_doc(inst) for inst in batch()]
+    _assert_scored_alike(chunk, RULES)

@@ -23,7 +23,8 @@ from strengthvote.search_oracle import (SPACES, _Bits, _anchor_instances, _drawn
                                         optimize_thresholds, random_instance, verify_suite)
 from strengthvote.tallies import PairwiseTally, ThresholdScheme
 
-from test_chunk import _random_tally, _reference_slacks, _rows_table, _table_rows
+from test_chunk import (RULES, _assert_scored_alike, _random_tally, _reference_slacks,
+                        _rows_table, _table_rows)
 
 
 def brute_force_best(inst: MetricInstance) -> tuple[str, float]:
@@ -160,6 +161,55 @@ def test_adversarial_search_keeps_the_first_drawn_instance_of_the_largest_delta(
     expected, expected_delta = next((i, d) for i, d in drawn if d == best)
     assert inst is expected
     assert delta == expected_delta
+
+
+# The random stage's winner at seeds 0-4 behind a delta-1 anchor and no grid,
+# recorded before drawn chunks were scored as distance tables: (rule, seed) ->
+# (delta.hex(), the winner's voter positions). Line only, so the bits are the
+# same on every Python.
+_RANDOM_STAGE_WINNERS = {
+    ("rule1[tau=2]", 0): ("0x1.d0bec1424b8c0p+0", [0.32029723670798727, 0.9693268285213299]),
+    ("rule1[tau=2]", 1): ("0x1.b1c388c20747ep+0", [0.26276418385238864, 0.9949527390858823]),
+    ("rule1[tau=2]", 2): ("0x1.4b710dfeb07d7p+0", [0.25087032842510926, 0.7725317955060724,
+                                                   1.7721583689692841, 0.3326096236806422]),
+    ("rule1[tau=2]", 3): ("0x1.331354e235eddp+0", [0.285718712895386, 1.2761163834647569,
+                                                   1.6354405539987615, -0.6930402342337768,
+                                                   1.5493050123984613, 0.18178199789700544]),
+    ("rule1[tau=2]", 4): ("0x1.b72fc1a9bb740p+0", [0.9592303031766547, 0.304276735510832]),
+    ("rule4[taus=1.5;3]", 0): ("0x1.7a6b5b56bd9c2p+0", [0.5964814204230324]),
+    ("rule4[taus=1.5;3]", 1): ("0x1.4501d86763893p+0", [0.16330734696786187,
+                                                        1.3749686167710218]),
+    ("rule4[taus=1.5;3]", 2): ("0x1.6ce90c6411e1bp+0", [0.2436394187375397, 1.4410262512709613,
+                                                        0.5968249347631442]),
+    ("rule4[taus=1.5;3]", 3): ("0x1.55569df4eab11p+0", [0.5714321690986681]),
+    ("rule4[taus=1.5;3]", 4): ("0x1.7c2e65d69113cp+0", [0.5490700687080177, 1.5895224398088441,
+                                                        0.3588003205269472]),
+    ("rule5", 0): ("0x1.56093646d4db1p+0", [0.21017461278817473, 1.4609233830828674]),
+    ("rule5", 1): ("0x1.4501d86763893p+0", [0.16330734696786187, 1.3749686167710218]),
+    ("rule5", 2): ("0x1.4171f83892901p+0", [1.7485329321939571, 0.19817132057616904]),
+    ("rule5", 3): ("0x1.265199e4a3164p+0", [1.0073824884378073, 0.5691493265775693,
+                                            0.6642122973952675, -0.40555085915940114,
+                                            0.48556217460620643, -0.6237715820642405]),
+    ("rule5", 4): ("0x1.37f287b75f7aap+0", [1.333043285445446, 0.1313154808333934]),
+}
+
+
+@pytest.mark.parametrize("rule", [Rule("rule1", 2.0), Rule("rule4", scheme=(1.5, 3.0)),
+                                  Rule("rule5")], ids=lambda rule: rule.label())
+def test_the_random_stage_winner_is_pinned(rule, monkeypatch):
+    """Behind a lone anchor of delta 1 and no grid, the drawn instance that
+    wins is the one recorded above, document text and delta bits."""
+    anchor = line_instance({"P": 0.0, "Q": 1.0, "v1": 0.25}, ("v1",), ("P", "Q"))
+    monkeypatch.setattr(search_oracle, "_anchor_instances", lambda rule: [anchor])
+    for seed in range(5):
+        inst, delta = adversarial_search(rule, seed=seed, grid=0)
+        want_delta, xs = _RANDOM_STAGE_WINNERS[rule.label(), seed]
+        voters = [f"v{i + 1}" for i in range(len(xs))]
+        want = {"space": {"type": "line", "positions": {**dict(zip(voters, xs)),
+                                                        "P": 0.0, "Q": 1.0}},
+                "voters": voters, "candidates": ["P", "Q"]}
+        assert _doc_text(inst) == json.dumps(want), seed
+        assert delta.hex() == want_delta, seed
 
 
 def test_adversarial_search_stays_under_the_bound():
@@ -416,7 +466,7 @@ def _crafted_draws(monkeypatch, words, t, num_candidates, craft):
         # the next word, and the count half's word when the count is a new word's low half
         located.append(served.get(bits, 0) - (len(bits._words) - bits._at))
         kept = bits._half is not None
-        n = len(draw(bits)[1])
+        n = draw(bits)[0]
     # a kept half is the high half of the word instance t - 1 read its count from
     craft(words, (located[t - 1], True) if kept else (located[t], False),
           located[t] + (not kept), n, draws[t])
@@ -469,6 +519,28 @@ def test_a_repeated_candidate_falls_back_to_the_scalar_draw(t, monkeypatch):
     assert scalar == [t]
     coords = json.loads(want[t])["space"]["positions"]
     assert len({json.dumps(coords[c]) for c in ("c1", "c2", "c3", "c4")}) == 4
+
+
+@pytest.mark.parametrize("num_candidates", [2, 4])
+def test_a_chunk_with_a_scalar_drawn_instance_scores_as_its_instances_do(num_candidates,
+                                                                         monkeypatch):
+    """Instance _CHUNK + 1's voter-count half set to 0, as in the
+    rejected-count test above, so the decode hands it to its _Draw: both
+    chunks of the crafted stream are held to their instances by
+    _assert_scored_alike."""
+    t = search_oracle._CHUNK + 1
+
+    def craft(words, count, first, n, draw):
+        word, high = count
+        words[word] &= np.uint64(0xFFFFFFFF if high else 0xFFFFFFFF00000000)
+
+    words = np.random.default_rng(t).bit_generator.random_raw(20 * search_oracle._BLOCK)
+    *_, scalar = _crafted_draws(monkeypatch, words, t, num_candidates, craft)
+    chunks = list(_drawn(_Bits(0), 2 * search_oracle._CHUNK, SPACES, 20,
+                         num_candidates=num_candidates))
+    assert scalar == [t, t]
+    for chunk in chunks:
+        _assert_scored_alike(chunk, RULES)
 
 
 def test_random_instance_refuses_a_voters_max_beyond_32_bits():

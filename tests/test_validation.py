@@ -188,7 +188,7 @@ def test_a_batch_refuses_its_first_bad_instance_as_one_instance_would(space, spo
     fails a check that comes first (an unknown candidate id)."""
     kind, draw = _drawer(space, 6, num_candidates=4)
     rng = np.random.default_rng(9)
-    items = [draw(rng) for _ in range(12)]
+    items = [draw.item(*draw(rng)) for _ in range(12)]
     coords, voters, candidates = items[4]
     spoil(coords, candidates)
     items[9] = (items[9][0], items[9][1], ("c1", "ghost", "c3", "c4"))
@@ -225,7 +225,7 @@ def test_a_nan_between_finite_points_is_named_alone_and_in_a_batch(space):
     raises that point's own message."""
     kind, draw = _drawer(space, 6, num_candidates=4)
     rng = np.random.default_rng(11)
-    items = [draw(rng) for _ in range(12)]
+    items = [draw.item(*draw(rng)) for _ in range(12)]
     coords, voters, candidates = items[6]
     key = list(coords)[len(coords) // 2]
     assert key not in (next(iter(coords)), list(coords)[-1])
